@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -38,18 +40,19 @@ class HalfedgeMesh:
     twin : (3F,) int array
         Opposite halfedge id, or -1 on the boundary.
     edges : (E, 2) int array
-        Endpoint vertex ids per edge, in the orientation of the first
-        halfedge encountered during construction.
+        Endpoint vertex ids per edge, in the orientation of its smaller
+        halfedge; edge ids ascend with that halfedge.
     edge_of_halfedge : (3F,) int array
         Edge id under each halfedge.
     edge_halfedges : (E, 2) int array
-        The one or two halfedges of each edge (-1 when the edge is boundary).
+        The one or two halfedges of each edge, smaller first (-1 when the
+        edge is boundary).
     boundary_loops : tuple of tuple of int
         Vertex cycles, one per boundary component, interior on the left.
     vertex_halfedge : (V,) int array
-        One outgoing halfedge per vertex; for boundary vertices this is the
-        unique outgoing boundary halfedge, so that counter-clockwise rotation
-        sweeps the whole fan.
+        One outgoing halfedge per vertex: the smallest for interior
+        vertices; for boundary vertices the unique outgoing boundary
+        halfedge, so that counter-clockwise rotation sweeps the whole fan.
     """
 
     faces: np.ndarray
@@ -129,12 +132,16 @@ class HalfedgeMesh:
 def build_mesh(faces, positions=None, uv=None):
     """Build a validated :class:`HalfedgeMesh` from an indexed face list.
 
+    The vertex count is one more than the largest face index, or the length
+    of ``positions`` or ``uv`` when that is larger, so trailing vertices no
+    face uses are reported as unused.
+
     Raises
     ------
     TopologyError
         On non-triangular input, repeated vertex ids within a face,
         non-manifold edges (an oriented edge shared by two faces), unused or
-        non-manifold (bowtie) vertices.
+        non-manifold (bowtie or pinched) vertices.
     """
     faces = np.ascontiguousarray(faces, dtype=np.int64)
     _require(faces.ndim == 2 and faces.shape[1] == 3, TopologyError,
@@ -142,7 +149,6 @@ def build_mesh(faces, positions=None, uv=None):
     nf = faces.shape[0]
     _require(nf > 0, TopologyError, "mesh has no faces")
     _require(faces.min() >= 0, TopologyError, "negative vertex id")
-    nv = int(faces.max()) + 1
     degenerate = (
         (faces[:, 0] == faces[:, 1])
         | (faces[:, 1] == faces[:, 2])
@@ -152,73 +158,83 @@ def build_mesh(faces, positions=None, uv=None):
         raise TopologyError(
             f"repeated vertex id in faces {np.nonzero(degenerate)[0].tolist()}")
 
+    nv = int(faces.max()) + 1
+    if positions is not None:
+        positions = np.ascontiguousarray(positions, dtype=np.float64)
+        nv = max(nv, len(positions))
+    if uv is not None:
+        uv = np.ascontiguousarray(uv, dtype=np.complex128)
+        nv = max(nv, len(uv))
     used = np.zeros(nv, dtype=bool)
     used[faces.ravel()] = True
     if not used.all():
         raise TopologyError(
             f"unused vertex ids {np.nonzero(~used)[0].tolist()}")
-
     if positions is not None:
-        positions = np.ascontiguousarray(positions, dtype=np.float64)
         _require(positions.shape == (nv, 3), TopologyError,
                  f"positions must have shape ({nv}, 3)")
     if uv is not None:
-        uv = np.ascontiguousarray(uv, dtype=np.complex128)
         _require(uv.shape == (nv,), TopologyError,
                  f"uv must have shape ({nv},)")
 
     nh = 3 * nf
-    origin = faces[np.arange(nh) // 3, np.arange(nh) % 3]
-    dest = faces[np.arange(nh) // 3, (np.arange(nh) % 3 + 1) % 3]
+    origin = faces.ravel()
+    dest = faces[:, [1, 2, 0]].ravel()
 
-    directed = {}
-    for h in range(nh):
-        key = (int(origin[h]), int(dest[h]))
-        if key in directed:
-            raise TopologyError(
-                f"oriented edge {key} shared by faces {directed[key] // 3} "
-                f"and {h // 3}: non-manifold or inconsistently oriented")
-        directed[key] = h
+    # Twins: sort the oriented edges by key and look up each reversed key.
+    key = origin * nv + dest
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    repeat = _first_repeat(order, sorted_key)
+    if repeat is not None:
+        h1, h2 = repeat
+        raise TopologyError(
+            f"oriented edge ({origin[h2]}, {dest[h2]}) shared by faces "
+            f"{h1 // 3} and {h2 // 3}: non-manifold or inconsistently "
+            "oriented")
+    reverse = dest * nv + origin
+    slot = np.minimum(np.searchsorted(sorted_key, reverse), nh - 1)
+    twin = np.where(sorted_key[slot] == reverse, order[slot], -1)
 
-    twin = np.full(nh, -1, dtype=np.int64)
-    for (a, b), h in directed.items():
-        t = directed.get((b, a), -1)
-        twin[h] = t
+    # Edges in order of their smaller halfedge, oriented like it.
+    first = np.nonzero((twin < 0) | (np.arange(nh) < twin))[0]
+    edges = np.column_stack([origin[first], dest[first]])
+    edge_halfedges = np.column_stack([first, twin[first]])
+    edge_of_halfedge = np.empty(nh, dtype=np.int64)
+    edge_of_halfedge[first] = np.arange(len(first))
+    inner = np.nonzero(edge_halfedges[:, 1] >= 0)[0]
+    edge_of_halfedge[edge_halfedges[inner, 1]] = inner
 
-    edge_of_halfedge = np.full(nh, -1, dtype=np.int64)
-    edge_list = []
-    edge_halfedges = []
-    for h in range(nh):
-        if edge_of_halfedge[h] >= 0:
-            continue
-        e = len(edge_list)
-        edge_list.append((int(origin[h]), int(dest[h])))
-        t = int(twin[h])
-        edge_halfedges.append((h, t))
-        edge_of_halfedge[h] = e
-        if t >= 0:
-            edge_of_halfedge[t] = e
-    edges = np.array(edge_list, dtype=np.int64)
-    edge_halfedges = np.array(edge_halfedges, dtype=np.int64)
+    # Vertex -> smallest outgoing halfedge, replaced by the boundary one so
+    # that CCW rotation from it covers the whole fan.
+    boundary = np.nonzero(twin < 0)[0]
+    boundary_origin = origin[boundary]
+    boundary_order = np.argsort(boundary_origin, kind="stable")
+    repeat = _first_repeat(boundary_order, boundary_origin[boundary_order])
+    if repeat is not None:
+        raise TopologyError(
+            f"vertex {boundary_origin[repeat[1]]} has two outgoing boundary "
+            "edges (non-manifold bowtie)")
+    vertex_halfedge = np.unique(origin, return_index=True)[1]
+    vertex_halfedge[boundary_origin] = boundary
 
-    # Vertex -> outgoing halfedge, preferring the boundary one so that CCW
-    # rotation from it covers the whole fan.
-    vertex_halfedge = np.full(nv, -1, dtype=np.int64)
-    for h in range(nh):
-        if vertex_halfedge[origin[h]] < 0:
-            vertex_halfedge[origin[h]] = h
-    boundary_start = {}
-    for h in range(nh):
-        if twin[h] < 0:
-            v = int(origin[h])
-            if v in boundary_start:
-                raise TopologyError(
-                    f"vertex {v} has two outgoing boundary edges "
-                    "(non-manifold bowtie)")
-            boundary_start[v] = h
-            vertex_halfedge[v] = h
+    # Manifold-vertex check: the CCW fan walk h -> twin[prev(h)] from
+    # vertex_halfedge must reach every incident corner. All vertices walk in
+    # lockstep, one round per step around the largest fan.
+    reached = np.ones(nv, dtype=np.int64)
+    walker = np.arange(nv)
+    at = vertex_halfedge
+    while walker.size:
+        at = twin[HalfedgeMesh.prev(at)]
+        going = (at >= 0) & (at != vertex_halfedge[walker])
+        walker, at = walker[going], at[going]
+        reached[walker] += 1
+    pinched = np.nonzero(reached != np.bincount(origin, minlength=nv))[0]
+    if pinched.size:
+        raise TopologyError(f"vertex {pinched[0]} has a disconnected fan "
+                            "(non-manifold vertex)")
 
-    mesh = HalfedgeMesh(
+    return HalfedgeMesh(
         faces=faces,
         n_vertices=nv,
         positions=positions,
@@ -226,37 +242,38 @@ def build_mesh(faces, positions=None, uv=None):
         edges=edges,
         edge_of_halfedge=edge_of_halfedge,
         edge_halfedges=edge_halfedges,
-        boundary_loops=(),
+        boundary_loops=_boundary_loops(boundary_origin, dest[boundary]),
         vertex_halfedge=vertex_halfedge,
         uv=uv,
     )
 
-    # Manifold-vertex check: the CCW fan from vertex_halfedge must reach every
-    # incident corner.
-    incident = np.bincount(faces.ravel(), minlength=nv)
-    for v in range(nv):
-        if len(mesh.outgoing_halfedges(v)) != incident[v]:
-            raise TopologyError(f"vertex {v} has a disconnected fan "
-                                "(non-manifold vertex)")
 
-    loops = _boundary_loops(mesh, boundary_start)
-    object.__setattr__(mesh, "boundary_loops", loops)
-    return mesh
+def _first_repeat(order, sorted_keys):
+    """Earliest repeat in a key array, given its stable argsort ``order``
+    and the sorted keys: the pair ``(i, j)``, ``i < j``, where ``j`` is the
+    smallest position whose key occurs before it and ``i`` is that key's
+    first position. None when all keys are distinct."""
+    dup = np.nonzero(sorted_keys[1:] == sorted_keys[:-1])[0]
+    if dup.size == 0:
+        return None
+    k = dup[np.argmin(order[dup + 1])]
+    return int(order[k]), int(order[k + 1])
 
 
-def _boundary_loops(mesh, boundary_start):
+def _boundary_loops(origins, dests):
+    """Vertex cycles of the boundary halfedges ``origins -> dests``, each
+    starting at its smallest vertex, in ascending order of that vertex."""
+    successor = dict(zip(origins.tolist(), dests.tolist()))
     loops = []
     seen = set()
-    for v0 in sorted(boundary_start):
-        h = boundary_start[v0]
-        if h in seen:
-            continue
+    for v in sorted(successor):
         loop = []
-        while h not in seen:
-            seen.add(h)
-            loop.append(int(mesh.origin(h)))
-            h = boundary_start[int(mesh.dest(h))]
-        loops.append(tuple(loop))
+        while v not in seen:
+            seen.add(v)
+            loop.append(v)
+            v = successor[v]
+        if loop:
+            loops.append(tuple(loop))
     return tuple(loops)
 
 
@@ -290,75 +307,144 @@ def load_obj(path):
     record types are skipped. Texture coordinates, when present on every face
     corner, are stored on the mesh as a per-vertex complex array.
     """
-    verts = []
-    uvs = []
-    corners = []  # (vertex index, uv index or -1)
-    faces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            if tok[0] == "v":
-                if len(tok) < 4:
-                    raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    verts.append([float(x) for x in tok[1:4]])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from exc
-            elif tok[0] == "vt":
-                if len(tok) < 3:
-                    raise ParseError(f"{path}:{lineno}: vt needs 2 coordinates")
-                try:
-                    uvs.append(complex(float(tok[1]), float(tok[2])))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad texture coordinate") from exc
-            elif tok[0] == "f":
-                if len(tok) != 4:
-                    raise ParseError(
-                        f"{path}:{lineno}: only triangular faces are supported")
-                face = []
-                for ref in tok[1:]:
-                    parts = ref.split("/")
-                    try:
-                        vi = int(parts[0])
-                        ti = int(parts[1]) if len(parts) > 1 and parts[1] else 0
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: bad face index") from exc
-                    if vi < 1:
-                        raise ParseError(f"{path}:{lineno}: face index must be >= 1")
-                    face.append((vi - 1, ti - 1))
-                faces.append([vi for vi, _ in face])
-                corners.extend(face)
+    try:
+        verts, uvs, faces, tex = _convert(_records(_read_lines(path)))
+    except ValueError:
+        # Malformed records: read again (the line list is not kept, which
+        # lowers peak memory) and convert line by line to find the first
+        # bad one.
+        lineno, message = _first_bad_line(_read_lines(path))
+        raise ParseError(f"{path}:{lineno}: {message}") from None
 
-    if not verts:
+    if not len(verts):
         raise ParseError(f"{path}: no vertices")
-    if not faces:
+    if not len(faces):
         raise ParseError(f"{path}: no faces")
-    verts = np.asarray(verts, dtype=np.float64)
-    faces = np.asarray(faces, dtype=np.int64)
     if faces.max() >= len(verts):
         raise ParseError(f"{path}: face references vertex {faces.max() + 1} "
                          f"but only {len(verts)} vertices are defined")
 
     uv = None
-    if uvs and all(ti >= 0 for _, ti in corners):
-        uv = np.full(len(verts), np.nan, dtype=np.complex128)
-        for vi, ti in corners:
-            if ti >= len(uvs):
-                raise ParseError(f"{path}: face references vt {ti + 1} "
-                                 f"but only {len(uvs)} are defined")
-            val = uvs[ti]
-            if not np.isnan(uv[vi].real) and uv[vi] != val:
-                raise ParseError(
-                    f"{path}: vertex {vi + 1} has two distinct texture "
-                    "coordinates; per-vertex uv required")
-            uv[vi] = val
-        if np.isnan(uv.real).any():
-            uv = None
+    if len(uvs) and (tex >= 0).all():
+        uv = _vertex_uv(path, faces, tex, uvs, len(verts))
+    return build_mesh(faces.reshape(-1, 3), positions=verts, uv=uv)
 
-    return build_mesh(faces, positions=verts, uv=uv)
+
+def _read_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") \
+                from None
+
+
+def _records(lines):
+    """Token rows of the ``v``, ``vt`` and ``f`` records among ``lines``;
+    other records are skipped."""
+    records = {"v": [], "vt": [], "f": []}
+    for key, rows in groupby(filter(None, map(str.split, lines)),
+                             itemgetter(0)):
+        if key in records:
+            records[key].extend(rows)
+    return records
+
+
+def _convert(records):
+    """Vertex positions, texture coordinates, and per-corner vertex and
+    texture ids of the token rows, converted in bulk. Raises ValueError with
+    the fault on a malformed record."""
+    verts = _floats(records["v"], 3, "vertex needs 3 coordinates",
+                    "bad vertex coordinate")
+    uvs = _floats(records["vt"], 2, "vt needs 2 coordinates",
+                  "bad texture coordinate").view(np.complex128).ravel()
+    faces, tex = _corners(_face_refs(records["f"]))
+    return verts, uvs, faces, tex
+
+
+def _first_bad_line(lines):
+    """(lineno, fault) of the first line that fails to convert. Face
+    corners are converted one at a time, so a line with several faults
+    reports the first."""
+    for lineno, line in enumerate(lines, start=1):
+        records = _records([line])
+        try:
+            for ref in _face_refs(records["f"]):
+                _corners([ref])
+            _convert(records)
+        except ValueError as exc:
+            return lineno, str(exc)
+
+
+def _floats(rows, count, short, bad):
+    """Fields ``1..count`` of every token row as a (rows, count) array."""
+    if rows and min(map(len, rows)) <= count:
+        raise ValueError(short)
+    fields = chain.from_iterable(map(itemgetter(slice(1, count + 1)), rows))
+    try:
+        values = np.fromiter(map(float, fields), np.float64, count * len(rows))
+    except ValueError:
+        raise ValueError(bad) from None
+    return values.reshape(-1, count)
+
+
+def _face_refs(rows):
+    """The three corner references of every ``f`` row, flattened."""
+    if rows and set(map(len, rows)) != {4}:
+        raise ValueError("only triangular faces are supported")
+    return list(chain.from_iterable(map(itemgetter(1, 2, 3), rows)))
+
+
+def _corners(refs):
+    """0-based vertex and texture ids (-1 when absent) of the face corner
+    references ``v``, ``v/t``, ``v//n`` or ``v/t/n``."""
+    try:
+        if "/" in "".join(refs):
+            parts = list(map(methodcaller("partition", "/"), refs))
+            tails = list(map(itemgetter(2), parts))
+            if "/" in "".join(tails):
+                tails = [t.partition("/")[0] for t in tails]
+            vi = _ints(list(map(itemgetter(0), parts)))
+            ti = _ints([t or "0" for t in tails])
+        else:
+            vi = _ints(refs)
+            ti = np.zeros(len(refs), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError("bad face index") from None
+    if (vi < 1).any():
+        raise ValueError("face index must be >= 1")
+    return vi - 1, ti - 1
+
+
+def _ints(strings):
+    return np.fromiter(map(int, strings), np.int64, len(strings))
+
+
+def _vertex_uv(path, vi, ti, uvs, nv):
+    """Per-vertex uv from per-corner texture ids, or None when some vertex
+    has none. Raises when a corner's id is out of range or a vertex gets two
+    distinct values; the error names the first such corner in file order."""
+    out_of_range = np.nonzero(ti >= len(uvs))[0]
+    end = out_of_range[0] if out_of_range.size else len(ti)
+    # Corners before the first bad id, grouped by vertex in file order; a
+    # clash is a value that differs from a set (non-NaN) value before it.
+    order = np.argsort(vi[:end], kind="stable")
+    v = vi[order]
+    val = uvs[ti[order]]
+    same = v[1:] == v[:-1]
+    clash = same & ~np.isnan(val[:-1].real) & (val[:-1] != val[1:])
+    if clash.any():
+        corner = order[1:][clash].min()
+        raise ParseError(
+            f"{path}: vertex {vi[corner] + 1} has two distinct texture "
+            "coordinates; per-vertex uv required")
+    if out_of_range.size:
+        raise ParseError(f"{path}: face references vt {ti[end] + 1} "
+                         f"but only {len(uvs)} are defined")
+    last = np.append(~same, True)
+    uv = np.full(nv, np.nan, dtype=np.complex128)
+    uv[v[last]] = val[last]
+    return None if np.isnan(uv.real).any() else uv
 
 
 def save_obj(mesh, path, uv=None):
@@ -381,22 +467,24 @@ def save_obj(mesh, path, uv=None):
         pos = np.column_stack([coords.real, coords.imag,
                                np.zeros(mesh.n_vertices)])
 
-    lines = []
-    for x, y, z in pos:
-        lines.append(f"v {x:.9g} {y:.9g} {z:.9g}")
+    blocks = [_format_rows("v %.9g %.9g %.9g\n", pos)]
     if coords is not None:
-        for w in coords:
-            lines.append(f"vt {w.real:.9g} {w.imag:.9g}")
-        for a, b, c in mesh.faces + 1:
-            lines.append(f"f {a}/{a} {b}/{b} {c}/{c}")
+        uv_rows = np.column_stack([coords.real, coords.imag])
+        blocks.append(_format_rows("vt %.9g %.9g\n", uv_rows))
+        blocks.append(_format_rows("f %d/%d %d/%d %d/%d\n",
+                                   np.repeat(mesh.faces + 1, 2, axis=1)))
     else:
-        for a, b, c in mesh.faces + 1:
-            lines.append(f"f {a} {b} {c}")
+        blocks.append(_format_rows("f %d %d %d\n", mesh.faces + 1))
 
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(blocks))
     os.replace(tmp, path)
+
+
+def _format_rows(line_format, rows):
+    """``line_format`` applied to every row of a 2-D array, in one call."""
+    return (line_format * len(rows)) % tuple(rows.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -288,13 +288,14 @@ def _aux_metric_with_surgery(mesh, base_metric, z, mu, max_rounds=_PRE_SURGERY_R
     When the scaled lengths break a triangle inequality, the longest edge of
     each violating face is swapped (under the base metric, where the quad is
     admissible) and the auxiliary metric recomputed, up to ``max_rounds``.
+    Returns the mesh, its auxiliary metric and the number of swaps made.
     """
     cur_mesh, cur_base = mesh, base_metric
-    for _ in range(max_rounds):
+    for swaps in range(max_rounds):
         aux = auxiliary_metric(cur_base, z, mu, cur_mesh)
         violations = check_triangle_inequality(aux, cur_mesh)
         if not violations:
-            return cur_mesh, cur_base, aux
+            return cur_mesh, aux, swaps
         progressed = False
         for f in violations:
             e_local = cur_mesh.edge_of_halfedge[3 * f:3 * f + 3]
@@ -327,8 +328,9 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
         return _qcmap_closed(mesh, mu, geometry, preset, options, base, metric)
 
     z = base.param
-    qmesh, _, aux = _aux_metric_with_surgery(mesh, metric, z, mu)
+    qmesh, aux, swaps = _aux_metric_with_surgery(mesh, metric, z, mu)
     result = cmd_flatten(qmesh, geometry, preset, options, metric=aux)
+    result.report["pre_flow_swaps"] = swaps
     result.report["mu_max_modulus"] = mu.max_modulus
     result.report["conformal_module_mu0"] = base.module
     return result
@@ -358,6 +360,7 @@ def _qcmap_closed(mesh, mu, geometry, preset, options, base, metric):
             f"auxiliary metric inadmissible on faces {violations[:16]}")
     result = cmd_flatten(mesh, geometry, preset, options,
                          metric=aux.retagged(geometry))
+    result.report["pre_flow_swaps"] = 0
     result.report["mu_max_modulus"] = mu.max_modulus
     return result
 

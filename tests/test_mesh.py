@@ -221,3 +221,154 @@ def test_slice_edge_copies(torus16):
         assert cut.new_to_orig_vertex[c2[0]] == a
         assert cut.new_to_orig_vertex[c1[1]] == b
         assert cut.new_to_orig_vertex[c2[1]] == b
+
+
+# ---------------------------------------------------------------------------
+# Topology contract: numbering and manifold checks
+
+
+def test_rejects_pinched_vertex():
+    # two tetrahedra sharing only vertex 0: an interior vertex with two
+    # closed fans
+    faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3],
+                      [0, 5, 4], [0, 4, 6], [0, 6, 5], [4, 5, 6]])
+    with pytest.raises(TopologyError, match=r"vertex 0 "):
+        build_mesh(faces)
+
+
+def _swapped_grid():
+    from qcflow.flow import edge_swap
+    mesh = meshes.grid_mesh(6, 5, bump=0.2)
+    interior = int(np.nonzero(mesh.edge_halfedges[:, 1] >= 0)[0][7])
+    swapped, _ = edge_swap(mesh, induced_metric(mesh), interior)
+    return swapped
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: meshes.grid_mesh(7, 5),
+    lambda: meshes.torus_grid(6, 5)[0],
+    lambda: meshes.embedded_torus(9, 6),
+    lambda: meshes.subdivided_sphere(2),
+    lambda: meshes.annulus_mesh(9, 3),
+    lambda: meshes.genus2_mesh(),
+    _swapped_grid,
+], ids=["grid", "torus", "embedded-torus", "sphere", "annulus", "genus2",
+        "edge-swap"])
+def test_numbering_invariants(builder):
+    mesh = builder()
+    h = np.arange(mesh.n_halfedges)
+    first, second = mesh.edge_halfedges[:, 0], mesh.edge_halfedges[:, 1]
+    # edge ids ascend with their smaller halfedge, oriented like it
+    assert np.all(np.diff(first) > 0)
+    assert np.array_equal(mesh.edges[:, 0], mesh.origin(first))
+    assert np.array_equal(mesh.edges[:, 1], mesh.dest(first))
+    inner = second >= 0
+    assert np.all(first[inner] < second[inner])
+    assert np.array_equal(mesh.twin[first], second)
+    assert np.array_equal(mesh.edge_of_halfedge[first],
+                          np.arange(mesh.n_edges))
+    assert np.array_equal(mesh.edge_of_halfedge[second[inner]],
+                          np.nonzero(inner)[0])
+    # vertex_halfedge: the outgoing boundary halfedge, else the smallest
+    # outgoing halfedge
+    origin = mesh.origin(h)
+    for v in range(mesh.n_vertices):
+        out = h[origin == v]
+        boundary_out = out[mesh.twin[out] < 0]
+        want = boundary_out[0] if boundary_out.size else out.min()
+        assert mesh.vertex_halfedge[v] == want
+    # boundary loops start at their smallest vertex, in ascending order, and
+    # follow the boundary halfedges
+    starts = [loop[0] for loop in mesh.boundary_loops]
+    assert starts == sorted(starts)
+    boundary = {(int(mesh.origin(b)), int(mesh.dest(b)))
+                for b in h[mesh.twin < 0]}
+    walked = set()
+    for loop in mesh.boundary_loops:
+        assert loop[0] == min(loop)
+        walked |= set(zip(loop, loop[1:] + loop[:1]))
+    assert walked == boundary
+
+
+# ---------------------------------------------------------------------------
+# OBJ reader and writer behaviour
+
+_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+_SQUARE = ("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
+           "vt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\n")
+
+
+@pytest.mark.parametrize("text, uv", [
+    ("v 0 0 0\r\nv\t1 0 0\r\nv 0\t1  0\r\n\tf 1 2\t3\r\n", None),
+    ("o tri\ng part\ns 1\nusemtl m\n" + _TRI + "vn 0 0 1\nf 1 2 3\n", None),
+    (_TRI + "vt 0 0\nvt 1 0\nvt 0 1\nvn 0 0 1\nf 1//1 2//1 3//1\n", None),
+    (_TRI + "vt 0 0\nvt 1 0\nvt 0 1\nvn 0 0 1\nf 1/1/1 2/2/1 3/3/1\n",
+     [0, 1, 1j]),
+    (_SQUARE + "f 1/1 2/2 3/3\nf 1 3 4\n", None),
+    ("v 0 0 0 1\nv 1 0 0 1\nv 0 1 0 1\nf 1 2 3\n", None),
+], ids=["crlf-tabs", "skipped-records", "no-texture-index", "texture-index",
+        "partial-texture", "vertex-weight"])
+def test_obj_reader_accepts(tmp_path, text, uv):
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode())
+    mesh = load_obj(path)
+    assert mesh.n_faces == text.count("f ")
+    assert mesh.positions[:2].tolist() == [[0, 0, 0], [1, 0, 0]]
+    if uv is None:
+        assert mesh.uv is None
+    else:
+        assert np.array_equal(mesh.uv, uv)
+
+
+@pytest.mark.parametrize("text, match", [
+    (_SQUARE + "f 1/1 2/2 3/3\nf 1/4 3/3 4/4\n",
+     r"vertex 1 has two distinct texture coordinates"),
+    (_TRI + "vt 0 0\nf 1/1 2/1 3/9\n", r"references vt 9"),
+    (_TRI + "f -3 -2 -1\n", r"m\.obj:4: face index must be >= 1"),
+    ("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", r"m\.obj:2: vertex needs 3"),
+    (_TRI + "vt 0\nf 1 2 3\n", r"m\.obj:4: vt needs 2"),
+    (_TRI + "vt 0 x\nf 1 2 3\n", r"m\.obj:4: bad texture coordinate"),
+    (_TRI + "f 1 2/x 3\n", r"m\.obj:4: bad face index"),
+    (_TRI + "f 1 2 3 4\nv 0 zero 0\n", r"m\.obj:4: only triangular"),
+    (_TRI + "v 0 zero 0\nf 1 2 3 4\n", r"m\.obj:4: bad vertex coordinate"),
+    ("# nothing\n", r"no vertices"),
+    (_TRI, r"no faces"),
+], ids=["two-texture-coordinates", "texture-index-range", "negative-index",
+        "short-vertex", "short-texture", "bad-texture", "bad-face-index",
+        "first-bad-line-face", "first-bad-line-vertex", "no-vertices",
+        "no-faces"])
+def test_obj_reader_rejects(tmp_path, text, match):
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError, match=match):
+        load_obj(path)
+
+
+def test_obj_reader_rejects_non_utf8(tmp_path):
+    path = tmp_path / "m.obj"
+    path.write_bytes(_TRI.encode() + b"f 1 2 3 \xff\n")
+    with pytest.raises(ParseError, match=r"not UTF-8 text \(byte 32\)"):
+        load_obj(path)
+
+
+def test_trailing_unused_obj_vertex_is_named(tmp_path):
+    path = tmp_path / "m.obj"
+    path.write_text(_TRI + "v 5 5 5\nf 1 2 3\n")
+    with pytest.raises(TopologyError, match=r"unused vertex ids \[3\]"):
+        load_obj(path)
+
+
+def test_obj_writer_float_format(tmp_path):
+    pos = np.array([[-0.0, 5e-324, 1.23456789e21],
+                    [1.0 / 3.0, -2.5e-7, 7.0],
+                    [np.pi, 1e16, -1.0]])
+    uv = np.array([-0.0 + 5e-324j, 1.23456789e21 - 1j, np.e + 0j])
+    mesh = build_mesh(np.array([[0, 1, 2]]), pos)
+    want = "".join(f"v {x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in pos)
+    plain, textured = tmp_path / "plain.obj", tmp_path / "uv.obj"
+    save_obj(mesh, plain)
+    assert plain.read_text() == want + "f 1 2 3\n"
+    assert "v -0 4.94065646e-324 1.23456789e+21\n" in want
+    save_obj(mesh, textured, uv=uv)
+    want += "".join(f"vt {w.real:.9g} {w.imag:.9g}\n" for w in uv)
+    assert textured.read_text() == want + "f 1/1 2/2 3/3\n"

@@ -421,3 +421,15 @@ def test_cli_free_disk_preset(tmp_path, grid_obj):
     mesh = load_obj(out)
     assert mesh.uv is not None
     assert np.abs(mesh.uv).max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 0.85])
+def test_qcmap_reports_pre_flow_swaps(k):
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    x, y = mesh.positions[:, 0], mesh.positions[:, 1]
+    mu = k * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x)
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    qc = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
+    swaps = qc.report["pre_flow_swaps"]
+    assert (swaps > 0) == (not np.array_equal(qc.mesh.faces, mesh.faces))
+    assert (swaps > 0) == (k == 0.85)
