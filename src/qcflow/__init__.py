@@ -14,7 +14,6 @@ from .beltrami import (
     field_from_json,
     field_to_json,
     map_distance,
-    validate_field,
 )
 from .embed import (
     PoincareCircle,
@@ -66,7 +65,6 @@ from .metric import (
     face_areas,
     gauss_bonnet_residual,
     induced_metric,
-    triangle_area,
     vertex_curvature,
 )
 from .pipeline import (

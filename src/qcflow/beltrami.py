@@ -62,13 +62,6 @@ class Parameterization:
                     f"(max {m:.6f})")
 
 
-def validate_field(mu):
-    """Maximum modulus of the field; raises if it is not strictly below 1."""
-    if not isinstance(mu, BeltramiField):
-        mu = BeltramiField(np.asarray(mu))
-    return mu.max_modulus
-
-
 def auxiliary_metric(metric, z, mu, mesh):
     """Metric under which the quasi-conformal map prescribed by ``mu``
     becomes conformal.

@@ -8,6 +8,12 @@ Sign convention: the assembled Hessian is the curvature Jacobian
 ``u += du``. In the Euclidean case every row of H sums to zero (global
 scaling leaves angles unchanged) and the system is solved on the zero-mean
 subspace; in the hyperbolic case H is positive definite and solved directly.
+
+Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
+pre-flow surgery of :mod:`qcflow.pipeline`. A swap rewrites only the two
+faces of the quad and rebuilds the mesh, so edge ids stay canonical; edge
+lengths are carried to the new ids by halfedge index. :func:`longest_edges`
+picks the edges both surgery loops try.
 """
 
 from __future__ import annotations
@@ -207,11 +213,6 @@ def newton_step(H, residual, geometry, options=FlowOptions()):
 # Edge-swap surgery
 
 
-def _face_lengths(mesh, metric, f):
-    e = mesh.edge_of_halfedge[3 * f:3 * f + 3]
-    return metric.lengths[e]
-
-
 def edge_swap(mesh, metric, edge):
     """Replace the diagonal of the two faces meeting at ``edge`` with the
     opposite diagonal of their quad.
@@ -220,7 +221,9 @@ def edge_swap(mesh, metric, edge):
     measure the new diagonal. Raises :class:`SurgeryError` when the edge is
     on the boundary, the swap would duplicate an existing edge, the quad is
     non-convex, or a new face would violate the triangle inequality.
-    Returns the updated mesh and metric (edge ids are re-derived).
+    Returns the updated mesh and metric. The mesh is rebuilt, so edge ids are
+    re-derived; every edge but the new diagonal keeps its length, carried
+    over by halfedge index (see :func:`_swapped_edge_sources`).
     """
     h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
     if h2 < 0:
@@ -266,20 +269,48 @@ def edge_swap(mesh, metric, edge):
     new_faces[h2 // 3] = (j, k, l)
     new_mesh = build_mesh(new_faces, positions=mesh.positions)
 
-    pair_len = {frozenset((int(a), int(b))): float(x)
-                for (a, b), x in zip(mesh.edges, metric.lengths)}
-    del pair_len[frozenset((i, j))]
-    pair_len[frozenset((k, l))] = new_len
-    new_lengths = np.array([pair_len[frozenset((int(a), int(b)))]
-                            for a, b in new_mesh.edges])
+    source = _swapped_edge_sources(mesh, new_mesh, edge)
+    new_lengths = metric.lengths[source]
+    new_lengths[source < 0] = new_len
     new_metric = DiscreteMetric(metric.geometry, new_lengths, checked=False)
 
-    for f in (h1 // 3, h2 // 3):
-        a, b, c = np.sort(_face_lengths(new_mesh, new_metric, f))[::-1]
+    for f, sides in ((h1 // 3, (l_il, new_len, l_ik)),
+                     (h2 // 3, (l_jk, new_len, l_jl))):
+        a, b, c = sorted(sides, reverse=True)
         if a >= b + c:
             raise SurgeryError(
                 f"swap of edge {edge} produced an invalid face {f}")
     return new_mesh, new_metric
+
+
+def _swapped_edge_sources(mesh, new_mesh, edge):
+    """Old edge id of every edge of ``new_mesh``, the mesh :func:`edge_swap`
+    builds from ``mesh`` by swapping ``edge``; -1 marks the new diagonal.
+
+    Only the two faces of the quad are rewritten, so every other halfedge
+    keeps its id and its edge. With ``h1 = i->j`` and ``h2 = j->i``, face
+    ``h1 // 3 = (i, l, k)`` takes its slots from the old edges under
+    ``next(h2)``, the diagonal and ``prev(h1)``, and face
+    ``h2 // 3 = (j, k, l)`` from ``next(h1)``, the diagonal and ``prev(h2)``.
+    """
+    h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
+    e = mesh.edge_of_halfedge
+    source = e.copy()
+    f1, f2 = 3 * (h1 // 3), 3 * (h2 // 3)
+    source[f1:f1 + 3] = e[mesh.next(h2)], -1, e[mesh.prev(h1)]
+    source[f2:f2 + 3] = e[mesh.next(h1)], -1, e[mesh.prev(h2)]
+    return source[new_mesh.edge_halfedges[:, 0]]
+
+
+def longest_edges(mesh, metric, faces):
+    """Ids of the longest edge of each listed face, without repeats, in face
+    order."""
+    faces = np.asarray(faces, dtype=np.int64)
+    e_local = mesh.edge_of_halfedge.reshape(-1, 3)[faces]
+    pick = np.argmax(metric.lengths[e_local], axis=1)
+    longest = e_local[np.arange(len(e_local)), pick]
+    _, first = np.unique(longest, return_index=True)
+    return longest[np.sort(first)]
 
 
 def _undeform_length(geometry, length, s):
@@ -290,51 +321,34 @@ def _undeform_length(geometry, length, s):
     return 2.0 * np.arcsinh(np.sinh(0.5 * length) * np.exp(-s))
 
 
+def _swap_edges(mesh, base, u, current, edges):
+    """In-flow surgery: swap each listed edge in turn on the deformed metric
+    ``current``. Carried edges keep their base length and the new diagonal
+    gets the one that ``u`` deforms to its measured length, so ``u`` stays
+    valid. Returns the mesh, its base metric and the number of swaps."""
+    done = 0
+    for a, b in mesh.edges[edges]:
+        # Ids change with every rebuild, so the vertex pair names the edge; a
+        # swap removes only its own edge, so the other listed edges remain.
+        e = mesh.edge_id(a, b)
+        try:
+            new_mesh, current = edge_swap(mesh, current, e)
+        except SurgeryError:
+            continue
+        source = _swapped_edge_sources(mesh, new_mesh, e)
+        diagonal = int(np.argmin(source))
+        p, q = new_mesh.edges[diagonal]
+        lengths = base.lengths[source]
+        lengths[diagonal] = _undeform_length(
+            base.geometry, float(current.lengths[diagonal]), u[p] + u[q])
+        mesh = new_mesh
+        base = DiscreteMetric(base.geometry, lengths, checked=False)
+        done += 1
+    return mesh, base, done
+
+
 # ---------------------------------------------------------------------------
 # The flow proper
-
-
-class _FlowState:
-    """Mutable bundle (mesh, base metric, u) tracked across surgery."""
-
-    def __init__(self, mesh, base, u):
-        self.mesh = mesh
-        self.base = base
-        self.u = u
-
-    def deformed(self, u=None):
-        return deform_metric(self.mesh, self.base, self.u if u is None else u)
-
-    def apply_swaps(self, current, edges_by_pair):
-        """Swap the given edges (identified by vertex pairs) on the current
-        deformed metric; rebuilds the base metric so the accumulated ``u``
-        stays valid. Returns the number of successful swaps."""
-        done = 0
-        cur = current
-        for pair in edges_by_pair:
-            e = self.mesh.edge_id(*pair)
-            if e < 0:
-                continue
-            try:
-                new_mesh, new_cur = edge_swap(self.mesh, cur, e)
-            except SurgeryError:
-                continue
-            pair_base = {frozenset((int(a), int(b))): float(x)
-                         for (a, b), x in zip(self.mesh.edges, self.base.lengths)}
-            self.mesh = new_mesh
-            cur = new_cur
-            base_lengths = np.empty(new_mesh.n_edges)
-            for e2, (a, b) in enumerate(new_mesh.edges):
-                key = frozenset((int(a), int(b)))
-                if key in pair_base:
-                    base_lengths[e2] = pair_base[key]
-                else:
-                    s = self.u[int(a)] + self.u[int(b)]
-                    base_lengths[e2] = _undeform_length(
-                        cur.geometry, float(cur.lengths[e2]), s)
-            self.base = DiscreteMetric(cur.geometry, base_lengths, checked=False)
-            done += 1
-        return done
 
 
 def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
@@ -373,20 +387,21 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                 f"target curvature violates Gauss-Bonnet: sum(Kbar) deviates "
                 f"from 2 pi chi by {defect:.3e}")
 
-    state = _FlowState(mesh, metric, np.zeros(mesh.n_vertices))
-    current = state.deformed()
-    angles = corner_angles(current, state.mesh)
-    K = vertex_curvature(angles, state.mesh)
+    base = metric
+    u = np.zeros(mesh.n_vertices)
+    current = deform_metric(mesh, base, u)
+    angles = corner_angles(current, mesh)
+    K = vertex_curvature(angles, mesh)
     res = float(np.max(np.abs(target - K)))
 
     residuals = [res]
-    u_history = [state.u.copy()]
+    u_history = [u.copy()]
     swaps = 0
     halvings = 0
     iterations = 0
 
     while res >= options.eps and iterations < options.max_iterations:
-        H = assemble_hessian(state.mesh, current, angles=angles)
+        H = assemble_hessian(mesh, current, angles=angles)
         du = newton_step(H, target - K, geometry, options)
 
         accepted = False
@@ -396,26 +411,26 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
         halv = 0
         while halv <= options.max_halvings:
             step = 0.5 ** halv
-            u_try = state.u + step * du
+            u_try = u + step * du
             try:
-                trial = state.deformed(u_try)
-                trial_violations = check_triangle_inequality(trial, state.mesh)
+                trial = deform_metric(mesh, base, u_try)
+                trial_violations = check_triangle_inequality(trial, mesh)
             except MetricError:
                 trial_violations = None
             if trial_violations:
                 if (options.surgery and not surgery_tried
                         and halv >= _SURGERY_AFTER_HALVINGS):
                     surgery_tried = True
-                    pairs = _longest_edge_pairs(state.mesh, trial,
-                                                trial_violations)
-                    n_done = state.apply_swaps(current, pairs)
+                    edges = longest_edges(mesh, trial, trial_violations)
+                    mesh, base, n_done = _swap_edges(mesh, base, u, current,
+                                                     edges)
                     if n_done:
                         # Connectivity changed: recompute the state at the
                         # unchanged u and restart with a fresh Hessian.
                         swaps += n_done
-                        current = state.deformed()
-                        angles = corner_angles(current, state.mesh)
-                        K = vertex_curvature(angles, state.mesh)
+                        current = deform_metric(mesh, base, u)
+                        angles = corner_angles(current, mesh)
+                        K = vertex_curvature(angles, mesh)
                         res = float(np.max(np.abs(target - K)))
                         surgery_progress = True
                         break
@@ -427,11 +442,11 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                 halvings += 1
                 continue
             saw_admissible = True
-            trial_angles = corner_angles(trial, state.mesh)
-            K_try = vertex_curvature(trial_angles, state.mesh)
+            trial_angles = corner_angles(trial, mesh)
+            K_try = vertex_curvature(trial_angles, mesh)
             res_try = float(np.max(np.abs(target - K_try)))
             if res_try < res:
-                state.u = u_try
+                u = u_try
                 current = trial
                 angles = trial_angles
                 K = K_try
@@ -443,7 +458,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
 
         if not accepted and not surgery_progress:
             report = _make_report(residuals, iterations, swaps, halvings,
-                                  state.u, False, u_history)
+                                  u, False, u_history)
             if not saw_admissible:
                 detail = (" and surgery is disabled" if not options.surgery
                           else "")
@@ -456,34 +471,18 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
 
         iterations += 1
         residuals.append(res)
-        u_history.append(state.u.copy())
+        u_history.append(u.copy())
 
     converged = res < options.eps
-    report = _make_report(residuals, iterations, swaps, halvings, state.u,
+    report = _make_report(residuals, iterations, swaps, halvings, u,
                           converged, u_history)
     if not converged:
         raise FlowError(
             f"flow did not converge within {options.max_iterations} "
             f"iterations (residual {res:.3e})", report=report)
     final = DiscreteMetric(current.geometry, current.lengths, checked=True)
-    return FlowResult(mesh=state.mesh, metric=final, base=state.base,
-                      u=state.u, report=report)
-
-
-def _longest_edge_pairs(mesh, metric, faces):
-    """Vertex pairs of the longest edge of each listed face, deduplicated,
-    in face order."""
-    pairs = []
-    seen = set()
-    for f in faces:
-        e_local = mesh.edge_of_halfedge[3 * f:3 * f + 3]
-        e = int(e_local[np.argmax(metric.lengths[e_local])])
-        a, b = (int(x) for x in mesh.edges[e])
-        key = frozenset((a, b))
-        if key not in seen:
-            seen.add(key)
-            pairs.append((a, b))
-    return pairs
+    return FlowResult(mesh=mesh, metric=final, base=base, u=u,
+                      report=report)
 
 
 def _make_report(residuals, iterations, swaps, halvings, u, converged,

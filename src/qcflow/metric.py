@@ -133,21 +133,6 @@ def vertex_curvature(angles, mesh):
     return K
 
 
-def triangle_area(geometry, l1, l2, l3):
-    """Area of one triangle from its side lengths."""
-    if geometry == Geometry.EUCLIDEAN:
-        a, b, c = sorted((l1, l2, l3), reverse=True)
-        s = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-        if s < 0.0:
-            raise MetricError(f"triangle inequality violated: {(l1, l2, l3)}")
-        return 0.25 * np.sqrt(s)
-    arg1 = (np.cosh(l2) * np.cosh(l3) - np.cosh(l1)) / (np.sinh(l2) * np.sinh(l3))
-    arg2 = (np.cosh(l3) * np.cosh(l1) - np.cosh(l2)) / (np.sinh(l3) * np.sinh(l1))
-    arg3 = (np.cosh(l1) * np.cosh(l2) - np.cosh(l3)) / (np.sinh(l1) * np.sinh(l2))
-    args = np.array([arg1, arg2, arg3])
-    return float(np.pi - np.sum(_safe_acos(args, "triangle_area")))
-
-
 def face_areas(metric, mesh, angles=None):
     """Areas of all faces: Heron's formula (Euclidean) or angle deficit
     pi - sum of angles (hyperbolic)."""

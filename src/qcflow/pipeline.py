@@ -23,7 +23,7 @@ from .beltrami import (
     map_distance,
 )
 from .errors import BeltramiError, PresetError, SurgeryError
-from .flow import FlowOptions, edge_swap, run_flow
+from .flow import FlowOptions, edge_swap, longest_edges, run_flow
 from .mesh import cut_to_disk, euler_characteristic, slice_along_edges
 from .metric import (
     DiscreteMetric,
@@ -282,31 +282,28 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
                          report=report)
 
 
-def _aux_metric_with_surgery(mesh, base_metric, z, mu, max_rounds=_PRE_SURGERY_ROUNDS):
+def _aux_metric_with_surgery(mesh, base_metric, z, mu):
     """Auxiliary metric on a possibly re-triangulated mesh.
 
-    When the scaled lengths break a triangle inequality, the longest edge of
-    each violating face is swapped (under the base metric, where the quad is
-    admissible) and the auxiliary metric recomputed, up to ``max_rounds``.
-    Returns the mesh, its auxiliary metric and the number of swaps made.
+    When the scaled lengths break a triangle inequality, the first longest
+    edge of a violating face that can be swapped (under the base metric,
+    where the quad is admissible) is swapped and the auxiliary metric
+    recomputed, up to ``_PRE_SURGERY_ROUNDS`` times. Returns the mesh, its
+    auxiliary metric and the number of swaps made.
     """
     cur_mesh, cur_base = mesh, base_metric
-    for swaps in range(max_rounds):
+    for swaps in range(_PRE_SURGERY_ROUNDS):
         aux = auxiliary_metric(cur_base, z, mu, cur_mesh)
         violations = check_triangle_inequality(aux, cur_mesh)
         if not violations:
             return cur_mesh, aux, swaps
-        progressed = False
-        for f in violations:
-            e_local = cur_mesh.edge_of_halfedge[3 * f:3 * f + 3]
-            e = int(e_local[np.argmax(aux.lengths[e_local])])
+        for e in longest_edges(cur_mesh, aux, violations):
             try:
                 cur_mesh, cur_base = edge_swap(cur_mesh, cur_base, e)
             except SurgeryError:
                 continue
-            progressed = True
             break
-        if not progressed:
+        else:
             break
     raise BeltramiError(
         "auxiliary metric is inadmissible even after edge-swap surgery")

@@ -13,7 +13,6 @@ from qcflow.beltrami import (
     field_from_json,
     field_to_json,
     map_distance,
-    validate_field,
 )
 from qcflow.errors import BeltramiError
 from qcflow.metric import Geometry, induced_metric
@@ -24,19 +23,19 @@ def grid_param(mesh):
 
 
 def test_validate_zero():
-    assert validate_field(np.zeros(5, dtype=complex)) == 0.0
+    assert BeltramiField(np.zeros(5, dtype=complex)).max_modulus == 0.0
 
 
 def test_validate_constant():
     mu = np.full(7, 0.15 + 0.15j)
-    assert validate_field(mu) == pytest.approx(np.sqrt(2) * 0.15)
+    assert BeltramiField(mu).max_modulus == pytest.approx(np.sqrt(2) * 0.15)
 
 
 def test_validate_rejects_unit():
     mu = np.zeros(3, dtype=complex)
     mu[1] = 1.0
     with pytest.raises(BeltramiError):
-        validate_field(mu)
+        BeltramiField(mu)
 
 
 def test_field_rejects_nan():

@@ -10,6 +10,7 @@ from qcflow.flow import (
     angle_derivatives,
     assemble_hessian,
     edge_swap,
+    longest_edges,
     newton_step,
     run_flow,
 )
@@ -316,6 +317,22 @@ def test_flow_with_surgery_on_stretched_grid():
     assert np.abs(K - target).max() < 1e-8
 
 
+def test_flow_result_metric_is_deformed_base_after_surgery():
+    # FlowResult contract: with surgery, base and u live on the swapped mesh
+    # and deform exactly to the returned metric
+    mesh = meshes.grid_mesh(7, 5, w=30.0, h=1.0)
+    metric = induced_metric(mesh)
+    target = np.zeros(mesh.n_vertices)
+    target[2 * 7 + 3] = -5.5
+    for c in meshes.grid_corners(7, 5):
+        target[c] = np.pi / 2 + 5.5 / 4
+    res = run_flow(mesh, metric, target, Geometry.EUCLIDEAN,
+                   FlowOptions(max_iterations=120))
+    assert res.report.swaps > 0
+    assert np.array_equal(deform_metric(res.mesh, res.base, res.u).lengths,
+                          res.metric.lengths)
+
+
 def test_flow_surgery_disabled_fails_on_stretched_grid():
     # without surgery the same problem degenerates: either the line search
     # runs out of admissible steps or the near-degenerate Hessian defeats CG
@@ -411,6 +428,67 @@ def test_edge_swap_nonconvex_rejected():
     metric = induced_metric(mesh)
     with pytest.raises(SurgeryError):
         edge_swap(mesh, metric, mesh.edge_id(0, 2))
+
+
+def _lengths_by_pair(mesh, metric):
+    return {frozenset((int(a), int(b))): x
+            for (a, b), x in zip(mesh.edges, metric.lengths)}
+
+
+@pytest.mark.parametrize("mesh, geometry", [
+    (meshes.grid_mesh(6, 5, bump=0.2), Geometry.EUCLIDEAN),
+    (meshes.embedded_torus(9, 6), Geometry.HYPERBOLIC),
+])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_edge_swap_carries_lengths_by_vertex_pair(mesh, geometry, slot):
+    # every edge but the new diagonal keeps the length the old metric gave
+    # its vertex pair, whichever face slot the swapped edge's first
+    # halfedge sits in (rotating the corners of every face moves the slots)
+    def candidates(mesh):
+        for shift in range(3):
+            m = build_mesh(np.roll(mesh.faces, shift, axis=1), mesh.positions)
+            metric = induced_metric(m).retagged(geometry)
+            for e in range(m.n_edges):
+                h1, h2 = (int(h) for h in m.edge_halfedges[e])
+                if h2 >= 0 and h1 % 3 == slot:
+                    yield m, metric, e, h1, h2
+
+    for mesh, metric, e, h1, h2 in candidates(mesh):
+        try:
+            new_mesh, new_metric = edge_swap(mesh, metric, e)
+        except SurgeryError:
+            continue
+        break
+    else:
+        pytest.fail(f"no swappable edge with its first halfedge in slot {slot}")
+    k = int(mesh.dest(mesh.next(h1)))
+    l = int(mesh.dest(mesh.next(h2)))
+    old = _lengths_by_pair(mesh, metric)
+    new = _lengths_by_pair(new_mesh, new_metric)
+    assert set(old) - set(new) == {frozenset(map(int, mesh.edges[e]))}
+    assert set(new) - set(old) == {frozenset((k, l))}
+    assert new_metric.geometry == geometry
+    for pair, x in new.items():
+        if pair != frozenset((k, l)):
+            assert x == old[pair]
+
+
+@pytest.mark.parametrize("equal_sides", [False, True])
+def test_longest_edges_matches_face_loop(equal_sides):
+    # reference: first longest edge of each face, first occurrence kept;
+    # faces 12 and 13 share their longest edge, and equal sides tie
+    mesh = meshes.grid_mesh(5, 4)
+    metric = induced_metric(mesh)
+    if equal_sides:
+        metric = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(mesh.n_edges))
+    faces = [7, 3, 8, 3, 0, 12, 13, 1, 7]
+    expected = []
+    for f in faces:
+        e_local = mesh.edge_of_halfedge[3 * f:3 * f + 3]
+        e = int(e_local[np.argmax(metric.lengths[e_local])])
+        if e not in expected:
+            expected.append(e)
+    assert longest_edges(mesh, metric, faces).tolist() == expected
 
 
 def test_flow_runtime_at_scan_scale():

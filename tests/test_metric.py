@@ -15,7 +15,6 @@ from qcflow.metric import (
     face_areas,
     gauss_bonnet_residual,
     induced_metric,
-    triangle_area,
     vertex_curvature,
 )
 
@@ -92,7 +91,6 @@ def test_vertex_curvature_cube_corner():
 def test_face_area_345():
     g = tri_metric(Geometry.EUCLIDEAN, 5, 4, 3)
     assert face_areas(g, TRIANGLE) == pytest.approx(6.0)
-    assert triangle_area(Geometry.EUCLIDEAN, 3, 4, 5) == pytest.approx(6.0)
 
 
 def test_face_area_equilateral():
@@ -104,8 +102,6 @@ def test_face_area_hyperbolic_equilateral():
     g = tri_metric(Geometry.HYPERBOLIC, 1, 1, 1)
     assert face_areas(g, TRIANGLE) == pytest.approx(HYP_EQUILATERAL_AREA,
                                                     abs=1e-12)
-    assert triangle_area(Geometry.HYPERBOLIC, 1, 1, 1) == pytest.approx(
-        HYP_EQUILATERAL_AREA, abs=1e-12)
 
 
 def test_gauss_bonnet_tetrahedron(tetra):
