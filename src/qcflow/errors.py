@@ -23,7 +23,8 @@ class MetricError(QcflowError):
 
 
 class SolverError(QcflowError):
-    """Linear solver failed to reach the requested tolerance."""
+    """Newton system is singular (disconnected mesh or degenerate metric),
+    so the sparse LU factorization has no unique solution."""
 
 
 class FlowError(QcflowError):

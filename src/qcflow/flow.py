@@ -1,13 +1,13 @@
 """Newton-type optimization of the discrete Yamabe energy in Euclidean and
-hyperbolic background geometry: analytic Hessian assembly, preconditioned
-conjugate-gradient solves, step damping, edge-swap surgery and convergence
-reporting.
+hyperbolic background geometry: analytic Hessian assembly, sparse LU
+Newton solves, step damping, edge-swap surgery and convergence reporting.
 
 Sign convention: the assembled Hessian is the curvature Jacobian
 ``H = dK/du``, so a Newton iteration solves ``H du = Kbar - K`` and updates
 ``u += du``. In the Euclidean case every row of H sums to zero (global
 scaling leaves angles unchanged) and the system is solved on the zero-mean
-subspace; in the hyperbolic case H is positive definite and solved directly.
+subspace with one vertex pinned; in the hyperbolic case H is positive
+definite and solved directly.
 
 Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
 pre-flow surgery of :mod:`qcflow.pipeline`. A swap rewrites only the two
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import FlowError, MetricError, SolverError, SurgeryError
 from .geom import (
@@ -53,7 +54,6 @@ class FlowOptions:
     eps: float = 1e-8
     max_iterations: int = 50
     max_halvings: int = 20
-    linear_tol: float = 1e-12
     surgery: bool = True
 
     def __post_init__(self):
@@ -61,8 +61,6 @@ class FlowOptions:
             raise ValueError("eps must be positive")
         if self.max_iterations < 1 or self.max_halvings < 1:
             raise ValueError("iteration bounds must be >= 1")
-        if not self.linear_tol > 0:
-            raise ValueError("linear_tol must be positive")
 
 
 @dataclass
@@ -169,43 +167,38 @@ def assemble_hessian(mesh, metric, u=None, angles=None):
     return H.tocsr()
 
 
-def newton_step(H, residual, geometry, options=FlowOptions()):
-    """Solve ``H du = residual`` (= Kbar - K) by Jacobi-preconditioned
-    conjugate gradients.
+def newton_step(H, residual, geometry):
+    """Solve ``H du = residual`` (= Kbar - K) by one sparse LU factorization.
 
     Euclidean systems are singular with kernel spanned by the constant
-    vector; right-hand side, preconditioner and solution are projected onto
-    the zero-mean subspace. Raises :class:`SolverError` if the relative
-    residual is not reduced below ``options.linear_tol`` within ``10 n``
-    iterations.
+    vector: the right-hand side is projected onto the zero-mean subspace,
+    vertex 0 is pinned and the solution is re-centred to zero mean.
+    Hyperbolic systems are positive definite and factored whole. Raises
+    :class:`SolverError` when the system is singular: a Euclidean system on
+    a disconnected mesh (one constant per component spans the kernel, and
+    rounding may hide the extra zero pivots), or a degenerate metric.
     """
-    n = H.shape[0]
     b = np.asarray(residual, dtype=np.float64).copy()
     euclidean = geometry == Geometry.EUCLIDEAN
     if euclidean:
         b -= b.mean()
+        n_parts = connected_components(H, directed=False, return_labels=False)
+        if n_parts > 1:
+            raise SolverError(f"singular Newton system: the mesh has "
+                              f"{n_parts} connected components")
+    x = np.zeros(H.shape[0])
     if not np.any(b):
-        return np.zeros(n)
-
-    diag = H.diagonal()
-    inv_diag = np.where(diag > np.finfo(float).tiny, 1.0 / diag, 1.0)
-
+        return x
+    free = slice(1, None) if euclidean else slice(None)
+    try:
+        lu = spla.splu(H[free, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"singular Newton system: {exc}") from exc
+    x[free] = lu.solve(b[free])
+    if not np.all(np.isfinite(x)):
+        raise SolverError("singular Newton system: non-finite solution")
     if euclidean:
-        def precondition(v):
-            w = v - v.mean()
-            w = inv_diag * w
-            return w - w.mean()
-    else:
-        def precondition(v):
-            return inv_diag * v
-
-    M = spla.LinearOperator((n, n), matvec=precondition)
-    x, info = spla.cg(H, b, rtol=options.linear_tol, atol=0.0,
-                      maxiter=10 * n, M=M)
-    if info != 0:
-        raise SolverError(f"conjugate gradients stagnated (info={info})")
-    if euclidean:
-        x = x - x.mean()
+        x -= x.mean()
     return x
 
 
@@ -402,7 +395,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
 
     while res >= options.eps and iterations < options.max_iterations:
         H = assemble_hessian(mesh, current, angles=angles)
-        du = newton_step(H, target - K, geometry, options)
+        du = newton_step(H, target - K, geometry)
 
         accepted = False
         surgery_progress = False

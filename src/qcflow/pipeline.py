@@ -289,7 +289,8 @@ def _aux_metric_with_surgery(mesh, base_metric, z, mu):
     edge of a violating face that can be swapped (under the base metric,
     where the quad is admissible) is swapped and the auxiliary metric
     recomputed, up to ``_PRE_SURGERY_ROUNDS`` times. Returns the mesh, its
-    auxiliary metric and the number of swaps made.
+    auxiliary metric and the number of swaps made; the :class:`BeltramiError`
+    raised otherwise names the violating faces of the last auxiliary metric.
     """
     cur_mesh, cur_base = mesh, base_metric
     for swaps in range(_PRE_SURGERY_ROUNDS):
@@ -306,7 +307,8 @@ def _aux_metric_with_surgery(mesh, base_metric, z, mu):
         else:
             break
     raise BeltramiError(
-        "auxiliary metric is inadmissible even after edge-swap surgery")
+        f"auxiliary metric is inadmissible even after edge-swap surgery on "
+        f"faces {violations[:16]}", faces=violations)
 
 
 def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):

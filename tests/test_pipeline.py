@@ -433,3 +433,17 @@ def test_qcmap_reports_pre_flow_swaps(k):
     swaps = qc.report["pre_flow_swaps"]
     assert (swaps > 0) == (not np.array_equal(qc.mesh.faces, mesh.faces))
     assert (swaps > 0) == (k == 0.85)
+
+
+def test_qcmap_pre_flow_surgery_failure_names_faces():
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    mu = np.full(mesh.n_vertices, 0.95 * np.exp(0.25j * np.pi))
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    with pytest.raises(BeltramiError,
+                       match="^auxiliary metric is inadmissible even after "
+                             "edge-swap surgery on faces ") as info:
+        cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
+    faces = np.asarray(info.value.faces)
+    assert faces.size > 0
+    assert faces.min() >= 0 and faces.max() < mesh.n_faces
+    assert "\n" not in str(info.value)
