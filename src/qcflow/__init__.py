@@ -16,10 +16,7 @@ from .beltrami import (
     map_distance,
 )
 from .embed import (
-    PoincareCircle,
     TorusPeriods,
-    embedded_edge_lengths,
-    hyperbolic_circle_to_euclidean,
     layout_euclidean,
     layout_hyperbolic,
     torus_periods,

@@ -7,6 +7,7 @@ or file-parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,7 +43,10 @@ def _parse_corners(text):
     return ids
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: building it costs more
+    than parsing a command line."""
     top = argparse.ArgumentParser(
         prog="qcflow",
         description="Conformal and quasi-conformal mesh parameterization by "

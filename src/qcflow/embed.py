@@ -1,23 +1,23 @@
-"""Isometric layout of flat and hyperbolic metrics: breadth-first
-triangle-by-triangle flattening into the plane or the Poincare disk, plus
-flat-torus period extraction from a cut-open layout.
+"""Isometric layout of flat and hyperbolic metrics into the plane or the
+Poincare disk, plus flat-torus period extraction from a cut-open layout.
+
+The layout is level-synchronous: it walks the dual graph breadth-first from
+face 0 and places all faces of one level in one array batch. Each vertex is
+placed once, by the first face in breadth-first order that has it free,
+across that face's entry edge; the result is the one a face-by-face
+breadth-first loop gives, bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beltrami import Parameterization
 from .errors import LayoutError, MetricError
-from .geom import (
-    hyperbolic_distance,
-    place_third_euclidean,
-    place_third_hyperbolic,
-    poincare_circle_to_euclidean,
-)
+from .geom import apex_over_base, place_third_euclidean, place_third_hyperbolic
+from .mesh import dual_bfs
 from .metric import (
     Geometry,
     check_triangle_inequality,
@@ -26,20 +26,6 @@ from .metric import (
 )
 
 _FLATNESS_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class PoincareCircle:
-    """Hyperbolic circle in the Poincare disk."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not (abs(self.center) < 1.0):
-            raise ValueError("center must lie inside the unit disk")
-        if not (np.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError("radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -56,15 +42,6 @@ class TorusPeriods:
     def to_json_dict(self):
         return {"za": [self.za.real, self.za.imag],
                 "zb": [self.zb.real, self.zb.imag]}
-
-
-def hyperbolic_circle_to_euclidean(circle):
-    """Euclidean (center, radius) of a hyperbolic circle.
-
-    Validated property: every point at hyperbolic distance ``r`` from the
-    hyperbolic center lies on the returned Euclidean circle.
-    """
-    return poincare_circle_to_euclidean(circle.center, circle.radius)
 
 
 def _check_disk(mesh):
@@ -88,49 +65,42 @@ def _check_flat(mesh, angles):
 
 
 def _layout(mesh, metric, seed, place):
+    """Vertex coordinates of a flat disk metric: face 0 is seeded, then each
+    breadth-first level of the dual graph is placed in one batch.
+
+    A face reached across its entry halfedge (from ``va`` to ``vb``) has
+    both of those vertices placed, since they belong to the face it was
+    reached from, in an earlier level. Its third corner ``vc`` is placed by
+    the first face in breadth-first order that has it opposite its entry
+    edge, from ``va``, ``vb`` and the lengths of its edges to them.
+    """
     angles = corner_angles(metric, mesh)
     _check_flat(mesh, angles)
 
-    coords = np.full(mesh.n_vertices, np.nan + 0j, dtype=np.complex128)
-    placed = np.zeros(mesh.n_vertices, dtype=bool)
     lengths = metric.lengths
+    edge = mesh.edge_of_halfedge
+    corner = mesh.faces.ravel()
+    coords = np.full(mesh.n_vertices, np.nan + 0j, dtype=np.complex128)
+    l01, l12, l20 = (float(lengths[edge[h]]) for h in range(3))
+    coords[corner[:3]] = seed(l01, l12, l20, angles[0])
 
-    v0, v1, v2 = (int(v) for v in mesh.faces[0])
-    l01 = float(lengths[mesh.edge_of_halfedge[0]])
-    l12 = float(lengths[mesh.edge_of_halfedge[1]])
-    l20 = float(lengths[mesh.edge_of_halfedge[2]])
-    for v, z in zip((v0, v1, v2), seed(l01, l12, l20, angles[0])):
-        coords[v] = z
-        placed[v] = True
+    levels = list(dual_bfs(mesh))
+    entry = np.concatenate([np.zeros(0, dtype=np.int64)] + levels)
+    opposite = mesh.prev(entry)
+    first = np.unique(corner[opposite], return_index=True)[1]
+    first = np.sort(first[~np.isin(corner[opposite[first]], corner[:3])])
+    entry, opposite = entry[first], opposite[first]
+    vc, va, vb = corner[opposite], corner[entry], corner[mesh.next(entry)]
+    la, lb = lengths[edge[opposite]], lengths[edge[mesh.next(entry)]]
 
-    done = np.zeros(mesh.n_faces, dtype=bool)
-    done[0] = True
-    queue = deque([0])
-    while queue:
-        f = queue.popleft()
-        for s in range(3):
-            t = int(mesh.twin[3 * f + s])
-            if t < 0:
-                continue
-            g = t // 3
-            if done[g]:
-                continue
-            free = [sc for sc in range(3) if not placed[mesh.faces[g, sc]]]
-            if len(free) > 1:
-                continue  # not ready; reached again through another edge
-            if len(free) == 1:
-                sc = free[0]
-                va = int(mesh.faces[g, (sc + 1) % 3])
-                vb = int(mesh.faces[g, (sc + 2) % 3])
-                vc = int(mesh.faces[g, sc])
-                la = float(lengths[mesh.edge_of_halfedge[3 * g + sc]])
-                lb = float(lengths[mesh.edge_of_halfedge[3 * g + (sc + 2) % 3]])
-                coords[vc] = place(coords[va], coords[vb], la, lb)
-                placed[vc] = True
-            done[g] = True
-            queue.append(g)
+    ends = np.searchsorted(first, np.cumsum([len(lv) for lv in levels]))
+    for start, stop in zip(np.r_[0, ends[:-1]], ends):
+        if stop > start:
+            at = slice(start, stop)
+            coords[vc[at]] = place(coords[va[at]], coords[vb[at]], la[at],
+                                   lb[at])
 
-    if not placed.all():
+    if len(vc) + 3 < mesh.n_vertices:
         raise LayoutError("mesh is not face-connected")
     return coords
 
@@ -138,10 +108,12 @@ def _layout(mesh, metric, seed, place):
 def layout_euclidean(mesh, metric):
     """Isometric plane layout of a flat Euclidean metric on a disk.
 
-    The first face is seeded with vertex 0 at the origin and vertex 1 on the
-    positive real axis; every further vertex is placed breadth-first on the
-    counter-clockwise side of an already-embedded edge. Every embedded edge
-    reproduces its metric length (to roundoff-level drift).
+    The first face is seeded with its first vertex at the origin and its
+    second on the positive real axis; every further vertex is placed, one
+    breadth-first level at a time, on the counter-clockwise side of an
+    already-embedded edge of the first face in level order that has it free.
+    Every embedded edge reproduces its metric length (to roundoff-level
+    drift).
     """
     if metric.geometry != Geometry.EUCLIDEAN:
         raise MetricError("layout_euclidean requires a Euclidean metric")
@@ -151,9 +123,7 @@ def layout_euclidean(mesh, metric):
         raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
 
     def seed(l01, l12, l20, _angles):
-        return (0.0 + 0j,
-                l01 + 0j,
-                place_third_euclidean(0.0 + 0j, l01 + 0j, l20, l12))
+        return (0.0 + 0j, l01 + 0j, complex(*apex_over_base(l01, l20, l12)))
 
     coords = _layout(mesh, metric, seed, place_third_euclidean)
     return Parameterization(coords, Geometry.EUCLIDEAN)
@@ -163,9 +133,10 @@ def layout_hyperbolic(mesh, metric):
     """Poincare-disk layout of a hyperbolically flat metric on a disk.
 
     Seeds the first face at ``tau(v0) = 0``, ``tau(v1) = tanh(l01 / 2)``,
-    ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates breadth-first by
-    intersecting hyperbolic circles (converted to Euclidean circles),
-    keeping each face's orientation positive.
+    ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates one
+    breadth-first level at a time, with the same placing-face rule as
+    :func:`layout_euclidean`, by intersecting hyperbolic circles (converted
+    to Euclidean circles), keeping each face's orientation positive.
     """
     if metric.geometry != Geometry.HYPERBOLIC:
         raise MetricError("layout_hyperbolic requires a hyperbolic metric")
@@ -185,16 +156,6 @@ def layout_hyperbolic(mesh, metric):
         raise LayoutError(
             f"layout escaped the unit disk (max |tau| = {radius.max():.6f})")
     return Parameterization(coords, Geometry.HYPERBOLIC)
-
-
-def embedded_edge_lengths(mesh, param):
-    """Length of every edge as embedded by the parameterization, in the
-    parameterization's own geometry."""
-    za = param.coords[mesh.edges[:, 0]]
-    zb = param.coords[mesh.edges[:, 1]]
-    if param.geometry == Geometry.HYPERBOLIC:
-        return hyperbolic_distance(za, zb)
-    return np.abs(za - zb)
 
 
 def torus_periods(mesh, cut, layout, tol=1e-6):

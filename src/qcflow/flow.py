@@ -27,9 +27,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import FlowError, MetricError, SolverError, SurgeryError
 from .geom import (
+    apex_over_base,
     hyperbolic_distance,
     hyperbolic_segment_real_axis_crossing,
-    place_third_euclidean,
     place_third_hyperbolic,
 )
 from .mesh import build_mesh
@@ -211,9 +211,12 @@ def edge_swap(mesh, metric, edge):
     opposite diagonal of their quad.
 
     The quad is laid out isometrically in the metric's background geometry to
-    measure the new diagonal. Raises :class:`SurgeryError` when the edge is
-    on the boundary, the swap would duplicate an existing edge, the quad is
-    non-convex, or a new face would violate the triangle inequality.
+    measure the new diagonal, with the constructions the layout uses
+    (:func:`~qcflow.geom.apex_over_base` over the diagonal in the plane,
+    :func:`~qcflow.geom.place_third_hyperbolic` in the disk). Raises
+    :class:`SurgeryError` when the edge is on the boundary, the swap would
+    duplicate an existing edge, the quad is non-convex, or a new face would
+    violate the triangle inequality.
     Returns the updated mesh and metric. The mesh is rebuilt, so edge ids are
     re-derived; every edge but the new diagonal keeps its length, carried
     over by halfedge index (see :func:`_swapped_edge_sources`).
@@ -236,8 +239,8 @@ def edge_swap(mesh, metric, edge):
                            f"({k}, {l})")
 
     if metric.geometry == Geometry.EUCLIDEAN:
-        pk = place_third_euclidean(0.0, d + 0j, l_ik, l_jk)
-        pl = np.conj(place_third_euclidean(0.0, d + 0j, l_il, l_jl))
+        pk = complex(*apex_over_base(d, l_ik, l_jk))
+        pl = np.conj(complex(*apex_over_base(d, l_il, l_jl)))
         if pk.imag <= 0.0 or pl.imag >= 0.0:
             raise SurgeryError(f"degenerate quad at edge {edge}")
         cross = (pk.real * (-pl.imag) + pl.real * pk.imag) / (pk.imag - pl.imag)

@@ -10,7 +10,6 @@ twin pairing is stored.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import itemgetter, methodcaller
@@ -218,17 +217,11 @@ def build_mesh(faces, positions=None, uv=None):
     vertex_halfedge = np.unique(origin, return_index=True)[1]
     vertex_halfedge[boundary_origin] = boundary
 
-    # Manifold-vertex check: the CCW fan walk h -> twin[prev(h)] from
-    # vertex_halfedge must reach every incident corner. All vertices walk in
-    # lockstep, one round per step around the largest fan.
-    reached = np.ones(nv, dtype=np.int64)
-    walker = np.arange(nv)
-    at = vertex_halfedge
-    while walker.size:
-        at = twin[HalfedgeMesh.prev(at)]
-        going = (at >= 0) & (at != vertex_halfedge[walker])
-        walker, at = walker[going], at[going]
-        reached[walker] += 1
+    # Manifold-vertex check: the CCW fan walk from vertex_halfedge must
+    # reach every incident corner.
+    reached = np.bincount(np.concatenate(
+        [walker for walker, _ in _fan_walk(twin, vertex_halfedge)]),
+        minlength=nv)
     pinched = np.nonzero(reached != np.bincount(origin, minlength=nv))[0]
     if pinched.size:
         raise TopologyError(f"vertex {pinched[0]} has a disconnected fan "
@@ -246,6 +239,20 @@ def build_mesh(faces, positions=None, uv=None):
         vertex_halfedge=vertex_halfedge,
         uv=uv,
     )
+
+
+def _fan_walk(twin, vertex_halfedge):
+    """Counter-clockwise walk ``h -> twin[prev(h)]`` around every vertex
+    from its ``vertex_halfedge``, all vertices in lockstep: yields, one step
+    at a time, the vertices still walking and the outgoing halfedge each has
+    reached. A walk ends at a boundary or back at its start."""
+    walker = np.arange(len(vertex_halfedge))
+    at = vertex_halfedge
+    while walker.size:
+        yield walker, at
+        at = twin[HalfedgeMesh.prev(at)]
+        going = (at >= 0) & (at != vertex_halfedge[walker])
+        walker, at = walker[going], at[going]
 
 
 def _first_repeat(order, sorted_keys):
@@ -282,18 +289,33 @@ def euler_characteristic(mesh):
     return mesh.n_vertices - mesh.n_edges + mesh.n_faces
 
 
-def is_connected(mesh):
-    seen = np.zeros(mesh.n_faces, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        f = queue.popleft()
-        for s in range(3):
-            t = mesh.twin[3 * f + s]
-            if t >= 0 and not seen[t // 3]:
-                seen[t // 3] = True
-                queue.append(t // 3)
-    return bool(seen.all())
+def dual_bfs(mesh):
+    """Breadth-first search of the dual graph from face 0, one level per
+    step.
+
+    Yields, for every level after face 0, the halfedge through which each
+    newly reached face is entered (the face is ``h // 3``). The order is the
+    one a first-in-first-out search finds: the faces of a level in order,
+    each looking across its halfedges ``3f``, ``3f+1``, ``3f+2`` in turn, the
+    first discovery of a face winning.
+    """
+    twin = mesh.twin.reshape(-1, 3)
+    # One extra slot, always seen, catches boundary halfedges: -1 // 3 = -1.
+    seen = np.zeros(mesh.n_faces + 1, dtype=bool)
+    seen[[0, -1]] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while True:
+        entry = twin[frontier].ravel()
+        face = entry // 3
+        new = ~seen[face]
+        if not new.any():
+            return
+        entry, face = entry[new], face[new]
+        first = np.unique(face, return_index=True)[1]
+        first.sort()
+        frontier = face[first]
+        seen[frontier] = True
+        yield entry[first]
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +528,6 @@ class CutGraph:
     new_to_orig_edge: np.ndarray
     edge_copy_pairs: dict
 
-    def vertex_copies(self, v):
-        return np.nonzero(self.new_to_orig_vertex == v)[0].tolist()
-
     def push_vertex(self, values):
         """Transfer per-original-vertex data onto the cut mesh (copies share
         the value)."""
@@ -536,77 +555,85 @@ def slice_along_edges(mesh, edge_ids):
 
     Every vertex incident to ``k`` cut edges is split into ``k`` copies
     (``k+1`` for boundary vertices), one per fan sector delimited by the cut
-    edges. Returns the cut-open mesh and the :class:`CutGraph` bookkeeping.
+    edges. New vertices are numbered by original vertex, then by sector in
+    counter-clockwise order from the vertex's first outgoing halfedge (for an
+    interior vertex, the sector that starts at its first cut edge comes
+    first). Returns the cut-open mesh and the :class:`CutGraph` bookkeeping.
     """
+    edge_ids = np.asarray(edge_ids, dtype=np.int64).reshape(-1)
+    on_boundary = mesh.edge_halfedges[edge_ids, 1] < 0
+    if on_boundary.any():
+        raise TopologyError(f"cannot slice along boundary edge "
+                            f"{edge_ids[np.argmax(on_boundary)]}")
     cut = np.zeros(mesh.n_edges, dtype=bool)
-    for e in edge_ids:
-        if mesh.edge_halfedges[e, 1] < 0:
-            raise TopologyError(f"cannot slice along boundary edge {e}")
-        cut[e] = True
+    cut[edge_ids] = True
 
+    # Number of cut edges met up to and including each outgoing halfedge on
+    # the counter-clockwise walk around its origin.
+    origin = mesh.faces.ravel()
+    cut_h = cut[mesh.edge_of_halfedge]
+    met = np.empty(mesh.n_halfedges, dtype=np.int64)
+    count = np.zeros(mesh.n_vertices, dtype=np.int64)
+    for walker, at in _fan_walk(mesh.twin, mesh.vertex_halfedge):
+        count[walker] += cut_h[at]
+        met[at] = count[walker]
+
+    # A boundary fan starts a sector at its boundary halfedge and at every
+    # cut edge; an interior fan at every cut edge, the halfedges before the
+    # first one closing the last sector.
     boundary = mesh.boundary_vertex_mask()
-    corner_vertex = np.full((mesh.n_faces, 3), -1, dtype=np.int64)
-    new_to_orig = []
-    for v in range(mesh.n_vertices):
-        ring = mesh.outgoing_halfedges(v)
-        breaks = [t for t, h in enumerate(ring) if cut[mesh.edge_of_halfedge[h]]]
-        if boundary[v]:
-            bounds = [0] + [b for b in breaks if b != 0]
-            sectors = [ring[bounds[i]:(bounds[i + 1] if i + 1 < len(bounds) else None)]
-                       for i in range(len(bounds))]
-        elif not breaks:
-            sectors = [ring]
-        else:
-            sectors = []
-            for i, b in enumerate(breaks):
-                end = breaks[i + 1] if i + 1 < len(breaks) else breaks[0] + len(ring)
-                sectors.append([ring[t % len(ring)] for t in range(b, end)])
-        for sector in sectors:
-            nid = len(new_to_orig)
-            new_to_orig.append(v)
-            for h in sector:
-                corner_vertex[h // 3, h % 3] = nid
+    sectors = np.maximum(np.bincount(origin[cut_h], minlength=mesh.n_vertices)
+                         + boundary, 1)
+    sector = np.where(boundary[origin], met, (met - 1) % sectors[origin])
+    corner_vertex = (np.cumsum(sectors) - sectors)[origin] + sector
+    new_to_orig = np.repeat(np.arange(mesh.n_vertices), sectors)
 
-    new_to_orig = np.asarray(new_to_orig, dtype=np.int64)
     # Isolated interior cut edges would give duplicate oriented edges in the
     # cut mesh; detect early for a clear message.
-    for e in np.nonzero(cut)[0]:
-        a, b = mesh.edges[e]
-        if (not boundary[a] and not boundary[b]
-                and np.count_nonzero(new_to_orig == a) == 1
-                and np.count_nonzero(new_to_orig == b) == 1):
-            raise TopologyError(
-                f"cut edge {int(e)} is isolated: slicing it would not open "
-                "the mesh")
+    cut_ids = np.nonzero(cut)[0]
+    a, b = mesh.edges[cut_ids].T
+    isolated = (~boundary[a] & ~boundary[b]
+                & (sectors[a] == 1) & (sectors[b] == 1))
+    if isolated.any():
+        raise TopologyError(
+            f"cut edge {int(cut_ids[np.argmax(isolated)])} is isolated: "
+            "slicing it would not open the mesh")
 
     positions = None
     if mesh.positions is not None:
         positions = mesh.positions[new_to_orig]
-    new_mesh = build_mesh(corner_vertex, positions=positions)
+    new_mesh = build_mesh(corner_vertex.reshape(-1, 3), positions=positions)
 
-    pair_to_orig_edge = {}
-    for e, (a, b) in enumerate(mesh.edges):
-        pair_to_orig_edge[frozenset((int(a), int(b)))] = e
-    new_to_orig_edge = np.empty(new_mesh.n_edges, dtype=np.int64)
-    copies = {}
-    for e2, (a2, b2) in enumerate(new_mesh.edges):
-        oa, ob = int(new_to_orig[a2]), int(new_to_orig[b2])
-        oe = pair_to_orig_edge[frozenset((oa, ob))]
-        new_to_orig_edge[e2] = oe
-        if cut[oe]:
-            a, b = (int(x) for x in mesh.edges[oe])
-            ends = (int(a2), int(b2)) if oa == a else (int(b2), int(a2))
-            copies.setdefault(oe, []).append(ends)
+    # New edge -> original edge through sorted unordered endpoint keys.
+    def pair_key(ends):
+        return ends.min(axis=1) * mesh.n_vertices + ends.max(axis=1)
 
-    edge_copy_pairs = {}
-    for oe, ends in copies.items():
-        if len(ends) != 2:
-            raise TopologyError(
-                f"cut edge {oe} produced {len(ends)} copies instead of 2")
-        edge_copy_pairs[int(oe)] = tuple(ends)
+    orig_key = pair_key(mesh.edges)
+    order = np.argsort(orig_key)
+    new_key = pair_key(new_to_orig[new_mesh.edges])
+    new_to_orig_edge = order[np.searchsorted(orig_key[order], new_key)]
+
+    # The copies of each cut edge, oriented like the original and listed in
+    # new-edge order; edges in order of their first copy.
+    copy = np.nonzero(cut[new_to_orig_edge])[0]
+    oe = new_to_orig_edge[copy]
+    ends = new_mesh.edges[copy]
+    flip = new_to_orig[ends[:, 0]] != mesh.edges[oe, 0]
+    ends[flip] = ends[flip, ::-1]
+    edges, first, counts = np.unique(oe, return_index=True,
+                                     return_counts=True)
+    by_first = np.argsort(first)
+    wrong = np.nonzero(counts[by_first] != 2)[0]
+    if wrong.size:
+        k = by_first[wrong[0]]
+        raise TopologyError(f"cut edge {edges[k]} produced {counts[k]} "
+                            "copies instead of 2")
+    pairs = ends[np.argsort(oe, kind="stable")].reshape(-1, 2, 2).tolist()
+    edge_copy_pairs = {int(edges[k]): tuple(map(tuple, pairs[k]))
+                       for k in by_first}
 
     graph = CutGraph(
-        cut_edges=tuple(int(e) for e in np.nonzero(cut)[0]),
+        cut_edges=tuple(cut_ids.tolist()),
         new_to_orig_vertex=new_to_orig,
         new_to_orig_edge=new_to_orig_edge,
         edge_copy_pairs=edge_copy_pairs,
@@ -617,58 +644,37 @@ def slice_along_edges(mesh, edge_ids):
 def cut_to_disk(mesh):
     """Cut a closed connected mesh open into a topological disk.
 
-    The cut graph is the complement of a breadth-first dual spanning tree
-    rooted at face 0, pruned of degree-1 vertices; for a sphere (where the
-    pruned graph is empty) a two-edge slit inside face 0 is used instead.
+    The cut graph is the complement of the breadth-first dual spanning tree
+    rooted at face 0 (built level-synchronously by :func:`dual_bfs`; each
+    face hangs off the face that first reaches it), pruned to its 2-core:
+    edges at degree-1 vertices are removed in rounds until none is left, and
+    the 2-core does not depend on the order of removal. For a sphere (where
+    the pruned graph is empty) a two-edge slit inside face 0 is used instead.
     Deterministic for a given face ordering.
     """
     if mesh.boundary_loops:
         raise TopologyError("cut_to_disk requires a closed mesh")
-    if not is_connected(mesh):
+    tree = [mesh.edge_of_halfedge[entry] for entry in dual_bfs(mesh)]
+    tree = np.concatenate(tree) if tree else np.zeros(0, dtype=np.int64)
+    if tree.size != mesh.n_faces - 1:
         raise TopologyError("cut_to_disk requires a connected mesh")
 
-    in_tree = np.zeros(mesh.n_edges, dtype=bool)
-    seen = np.zeros(mesh.n_faces, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        f = queue.popleft()
-        for s in range(3):
-            h = 3 * f + s
-            t = int(mesh.twin[h])
-            g = t // 3
-            if not seen[g]:
-                seen[g] = True
-                in_tree[mesh.edge_of_halfedge[h]] = True
-                queue.append(g)
+    cut = np.ones(mesh.n_edges, dtype=bool)
+    cut[tree] = False
+    cut_ids = np.nonzero(cut)[0]
+    while cut_ids.size:
+        ends = mesh.edges[cut_ids]
+        degree = np.bincount(ends.ravel(), minlength=mesh.n_vertices)
+        leaf = (degree[ends] == 1).any(axis=1)
+        if not leaf.any():
+            break
+        cut_ids = cut_ids[~leaf]
 
-    cut = ~in_tree
-    degree = np.zeros(mesh.n_vertices, dtype=np.int64)
-    incident = [[] for _ in range(mesh.n_vertices)]
-    for e in np.nonzero(cut)[0]:
-        a, b = (int(x) for x in mesh.edges[e])
-        degree[a] += 1
-        degree[b] += 1
-        incident[a].append(int(e))
-        incident[b].append(int(e))
-    leaves = deque(int(v) for v in np.nonzero(degree == 1)[0])
-    while leaves:
-        v = leaves.popleft()
-        if degree[v] != 1:
-            continue
-        e = next(x for x in incident[v] if cut[x])
-        cut[e] = False
-        for w in (int(mesh.edges[e, 0]), int(mesh.edges[e, 1])):
-            degree[w] -= 1
-            if degree[w] == 1:
-                leaves.append(w)
-
-    if not cut.any():
+    if not cut_ids.size:
         # Sphere: open a two-edge slit inside face 0.
-        cut[mesh.edge_of_halfedge[0]] = True
-        cut[mesh.edge_of_halfedge[1]] = True
+        cut_ids = np.sort(mesh.edge_of_halfedge[:2])
 
-    disk, graph = slice_along_edges(mesh, np.nonzero(cut)[0])
+    disk, graph = slice_along_edges(mesh, cut_ids)
     if euler_characteristic(disk) != 1 or len(disk.boundary_loops) != 1:
         raise TopologyError(
             "internal error: cut mesh is not a disk "

@@ -356,7 +356,8 @@ def _qcmap_closed(mesh, mu, geometry, preset, options, base, metric):
     violations = check_triangle_inequality(aux, mesh)
     if violations:
         raise BeltramiError(
-            f"auxiliary metric inadmissible on faces {violations[:16]}")
+            f"auxiliary metric inadmissible on faces {violations[:16]}"
+            + ("..." if len(violations) > 16 else ""), faces=violations)
     result = cmd_flatten(mesh, geometry, preset, options,
                          metric=aux.retagged(geometry))
     result.report["pre_flow_swaps"] = 0

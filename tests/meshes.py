@@ -1,9 +1,11 @@
 """Deterministic mesh builders for the test suite. Structured grids,
 subdivided polyhedra and voxel-boundary surfaces only; randomness always
-comes from seeded generators passed in by the caller."""
+comes from seeded generators passed in by the caller. Also the embedded edge
+lengths that layout tests measure."""
 
 import numpy as np
 
+from qcflow.geom import hyperbolic_distance
 from qcflow.mesh import build_mesh
 from qcflow.metric import (
     DiscreteMetric,
@@ -224,3 +226,13 @@ def random_admissible_metric(mesh, rng, geometry=Geometry.EUCLIDEAN,
             return DiscreteMetric(geometry, metric.lengths, checked=True)
         amplitude *= 0.5
     return base
+
+
+def embedded_edge_lengths(mesh, param):
+    """Length of every edge as embedded by the parameterization, in the
+    parameterization's own geometry."""
+    za = param.coords[mesh.edges[:, 0]]
+    zb = param.coords[mesh.edges[:, 1]]
+    if param.geometry == Geometry.HYPERBOLIC:
+        return hyperbolic_distance(za, zb)
+    return np.abs(za - zb)

@@ -1,0 +1,377 @@
+"""Sequential reference implementations, kept as test oracles.
+
+These are the face-by-face breadth-first layout, the per-vertex cut loops
+and the scalar placement primitives that the array code in ``qcflow.geom``,
+``qcflow.embed`` and ``qcflow.mesh`` replaced. The array code must reproduce
+them bit for bit; see ``test_sequential_oracle.py``.
+"""
+
+from collections import deque
+
+import numpy as np
+
+from qcflow.beltrami import Parameterization
+from qcflow.embed import _check_disk, _check_flat
+from qcflow.errors import LayoutError, MetricError, TopologyError
+from qcflow.geom import _TANGENT_SLACK, hyperbolic_distance
+from qcflow.mesh import CutGraph, build_mesh, euler_characteristic
+from qcflow.metric import Geometry, check_triangle_inequality, corner_angles
+
+
+def mobius_to_origin(c, z):
+    """The disk automorphism sending ``c`` to 0, applied to ``z``."""
+    return (z - c) / (1.0 - np.conj(c) * z)
+
+
+def mobius_from_origin(c, w):
+    """Inverse of :func:`mobius_to_origin`."""
+    return (w + c) / (1.0 + np.conj(c) * w)
+
+
+def poincare_circle_to_euclidean(c, r):
+    """Euclidean (center, radius) of the hyperbolic circle (c, r).
+
+    With ``m = tanh(r/2)``: center ``(1 - m^2) c / (1 - m^2 |c|^2)`` and
+    radius from ``R^2 = |C|^2 - (|c|^2 - m^2) / (1 - m^2 |c|^2)``.
+    """
+    c = complex(c)
+    m = np.tanh(0.5 * r)
+    m2 = m * m
+    cc = (c * c.conjugate()).real
+    denom = 1.0 - m2 * cc
+    center = (1.0 - m2) / denom * c
+    r2 = (center * center.conjugate()).real - (cc - m2) / denom
+    return center, float(np.sqrt(max(r2, 0.0)))
+
+
+def place_third_euclidean(pa, pb, la, lb):
+    """Point at distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
+    counter-clockwise side of the segment ``pa -> pb``.
+
+    Computed in the local frame of the base edge (equivalently, by the
+    law-of-cosines angle construction), which stays well conditioned for
+    near-tangent circles.
+    """
+    chord = pb - pa
+    d = abs(chord)
+    if d <= 0.0:
+        raise LayoutError("degenerate base edge")
+    x = (d * d + la * la - lb * lb) / (2.0 * d)
+    h2 = la * la - x * x
+    if h2 < -_TANGENT_SLACK * la * la:
+        raise LayoutError(
+            f"circle intersection failed (la={la}, lb={lb}, base={d})")
+    y = np.sqrt(max(h2, 0.0))
+    return pa + (x + 1j * y) * (chord / d)
+
+
+def _euclidean_circle_intersection(c1, r1, c2, r2):
+    """Both intersection points of two Euclidean circles, or None when
+    near-tangent/ill-conditioned."""
+    chord = c2 - c1
+    d = abs(chord)
+    if d <= 0.0:
+        return None
+    x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h2 = r1 * r1 - x * x
+    if h2 < _TANGENT_SLACK * r1 * r1:
+        return None
+    y = np.sqrt(h2)
+    u = chord / d
+    return c1 + (x + 1j * y) * u, c1 + (x - 1j * y) * u
+
+
+def place_third_hyperbolic(pa, pb, la, lb):
+    """Hyperbolic analogue of :func:`place_third_euclidean`: intersection of
+    hyperbolic circles (pa, la) and (pb, lb) on the counter-clockwise side of
+    the geodesic ``pa -> pb``.
+
+    The circles are converted to their Euclidean counterparts and
+    intersected; the side is selected in the Mobius frame centred at ``pa``
+    (where the geodesic is a straight ray). Near-tangent configurations fall
+    back to the hyperbolic law-of-cosines construction in that frame.
+    """
+    C1, R1 = poincare_circle_to_euclidean(pa, la)
+    C2, R2 = poincare_circle_to_euclidean(pb, lb)
+    ref = mobius_to_origin(pa, pb)
+    candidates = _euclidean_circle_intersection(C1, R1, C2, R2)
+    if candidates is not None:
+        for cand in candidates:
+            if abs(cand) >= 1.0:
+                continue
+            w = mobius_to_origin(pa, cand)
+            if (w * ref.conjugate()).imag > 0.0:
+                return cand
+    # Fallback: angle at pa from the cosine law, laid out in the frame at pa.
+    d = float(hyperbolic_distance(pa, pb))
+    if d <= 0.0:
+        raise LayoutError("degenerate base edge")
+    arg = ((np.cosh(d) * np.cosh(la) - np.cosh(lb))
+           / (np.sinh(d) * np.sinh(la)))
+    if abs(arg) > 1.0 + _TANGENT_SLACK:
+        raise LayoutError(
+            f"hyperbolic circle intersection failed (la={la}, lb={lb}, base={d})")
+    alpha = np.arccos(np.clip(arg, -1.0, 1.0))
+    direction = ref / abs(ref)
+    w = np.tanh(0.5 * la) * direction * np.exp(1j * alpha)
+    return mobius_from_origin(pa, w)
+
+
+def _layout(mesh, metric, seed, place):
+    angles = corner_angles(metric, mesh)
+    _check_flat(mesh, angles)
+
+    coords = np.full(mesh.n_vertices, np.nan + 0j, dtype=np.complex128)
+    placed = np.zeros(mesh.n_vertices, dtype=bool)
+    lengths = metric.lengths
+
+    v0, v1, v2 = (int(v) for v in mesh.faces[0])
+    l01 = float(lengths[mesh.edge_of_halfedge[0]])
+    l12 = float(lengths[mesh.edge_of_halfedge[1]])
+    l20 = float(lengths[mesh.edge_of_halfedge[2]])
+    for v, z in zip((v0, v1, v2), seed(l01, l12, l20, angles[0])):
+        coords[v] = z
+        placed[v] = True
+
+    done = np.zeros(mesh.n_faces, dtype=bool)
+    done[0] = True
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for s in range(3):
+            t = int(mesh.twin[3 * f + s])
+            if t < 0:
+                continue
+            g = t // 3
+            if done[g]:
+                continue
+            free = [sc for sc in range(3) if not placed[mesh.faces[g, sc]]]
+            if len(free) > 1:
+                continue  # not ready; reached again through another edge
+            if len(free) == 1:
+                sc = free[0]
+                va = int(mesh.faces[g, (sc + 1) % 3])
+                vb = int(mesh.faces[g, (sc + 2) % 3])
+                vc = int(mesh.faces[g, sc])
+                la = float(lengths[mesh.edge_of_halfedge[3 * g + sc]])
+                lb = float(lengths[mesh.edge_of_halfedge[3 * g + (sc + 2) % 3]])
+                coords[vc] = place(coords[va], coords[vb], la, lb)
+                placed[vc] = True
+            done[g] = True
+            queue.append(g)
+
+    if not placed.all():
+        raise LayoutError("mesh is not face-connected")
+    return coords
+
+
+def layout_euclidean(mesh, metric):
+    """Isometric plane layout of a flat Euclidean metric on a disk.
+
+    The first face is seeded with vertex 0 at the origin and vertex 1 on the
+    positive real axis; every further vertex is placed breadth-first on the
+    counter-clockwise side of an already-embedded edge. Every embedded edge
+    reproduces its metric length (to roundoff-level drift).
+    """
+    if metric.geometry != Geometry.EUCLIDEAN:
+        raise MetricError("layout_euclidean requires a Euclidean metric")
+    _check_disk(mesh)
+    bad = check_triangle_inequality(metric, mesh)
+    if bad:
+        raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
+
+    def seed(l01, l12, l20, _angles):
+        return (0.0 + 0j,
+                l01 + 0j,
+                place_third_euclidean(0.0 + 0j, l01 + 0j, l20, l12))
+
+    coords = _layout(mesh, metric, seed, place_third_euclidean)
+    return Parameterization(coords, Geometry.EUCLIDEAN)
+
+
+def layout_hyperbolic(mesh, metric):
+    """Poincare-disk layout of a hyperbolically flat metric on a disk.
+
+    Seeds the first face at ``tau(v0) = 0``, ``tau(v1) = tanh(l01 / 2)``,
+    ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates breadth-first by
+    intersecting hyperbolic circles (converted to Euclidean circles),
+    keeping each face's orientation positive.
+    """
+    if metric.geometry != Geometry.HYPERBOLIC:
+        raise MetricError("layout_hyperbolic requires a hyperbolic metric")
+    _check_disk(mesh)
+    bad = check_triangle_inequality(metric, mesh)
+    if bad:
+        raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
+
+    def seed(l01, l12, l20, face_angles):
+        return (0.0 + 0j,
+                np.tanh(0.5 * l01) + 0j,
+                np.tanh(0.5 * l20) * np.exp(1j * face_angles[0]))
+
+    coords = _layout(mesh, metric, seed, place_third_hyperbolic)
+    radius = np.abs(coords)
+    if radius.max() >= 1.0:
+        raise LayoutError(
+            f"layout escaped the unit disk (max |tau| = {radius.max():.6f})")
+    return Parameterization(coords, Geometry.HYPERBOLIC)
+
+
+def is_connected(mesh):
+    seen = np.zeros(mesh.n_faces, dtype=bool)
+    queue = deque([0])
+    seen[0] = True
+    while queue:
+        f = queue.popleft()
+        for s in range(3):
+            t = mesh.twin[3 * f + s]
+            if t >= 0 and not seen[t // 3]:
+                seen[t // 3] = True
+                queue.append(t // 3)
+    return bool(seen.all())
+
+
+def slice_along_edges(mesh, edge_ids):
+    """Cut the mesh open along a set of interior edges.
+
+    Every vertex incident to ``k`` cut edges is split into ``k`` copies
+    (``k+1`` for boundary vertices), one per fan sector delimited by the cut
+    edges. Returns the cut-open mesh and the :class:`CutGraph` bookkeeping.
+    """
+    cut = np.zeros(mesh.n_edges, dtype=bool)
+    for e in edge_ids:
+        if mesh.edge_halfedges[e, 1] < 0:
+            raise TopologyError(f"cannot slice along boundary edge {e}")
+        cut[e] = True
+
+    boundary = mesh.boundary_vertex_mask()
+    corner_vertex = np.full((mesh.n_faces, 3), -1, dtype=np.int64)
+    new_to_orig = []
+    for v in range(mesh.n_vertices):
+        ring = mesh.outgoing_halfedges(v)
+        breaks = [t for t, h in enumerate(ring) if cut[mesh.edge_of_halfedge[h]]]
+        if boundary[v]:
+            bounds = [0] + [b for b in breaks if b != 0]
+            sectors = [ring[bounds[i]:(bounds[i + 1] if i + 1 < len(bounds) else None)]
+                       for i in range(len(bounds))]
+        elif not breaks:
+            sectors = [ring]
+        else:
+            sectors = []
+            for i, b in enumerate(breaks):
+                end = breaks[i + 1] if i + 1 < len(breaks) else breaks[0] + len(ring)
+                sectors.append([ring[t % len(ring)] for t in range(b, end)])
+        for sector in sectors:
+            nid = len(new_to_orig)
+            new_to_orig.append(v)
+            for h in sector:
+                corner_vertex[h // 3, h % 3] = nid
+
+    new_to_orig = np.asarray(new_to_orig, dtype=np.int64)
+    # Isolated interior cut edges would give duplicate oriented edges in the
+    # cut mesh; detect early for a clear message.
+    for e in np.nonzero(cut)[0]:
+        a, b = mesh.edges[e]
+        if (not boundary[a] and not boundary[b]
+                and np.count_nonzero(new_to_orig == a) == 1
+                and np.count_nonzero(new_to_orig == b) == 1):
+            raise TopologyError(
+                f"cut edge {int(e)} is isolated: slicing it would not open "
+                "the mesh")
+
+    positions = None
+    if mesh.positions is not None:
+        positions = mesh.positions[new_to_orig]
+    new_mesh = build_mesh(corner_vertex, positions=positions)
+
+    pair_to_orig_edge = {}
+    for e, (a, b) in enumerate(mesh.edges):
+        pair_to_orig_edge[frozenset((int(a), int(b)))] = e
+    new_to_orig_edge = np.empty(new_mesh.n_edges, dtype=np.int64)
+    copies = {}
+    for e2, (a2, b2) in enumerate(new_mesh.edges):
+        oa, ob = int(new_to_orig[a2]), int(new_to_orig[b2])
+        oe = pair_to_orig_edge[frozenset((oa, ob))]
+        new_to_orig_edge[e2] = oe
+        if cut[oe]:
+            a, b = (int(x) for x in mesh.edges[oe])
+            ends = (int(a2), int(b2)) if oa == a else (int(b2), int(a2))
+            copies.setdefault(oe, []).append(ends)
+
+    edge_copy_pairs = {}
+    for oe, ends in copies.items():
+        if len(ends) != 2:
+            raise TopologyError(
+                f"cut edge {oe} produced {len(ends)} copies instead of 2")
+        edge_copy_pairs[int(oe)] = tuple(ends)
+
+    graph = CutGraph(
+        cut_edges=tuple(int(e) for e in np.nonzero(cut)[0]),
+        new_to_orig_vertex=new_to_orig,
+        new_to_orig_edge=new_to_orig_edge,
+        edge_copy_pairs=edge_copy_pairs,
+    )
+    return new_mesh, graph
+
+
+def cut_to_disk(mesh):
+    """Cut a closed connected mesh open into a topological disk.
+
+    The cut graph is the complement of a breadth-first dual spanning tree
+    rooted at face 0, pruned of degree-1 vertices; for a sphere (where the
+    pruned graph is empty) a two-edge slit inside face 0 is used instead.
+    Deterministic for a given face ordering.
+    """
+    if mesh.boundary_loops:
+        raise TopologyError("cut_to_disk requires a closed mesh")
+    if not is_connected(mesh):
+        raise TopologyError("cut_to_disk requires a connected mesh")
+
+    in_tree = np.zeros(mesh.n_edges, dtype=bool)
+    seen = np.zeros(mesh.n_faces, dtype=bool)
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for s in range(3):
+            h = 3 * f + s
+            t = int(mesh.twin[h])
+            g = t // 3
+            if not seen[g]:
+                seen[g] = True
+                in_tree[mesh.edge_of_halfedge[h]] = True
+                queue.append(g)
+
+    cut = ~in_tree
+    degree = np.zeros(mesh.n_vertices, dtype=np.int64)
+    incident = [[] for _ in range(mesh.n_vertices)]
+    for e in np.nonzero(cut)[0]:
+        a, b = (int(x) for x in mesh.edges[e])
+        degree[a] += 1
+        degree[b] += 1
+        incident[a].append(int(e))
+        incident[b].append(int(e))
+    leaves = deque(int(v) for v in np.nonzero(degree == 1)[0])
+    while leaves:
+        v = leaves.popleft()
+        if degree[v] != 1:
+            continue
+        e = next(x for x in incident[v] if cut[x])
+        cut[e] = False
+        for w in (int(mesh.edges[e, 0]), int(mesh.edges[e, 1])):
+            degree[w] -= 1
+            if degree[w] == 1:
+                leaves.append(w)
+
+    if not cut.any():
+        # Sphere: open a two-edge slit inside face 0.
+        cut[mesh.edge_of_halfedge[0]] = True
+        cut[mesh.edge_of_halfedge[1]] = True
+
+    disk, graph = slice_along_edges(mesh, np.nonzero(cut)[0])
+    if euler_characteristic(disk) != 1 or len(disk.boundary_loops) != 1:
+        raise TopologyError(
+            "internal error: cut mesh is not a disk "
+            f"(chi={euler_characteristic(disk)}, "
+            f"boundaries={len(disk.boundary_loops)})")
+    return disk, graph

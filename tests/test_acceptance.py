@@ -20,15 +20,9 @@ from qcflow.beltrami import (
     estimate_beltrami,
     map_distance,
 )
-from qcflow.embed import (
-    PoincareCircle,
-    embedded_edge_lengths,
-    hyperbolic_circle_to_euclidean,
-    layout_euclidean,
-    torus_periods,
-)
+from qcflow.embed import layout_euclidean, torus_periods
 from qcflow.flow import FlowOptions, assemble_hessian, run_flow
-from qcflow.geom import mobius_from_origin
+from qcflow.geom import mobius_from_origin, poincare_circle_to_euclidean
 from qcflow.mesh import build_mesh, cut_to_disk, euler_characteristic, save_obj
 from qcflow.metric import (
     DiscreteMetric,
@@ -289,7 +283,7 @@ def test_criterion_08_layout_isometry():
         relative; normalized outputs are compared up to their single global
         similarity factor."""
         nonlocal worst
-        got = embedded_edge_lengths(mesh, param)
+        got = meshes.embedded_edge_lengths(mesh, param)
         if normalized:
             factor = np.median(got / metric.lengths)
         else:
@@ -347,7 +341,7 @@ def test_criterion_09_poincare_conversion_oracle():
             continue
         r = rng.uniform(1e-3, 4.0)
         count += 1
-        C, R = hyperbolic_circle_to_euclidean(PoincareCircle(c, r))
+        C, R = poincare_circle_to_euclidean(c, r)
         phis = rng.uniform(0.0, 2 * np.pi, 3) + np.array([0.0, 2.1, 4.2])
         pts = mobius_from_origin(c, np.tanh(r / 2) * np.exp(1j * phis))
         ax, ay = pts[0].real, pts[0].imag

@@ -3,17 +3,19 @@ import pytest
 
 import meshes
 from qcflow.errors import LayoutError, MetricError
+from meshes import embedded_edge_lengths
 from qcflow.embed import (
-    PoincareCircle,
     TorusPeriods,
-    embedded_edge_lengths,
-    hyperbolic_circle_to_euclidean,
     layout_euclidean,
     layout_hyperbolic,
     torus_periods,
 )
 from qcflow.flow import run_flow
-from qcflow.geom import hyperbolic_distance, mobius_from_origin
+from qcflow.geom import (
+    hyperbolic_distance,
+    mobius_from_origin,
+    poincare_circle_to_euclidean,
+)
 from qcflow.mesh import build_mesh, cut_to_disk
 from qcflow.metric import (
     DiscreteMetric,
@@ -67,6 +69,20 @@ def test_layout_rejects_non_disk(tetra):
         layout_euclidean(tetra, metric)
 
 
+def test_layout_rejects_disconnected_mesh(torus16):
+    # A triangle (face 0) beside a flat torus: chi = 1 + 0 and one boundary
+    # loop pass the disk check, the torus is flat, and the breadth-first
+    # walk from face 0 never leaves the triangle.
+    torus, torus_metric = torus16
+    faces = np.vstack([[[0, 1, 2]], torus.faces + 3])
+    mesh = build_mesh(faces)
+    metric = DiscreteMetric(Geometry.EUCLIDEAN,
+                            np.concatenate([np.ones(3), torus_metric.lengths]),
+                            checked=True)
+    with pytest.raises(LayoutError, match="^mesh is not face-connected$"):
+        layout_euclidean(mesh, metric)
+
+
 def test_layout_geometry_mismatch(grid9):
     metric = induced_metric(grid9)
     with pytest.raises(MetricError):
@@ -112,7 +128,7 @@ def test_hyperbolic_layout_orientation():
 
 def test_poincare_circle_at_origin():
     c, r = 0.0 + 0j, 0.8
-    C, R = hyperbolic_circle_to_euclidean(PoincareCircle(c, r))
+    C, R = poincare_circle_to_euclidean(c, r)
     assert C == 0.0
     assert R == pytest.approx(np.tanh(r / 2))
 
@@ -120,16 +136,16 @@ def test_poincare_circle_at_origin():
 def test_poincare_circle_small_radius_limit():
     c = 0.5 + 0.2j
     for r in (1e-4, 1e-6):
-        C, R = hyperbolic_circle_to_euclidean(PoincareCircle(c, r))
+        C, R = poincare_circle_to_euclidean(c, r)
         assert abs(C - c) < 1e-3 * abs(c)
         assert R < 1e-3
-    C, R = hyperbolic_circle_to_euclidean(PoincareCircle(c, 1e-8))
+    C, R = poincare_circle_to_euclidean(c, 1e-8)
     assert abs(C - c) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_poincare_circle_against_mobius_transport():
     c, r = 0.5 + 0j, 1.0
-    C, R = hyperbolic_circle_to_euclidean(PoincareCircle(c, r))
+    C, R = poincare_circle_to_euclidean(c, r)
     # transport 100 points at hyperbolic distance r from c and fit the circle
     phis = np.linspace(0.0, 2 * np.pi, 100, endpoint=False)
     pts = mobius_from_origin(c, np.tanh(r / 2) * np.exp(1j * phis))

@@ -212,6 +212,24 @@ def test_slice_requires_interior_edge(grid9):
         slice_along_edges(grid9, [int(boundary_edges[0])])
 
 
+def test_cut_rejects_disconnected_mesh():
+    torus = meshes.torus_grid(4, 4)[0]
+    two = build_mesh(np.vstack([torus.faces, torus.faces + torus.n_vertices]))
+    with pytest.raises(TopologyError,
+                       match="^cut_to_disk requires a connected mesh$"):
+        cut_to_disk(two)
+
+
+def test_slice_rejects_isolated_cut_edge(grid9):
+    boundary = grid9.boundary_vertex_mask()
+    inner = np.nonzero(~boundary[grid9.edges].any(axis=1))[0]
+    e = int(inner[0])
+    with pytest.raises(TopologyError,
+                       match=f"^cut edge {e} is isolated: slicing it would "
+                             "not open the mesh$"):
+        slice_along_edges(grid9, [e])
+
+
 def test_slice_edge_copies(torus16):
     mesh, _ = torus16
     disk, cut = cut_to_disk(mesh)

@@ -6,7 +6,6 @@ import pytest
 import meshes
 from qcflow.beltrami import BeltramiField, field_to_json
 from qcflow.cli import main as cli_main
-from qcflow.embed import embedded_edge_lengths
 from qcflow.errors import BeltramiError, PresetError
 from qcflow.flow import FlowOptions
 from qcflow.mesh import load_obj, save_obj
@@ -126,7 +125,7 @@ def test_flatten_annulus(annulus):
                       TargetPreset(PresetKind.ANNULUS))
     assert 0.0 < out.module < 1.0
     # layout is isometric for the cut-open flat metric
-    lengths = embedded_edge_lengths(out.mesh, out.param)
+    lengths = meshes.embedded_edge_lengths(out.mesh, out.param)
     metric_lengths = out.cut.push_edge(out.flow.metric.lengths)
     assert (np.abs(lengths - metric_lengths) / metric_lengths).max() < 1e-7
     assert out.report["module"] == out.module
@@ -447,3 +446,16 @@ def test_qcmap_pre_flow_surgery_failure_names_faces():
     assert faces.size > 0
     assert faces.min() >= 0 and faces.max() < mesh.n_faces
     assert "\n" not in str(info.value)
+
+
+def test_qcmap_closed_failure_names_faces():
+    mesh = meshes.embedded_torus(24, 16)
+    mu = np.full(mesh.n_vertices, 0.85 * np.exp(0.25j * np.pi))
+    with pytest.raises(BeltramiError) as info:
+        cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN,
+                  TargetPreset(PresetKind.CLOSED_FLAT))
+    faces = info.value.faces
+    assert len(faces) > 16
+    assert min(faces) >= 0 and max(faces) < mesh.n_faces
+    assert str(info.value) == (
+        f"auxiliary metric inadmissible on faces {faces[:16]}...")
