@@ -228,24 +228,48 @@ def map_distance(f, g, mesh, metric):
 # Serialization: {"mu": [{"i": id, "re": x, "im": y}, ...]}
 
 
+# One entry of ``json.dumps(..., indent=2)``: ``json`` prints a finite float
+# with ``float.__repr__``, which is ``str``.
+_ENTRY = '    {\n      "i": %d,\n      "re": %s,\n      "im": %s\n    },\n'
+
+
 def field_to_json(mu):
+    """The field as ``json.dumps({"mu": [{"i": ..., "re": ..., "im": ...},
+    ...]}, indent=2)`` prints it, formatted in one call."""
     values = mu.values if isinstance(mu, BeltramiField) else np.asarray(mu)
-    entries = [{"i": int(i), "re": float(v.real), "im": float(v.imag)}
-               for i, v in enumerate(values)]
-    return json.dumps({"mu": entries}, indent=2)
+    if not len(values):
+        return json.dumps({"mu": []}, indent=2)
+    rows = np.column_stack([np.arange(len(values)), values.real,
+                            values.imag]).astype(np.float64)
+    cells = rows.ravel().tolist()
+    for k in np.flatnonzero(~np.isfinite(rows.ravel())).tolist():
+        cells[k] = json.dumps(cells[k])  # NaN, Infinity, -Infinity
+    body = (_ENTRY * len(values)) % tuple(cells)
+    return '{\n  "mu": [\n' + body[:-2] + "\n  ]\n}"
 
 
 def field_from_json(text, n_vertices=None):
     try:
-        doc = json.loads(text)
-        entries = doc["mu"]
-        pairs = {int(e["i"]): complex(float(e["re"]), float(e["im"]))
-                 for e in entries}
+        entries = json.loads(text)["mu"]
+        # One flat list, filled entry by entry so that the first bad entry
+        # names the fault; a tuple per entry kept alive would cost extra
+        # garbage-collector passes.
+        cells = [x for e in entries
+                 for x in (int(e["i"]), float(e["re"]), float(e["im"]))]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise BeltramiError(f"malformed mu JSON: {exc}") from exc
-    n = n_vertices if n_vertices is not None else (max(pairs) + 1 if pairs else 0)
-    if sorted(pairs) != list(range(n)):
+    ids = cells[0::3]
+    n = n_vertices if n_vertices is not None else (max(ids) + 1 if ids else 0)
+    # The indices must be exactly range(n), so n is at most the entry
+    # count; a repeated index keeps its last value, as in a dict.
+    last = None
+    if not ids or 0 <= min(ids) and max(ids) < n <= len(ids):
+        backwards = np.array(ids[::-1], dtype=np.int64)
+        last = len(ids) - 1 - np.unique(backwards, return_index=True)[1]
+    if last is None or len(last) != n:
         raise BeltramiError(
             "mu JSON must contain every vertex index exactly once")
-    values = np.array([pairs[i] for i in range(n)], dtype=np.complex128)
+    values = np.empty(n, dtype=np.complex128)
+    values.real = np.array(cells[1::3], dtype=np.float64)[last]
+    values.imag = np.array(cells[2::3], dtype=np.float64)[last]
     return BeltramiField(values)

@@ -10,8 +10,9 @@ twin pairing is stored.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import chain
 from operator import itemgetter, methodcaller
 
 import numpy as np
@@ -328,14 +329,22 @@ def load_obj(path):
     Only ``v``, ``vt`` and triangular ``f`` records are interpreted; other
     record types are skipped. Texture coordinates, when present on every face
     corner, are stored on the mesh as a per-vertex complex array.
+
+    Each record kind is gathered from the whole text by one regular
+    expression, and its rows are joined and split once. When every row has
+    one shape (``v x y z``, ``vt u v``, ``f a b c`` or ``f a/t b/t c/t``,
+    single spaces, ASCII), all numbers of the kind are converted by one
+    ``np.fromiter`` over Python's ``float`` or ``int``. Otherwise the kind
+    is converted row by row, each face corner by ``str.partition``. A
+    malformed record sends the reader line by line through the text to name
+    the first bad line.
     """
+    text = _read_text(path)
     try:
-        verts, uvs, faces, tex = _convert(_records(_read_lines(path)))
+        verts, uvs = _coordinates(text)
+        faces, tex = _face_ids(_F.findall(text))
     except ValueError:
-        # Malformed records: read again (the line list is not kept, which
-        # lowers peak memory) and convert line by line to find the first
-        # bad one.
-        lineno, message = _first_bad_line(_read_lines(path))
+        lineno, message = _first_bad_line(text)
         raise ParseError(f"{path}:{lineno}: {message}") from None
 
     if not len(verts):
@@ -352,69 +361,94 @@ def load_obj(path):
     return build_mesh(faces.reshape(-1, 3), positions=verts, uv=uv)
 
 
-def _read_lines(path):
+def _read_text(path):
+    """The file's text after a newline, so that every record, the first one
+    too, follows a newline (see :func:`_record`)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read().split("\n")
+            return "\n" + fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") \
                 from None
 
 
-def _records(lines):
-    """Token rows of the ``v``, ``vt`` and ``f`` records among ``lines``;
-    other records are skipped."""
-    records = {"v": [], "vt": [], "f": []}
-    for key, rows in groupby(filter(None, map(str.split, lines)),
-                             itemgetter(0)):
-        if key in records:
-            records[key].extend(rows)
-    return records
+def _record(key):
+    """Pattern whose group 1 is the rest of each line that has ``key`` as
+    its first token. ``[^\\S\\n]`` is the whitespace ``str.split`` splits on,
+    less the newline. Matching from the newline before the line lets the
+    scan skip from line to line."""
+    return re.compile(rf"\n[^\S\n]*{key}(?:[^\S\n]+(.*)|$)", re.M)
 
 
-def _convert(records):
-    """Vertex positions, texture coordinates, and per-corner vertex and
-    texture ids of the token rows, converted in bulk. Raises ValueError with
-    the fault on a malformed record."""
-    verts = _floats(records["v"], 3, "vertex needs 3 coordinates",
+_V, _VT, _F = _record("v"), _record("vt"), _record("f")
+# ASCII bytes that str.split does not split on, and the digits.
+_NOT_SPACE = bytes(set(range(128)) - set(b" \t\n\v\f\r\x1c\x1d\x1e\x1f"))
+_DIGITS = b"0123456789"
+
+
+def _all_rows_are(joined, n, shape, drop):
+    """Whether ``joined``, ``n`` rows joined by newlines, is ASCII and every
+    row reads ``shape`` once the ``drop`` bytes are removed."""
+    return joined.isascii() and (
+        joined.encode().translate(None, drop) == b"\n".join([shape] * n))
+
+
+def _coordinates(text):
+    """Vertex positions and texture coordinates of the records in ``text``.
+    Raises ValueError with the fault on a malformed record."""
+    verts = _floats(_V.findall(text), 3, "vertex needs 3 coordinates",
                     "bad vertex coordinate")
-    uvs = _floats(records["vt"], 2, "vt needs 2 coordinates",
+    uvs = _floats(_VT.findall(text), 2, "vt needs 2 coordinates",
                   "bad texture coordinate").view(np.complex128).ravel()
-    faces, tex = _corners(_face_refs(records["f"]))
-    return verts, uvs, faces, tex
-
-
-def _first_bad_line(lines):
-    """(lineno, fault) of the first line that fails to convert. Face
-    corners are converted one at a time, so a line with several faults
-    reports the first."""
-    for lineno, line in enumerate(lines, start=1):
-        records = _records([line])
-        try:
-            for ref in _face_refs(records["f"]):
-                _corners([ref])
-            _convert(records)
-        except ValueError as exc:
-            return lineno, str(exc)
+    return verts, uvs
 
 
 def _floats(rows, count, short, bad):
-    """Fields ``1..count`` of every token row as a (rows, count) array."""
-    if rows and min(map(len, rows)) <= count:
-        raise ValueError(short)
-    fields = chain.from_iterable(map(itemgetter(slice(1, count + 1)), rows))
+    """The first ``count`` fields of every row as a (rows, count) array.
+    Rows of exactly ``count`` fields, one space apart, are split all at
+    once; otherwise row by row."""
+    joined = "\n".join(rows)
+    # Off the shape, the empty list fails the count unless there are no rows.
+    fields = joined.split() if _all_rows_are(
+        joined, len(rows), b" " * (count - 1), _NOT_SPACE) else []
+    if len(fields) != count * len(rows):
+        rows = list(map(str.split, rows))
+        if rows and min(map(len, rows)) < count:
+            raise ValueError(short)
+        fields = list(chain.from_iterable(
+            map(itemgetter(slice(count)), rows)))
     try:
-        values = np.fromiter(map(float, fields), np.float64, count * len(rows))
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
     except ValueError:
         raise ValueError(bad) from None
     return values.reshape(-1, count)
 
 
+def _face_ids(rows):
+    """0-based vertex and texture ids (-1 when absent) of the corners of
+    the ``f`` rows. Rows that are all ``a b c`` or all ``a/t b/t c/t``
+    (ASCII digits, single spaces) split all at once with ``/`` read as a
+    space; otherwise corner by corner."""
+    joined = "\n".join(rows)
+    width = 2 if "/" in joined else 1
+    ids = joined.replace("/", " ").split() if _all_rows_are(
+        joined, len(rows), b"/ / /" if width == 2 else b"  ", _DIGITS) else []
+    if len(ids) != 3 * width * len(rows):
+        return _corners(_face_refs(rows))
+    try:
+        ids = _ints(ids).reshape(-1, width)
+    except OverflowError:
+        raise ValueError("bad face index") from None
+    ti = ids[:, 1] if width == 2 else np.zeros(len(ids), dtype=np.int64)
+    return _zero_based(ids[:, 0]), ti - 1
+
+
 def _face_refs(rows):
     """The three corner references of every ``f`` row, flattened."""
-    if rows and set(map(len, rows)) != {4}:
+    refs = list(map(str.split, rows))
+    if refs and set(map(len, refs)) != {3}:
         raise ValueError("only triangular faces are supported")
-    return list(chain.from_iterable(map(itemgetter(1, 2, 3), rows)))
+    return list(chain.from_iterable(refs))
 
 
 def _corners(refs):
@@ -433,13 +467,31 @@ def _corners(refs):
             ti = np.zeros(len(refs), dtype=np.int64)
     except (ValueError, OverflowError):
         raise ValueError("bad face index") from None
+    return _zero_based(vi), ti - 1
+
+
+def _zero_based(vi):
     if (vi < 1).any():
         raise ValueError("face index must be >= 1")
-    return vi - 1, ti - 1
+    return vi - 1
 
 
 def _ints(strings):
     return np.fromiter(map(int, strings), np.int64, len(strings))
+
+
+def _first_bad_line(text):
+    """(lineno, fault) of the first line of ``text`` (after its leading
+    newline) that fails to convert. Face corners are converted one at a
+    time, so a line with several faults reports the first."""
+    for lineno, line in enumerate(text.split("\n")[1:], start=1):
+        line = "\n" + line
+        try:
+            _coordinates(line)
+            for ref in _face_refs(_F.findall(line)):
+                _corners([ref])
+        except ValueError as exc:
+            return lineno, str(exc)
 
 
 def _vertex_uv(path, vi, ti, uvs, nv):

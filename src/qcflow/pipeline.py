@@ -24,7 +24,12 @@ from .beltrami import (
 )
 from .errors import BeltramiError, PresetError, SurgeryError
 from .flow import FlowOptions, edge_swap, longest_edges, run_flow
-from .mesh import cut_to_disk, euler_characteristic, slice_along_edges
+from .mesh import (
+    _format_rows,
+    cut_to_disk,
+    euler_characteristic,
+    slice_along_edges,
+)
 from .metric import (
     DiscreteMetric,
     Geometry,
@@ -382,10 +387,10 @@ def cmd_estimate_mu(src_mesh, dst_mesh):
 
 
 def csv_text(rows):
-    lines = ["re,im,arg,modulus,dilation"]
-    for r in rows:
-        lines.append(",".join(f"{x:.9g}" for x in r))
-    return "\n".join(lines) + "\n"
+    """The ``(re, im, arg, modulus, dilation)`` rows as CSV with a header,
+    every value printed ``%.9g``."""
+    line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
+    return "re,im,arg,modulus,dilation\n" + _format_rows(line, rows)
 
 
 def cmd_compose(mu_f, mu_g, f_src_mesh, f_dst_mesh):

@@ -2,19 +2,30 @@
 
 These are the face-by-face breadth-first layout, the per-vertex cut loops
 and the scalar placement primitives that the array code in ``qcflow.geom``,
-``qcflow.embed`` and ``qcflow.mesh`` replaced. The array code must reproduce
-them bit for bit; see ``test_sequential_oracle.py``.
+``qcflow.embed`` and ``qcflow.mesh`` replaced, and the line-by-line OBJ
+reader and entry-by-entry mu JSON and CSV code that the bulk text I/O in
+``qcflow.mesh``, ``qcflow.beltrami`` and ``qcflow.pipeline`` replaced. The
+new code must reproduce them bit for bit; see ``test_sequential_oracle.py``.
 """
 
+import json
 from collections import deque
+from itertools import chain, groupby
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
-from qcflow.beltrami import Parameterization
+from qcflow.beltrami import BeltramiField, Parameterization
 from qcflow.embed import _check_disk, _check_flat
-from qcflow.errors import LayoutError, MetricError, TopologyError
+from qcflow.errors import (
+    BeltramiError,
+    LayoutError,
+    MetricError,
+    ParseError,
+    TopologyError,
+)
 from qcflow.geom import _TANGENT_SLACK, hyperbolic_distance
-from qcflow.mesh import CutGraph, build_mesh, euler_characteristic
+from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
 from qcflow.metric import Geometry, check_triangle_inequality, corner_angles
 
 
@@ -375,3 +386,153 @@ def cut_to_disk(mesh):
             f"(chi={euler_characteristic(disk)}, "
             f"boundaries={len(disk.boundary_loops)})")
     return disk, graph
+
+
+# ---------------------------------------------------------------------------
+# Text I/O
+
+
+def load_obj(path):
+    """Line-by-line OBJ reader: per-line token lists grouped by record kind,
+    one ``str.partition`` per face corner."""
+    try:
+        verts, uvs, faces, tex = _convert(_records(_read_lines(path)))
+    except ValueError:
+        lineno, message = _first_bad_line(_read_lines(path))
+        raise ParseError(f"{path}:{lineno}: {message}") from None
+
+    if not len(verts):
+        raise ParseError(f"{path}: no vertices")
+    if not len(faces):
+        raise ParseError(f"{path}: no faces")
+    if faces.max() >= len(verts):
+        raise ParseError(f"{path}: face references vertex {faces.max() + 1} "
+                         f"but only {len(verts)} vertices are defined")
+
+    uv = None
+    if len(uvs) and (tex >= 0).all():
+        uv = _vertex_uv(path, faces, tex, uvs, len(verts))
+    return build_mesh(faces.reshape(-1, 3), positions=verts, uv=uv)
+
+
+def _read_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") \
+                from None
+
+
+def _records(lines):
+    """Token rows of the ``v``, ``vt`` and ``f`` records among ``lines``;
+    other records are skipped."""
+    records = {"v": [], "vt": [], "f": []}
+    for key, rows in groupby(filter(None, map(str.split, lines)),
+                             itemgetter(0)):
+        if key in records:
+            records[key].extend(rows)
+    return records
+
+
+def _convert(records):
+    """Vertex positions, texture coordinates, and per-corner vertex and
+    texture ids of the token rows, converted in bulk. Raises ValueError with
+    the fault on a malformed record."""
+    verts = _floats(records["v"], 3, "vertex needs 3 coordinates",
+                    "bad vertex coordinate")
+    uvs = _floats(records["vt"], 2, "vt needs 2 coordinates",
+                  "bad texture coordinate").view(np.complex128).ravel()
+    faces, tex = _corners(_face_refs(records["f"]))
+    return verts, uvs, faces, tex
+
+
+def _first_bad_line(lines):
+    """(lineno, fault) of the first line that fails to convert. Face
+    corners are converted one at a time, so a line with several faults
+    reports the first."""
+    for lineno, line in enumerate(lines, start=1):
+        records = _records([line])
+        try:
+            for ref in _face_refs(records["f"]):
+                _corners([ref])
+            _convert(records)
+        except ValueError as exc:
+            return lineno, str(exc)
+
+
+def _floats(rows, count, short, bad):
+    """Fields ``1..count`` of every token row as a (rows, count) array."""
+    if rows and min(map(len, rows)) <= count:
+        raise ValueError(short)
+    fields = chain.from_iterable(map(itemgetter(slice(1, count + 1)), rows))
+    try:
+        values = np.fromiter(map(float, fields), np.float64, count * len(rows))
+    except ValueError:
+        raise ValueError(bad) from None
+    return values.reshape(-1, count)
+
+
+def _face_refs(rows):
+    """The three corner references of every ``f`` row, flattened."""
+    if rows and set(map(len, rows)) != {4}:
+        raise ValueError("only triangular faces are supported")
+    return list(chain.from_iterable(map(itemgetter(1, 2, 3), rows)))
+
+
+def _corners(refs):
+    """0-based vertex and texture ids (-1 when absent) of the face corner
+    references ``v``, ``v/t``, ``v//n`` or ``v/t/n``."""
+    try:
+        if "/" in "".join(refs):
+            parts = list(map(methodcaller("partition", "/"), refs))
+            tails = list(map(itemgetter(2), parts))
+            if "/" in "".join(tails):
+                tails = [t.partition("/")[0] for t in tails]
+            vi = _ints(list(map(itemgetter(0), parts)))
+            ti = _ints([t or "0" for t in tails])
+        else:
+            vi = _ints(refs)
+            ti = np.zeros(len(refs), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError("bad face index") from None
+    if (vi < 1).any():
+        raise ValueError("face index must be >= 1")
+    return vi - 1, ti - 1
+
+
+def _ints(strings):
+    return np.fromiter(map(int, strings), np.int64, len(strings))
+
+
+def field_to_json(mu):
+    """One dict per entry, printed by ``json.dumps(indent=2)``."""
+    values = mu.values if isinstance(mu, BeltramiField) else np.asarray(mu)
+    entries = [{"i": int(i), "re": float(v.real), "im": float(v.imag)}
+               for i, v in enumerate(values)]
+    return json.dumps({"mu": entries}, indent=2)
+
+
+def field_from_json(text, n_vertices=None):
+    """One dict entry per vertex, checked against ``range(n)``."""
+    try:
+        doc = json.loads(text)
+        entries = doc["mu"]
+        pairs = {int(e["i"]): complex(float(e["re"]), float(e["im"]))
+                 for e in entries}
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        raise BeltramiError(f"malformed mu JSON: {exc}") from exc
+    n = n_vertices if n_vertices is not None else (max(pairs) + 1 if pairs else 0)
+    if sorted(pairs) != list(range(n)):
+        raise BeltramiError(
+            "mu JSON must contain every vertex index exactly once")
+    values = np.array([pairs[i] for i in range(n)], dtype=np.complex128)
+    return BeltramiField(values)
+
+
+def csv_text(rows):
+    """One f-string per row."""
+    lines = ["re,im,arg,modulus,dilation"]
+    for r in rows:
+        lines.append(",".join(f"{x:.9g}" for x in r))
+    return "\n".join(lines) + "\n"

@@ -9,13 +9,11 @@ import functools
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 import meshes
 from qcflow.beltrami import (
     BeltramiField,
-    Parameterization,
     compose_beltrami,
     estimate_beltrami,
     map_distance,
@@ -23,7 +21,7 @@ from qcflow.beltrami import (
 from qcflow.embed import layout_euclidean, torus_periods
 from qcflow.flow import FlowOptions, assemble_hessian, run_flow
 from qcflow.geom import mobius_from_origin, poincare_circle_to_euclidean
-from qcflow.mesh import build_mesh, cut_to_disk, euler_characteristic, save_obj
+from qcflow.mesh import build_mesh, cut_to_disk, save_obj
 from qcflow.metric import (
     DiscreteMetric,
     Geometry,

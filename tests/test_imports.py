@@ -1,0 +1,41 @@
+"""Every imported name is used: a walk over the syntax trees of the package
+and the tests, in place of a linter. ``from __future__`` imports and the
+package's re-exports in ``qcflow/__init__.py`` are exempt."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "qcflow").glob("*.py")) + \
+    sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source):
+    """(line, name) of every name an import binds that the module never
+    reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).partition(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.name != "__init__.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_walk():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from a import b, c as d\n"
+              "def f():\n    return np.pi + os.sep + d\n")
+    assert unused_imports(source) == [(4, "b")]

@@ -316,7 +316,9 @@ _SQUARE = ("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
            "vt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\n")
 
 
-@pytest.mark.parametrize("text, uv", [
+# (text, uv) rows that load; the first two vertices are (0, 0, 0) and
+# (1, 0, 0) and every "f " is a face.
+OBJ_ACCEPTS = [
     ("v 0 0 0\r\nv\t1 0 0\r\nv 0\t1  0\r\n\tf 1 2\t3\r\n", None),
     ("o tri\ng part\ns 1\nusemtl m\n" + _TRI + "vn 0 0 1\nf 1 2 3\n", None),
     (_TRI + "vt 0 0\nvt 1 0\nvt 0 1\nvn 0 0 1\nf 1//1 2//1 3//1\n", None),
@@ -324,8 +326,18 @@ _SQUARE = ("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
      [0, 1, 1j]),
     (_SQUARE + "f 1/1 2/2 3/3\nf 1 3 4\n", None),
     ("v 0 0 0 1\nv 1 0 0 1\nv 0 1 0 1\nf 1 2 3\n", None),
-], ids=["crlf-tabs", "skipped-records", "no-texture-index", "texture-index",
-        "partial-texture", "vertex-weight"])
+    ("v 0\xa00 0\nv\xa01 0\xa0\xa00\nv 0 1 0\nf 1\xa02 3\n", None),
+    ("v 0 0 0 # origin\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", None),
+    (_TRI + "f 1 2 3\nv 1 1 0\nf 2 4 3\n", None),
+    (_SQUARE + "f 1/1 2/2 3/3\nf 1/ 3/ 4/\n", None),
+]
+OBJ_ACCEPT_IDS = ["crlf-tabs", "skipped-records", "no-texture-index",
+                  "texture-index", "partial-texture", "vertex-weight",
+                  "nbsp-separators", "vertex-comment", "interleaved-records",
+                  "empty-texture-index"]
+
+
+@pytest.mark.parametrize("text, uv", OBJ_ACCEPTS, ids=OBJ_ACCEPT_IDS)
 def test_obj_reader_accepts(tmp_path, text, uv):
     path = tmp_path / "m.obj"
     path.write_bytes(text.encode())
@@ -338,7 +350,8 @@ def test_obj_reader_accepts(tmp_path, text, uv):
         assert np.array_equal(mesh.uv, uv)
 
 
-@pytest.mark.parametrize("text, match", [
+# (text, message pattern) rows that raise ParseError.
+OBJ_REJECTS = [
     (_SQUARE + "f 1/1 2/2 3/3\nf 1/4 3/3 4/4\n",
      r"vertex 1 has two distinct texture coordinates"),
     (_TRI + "vt 0 0\nf 1/1 2/1 3/9\n", r"references vt 9"),
@@ -351,10 +364,18 @@ def test_obj_reader_accepts(tmp_path, text, uv):
     (_TRI + "v 0 zero 0\nf 1 2 3 4\n", r"m\.obj:4: bad vertex coordinate"),
     ("# nothing\n", r"no vertices"),
     (_TRI, r"no faces"),
-], ids=["two-texture-coordinates", "texture-index-range", "negative-index",
-        "short-vertex", "short-texture", "bad-texture", "bad-face-index",
-        "first-bad-line-face", "first-bad-line-vertex", "no-vertices",
-        "no-faces"])
+    ("v 0 0 0\nv\nv 0 1 0\nf 1 2 3\n", r"m\.obj:2: vertex needs 3"),
+    (_TRI + "f 1 2 3 # tri\n", r"m\.obj:4: only triangular"),
+    (_TRI + "f 1 2 99999999999999999999\n", r"m\.obj:4: bad face index"),
+]
+OBJ_REJECT_IDS = ["two-texture-coordinates", "texture-index-range",
+                  "negative-index", "short-vertex", "short-texture",
+                  "bad-texture", "bad-face-index", "first-bad-line-face",
+                  "first-bad-line-vertex", "no-vertices", "no-faces",
+                  "bare-vertex", "face-comment", "face-index-overflow"]
+
+
+@pytest.mark.parametrize("text, match", OBJ_REJECTS, ids=OBJ_REJECT_IDS)
 def test_obj_reader_rejects(tmp_path, text, match):
     path = tmp_path / "m.obj"
     path.write_bytes(text.encode())

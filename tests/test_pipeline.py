@@ -7,9 +7,8 @@ import meshes
 from qcflow.beltrami import BeltramiField, field_to_json
 from qcflow.cli import main as cli_main
 from qcflow.errors import BeltramiError, PresetError
-from qcflow.flow import FlowOptions
 from qcflow.mesh import load_obj, save_obj
-from qcflow.metric import Geometry, induced_metric
+from qcflow.metric import Geometry
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,

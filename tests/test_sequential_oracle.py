@@ -1,14 +1,20 @@
-"""The array-built layout, cut and placement code against the sequential
-loops it replaced (``sequential.py``): the arithmetic is unchanged, so every
-result must be equal bit for bit."""
+"""The array-built layout, cut and placement code and the bulk text I/O
+against the sequential loops they replaced (``sequential.py``): the
+arithmetic is unchanged, so every result must be equal bit for bit, and
+every error message equal."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import meshes
 import sequential
+import test_mesh
+from qcflow.beltrami import field_from_json, field_to_json
 from qcflow.embed import layout_euclidean, layout_hyperbolic
-from qcflow.errors import QcflowError
+from qcflow.errors import BeltramiError, QcflowError
 from qcflow.flow import run_flow
 from qcflow.geom import (
     apex_over_base,
@@ -19,13 +25,14 @@ from qcflow.geom import (
     place_third_hyperbolic,
     poincare_circle_to_euclidean,
 )
-from qcflow.mesh import cut_to_disk, slice_along_edges
+from qcflow.mesh import cut_to_disk, load_obj, slice_along_edges
 from qcflow.metric import DiscreteMetric, Geometry, induced_metric
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
     _boundary_slit_path,
     cmd_flatten,
+    csv_text,
 )
 
 
@@ -228,3 +235,214 @@ def test_place_third_hyperbolic_matches_scalar(frame):
                        lb[:50].tolist()))
     assert bits([place_third_hyperbolic(*args) for args in scalars]) == \
         bits([sequential.place_third_hyperbolic(*args) for args in scalars])
+
+
+# ---------------------------------------------------------------------------
+# Text I/O
+
+
+def _loaded(load, path):
+    """Bytes of the mesh ``load`` reads from ``path``, or its error."""
+    try:
+        mesh = load(path)
+    except Exception as exc:  # the same type and message is the contract
+        return type(exc), str(exc)
+    return (mesh.positions.tobytes(), mesh.faces.tobytes(),
+            None if mesh.uv is None else mesh.uv.tobytes())
+
+
+def _same_load(path):
+    new = _loaded(load_obj, path)
+    assert new == _loaded(sequential.load_obj, path)
+    return new
+
+
+@pytest.mark.parametrize("text", [text for text, _ in test_mesh.OBJ_ACCEPTS]
+                         + [text for text, _ in test_mesh.OBJ_REJECTS])
+def test_obj_reader_table_matches_sequential(tmp_path, text):
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode())
+    _same_load(path)
+
+
+@pytest.fixture(scope="module")
+def analyze_inputs(tmp_path_factory):
+    """The ``analyze-16k`` benchmark inputs of seed 7: 16,641-vertex OBJs
+    with and without ``vt`` records, and a mu JSON."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = tmp_path_factory.mktemp("analyze")
+    gen.gen_analyze(out, np.random.default_rng(7), smoke=False)
+    return out
+
+
+@pytest.mark.parametrize("name", ["src.obj", "dst.obj", "plain.obj"])
+def test_obj_reader_matches_sequential_at_scale(analyze_inputs, name):
+    positions, faces, uv = _same_load(analyze_inputs / name)
+    assert len(faces) == 2 * 128 * 128 * 3 * 8  # bytes of 32,768 faces
+    assert (uv is None) == (name == "plain.obj")
+
+
+# Whitespace runs str.split() splits on, and tokens that Python's float and
+# int read alike in other spellings.
+_SEPARATORS = [" ", "  ", "\t", " \t", "\x0c", "\x0b", "\xa0", "\u3000",
+               "\x1f"]
+_FLOATS = ["0", "-0", "1", "0.5", ".5", "5.", "+2.5", "1e-3", "1E2", "1_0.5",
+           "-7.25e+1", "3.141592653589793", "nan", "-inf", "Infinity"]
+_JUNK = ["# comment", "vn 0 0 1", "o part", "g group", "s off", "usemtl m",
+         "", "   ", "v1 2 3", "f1 2 3", "vp 0.5", "l 1 2"]
+_FAULTS = ["v", "v 1 2", "vt", "vt 1", "vt x 0", "v 0 zero 0", "f", "f 1 2",
+           "f 1 2 3 4", "f 1 2 3 # c", "f 0 1 2", "f -1 2 3", "f 1 2 x",
+           "f 1 2 99999999999999999999", "f 1/99999999999999999999 2 3",
+           "f /1 2 3", "f 1/x 2 3", "f 1 2 999", "f 1/9999 2/1 3/1",
+           "v 1 2 3 4", "v 0 0 0 # note", "vt 0 0 0", "f 1/ 2/ 3/",
+           "f 1//1 2//1 3//1", "f 1/1/1 2/1/1 3/1/1"]
+# Records one space apart that are near the shapes converted in bulk.
+_NEAR_BULK = ["f 1/ 2/ 3/", "f 1/1 2/ 3/3", "f 1/1 2 3/3", "f 1 2/2 3",
+              "f 1/1 2/2 3/3/3", "f 01/1 02/2 03/3", "f 1/1 2/2",
+              "f 12345678901234567890/1 2/2 3/3", "f 1/1 2/2 3/3 4/4",
+              "v 1  2 3", "v 1 2 3 ", "v 1 2", "v 1e400 2 3", "vt 1 2 ",
+              "vt 1", "vt 1 2 3"]
+
+
+def _index(rng, k, plain):
+    """A spelling of the OBJ index ``k`` that ``int`` reads as ``k``."""
+    form = 4 if plain else rng.integers(5)
+    if form == 0:
+        return f"+{k}"
+    if form == 1:
+        return f"{k:04d}"
+    if form == 2 and k >= 10:
+        return f"{str(k)[0]}_{str(k)[1:]}"
+    return str(k)
+
+
+def _corner(rng, form, v, t, plain):
+    if form == "mixed":
+        form = ["v", "v/t", "v//n", "v/t/n", "v/"][rng.integers(5)]
+    v, t = _index(rng, v, plain), _index(rng, t, plain)
+    return {"v": v, "v/t": f"{v}/{t}", "v//n": f"{v}//1",
+            "v/t/n": f"{v}/{t}/1", "v/": f"{v}/"}[form]
+
+
+def _perturbed_obj(rng):
+    """A 4 x 4 grid OBJ with random line ends, record order, skipped
+    records and, in half the cases, one fault. Half the cases also take
+    random separators and index spellings; the other half are one space
+    apart with plain indices, the shape the reader converts in bulk."""
+    mesh = meshes.grid_mesh(4, 4)
+    plain = rng.random() < 0.5
+    def sep():
+        return " " if plain else _SEPARATORS[rng.integers(len(_SEPARATORS))]
+    def record(key, fields):
+        lead = sep() if not plain and rng.random() < 0.2 else ""
+        tail = sep() if not plain and rng.random() < 0.2 else ""
+        return lead + key + "".join(sep() + f for f in fields) + tail
+    def number(x):
+        if rng.random() < 0.3:
+            return _FLOATS[rng.integers(len(_FLOATS))]
+        return repr(float(x))
+    vs = [record("v", [number(x) for x in p]) for p in mesh.positions]
+    vts = [record("vt", [number(x) for x in p[:2]]) for p in mesh.positions]
+    forms = ["v", "v/t", "v/t"] if plain else ["v", "v/t", "v//n", "v/t/n"]
+    form = (forms + ["mixed"])[rng.integers(len(forms) + 1)]
+    fs = [record("f", [_corner(rng, form, v + 1, v + 1, plain)
+                       for v in face])
+          for face in mesh.faces]
+    if form == "v" and rng.random() < 0.5:
+        vts = []
+    # interleave the kinds, keeping each kind's order
+    kinds = np.array([0] * len(vs) + [1] * len(vts) + [2] * len(fs))
+    if rng.random() < 0.5:
+        rng.shuffle(kinds)
+    queues = [iter(vs), iter(vts), iter(fs)]
+    lines = [next(queues[k]) for k in kinds]
+    for _ in range(rng.integers(4)):
+        lines.insert(rng.integers(len(lines) + 1),
+                     _JUNK[rng.integers(len(_JUNK))])
+    if rng.random() < 0.5:
+        faults = _FAULTS + _NEAR_BULK * 2 if plain else _FAULTS
+        fault = faults[rng.integers(len(faults))]
+        lines.insert(rng.integers(len(lines) + 1), fault.replace(" ", sep()))
+    end = ["\n", "\r\n", "\r"][rng.integers(3)]
+    text = end.join(lines)
+    return text + end if rng.random() < 0.8 else text
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_obj_reader_perturbations_match_sequential(tmp_path, seed):
+    rng = np.random.default_rng(100 + seed)
+    path = tmp_path / "m.obj"
+    for _ in range(50):
+        path.write_bytes(_perturbed_obj(rng).encode())
+        _same_load(path)
+
+
+_VALUES = [0.0, -0.0, 1e-300, 5e-324, 1e16, 1.5e300, 0.1, 1 / 3,
+           -2.5e-7, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [complex(a, b) for a in _VALUES for b in _VALUES],
+    np.random.default_rng(21).normal(size=500)
+    + 1j * np.random.default_rng(22).normal(size=500),
+    np.arange(12.0),
+], ids=["empty", "special-values", "random", "real"])
+def test_text_writers_match_sequential(values):
+    values = np.asarray(values)
+    assert field_to_json(values) == sequential.field_to_json(values)
+    rows = np.column_stack([values.real, values.imag, np.angle(values),
+                            np.abs(values), values.real * 1e-9]) \
+        if len(values) else np.empty((0, 5))
+    assert csv_text(rows) == sequential.csv_text(rows)
+
+
+def _field_read(read, text, n):
+    try:
+        return read(text, n).values.tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    '{"mu": []}',
+    '{"mu": [{"i": 1, "re": 0.5, "im": 0}, {"i": 0, "re": -0.0, "im": 1}]}',
+    '{"mu": [{"i": 0, "re": 1, "im": 2}, {"i": 0, "re": 3, "im": 4}]}',
+    '{"mu": [{"i": 0, "re": NaN, "im": -Infinity}]}',
+    '{"mu": [{"i": "0", "re": "0.25", "im": true}]}',
+    '{"mu": [{"i": 1.9, "re": 0, "im": 0}, {"i": 0, "re": 0, "im": 0}]}',
+    '{"mu": [{"i": 0, "re": 0, "im": 0}, {"i": 2, "re": 0, "im": 0}]}',
+    '{"mu": [{"i": -1, "re": 0, "im": 0}]}',
+    '{"mu": [{"i": 99999999999999999999, "re": 0, "im": 0}]}',
+    '{"mu": [{"i": 0, "im": 0}, {"re": 0}]}',
+    '{"mu": [{"i": "x", "re": 0}]}',
+    '{"mu": [{"i": 0, "re": [1], "im": 0}]}',
+    '{"mu": {"i": 0}}',
+    '{"mu": 3}',
+    '{"nu": []}',
+    '[1, 2]',
+    '{"mu": [',
+    '',
+], ids=lambda text: text[:40])
+@pytest.mark.parametrize("n", [None, 0, 1, 2])
+def test_field_reader_matches_sequential(text, n):
+    new = _field_read(field_from_json, text, n)
+    old = _field_read(sequential.field_from_json, text, n)
+    if isinstance(old, tuple) and old[0] is OverflowError:
+        # an index past 2**63 without n_vertices: the dict code failed to
+        # build range(n); the array code reports the missing indices
+        old = (BeltramiError,
+               "mu JSON must contain every vertex index exactly once")
+    assert new == old
+
+
+def test_mu_json_round_trip_matches_sequential(analyze_inputs):
+    text = (analyze_inputs / "g.json").read_text()
+    new = field_from_json(text, 129 * 129)
+    assert new.values.tobytes() == \
+        sequential.field_from_json(text, 129 * 129).values.tobytes()
+    assert field_to_json(new) == sequential.field_to_json(new)
