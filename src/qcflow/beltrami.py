@@ -87,8 +87,7 @@ def auxiliary_metric(metric, z, mu, mesh):
         raise BeltramiError(f"zero dz on edges {zero.tolist()[:16]}")
     mu_e = 0.5 * (values[a] + values[b])
     scale = np.abs(dz + mu_e * np.conj(dz)) / mod
-    return DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * scale,
-                          checked=False)
+    return DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * scale)
 
 
 @dataclass(frozen=True)
@@ -248,28 +247,40 @@ def field_to_json(mu):
     return '{\n  "mu": [\n' + body[:-2] + "\n  ]\n}"
 
 
+def _vertex_id(i):
+    # JSON true and false load as bool, a subclass of int
+    if type(i) is not int:
+        raise ValueError(f"vertex index {json.dumps(i)} is not an integer")
+    return i
+
+
 def field_from_json(text, n_vertices=None):
+    """The field of a ``{"mu": [{"i": ..., "re": ..., "im": ...}, ...]}``
+    text whose ids are JSON integers naming every vertex of ``range(n)``
+    exactly once; raises :class:`BeltramiError` otherwise."""
     try:
         entries = json.loads(text)["mu"]
         # One flat list, filled entry by entry so that the first bad entry
         # names the fault; a tuple per entry kept alive would cost extra
         # garbage-collector passes.
         cells = [x for e in entries
-                 for x in (int(e["i"]), float(e["re"]), float(e["im"]))]
+                 for x in (_vertex_id(e["i"]), float(e["re"]), float(e["im"]))]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise BeltramiError(f"malformed mu JSON: {exc}") from exc
     ids = cells[0::3]
+    seen = set()
+    repeated = [i for i in ids if i in seen or seen.add(i)]
+    if repeated:
+        raise BeltramiError(
+            f"mu JSON names vertex {repeated[0]} more than once")
+    # The indices are distinct, so they are range(n) exactly when they lie
+    # in it and there are n of them.
     n = n_vertices if n_vertices is not None else (max(ids) + 1 if ids else 0)
-    # The indices must be exactly range(n), so n is at most the entry
-    # count; a repeated index keeps its last value, as in a dict.
-    last = None
-    if not ids or 0 <= min(ids) and max(ids) < n <= len(ids):
-        backwards = np.array(ids[::-1], dtype=np.int64)
-        last = len(ids) - 1 - np.unique(backwards, return_index=True)[1]
-    if last is None or len(last) != n:
+    if len(ids) != n or ids and not (0 <= min(ids) and max(ids) < n):
         raise BeltramiError(
             "mu JSON must contain every vertex index exactly once")
+    index = np.array(ids, dtype=np.int64)
     values = np.empty(n, dtype=np.complex128)
-    values.real = np.array(cells[1::3], dtype=np.float64)[last]
-    values.imag = np.array(cells[2::3], dtype=np.float64)[last]
+    values.real[index] = cells[1::3]
+    values.imag[index] = cells[2::3]
     return BeltramiField(values)

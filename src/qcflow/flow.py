@@ -10,10 +10,12 @@ subspace with one vertex pinned; in the hyperbolic case H is positive
 definite and solved directly.
 
 Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
-pre-flow surgery of :mod:`qcflow.pipeline`. A swap rewrites only the two
-faces of the quad and rebuilds the mesh, so edge ids stay canonical; edge
-lengths are carried to the new ids by halfedge index. :func:`longest_edges`
-picks the edges both surgery loops try.
+pre-flow surgery of :mod:`qcflow.pipeline`; it flips by corner angles, with
+one rule for both background geometries. A swap rewrites only the two faces
+of the quad and rebuilds the mesh, so edge ids stay canonical; edge lengths
+are carried to the new ids by halfedge index. :func:`longest_edges` picks
+the edges both surgery loops try. In-flow surgery swaps on the current
+metric, then rebases it by ``-u``.
 """
 
 from __future__ import annotations
@@ -26,25 +28,23 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import FlowError, MetricError, SolverError, SurgeryError
-from .geom import (
-    apex_over_base,
-    hyperbolic_distance,
-    hyperbolic_segment_real_axis_crossing,
-    place_third_hyperbolic,
-)
 from .mesh import build_mesh
 from .metric import (
     DiscreteMetric,
     Geometry,
     check_triangle_inequality,
     corner_angles,
+    cosine_law,
     deform_metric,
     opposite_lengths,
+    opposite_side,
     vertex_curvature,
 )
 
 # failed step halvings before edge-swap surgery is attempted
 _SURGERY_AFTER_HALVINGS = 5
+# step halvings per Newton iteration before the line search gives up
+_MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,13 @@ class FlowOptions:
 
     eps: float = 1e-8
     max_iterations: int = 50
-    max_halvings: int = 20
     surgery: bool = True
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.max_iterations < 1 or self.max_halvings < 1:
-            raise ValueError("iteration bounds must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -210,16 +209,16 @@ def edge_swap(mesh, metric, edge):
     """Replace the diagonal of the two faces meeting at ``edge`` with the
     opposite diagonal of their quad.
 
-    The quad is laid out isometrically in the metric's background geometry to
-    measure the new diagonal, with the constructions the layout uses
-    (:func:`~qcflow.geom.apex_over_base` over the diagonal in the plane,
-    :func:`~qcflow.geom.place_third_hyperbolic` in the disk). Raises
-    :class:`SurgeryError` when the edge is on the boundary, the swap would
-    duplicate an existing edge, the quad is non-convex, or a new face would
-    violate the triangle inequality.
+    With ``edge = (i, j)`` between the faces ``(i, j, k)`` and ``(j, i, l)``,
+    the quad is convex when the corner-angle sums ``theta_i`` and ``theta_j``
+    at both ends of the diagonal are below pi, in either background
+    geometry; the new diagonal is the side opposite ``theta_i`` between
+    ``l_ik`` and ``l_il``. Raises :class:`SurgeryError` when the edge is on
+    the boundary, the swap would duplicate an existing edge, the quad is
+    non-convex, or a new face would violate the triangle inequality.
     Returns the updated mesh and metric. The mesh is rebuilt, so edge ids are
     re-derived; every edge but the new diagonal keeps its length, carried
-    over by halfedge index (see :func:`_swapped_edge_sources`).
+    over by halfedge index.
     """
     h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
     if h2 < 0:
@@ -227,75 +226,52 @@ def edge_swap(mesh, metric, edge):
     i, j = int(mesh.origin(h1)), int(mesh.dest(h1))
     k = int(mesh.dest(mesh.next(h1)))
     l = int(mesh.dest(mesh.next(h2)))
-
-    d = float(metric.lengths[edge])
-    l_ik = float(metric.lengths[mesh.edge_of_halfedge[mesh.prev(h1)]])
-    l_jk = float(metric.lengths[mesh.edge_of_halfedge[mesh.next(h1)]])
-    l_il = float(metric.lengths[mesh.edge_of_halfedge[mesh.next(h2)]])
-    l_jl = float(metric.lengths[mesh.edge_of_halfedge[mesh.prev(h2)]])
-
     if mesh.edge_id(k, l) >= 0:
         raise SurgeryError(f"swap of edge {edge} would duplicate edge "
                            f"({k}, {l})")
 
-    if metric.geometry == Geometry.EUCLIDEAN:
-        pk = complex(*apex_over_base(d, l_ik, l_jk))
-        pl = np.conj(complex(*apex_over_base(d, l_il, l_jl)))
-        if pk.imag <= 0.0 or pl.imag >= 0.0:
-            raise SurgeryError(f"degenerate quad at edge {edge}")
-        cross = (pk.real * (-pl.imag) + pl.real * pk.imag) / (pk.imag - pl.imag)
-        if not 0.0 < cross < d:
-            raise SurgeryError(f"non-convex quad at edge {edge}")
-        new_len = float(abs(pk - pl))
-    else:
-        base = np.tanh(0.5 * d)
-        pk = place_third_hyperbolic(0.0 + 0j, base + 0j, l_ik, l_jk)
-        pl = np.conj(place_third_hyperbolic(0.0 + 0j, base + 0j, l_il, l_jl))
-        if pk.imag <= 0.0 or pl.imag >= 0.0:
-            raise SurgeryError(f"degenerate quad at edge {edge}")
-        cross = hyperbolic_segment_real_axis_crossing(pk, pl)
-        if cross is None or not 0.0 < cross < base:
-            raise SurgeryError(f"non-convex quad at edge {edge}")
-        new_len = float(hyperbolic_distance(pk, pl))
+    e = mesh.edge_of_halfedge
+    g = metric.geometry
+    d, l_ik, l_jk, l_il, l_jl = metric.lengths[
+        [edge, e[mesh.prev(h1)], e[mesh.next(h1)], e[mesh.next(h2)],
+         e[mesh.prev(h2)]]]
+    # The corner angles at i, then at j, in both faces; a face that breaks
+    # the triangle inequality gives NaN, which fails the convexity test.
+    with np.errstate(invalid="ignore"):
+        angles = np.arccos(cosine_law(g, np.array([l_jk, l_jl, l_ik, l_il]),
+                                      d, np.array([l_ik, l_il, l_jk, l_jl])))
+        theta_i, theta_j = angles[:2].sum(), angles[2:].sum()
+        new_len = float(opposite_side(g, l_ik, l_il, theta_i))
+    if not (theta_i < np.pi and theta_j < np.pi):
+        raise SurgeryError(f"non-convex quad at edge {edge}")
     if not np.isfinite(new_len) or new_len <= 0.0:
         raise SurgeryError(f"degenerate new diagonal at edge {edge}")
-
-    new_faces = mesh.faces.copy()
-    new_faces[h1 // 3] = (i, l, k)
-    new_faces[h2 // 3] = (j, k, l)
-    new_mesh = build_mesh(new_faces, positions=mesh.positions)
-
-    source = _swapped_edge_sources(mesh, new_mesh, edge)
-    new_lengths = metric.lengths[source]
-    new_lengths[source < 0] = new_len
-    new_metric = DiscreteMetric(metric.geometry, new_lengths, checked=False)
-
     for f, sides in ((h1 // 3, (l_il, new_len, l_ik)),
                      (h2 // 3, (l_jk, new_len, l_jl))):
         a, b, c = sorted(sides, reverse=True)
         if a >= b + c:
             raise SurgeryError(
                 f"swap of edge {edge} produced an invalid face {f}")
-    return new_mesh, new_metric
 
+    new_faces = mesh.faces.copy()
+    new_faces[h1 // 3] = (i, l, k)
+    new_faces[h2 // 3] = (j, k, l)
+    new_mesh = build_mesh(new_faces, positions=mesh.positions)
 
-def _swapped_edge_sources(mesh, new_mesh, edge):
-    """Old edge id of every edge of ``new_mesh``, the mesh :func:`edge_swap`
-    builds from ``mesh`` by swapping ``edge``; -1 marks the new diagonal.
-
-    Only the two faces of the quad are rewritten, so every other halfedge
-    keeps its id and its edge. With ``h1 = i->j`` and ``h2 = j->i``, face
-    ``h1 // 3 = (i, l, k)`` takes its slots from the old edges under
-    ``next(h2)``, the diagonal and ``prev(h1)``, and face
-    ``h2 // 3 = (j, k, l)`` from ``next(h1)``, the diagonal and ``prev(h2)``.
-    """
-    h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
-    e = mesh.edge_of_halfedge
+    # Old edge id of every halfedge of the new mesh, -1 on the new diagonal.
+    # Only the two faces of the quad are rewritten, so every other halfedge
+    # keeps its id and its edge. Face ``h1 // 3 = (i, l, k)`` takes its slots
+    # from the old edges under ``next(h2)``, the diagonal and ``prev(h1)``,
+    # and face ``h2 // 3 = (j, k, l)`` from ``next(h1)``, the diagonal and
+    # ``prev(h2)``.
     source = e.copy()
     f1, f2 = 3 * (h1 // 3), 3 * (h2 // 3)
     source[f1:f1 + 3] = e[mesh.next(h2)], -1, e[mesh.prev(h1)]
     source[f2:f2 + 3] = e[mesh.next(h1)], -1, e[mesh.prev(h2)]
-    return source[new_mesh.edge_halfedges[:, 0]]
+    source = source[new_mesh.edge_halfedges[:, 0]]
+    new_lengths = metric.lengths[source]
+    new_lengths[source < 0] = new_len
+    return new_mesh, DiscreteMetric(g, new_lengths)
 
 
 def longest_edges(mesh, metric, faces):
@@ -309,38 +285,20 @@ def longest_edges(mesh, metric, faces):
     return longest[np.sort(first)]
 
 
-def _undeform_length(geometry, length, s):
-    """Base length whose deformation by endpoint-factor sum ``s`` gives
-    ``length``."""
-    if geometry == Geometry.EUCLIDEAN:
-        return length * np.exp(-s)
-    return 2.0 * np.arcsinh(np.sinh(0.5 * length) * np.exp(-s))
-
-
-def _swap_edges(mesh, base, u, current, edges):
+def _swap_edges(mesh, current, edges):
     """In-flow surgery: swap each listed edge in turn on the deformed metric
-    ``current``. Carried edges keep their base length and the new diagonal
-    gets the one that ``u`` deforms to its measured length, so ``u`` stays
-    valid. Returns the mesh, its base metric and the number of swaps."""
+    ``current``, skipping the ones that cannot be swapped. Returns the mesh,
+    its swapped metric and the number of swaps."""
     done = 0
     for a, b in mesh.edges[edges]:
         # Ids change with every rebuild, so the vertex pair names the edge; a
         # swap removes only its own edge, so the other listed edges remain.
-        e = mesh.edge_id(a, b)
         try:
-            new_mesh, current = edge_swap(mesh, current, e)
+            mesh, current = edge_swap(mesh, current, mesh.edge_id(a, b))
         except SurgeryError:
             continue
-        source = _swapped_edge_sources(mesh, new_mesh, e)
-        diagonal = int(np.argmin(source))
-        p, q = new_mesh.edges[diagonal]
-        lengths = base.lengths[source]
-        lengths[diagonal] = _undeform_length(
-            base.geometry, float(current.lengths[diagonal]), u[p] + u[q])
-        mesh = new_mesh
-        base = DiscreteMetric(base.geometry, lengths, checked=False)
         done += 1
-    return mesh, base, done
+    return mesh, current, done
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +363,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
         surgery_tried = False
         saw_admissible = False
         halv = 0
-        while halv <= options.max_halvings:
+        while halv <= _MAX_HALVINGS:
             step = 0.5 ** halv
             u_try = u + step * du
             try:
@@ -418,12 +376,13 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                         and halv >= _SURGERY_AFTER_HALVINGS):
                     surgery_tried = True
                     edges = longest_edges(mesh, trial, trial_violations)
-                    mesh, base, n_done = _swap_edges(mesh, base, u, current,
-                                                     edges)
+                    mesh, swapped, n_done = _swap_edges(mesh, current, edges)
                     if n_done:
-                        # Connectivity changed: recompute the state at the
-                        # unchanged u and restart with a fresh Hessian.
+                        # Connectivity changed: rebase so that u deforms the
+                        # new base to the swapped metric, recompute the state
+                        # at the unchanged u and restart with a fresh Hessian.
                         swaps += n_done
+                        base = deform_metric(mesh, swapped, -u)
                         current = deform_metric(mesh, base, u)
                         angles = corner_angles(current, mesh)
                         K = vertex_curvature(angles, mesh)
@@ -476,8 +435,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
         raise FlowError(
             f"flow did not converge within {options.max_iterations} "
             f"iterations (residual {res:.3e})", report=report)
-    final = DiscreteMetric(current.geometry, current.lengths, checked=True)
-    return FlowResult(mesh=mesh, metric=final, base=base, u=u,
+    return FlowResult(mesh=mesh, metric=current, base=base, u=u,
                       report=report)
 
 

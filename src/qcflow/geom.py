@@ -1,4 +1,4 @@
-"""Plane and Poincare-disk primitives used by embedding and edge surgery.
+"""Plane and Poincare-disk primitives used by the embedding.
 
 The hyperbolic plane is modelled as the unit disk with metric
 ``4 dz dzbar / (1 - z zbar)^2``; distances are
@@ -188,32 +188,3 @@ def _cosine_law_third(pa, pb, la, lb, ref):
               np.exp(_complex(0.0, alpha)))
     return mobius_from_origin(pa, w)
 
-
-def hyperbolic_segment_real_axis_crossing(k, l):
-    """Real-axis crossing of the geodesic through ``k`` (upper half disk) and
-    ``l`` (lower half disk), or None for the degenerate diameter case.
-
-    The geodesic is the circle through k and l orthogonal to the unit circle;
-    orthogonality forces its real-axis intersections x1, x2 to satisfy
-    ``x1 * x2 = 1``, so exactly one lies inside the disk.
-    """
-    kx, ky = k.real, k.imag
-    lx, ly = l.real, l.imag
-    det = kx * ly - ky * lx
-    scale = max(abs(k), abs(l))
-    if abs(det) <= 1e-14 * scale * scale:
-        # k, 0, l collinear: the geodesic is a diameter through the origin.
-        return 0.0 if ky * ly < 0.0 else None
-    bk = ((kx * kx + ky * ky) + 1.0) / 2.0
-    bl = ((lx * lx + ly * ly) + 1.0) / 2.0
-    mx = (bk * ly - bl * ky) / det
-    my = (bl * kx - bk * lx) / det
-    r2 = mx * mx + my * my - 1.0
-    disc = r2 - my * my
-    if disc < 0.0:
-        return None
-    root = np.sqrt(disc)
-    for x in (mx - root, mx + root):
-        if abs(x) < 1.0:
-            return float(x)
-    return None

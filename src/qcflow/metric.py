@@ -11,7 +11,7 @@ column ``s`` is the angle at the face's ``s``-th vertex.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +31,14 @@ class Geometry(enum.Enum):
 class DiscreteMetric:
     """Edge-length assignment plus background-geometry tag.
 
-    ``checked`` records whether the caller has verified the per-face triangle
-    inequalities; deformation returns unchecked metrics on purpose, because
-    the flow loop must detect violations itself to trigger damping/surgery.
+    Only the lengths are validated; the per-face triangle inequalities are
+    checked by the callers that need them (:func:`check_triangle_inequality`),
+    because the flow loop must detect violations itself to trigger
+    damping/surgery.
     """
 
     geometry: Geometry
     lengths: np.ndarray
-    checked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         lengths = np.ascontiguousarray(self.lengths, dtype=np.float64)
@@ -54,7 +54,7 @@ class DiscreteMetric:
         """Same lengths reinterpreted in another background geometry."""
         if geometry == self.geometry:
             return self
-        return DiscreteMetric(geometry, self.lengths, checked=self.checked)
+        return DiscreteMetric(geometry, self.lengths)
 
 
 def induced_metric(mesh):
@@ -66,7 +66,7 @@ def induced_metric(mesh):
     zero = np.nonzero(lengths <= 0.0)[0]
     if zero.size:
         raise MetricError(f"zero-length edges {zero.tolist()}")
-    return DiscreteMetric(Geometry.EUCLIDEAN, lengths, checked=True)
+    return DiscreteMetric(Geometry.EUCLIDEAN, lengths)
 
 
 def opposite_lengths(metric, mesh):
@@ -86,6 +86,25 @@ def check_triangle_inequality(metric, mesh):
         | (L[:, 2] >= L[:, 0] + L[:, 1])
     )
     return np.nonzero(bad)[0].tolist()
+
+
+def cosine_law(geometry, a, b, c):
+    """Cosine of the angle opposite side ``a`` of the triangle with sides
+    ``a, b, c``, elementwise; outside ``[-1, 1]`` when the triangle
+    inequality fails."""
+    if geometry == Geometry.EUCLIDEAN:
+        return (b * b + c * c - a * a) / (2.0 * b * c)
+    return ((np.cosh(b) * np.cosh(c) - np.cosh(a))
+            / (np.sinh(b) * np.sinh(c)))
+
+
+def opposite_side(geometry, b, c, angle):
+    """Side opposite ``angle`` between sides ``b`` and ``c``, elementwise:
+    the inverse of :func:`cosine_law`."""
+    if geometry == Geometry.EUCLIDEAN:
+        return np.sqrt(b * b + c * c - 2.0 * b * c * np.cos(angle))
+    return np.arccosh(np.cosh(b) * np.cosh(c)
+                      - np.sinh(b) * np.sinh(c) * np.cos(angle))
 
 
 def _safe_acos(arg, what):
@@ -114,14 +133,8 @@ def corner_angles(metric, mesh):
             + ("..." if len(violations) > 16 else ""),
             faces=violations)
     L = opposite_lengths(metric, mesh)
-    a = L
-    b = np.roll(L, -1, axis=1)
-    c = np.roll(L, -2, axis=1)
-    if metric.geometry == Geometry.EUCLIDEAN:
-        arg = (b * b + c * c - a * a) / (2.0 * b * c)
-    else:
-        arg = ((np.cosh(b) * np.cosh(c) - np.cosh(a))
-               / (np.sinh(b) * np.sinh(c)))
+    arg = cosine_law(metric.geometry, L, np.roll(L, -1, axis=1),
+                     np.roll(L, -2, axis=1))
     return _safe_acos(arg, "corner_angles")
 
 
@@ -187,4 +200,4 @@ def deform_metric(mesh, base, u):
             raise MetricError(f"conformal deformation overflowed: {exc}") from exc
     if not np.isfinite(lengths).all():
         raise MetricError("conformal deformation overflowed")
-    return DiscreteMetric(base.geometry, lengths, checked=False)
+    return DiscreteMetric(base.geometry, lengths)

@@ -261,8 +261,7 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
         slit = _boundary_slit_path(fr.mesh)
         disk, cut = slice_along_edges(fr.mesh, slit)
         cut_metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                                    cut.push_edge(fr.metric.lengths),
-                                    checked=True)
+                                    cut.push_edge(fr.metric.lengths))
         param = layout_euclidean(disk, cut_metric)
         report = _report_dict(geometry, preset, fr, module=module,
                               extra={"slit_edges": len(slit),
@@ -273,8 +272,7 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
 
     # Closed surfaces: cut to a disk, transfer the flat metric, lay out.
     disk, cut = cut_to_disk(fr.mesh)
-    cut_metric = DiscreteMetric(geometry, cut.push_edge(fr.metric.lengths),
-                                checked=True)
+    cut_metric = DiscreteMetric(geometry, cut.push_edge(fr.metric.lengths))
     if kind == PresetKind.CLOSED_FLAT:
         param = layout_euclidean(disk, cut_metric)
         periods = torus_periods(disk, cut, param)
@@ -320,7 +318,8 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     """Quasi-conformal map with prescribed Beltrami field: conformal flatten
     (mu = 0) for the parameter ``z``, auxiliary metric, second flow, layout
     and normalization. With ``mu = 0`` the output equals :func:`cmd_flatten`
-    bit-identically."""
+    bit-identically. Presets laid out on a cut mesh (closed surfaces and the
+    annulus) take ``z`` from the cut chart and make no pre-flow swaps."""
     if not isinstance(mu, BeltramiField):
         mu = BeltramiField(np.asarray(mu))
     if metric is None:
@@ -328,8 +327,8 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     metric = metric.retagged(Geometry.EUCLIDEAN)
     base = cmd_flatten(mesh, geometry, preset, options,
                        metric=metric.retagged(geometry))
-    if preset.kind in (PresetKind.CLOSED_FLAT, PresetKind.CLOSED_HYPERBOLIC):
-        return _qcmap_closed(mesh, mu, geometry, preset, options, base, metric)
+    if base.cut is not None:
+        return _qcmap_cut(mesh, mu, geometry, preset, options, base, metric)
 
     z = base.param
     qmesh, aux, swaps = _aux_metric_with_surgery(mesh, metric, z, mu)
@@ -340,24 +339,24 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     return result
 
 
-def _qcmap_closed(mesh, mu, geometry, preset, options, base, metric):
-    """Closed-surface variant: z lives on the cut mesh, so edge scales are
-    computed there and pulled back. The two copies of a cut edge see the same
-    |dz| under deck translations (consistent mu); the copies' scales are
+def _qcmap_cut(mesh, mu, geometry, preset, options, base, metric):
+    """Variant for the presets laid out on a cut mesh (closed surfaces and
+    the slit annulus): z lives on the cut mesh, so edge scales are computed
+    there and pulled back. The two copies of a cut edge see the same |dz|
+    under deck translations (consistent mu); the copies' scales are
     averaged, which also covers the Mobius-identified genus >= 2 case where
     exact cross-chart consistency is out of scope."""
     cut = base.cut
     mu_cut = BeltramiField(cut.push_vertex(mu.values))
     metric_cut = DiscreteMetric(Geometry.EUCLIDEAN,
-                                cut.push_edge(metric.lengths), checked=True)
+                                cut.push_edge(metric.lengths))
     aux_cut = auxiliary_metric(metric_cut, base.param, mu_cut, base.mesh)
     scale_cut = aux_cut.lengths / metric_cut.lengths
     num = np.zeros(mesh.n_edges)
     den = np.zeros(mesh.n_edges)
     np.add.at(num, cut.new_to_orig_edge, scale_cut)
     np.add.at(den, cut.new_to_orig_edge, 1.0)
-    aux = DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * (num / den),
-                         checked=False)
+    aux = DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * (num / den))
     violations = check_triangle_inequality(aux, mesh)
     if violations:
         raise BeltramiError(

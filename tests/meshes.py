@@ -103,7 +103,7 @@ def torus_grid(nx, ny, w=1.0, h=1.0):
     for f in range(mesh.n_faces):
         for s in range(3):
             lengths[mesh.edge_of_halfedge[3 * f + s]] = tri_len[f][s]
-    return mesh, DiscreteMetric(Geometry.EUCLIDEAN, lengths, checked=True)
+    return mesh, DiscreteMetric(Geometry.EUCLIDEAN, lengths)
 
 
 def embedded_torus(n_major=12, n_minor=8, R=2.0, r=0.7):
@@ -223,7 +223,7 @@ def random_admissible_metric(mesh, rng, geometry=Geometry.EUCLIDEAN,
     for _ in range(40):
         metric = deform_metric(mesh, base, amplitude * u)
         if not check_triangle_inequality(metric, mesh):
-            return DiscreteMetric(geometry, metric.lengths, checked=True)
+            return DiscreteMetric(geometry, metric.lengths)
         amplitude *= 0.5
     return base
 

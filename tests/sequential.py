@@ -6,6 +6,10 @@ and the scalar placement primitives that the array code in ``qcflow.geom``,
 reader and entry-by-entry mu JSON and CSV code that the bulk text I/O in
 ``qcflow.mesh``, ``qcflow.beltrami`` and ``qcflow.pipeline`` replaced. The
 new code must reproduce them bit for bit; see ``test_sequential_oracle.py``.
+
+It also keeps the quad layouts with which ``qcflow.flow.edge_swap`` used to
+decide and measure a flip, before the corner-angle rule replaced them; there
+the new code must take the same decisions and agree to rounding.
 """
 
 import json
@@ -22,9 +26,11 @@ from qcflow.errors import (
     LayoutError,
     MetricError,
     ParseError,
+    SurgeryError,
     TopologyError,
 )
-from qcflow.geom import _TANGENT_SLACK, hyperbolic_distance
+from qcflow.geom import _TANGENT_SLACK, apex_over_base, hyperbolic_distance
+from qcflow.geom import place_third_hyperbolic as place_third_hyperbolic_array
 from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
 from qcflow.metric import Geometry, check_triangle_inequality, corner_angles
 
@@ -126,6 +132,63 @@ def place_third_hyperbolic(pa, pb, la, lb):
     direction = ref / abs(ref)
     w = np.tanh(0.5 * la) * direction * np.exp(1j * alpha)
     return mobius_from_origin(pa, w)
+
+
+def swapped_diagonal(geometry, edge, d, l_ik, l_jk, l_il, l_jl):
+    """New diagonal of the quad over ``edge = (i, j)`` of length ``d``, with
+    ``k`` and ``l`` laid out on either side of it; raises
+    :class:`SurgeryError` for a degenerate or non-convex quad."""
+    if geometry == Geometry.EUCLIDEAN:
+        pk = complex(*apex_over_base(d, l_ik, l_jk))
+        pl = np.conj(complex(*apex_over_base(d, l_il, l_jl)))
+        if pk.imag <= 0.0 or pl.imag >= 0.0:
+            raise SurgeryError(f"degenerate quad at edge {edge}")
+        cross = (pk.real * (-pl.imag) + pl.real * pk.imag) / (pk.imag - pl.imag)
+        if not 0.0 < cross < d:
+            raise SurgeryError(f"non-convex quad at edge {edge}")
+        new_len = float(abs(pk - pl))
+    else:
+        base = np.tanh(0.5 * d)
+        pk = place_third_hyperbolic_array(0.0 + 0j, base + 0j, l_ik, l_jk)
+        pl = np.conj(place_third_hyperbolic_array(0.0 + 0j, base + 0j, l_il,
+                                                  l_jl))
+        if pk.imag <= 0.0 or pl.imag >= 0.0:
+            raise SurgeryError(f"degenerate quad at edge {edge}")
+        cross = hyperbolic_segment_real_axis_crossing(pk, pl)
+        if cross is None or not 0.0 < cross < base:
+            raise SurgeryError(f"non-convex quad at edge {edge}")
+        new_len = float(hyperbolic_distance(pk, pl))
+    return new_len
+
+
+def hyperbolic_segment_real_axis_crossing(k, l):
+    """Real-axis crossing of the geodesic through ``k`` (upper half disk) and
+    ``l`` (lower half disk), or None for the degenerate diameter case.
+
+    The geodesic is the circle through k and l orthogonal to the unit circle;
+    orthogonality forces its real-axis intersections x1, x2 to satisfy
+    ``x1 * x2 = 1``, so exactly one lies inside the disk.
+    """
+    kx, ky = k.real, k.imag
+    lx, ly = l.real, l.imag
+    det = kx * ly - ky * lx
+    scale = max(abs(k), abs(l))
+    if abs(det) <= 1e-14 * scale * scale:
+        # k, 0, l collinear: the geodesic is a diameter through the origin.
+        return 0.0 if ky * ly < 0.0 else None
+    bk = ((kx * kx + ky * ky) + 1.0) / 2.0
+    bl = ((lx * lx + ly * ly) + 1.0) / 2.0
+    mx = (bk * ly - bl * ky) / det
+    my = (bl * kx - bk * lx) / det
+    r2 = mx * mx + my * my - 1.0
+    disc = r2 - my * my
+    if disc < 0.0:
+        return None
+    root = np.sqrt(disc)
+    for x in (mx - root, mx + root):
+        if abs(x) < 1.0:
+            return float(x)
+    return None
 
 
 def _layout(mesh, metric, seed, place):

@@ -70,8 +70,7 @@ def _rect_run(nx, ny, w, h, perturbed):
         u0 = 0.6 * np.sin(2 * np.pi * x) * np.sin(np.pi * y) + 0.35 * np.cos(np.pi * x)
         u0 -= u0.mean()
         metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                                deform_metric(mesh, metric, u0).lengths,
-                                checked=True)
+                                deform_metric(mesh, metric, u0).lengths)
     preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(nx, ny))
     out = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset, _TIGHT, metric=metric)
     return mesh, out
@@ -305,8 +304,7 @@ def test_criterion_08_layout_isometry():
     out = cmd_flatten(ann, Geometry.EUCLIDEAN, TargetPreset(PresetKind.ANNULUS),
                       _TIGHT)
     cut_metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                                out.cut.push_edge(out.flow.metric.lengths),
-                                checked=True)
+                                out.cut.push_edge(out.flow.metric.lengths))
     check(out.mesh, cut_metric, out.param)
     # flat torus
     tmesh, tmetric = meshes.torus_grid(16, 16)
@@ -314,15 +312,14 @@ def test_criterion_08_layout_isometry():
                     Geometry.EUCLIDEAN)
     disk, cut = cut_to_disk(tres.mesh)
     dmetric = DiscreteMetric(Geometry.EUCLIDEAN,
-                             cut.push_edge(tres.metric.lengths), checked=True)
+                             cut.push_edge(tres.metric.lengths))
     check(disk, dmetric, layout_euclidean(disk, dmetric))
     # genus-2 hyperbolic
     g2 = meshes.genus2_mesh()
     out = cmd_flatten(g2, Geometry.HYPERBOLIC,
                       TargetPreset(PresetKind.CLOSED_HYPERBOLIC), _TIGHT)
     cut_metric = DiscreteMetric(Geometry.HYPERBOLIC,
-                                out.cut.push_edge(out.flow.metric.lengths),
-                                checked=True)
+                                out.cut.push_edge(out.flow.metric.lengths))
     check(out.mesh, cut_metric, out.param)
 
     ok = worst < 1e-7
@@ -367,8 +364,7 @@ def test_criterion_10_torus_periods():
                        Geometry.EUCLIDEAN)
         disk, cut = cut_to_disk(res.mesh)
         dmetric = DiscreteMetric(Geometry.EUCLIDEAN,
-                                 cut.push_edge(res.metric.lengths),
-                                 checked=True)
+                                 cut.push_edge(res.metric.lengths))
         return torus_periods(disk, cut, layout_euclidean(disk, dmetric))
 
     sq = periods_of(16, 16, 1.0, 1.0)

@@ -55,7 +55,6 @@ def test_auxiliary_metric_zero_mu_is_identity(grid9):
     mu = BeltramiField(np.zeros(grid9.n_vertices, dtype=complex))
     out = auxiliary_metric(metric, z, mu, grid9)
     assert np.array_equal(out.lengths, metric.lengths)
-    assert not out.checked
 
 
 def test_auxiliary_metric_real_stretch():

@@ -57,8 +57,7 @@ def test_layout_rejects_cone_point():
     n = 5
     faces = [[0, 1 + i, 1 + (i + 1) % n] for i in range(n)]
     mesh = build_mesh(np.asarray(faces))
-    metric = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(mesh.n_edges),
-                            checked=True)
+    metric = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(mesh.n_edges))
     with pytest.raises(LayoutError):
         layout_euclidean(mesh, metric)
 
@@ -77,8 +76,7 @@ def test_layout_rejects_disconnected_mesh(torus16):
     faces = np.vstack([[[0, 1, 2]], torus.faces + 3])
     mesh = build_mesh(faces)
     metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                            np.concatenate([np.ones(3), torus_metric.lengths]),
-                            checked=True)
+                            np.concatenate([np.ones(3), torus_metric.lengths]))
     with pytest.raises(LayoutError, match="^mesh is not face-connected$"):
         layout_euclidean(mesh, metric)
 
@@ -108,7 +106,7 @@ def test_layout_orientation_positive(grid9):
 
 def test_hyperbolic_triangle_seeding():
     mesh = build_mesh(np.array([[0, 1, 2]]))
-    metric = DiscreteMetric(Geometry.HYPERBOLIC, np.ones(3), checked=True)
+    metric = DiscreteMetric(Geometry.HYPERBOLIC, np.ones(3))
     param = layout_hyperbolic(mesh, metric)
     z = param.coords
     assert z[0] == 0.0
@@ -120,7 +118,7 @@ def test_hyperbolic_triangle_seeding():
 
 def test_hyperbolic_layout_orientation():
     mesh = build_mesh(np.array([[0, 1, 2]]))
-    metric = DiscreteMetric(Geometry.HYPERBOLIC, np.ones(3), checked=True)
+    metric = DiscreteMetric(Geometry.HYPERBOLIC, np.ones(3))
     z = layout_hyperbolic(mesh, metric).coords
     area2 = np.imag(np.conj(z[1] - z[0]) * (z[2] - z[0]))
     assert area2 > 0.0
@@ -175,7 +173,7 @@ def test_torus_periods_square(torus16):
     disk, cut = cut_to_disk(res.mesh)
     lay = layout_euclidean(
         disk, DiscreteMetric(Geometry.EUCLIDEAN,
-                             cut.push_edge(res.metric.lengths), checked=True))
+                             cut.push_edge(res.metric.lengths)))
     periods = torus_periods(disk, cut, lay)
     assert abs(periods.za) == pytest.approx(1.0, abs=1e-6)
     assert abs(periods.zb) == pytest.approx(1.0, abs=1e-6)
@@ -189,7 +187,7 @@ def test_torus_periods_2to1():
     disk, cut = cut_to_disk(res.mesh)
     lay = layout_euclidean(
         disk, DiscreteMetric(Geometry.EUCLIDEAN,
-                             cut.push_edge(res.metric.lengths), checked=True))
+                             cut.push_edge(res.metric.lengths)))
     periods = torus_periods(disk, cut, lay)
     moduli = sorted([abs(periods.za), abs(periods.zb)])
     assert moduli[1] / moduli[0] == pytest.approx(2.0, abs=1e-6)
@@ -200,8 +198,7 @@ def test_torus_periods_rejects_sphere(tetra):
     # disk, every slit translation is ~0 and period extraction must fail
     disk, cut = cut_to_disk(tetra)
     metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                            cut.push_edge(induced_metric(tetra).lengths),
-                            checked=True)
+                            cut.push_edge(induced_metric(tetra).lengths))
     target = np.zeros(disk.n_vertices)
     loop = disk.boundary_loops[0]
     target[list(loop)] = 2 * np.pi / len(loop)
@@ -221,7 +218,7 @@ def test_genus2_hyperbolic_layout_isometry(genus2):
                    np.zeros(genus2.n_vertices), Geometry.HYPERBOLIC)
     disk, cut = cut_to_disk(res.mesh)
     metric = DiscreteMetric(Geometry.HYPERBOLIC,
-                            cut.push_edge(res.metric.lengths), checked=True)
+                            cut.push_edge(res.metric.lengths))
     param = layout_hyperbolic(disk, metric)
     lengths = embedded_edge_lengths(disk, param)
     rel = np.abs(lengths - metric.lengths) / metric.lengths
@@ -237,8 +234,7 @@ def test_layout_isometry_under_conformal_refit(grid9):
     u0 = 0.3 * np.sin(np.pi * x)
     u0 -= u0.mean()
     metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                            deform_metric(grid9, base, u0).lengths,
-                            checked=True)
+                            deform_metric(grid9, base, u0).lengths)
     target = np.zeros(grid9.n_vertices)
     for c in meshes.grid_corners(9, 9):
         target[c] = np.pi / 2
@@ -254,7 +250,7 @@ def test_genus2_layout_orientation_and_disk(genus2):
                    np.zeros(genus2.n_vertices), Geometry.HYPERBOLIC)
     disk, cut = cut_to_disk(res.mesh)
     metric = DiscreteMetric(Geometry.HYPERBOLIC,
-                            cut.push_edge(res.metric.lengths), checked=True)
+                            cut.push_edge(res.metric.lengths))
     z = layout_hyperbolic(disk, metric).coords
     tri = z[disk.faces]
     # orientation of the vertex triple (the geodesic and chord triangles
@@ -269,7 +265,7 @@ def test_torus_periods_json_contract(torus16):
     disk, cut = cut_to_disk(res.mesh)
     lay = layout_euclidean(
         disk, DiscreteMetric(Geometry.EUCLIDEAN,
-                             cut.push_edge(res.metric.lengths), checked=True))
+                             cut.push_edge(res.metric.lengths)))
     doc = torus_periods(disk, cut, lay).to_json_dict()
     assert set(doc) == {"za", "zb"}
     assert len(doc["za"]) == 2 and len(doc["zb"]) == 2

@@ -41,7 +41,7 @@ def fd_jacobian_column(mesh, metric, direction, h=1e-6):
 
 
 def test_euclidean_equilateral_derivatives():
-    g = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(3), checked=True)
+    g = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(3))
     D = angle_derivatives(g, TRIANGLE)
     off = 1.0 / np.sqrt(3.0)
     for a in range(3):
@@ -60,7 +60,7 @@ def test_euclidean_derivative_rows_sum_to_zero():
 
 @pytest.mark.parametrize("geometry", [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC])
 def test_single_triangle_derivatives_match_fd(geometry):
-    base = DiscreteMetric(geometry, np.ones(3), checked=True)
+    base = DiscreteMetric(geometry, np.ones(3))
     D = angle_derivatives(base, TRIANGLE)
     h = 1e-6
     for b in range(3):
@@ -278,7 +278,7 @@ def test_flow_converges_from_perturbation(grid33):
     u0 -= u0.mean()
     perturbed = DiscreteMetric(
         Geometry.EUCLIDEAN,
-        deform_metric(grid33, metric, u0).lengths, checked=True)
+        deform_metric(grid33, metric, u0).lengths)
     target = rectangle_target(grid33, meshes.grid_corners(33, 33))
     res = run_flow(grid33, perturbed, target, Geometry.EUCLIDEAN)
     rep = res.report
@@ -318,7 +318,7 @@ def test_flow_nonconvergence_raises(grid9):
     u0 = 0.5 * np.sin(3 * np.pi * x)
     perturbed = DiscreteMetric(
         Geometry.EUCLIDEAN,
-        deform_metric(grid9, metric, u0 - u0.mean()).lengths, checked=True)
+        deform_metric(grid9, metric, u0 - u0.mean()).lengths)
     target = rectangle_target(grid9, meshes.grid_corners(9, 9))
     with pytest.raises(FlowError) as err:
         run_flow(grid9, perturbed, target, Geometry.EUCLIDEAN,
@@ -430,7 +430,7 @@ def test_edge_swap_hyperbolic_symmetric():
     lengths = np.full(mesh.n_edges, 0.8)
     diag = mesh.edge_id(0, 2)
     lengths[diag] = 1.1
-    metric = DiscreteMetric(Geometry.HYPERBOLIC, lengths, checked=True)
+    metric = DiscreteMetric(Geometry.HYPERBOLIC, lengths)
     new_mesh, new_metric = edge_swap(mesh, metric, diag)
     e = new_mesh.edge_id(1, 3)
     # symmetric rhombus: the two diagonals of a hyperbolic rhombus satisfy
@@ -464,6 +464,19 @@ def test_edge_swap_nonconvex_rejected():
     mesh = build_mesh(faces, pos)
     metric = induced_metric(mesh)
     with pytest.raises(SurgeryError):
+        edge_swap(mesh, metric, mesh.edge_id(0, 2))
+
+
+def test_edge_swap_hyperbolic_nonconvex_rejected():
+    # both faces have an obtuse corner of about 134 degrees at vertex 0, so
+    # the corner-angle sum there exceeds pi
+    mesh = square_two_triangles()
+    lengths = np.empty(mesh.n_edges)
+    for (a, b), x in (((0, 2), 1.0), ((0, 3), 0.2), ((0, 1), 0.2),
+                      ((2, 3), 1.15), ((1, 2), 1.15)):
+        lengths[mesh.edge_id(a, b)] = x
+    metric = DiscreteMetric(Geometry.HYPERBOLIC, lengths)
+    with pytest.raises(SurgeryError, match="^non-convex quad at edge "):
         edge_swap(mesh, metric, mesh.edge_id(0, 2))
 
 

@@ -4,7 +4,6 @@ import pytest
 from qcflow.errors import LayoutError
 from qcflow.geom import (
     hyperbolic_distance,
-    hyperbolic_segment_real_axis_crossing,
     mobius_from_origin,
     mobius_to_origin,
     place_third_euclidean,
@@ -106,33 +105,6 @@ def test_place_third_hyperbolic_fallback_agrees():
         p = place_third_hyperbolic(pa, pb, la, lb)
         assert float(hyperbolic_distance(pa, p)) == pytest.approx(la, rel=1e-7)
         assert float(hyperbolic_distance(pb, p)) == pytest.approx(lb, rel=1e-7)
-
-
-def test_real_axis_crossing_betweenness():
-    # the crossing point lies on the geodesic between k and l:
-    # d(k, x) + d(x, l) = d(k, l)
-    rng = np.random.default_rng(5)
-    checked = 0
-    while checked < 100:
-        k = random_disk_point(rng, 0.8)
-        l = random_disk_point(rng, 0.8)
-        if k.imag <= 1e-3 or l.imag >= -1e-3:
-            continue
-        x = hyperbolic_segment_real_axis_crossing(k, l)
-        if x is None:
-            continue
-        checked += 1
-        together = (float(hyperbolic_distance(k, x))
-                    + float(hyperbolic_distance(x, l)))
-        direct = float(hyperbolic_distance(k, l))
-        assert together == pytest.approx(direct, rel=1e-10)
-
-
-def test_real_axis_crossing_diameter_case():
-    # collinear through the origin: the geodesic is a diameter, crossing at 0
-    k = 0.3 + 0.3j
-    l = -0.15 - 0.15j
-    assert hyperbolic_segment_real_axis_crossing(k, l) == 0.0
 
 
 def test_poincare_circle_nested_radii():

@@ -38,7 +38,7 @@ def tri_metric(geometry, l12, l20, l01):
     lengths[TRIANGLE.edge_of_halfedge[0]] = l01
     lengths[TRIANGLE.edge_of_halfedge[1]] = l12
     lengths[TRIANGLE.edge_of_halfedge[2]] = l20
-    return DiscreteMetric(geometry, lengths, checked=True)
+    return DiscreteMetric(geometry, lengths)
 
 
 def test_euclidean_equilateral_angles():
@@ -140,7 +140,6 @@ def test_deform_identity(grid9):
     g = induced_metric(grid9)
     out = deform_metric(grid9, g, np.zeros(grid9.n_vertices))
     assert np.array_equal(out.lengths, g.lengths)
-    assert not out.checked
     gh = g.retagged(Geometry.HYPERBOLIC)
     out_h = deform_metric(grid9, gh, np.zeros(grid9.n_vertices))
     assert np.array_equal(out_h.lengths, gh.lengths)
@@ -249,5 +248,5 @@ def test_gauss_bonnet_on_cut_genus2_hyperbolic(genus2):
                    FlowOptions(eps=1e-3))
     disk, cut = cut_to_disk(res.mesh)
     metric = DiscreteMetric(Geometry.HYPERBOLIC,
-                            cut.push_edge(res.metric.lengths), checked=True)
+                            cut.push_edge(res.metric.lengths))
     assert abs(gauss_bonnet_residual(metric, disk)) < 1e-9

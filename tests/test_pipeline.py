@@ -214,6 +214,29 @@ def test_qcmap_torus_with_consistent_mu():
     assert ratio != pytest.approx(1.0, abs=1e-6)
 
 
+def test_cli_qcmap_annulus(tmp_path, annulus):
+    # the annulus is laid out on a slit disk, and qcmap takes z from that
+    # chart: mu = 0 writes flatten's bytes, mu = 0.3 changes the module
+    obj = tmp_path / "annulus.obj"
+    save_obj(annulus, obj)
+    flat = tmp_path / "flat.obj"
+    assert cli_main(["flatten", "--input", str(obj), "--preset", "annulus",
+                     "--out", str(flat)]) == 0
+    modules = []
+    for k in (0.0, 0.3):
+        mu_path = tmp_path / f"mu-{k}.json"
+        mu_path.write_text(field_to_json(
+            BeltramiField(np.full(annulus.n_vertices, k + 0j))))
+        out = tmp_path / f"qc-{k}.obj"
+        report = tmp_path / f"qc-{k}.json"
+        assert cli_main(["qcmap", "--input", str(obj), "--mu", str(mu_path),
+                         "--preset", "annulus", "--out", str(out),
+                         "--report", str(report)]) == 0
+        modules.append(json.loads(report.read_text())["module"])
+    assert (tmp_path / "qc-0.0.obj").read_bytes() == flat.read_bytes()
+    assert abs(modules[1] - modules[0]) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # estimate / compose / compare / check
 

@@ -1,7 +1,8 @@
 """The array-built layout, cut and placement code and the bulk text I/O
 against the sequential loops they replaced (``sequential.py``): the
 arithmetic is unchanged, so every result must be equal bit for bit, and
-every error message equal."""
+every error message equal. The corner-angle edge flip is held against the
+quad layouts it replaced: same decisions, diagonals equal to rounding."""
 
 import importlib.util
 from pathlib import Path
@@ -14,8 +15,8 @@ import sequential
 import test_mesh
 from qcflow.beltrami import field_from_json, field_to_json
 from qcflow.embed import layout_euclidean, layout_hyperbolic
-from qcflow.errors import BeltramiError, QcflowError
-from qcflow.flow import run_flow
+from qcflow.errors import BeltramiError, QcflowError, SurgeryError
+from qcflow.flow import edge_swap, run_flow
 from qcflow.geom import (
     apex_over_base,
     hyperbolic_distance,
@@ -25,8 +26,8 @@ from qcflow.geom import (
     place_third_hyperbolic,
     poincare_circle_to_euclidean,
 )
-from qcflow.mesh import cut_to_disk, load_obj, slice_along_edges
-from qcflow.metric import DiscreteMetric, Geometry, induced_metric
+from qcflow.mesh import build_mesh, cut_to_disk, load_obj, slice_along_edges
+from qcflow.metric import DiscreteMetric, Geometry, cosine_law, induced_metric
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
@@ -52,16 +53,14 @@ def _closed_disk(mesh, metric, geometry):
     res = run_flow(mesh, metric.retagged(geometry),
                    np.zeros(mesh.n_vertices), geometry)
     disk, cut = cut_to_disk(res.mesh)
-    return disk, DiscreteMetric(geometry, cut.push_edge(res.metric.lengths),
-                                checked=True)
+    return disk, DiscreteMetric(geometry, cut.push_edge(res.metric.lengths))
 
 
 def _annulus_disk():
     out = cmd_flatten(meshes.annulus_mesh(9, 3), Geometry.EUCLIDEAN,
                       TargetPreset(PresetKind.ANNULUS))
     return out.mesh, DiscreteMetric(
-        Geometry.EUCLIDEAN, out.cut.push_edge(out.flow.metric.lengths),
-        checked=True)
+        Geometry.EUCLIDEAN, out.cut.push_edge(out.flow.metric.lengths))
 
 
 def _torus_disk():
@@ -200,8 +199,8 @@ def test_place_third_euclidean_matches_scalar():
 
 
 def test_apex_matches_scalar_base_frame():
-    # edge swaps and the layout seed place the apex over a base edge from 0
-    # to d, where the scalar code divided Python complex numbers
+    # the layout seed places the apex over a base edge from 0 to d, where
+    # the scalar code divided Python complex numbers
     rng = np.random.default_rng(14)
     d = rng.uniform(0.01, 5.0, 1000)
     la = rng.uniform(0.2, 2.0, 1000) * d
@@ -215,7 +214,7 @@ def test_apex_matches_scalar_base_frame():
 def test_place_third_hyperbolic_matches_scalar(frame):
     rng = np.random.default_rng(13 + frame)
     n = 1000
-    if frame:  # as in edge swaps: pa at 0, pb on the positive real axis
+    if frame:  # pa at 0, pb on the positive real axis
         pa = np.zeros(n, dtype=np.complex128)
         pb = rng.uniform(0.05, 0.9, n) + 0j
     else:
@@ -230,11 +229,82 @@ def test_place_third_hyperbolic_matches_scalar(frame):
     old = [sequential.place_third_hyperbolic(*args)
            for args in zip(pa, pb, la.tolist(), lb.tolist())]
     assert bits(place_third_hyperbolic(pa, pb, la, lb)) == bits(old)
-    # Python scalars, as edge swaps pass them
+    # Python scalars
     scalars = list(zip(pa[:50].tolist(), pb[:50].tolist(), la[:50].tolist(),
                        lb[:50].tolist()))
     assert bits([place_third_hyperbolic(*args) for args in scalars]) == \
         bits([sequential.place_third_hyperbolic(*args) for args in scalars])
+
+
+# ---------------------------------------------------------------------------
+# Edge flip
+
+
+_QUAD = build_mesh(np.array([[0, 1, 2], [1, 0, 3]]))
+_DIAG = _QUAD.edge_id(0, 1)
+
+
+def _quad_roles():
+    """Vertices ``i, j, k, l`` of ``_QUAD`` as :func:`edge_swap` names them:
+    the diagonal is ``(i, j)``, between the faces ``(i, j, k)`` and
+    ``(j, i, l)``."""
+    h1, h2 = (int(h) for h in _QUAD.edge_halfedges[_DIAG])
+    return (int(_QUAD.origin(h1)), int(_QUAD.dest(h1)),
+            int(_QUAD.dest(_QUAD.next(h1))), int(_QUAD.dest(_QUAD.next(h2))))
+
+
+def _random_quad_sides(rng, geometry, n):
+    """Rows ``(d, l_ik, l_jk, l_il, l_jl)`` of quads whose two faces are
+    admissible, from thin to fat, convex and not."""
+    if geometry == Geometry.EUCLIDEAN:
+        d = np.ones(n)
+    else:
+        d = rng.uniform(0.05, 3.0, n)
+    sides = [d]
+    for _ in range(2):
+        a = rng.uniform(0.1, 2.0, n) * d
+        b = rng.uniform(np.abs(a - d) * 1.001, (a + d) * 0.999)
+        sides += [a, b]
+    return np.column_stack(sides)
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+def test_edge_flip_matches_quad_layout(geometry):
+    # The corner-angle rule takes the decision the layout of the quad took,
+    # away from the convexity boundary (angle sums within 1e-6 of pi are
+    # skipped), and measures the same new diagonal.
+    i, j, k, l = _quad_roles()
+    rng = np.random.default_rng(17)
+    flips = rejections = 0
+    for d, l_ik, l_jk, l_il, l_jl in _random_quad_sides(rng, geometry, 1500):
+        th_i = np.arccos(cosine_law(geometry, np.array([l_jk, l_jl]), d,
+                                    np.array([l_ik, l_il]))).sum()
+        th_j = np.arccos(cosine_law(geometry, np.array([l_ik, l_il]), d,
+                                    np.array([l_jk, l_jl]))).sum()
+        if min(abs(th_i - np.pi), abs(th_j - np.pi)) < 1e-6:
+            continue
+        lengths = np.empty(_QUAD.n_edges)
+        for pair, x in (((i, j), d), ((i, k), l_ik), ((j, k), l_jk),
+                        ((i, l), l_il), ((j, l), l_jl)):
+            lengths[_QUAD.edge_id(*pair)] = x
+        try:
+            old = sequential.swapped_diagonal(geometry, _DIAG, d, l_ik, l_jk,
+                                              l_il, l_jl)
+        except SurgeryError:
+            old = None
+        try:
+            mesh, metric = edge_swap(_QUAD, DiscreteMetric(geometry, lengths),
+                                     _DIAG)
+        except SurgeryError as exc:
+            assert old is None, (d, l_ik, l_jk, l_il, l_jl)
+            assert str(exc) == f"non-convex quad at edge {_DIAG}"
+            rejections += 1
+            continue
+        assert old is not None, (d, l_ik, l_jk, l_il, l_jl)
+        new = metric.lengths[mesh.edge_id(k, l)]
+        assert abs(new - old) <= 1e-12 * old
+        flips += 1
+    assert flips > 300 and rejections > 300
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +478,21 @@ def _field_read(read, text, n):
         return type(exc), str(exc)
 
 
+# texts whose vertex ids are repeated or not JSON integers -> the error
+_BAD_IDS = {
+    '{"mu": [{"i": 0, "re": 1, "im": 2}, {"i": 0, "re": 3, "im": 4}]}':
+        "mu JSON names vertex 0 more than once",
+    '{"mu": [{"i": "0", "re": "0.25", "im": true}]}':
+        'malformed mu JSON: vertex index "0" is not an integer',
+    '{"mu": [{"i": 1.9, "re": 0, "im": 0}, {"i": 0, "re": 0, "im": 0}]}':
+        "malformed mu JSON: vertex index 1.9 is not an integer",
+    '{"mu": [{"i": true, "re": 0, "im": 0}, {"i": 0, "re": 0, "im": 0}]}':
+        "malformed mu JSON: vertex index true is not an integer",
+    '{"mu": [{"i": "x", "re": 0}]}':
+        'malformed mu JSON: vertex index "x" is not an integer',
+}
+
+
 @pytest.mark.parametrize("text", [
     '{"mu": []}',
     '{"mu": [{"i": 1, "re": 0.5, "im": 0}, {"i": 0, "re": -0.0, "im": 1}]}',
@@ -415,6 +500,7 @@ def _field_read(read, text, n):
     '{"mu": [{"i": 0, "re": NaN, "im": -Infinity}]}',
     '{"mu": [{"i": "0", "re": "0.25", "im": true}]}',
     '{"mu": [{"i": 1.9, "re": 0, "im": 0}, {"i": 0, "re": 0, "im": 0}]}',
+    '{"mu": [{"i": true, "re": 0, "im": 0}, {"i": 0, "re": 0, "im": 0}]}',
     '{"mu": [{"i": 0, "re": 0, "im": 0}, {"i": 2, "re": 0, "im": 0}]}',
     '{"mu": [{"i": -1, "re": 0, "im": 0}]}',
     '{"mu": [{"i": 99999999999999999999, "re": 0, "im": 0}]}',
@@ -437,6 +523,10 @@ def test_field_reader_matches_sequential(text, n):
         # build range(n); the array code reports the missing indices
         old = (BeltramiError,
                "mu JSON must contain every vertex index exactly once")
+    if text in _BAD_IDS:
+        # the dict code kept the last value of a repeated id and truncated
+        # the others to integers (or failed to); they are rejected now
+        old = (BeltramiError, _BAD_IDS[text])
     assert new == old
 
 
