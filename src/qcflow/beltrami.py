@@ -247,25 +247,49 @@ def field_to_json(mu):
     return '{\n  "mu": [\n' + body[:-2] + "\n  ]\n}"
 
 
-def _vertex_id(i):
-    # JSON true and false load as bool, a subclass of int
-    if type(i) is not int:
-        raise ValueError(f"vertex index {json.dumps(i)} is not an integer")
-    return i
+def _check_entry(e):
+    """Raise on the first field of a mu JSON entry that is missing, or is
+    not a JSON integer id or a JSON number value: JSON true and false load
+    as bool, a subclass of int, and ``float`` would also read strings."""
+    if type(e["i"]) is not int:
+        raise ValueError(
+            f"vertex index {json.dumps(e['i'])} is not an integer")
+    for key in ("re", "im"):
+        if type(e[key]) not in (float, int):
+            raise ValueError(
+                f"{key} value {json.dumps(e[key])} is not a number")
+
+
+def _fields(entries):
+    """The ``i``, ``re`` and ``im`` fields of every mu JSON entry, in one
+    flat list whose types are checked in bulk; on a fault the entries are
+    checked one by one, so that the first bad entry names it."""
+    try:
+        # a tuple per entry kept alive would cost extra garbage-collector
+        # passes
+        cells = [x for e in entries for x in (e["i"], e["re"], e["im"])]
+        if set(map(type, cells[0::3])) <= {int} and (
+                set(map(type, cells[1::3])) | set(map(type, cells[2::3]))
+                <= {float, int}):
+            return cells
+    except (KeyError, TypeError):
+        pass
+    for e in entries:
+        _check_entry(e)
 
 
 def field_from_json(text, n_vertices=None):
     """The field of a ``{"mu": [{"i": ..., "re": ..., "im": ...}, ...]}``
     text whose ids are JSON integers naming every vertex of ``range(n)``
-    exactly once; raises :class:`BeltramiError` otherwise."""
+    exactly once and whose values are JSON numbers; raises
+    :class:`BeltramiError` otherwise."""
     try:
-        entries = json.loads(text)["mu"]
-        # One flat list, filled entry by entry so that the first bad entry
-        # names the fault; a tuple per entry kept alive would cost extra
-        # garbage-collector passes.
-        cells = [x for e in entries
-                 for x in (_vertex_id(e["i"]), float(e["re"]), float(e["im"]))]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        cells = _fields(json.loads(text)["mu"])
+        # converted as float() converts them; past the float range an
+        # integer overflows
+        re = np.array(cells[1::3], dtype=np.float64)
+        im = np.array(cells[2::3], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BeltramiError(f"malformed mu JSON: {exc}") from exc
     ids = cells[0::3]
     seen = set()
@@ -281,6 +305,6 @@ def field_from_json(text, n_vertices=None):
             "mu JSON must contain every vertex index exactly once")
     index = np.array(ids, dtype=np.int64)
     values = np.empty(n, dtype=np.complex128)
-    values.real[index] = cells[1::3]
-    values.imag[index] = cells[2::3]
+    values.real[index] = re
+    values.imag[index] = im
     return BeltramiField(values)

@@ -331,13 +331,15 @@ def load_obj(path):
     corner, are stored on the mesh as a per-vertex complex array.
 
     Each record kind is gathered from the whole text by one regular
-    expression, and its rows are joined and split once. When every row has
-    one shape (``v x y z``, ``vt u v``, ``f a b c`` or ``f a/t b/t c/t``,
-    single spaces, ASCII), all numbers of the kind are converted by one
-    ``np.fromiter`` over Python's ``float`` or ``int``. Otherwise the kind
-    is converted row by row, each face corner by ``str.partition``. A
+    expression. When every row has one shape (``v x y z``, ``vt u v``,
+    ``f a b c``, ``f a/t b/t c/t`` or ``f a/t/n b/t/n c/t/n``, ASCII, one
+    whitespace byte apart), all numbers of the kind are converted by one
+    ``np.loadtxt``, NumPy's C tokenizer and converter. Otherwise, or when
+    it refuses a token, the kind is converted row by row with Python's
+    ``float`` and ``int``, each face corner by ``str.partition``. A
     malformed record sends the reader line by line through the text to name
-    the first bad line.
+    the first bad line. Vertex and texture indices must be positive; an
+    empty texture field (``v/``, ``v//n``) means no texture.
     """
     text = _read_text(path)
     try:
@@ -381,16 +383,41 @@ def _record(key):
 
 
 _V, _VT, _F = _record("v"), _record("vt"), _record("f")
+# The ASCII whitespace str.split splits on. In a row's skeleton each byte of
+# it but the newline, which ends the row, reads as a space.
+_SPACES = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"
+_ONE_SPACE = bytes.maketrans(_SPACES.replace(b"\n", b""),
+                             b" " * (len(_SPACES) - 1))
 # ASCII bytes that str.split does not split on, and the digits.
-_NOT_SPACE = bytes(set(range(128)) - set(b" \t\n\v\f\r\x1c\x1d\x1e\x1f"))
+_NOT_SPACE = bytes(set(range(128)) - set(_SPACES))
 _DIGITS = b"0123456789"
+# Skeletons of the ``f`` rows read in bulk, by the number of slashes in a
+# row: ``a b c``, ``a/t b/t c/t`` and ``a/t/n b/t/n c/t/n``.
+_FACE_SHAPES = {0: b"  ", 3: b"/ / /", 6: b"// // //"}
 
 
 def _all_rows_are(joined, n, shape, drop):
     """Whether ``joined``, ``n`` rows joined by newlines, is ASCII and every
-    row reads ``shape`` once the ``drop`` bytes are removed."""
+    row reads ``shape`` once the ``drop`` bytes are removed and each other
+    whitespace byte is read as a space."""
     return joined.isascii() and (
-        joined.encode().translate(None, drop) == b"\n".join([shape] * n))
+        joined.encode().translate(_ONE_SPACE, drop)
+        == b"\n".join([shape] * n))
+
+
+def _table(rows, dtype, width):
+    """``rows`` as a (len(rows), width) array read by NumPy's C text reader,
+    or None when it reads another shape or refuses a token. On the tokens it
+    takes it agrees with Python's ``float`` and ``int`` bit for bit; it
+    refuses some they take (``1_0``, non-ASCII digits, integers past int64),
+    which the caller then converts row by row."""
+    if not rows:
+        return np.empty((0, width), dtype)
+    try:
+        values = np.loadtxt(rows, dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rows), width) else None
 
 
 def _coordinates(text):
@@ -405,18 +432,22 @@ def _coordinates(text):
 
 def _floats(rows, count, short, bad):
     """The first ``count`` fields of every row as a (rows, count) array.
-    Rows of exactly ``count`` fields, one space apart, are split all at
-    once; otherwise row by row."""
-    joined = "\n".join(rows)
-    # Off the shape, the empty list fails the count unless there are no rows.
-    fields = joined.split() if _all_rows_are(
-        joined, len(rows), b" " * (count - 1), _NOT_SPACE) else []
-    if len(fields) != count * len(rows):
-        rows = list(map(str.split, rows))
-        if rows and min(map(len, rows)) < count:
-            raise ValueError(short)
-        fields = list(chain.from_iterable(
-            map(itemgetter(slice(count)), rows)))
+    Rows of exactly ``count`` fields, one whitespace byte apart, are read
+    all at once; otherwise row by row."""
+    if _all_rows_are("\n".join(rows), len(rows), b" " * (count - 1),
+                     _NOT_SPACE):
+        values = _table(rows, np.float64, count)
+        if values is not None:
+            return values
+    return _float_rows(rows, count, short, bad)
+
+
+def _float_rows(rows, count, short, bad):
+    """:func:`_floats` row by row, by ``str.split`` and Python's ``float``."""
+    rows = list(map(str.split, rows))
+    if rows and min(map(len, rows)) < count:
+        raise ValueError(short)
+    fields = list(chain.from_iterable(map(itemgetter(slice(count)), rows)))
     try:
         values = np.fromiter(map(float, fields), np.float64, len(fields))
     except ValueError:
@@ -426,21 +457,25 @@ def _floats(rows, count, short, bad):
 
 def _face_ids(rows):
     """0-based vertex and texture ids (-1 when absent) of the corners of
-    the ``f`` rows. Rows that are all ``a b c`` or all ``a/t b/t c/t``
-    (ASCII digits, single spaces) split all at once with ``/`` read as a
-    space; otherwise corner by corner."""
+    the ``f`` rows. Rows that are all ``a b c``, all ``a/t b/t c/t`` or all
+    ``a/t/n b/t/n c/t/n`` (ASCII digits, one whitespace byte apart) are read
+    all at once with ``/`` read as a space; otherwise corner by corner."""
     joined = "\n".join(rows)
-    width = 2 if "/" in joined else 1
-    ids = joined.replace("/", " ").split() if _all_rows_are(
-        joined, len(rows), b"/ / /" if width == 2 else b"  ", _DIGITS) else []
-    if len(ids) != 3 * width * len(rows):
-        return _corners(_face_refs(rows))
-    try:
-        ids = _ints(ids).reshape(-1, width)
-    except OverflowError:
-        raise ValueError("bad face index") from None
-    ti = ids[:, 1] if width == 2 else np.zeros(len(ids), dtype=np.int64)
-    return _zero_based(ids[:, 0]), ti - 1
+    shape = _FACE_SHAPES.get(rows[0].count("/") if rows else 0)
+    if shape is not None and _all_rows_are(joined, len(rows), shape,
+                                           _DIGITS):
+        lines = joined.replace("/", " ").split("\n") if b"/" in shape \
+            else rows
+        ids = _table(lines, np.int64, len(shape) + 1)
+        if ids is not None:
+            # One row per corner: the vertex id, then any texture and
+            # normal ids.
+            ids = ids.reshape(-1, (len(shape) + 1) // 3)
+            if ids.shape[1] == 1:
+                return _one_based(ids[:, 0], "face"), np.full(len(ids), -1)
+            return (_one_based(ids[:, 0], "face"),
+                    _one_based(ids[:, 1], "texture"))
+    return _corners(_face_refs(rows))
 
 
 def _face_refs(rows):
@@ -454,26 +489,32 @@ def _face_refs(rows):
 def _corners(refs):
     """0-based vertex and texture ids (-1 when absent) of the face corner
     references ``v``, ``v/t``, ``v//n`` or ``v/t/n``."""
+    tails = None
     try:
         if "/" in "".join(refs):
             parts = list(map(methodcaller("partition", "/"), refs))
             tails = list(map(itemgetter(2), parts))
             if "/" in "".join(tails):
                 tails = [t.partition("/")[0] for t in tails]
-            vi = _ints(list(map(itemgetter(0), parts)))
-            ti = _ints([t or "0" for t in tails])
-        else:
-            vi = _ints(refs)
-            ti = np.zeros(len(refs), dtype=np.int64)
+            refs = list(map(itemgetter(0), parts))
+            ti = _ints([t or "1" for t in tails])
+        vi = _ints(refs)
     except (ValueError, OverflowError):
         raise ValueError("bad face index") from None
-    return _zero_based(vi), ti - 1
+    vi = _one_based(vi, "face")
+    if tails is None:
+        return vi, np.full(len(vi), -1)
+    # An empty texture field (``v/``, ``v//n``) is no texture.
+    given = np.fromiter(map(bool, tails), bool, len(tails))
+    return vi, np.where(given, _one_based(ti, "texture"), -1)
 
 
-def _zero_based(vi):
-    if (vi < 1).any():
-        raise ValueError("face index must be >= 1")
-    return vi - 1
+def _one_based(ids, kind):
+    """The 1-based OBJ ``ids`` less one; raises ValueError when one is
+    below 1 (OBJ's relative negative ids are not supported)."""
+    if (ids < 1).any():
+        raise ValueError(f"{kind} index must be >= 1")
+    return ids - 1
 
 
 def _ints(strings):

@@ -234,6 +234,24 @@ def test_field_json_requires_every_vertex():
         field_from_json(text)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ('{"i": 0, "re": "0.25", "im": false}', 're value "0.25" is not a number'),
+    ('{"i": 0, "re": 0.25, "im": false}', "im value false is not a number"),
+    ('{"i": 0, "re": true, "im": 0}', "re value true is not a number"),
+    ('{"i": 0, "re": null, "im": 0}', "re value null is not a number"),
+    ('{"i": 0, "re": [1], "im": 0}', "re value \\[1\\] is not a number"),
+    ('{"i": 0, "re": {}, "im": "x"}', "re value {} is not a number"),
+    ('{"i": 0, "re": 0, "im": 1' + "0" * 400 + "}",
+     "int too large to convert to float"),
+])
+def test_field_json_values_must_be_numbers(entry, message):
+    # float() reads JSON strings and booleans; only JSON numbers are values
+    with pytest.raises(BeltramiError, match="malformed mu JSON: " + message):
+        field_from_json('{"mu": [' + entry + "]}", 1)
+    ok = field_from_json('{"mu": [{"i": 0, "re": 0, "im": -2.5e-1}]}', 1)
+    assert ok.values.tolist() == [-0.25j]
+
+
 def test_auxiliary_metric_per_edge_scale_bounds(grid9):
     # with a varying field, each edge scale lies in [1-|mu_e|, 1+|mu_e|]
     metric = induced_metric(grid9)

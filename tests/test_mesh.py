@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import meshes
+import sequential
 from qcflow.errors import MetricError, ParseError, TopologyError
 from qcflow.mesh import (
     build_mesh,
@@ -330,11 +331,12 @@ OBJ_ACCEPTS = [
     ("v 0 0 0 # origin\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", None),
     (_TRI + "f 1 2 3\nv 1 1 0\nf 2 4 3\n", None),
     (_SQUARE + "f 1/1 2/2 3/3\nf 1/ 3/ 4/\n", None),
+    (_SQUARE + "f 1/1 2/2 3/3\nf 1//1 3//1 4//1\n", None),
 ]
 OBJ_ACCEPT_IDS = ["crlf-tabs", "skipped-records", "no-texture-index",
                   "texture-index", "partial-texture", "vertex-weight",
                   "nbsp-separators", "vertex-comment", "interleaved-records",
-                  "empty-texture-index"]
+                  "empty-texture-index", "normal-only-corners"]
 
 
 @pytest.mark.parametrize("text, uv", OBJ_ACCEPTS, ids=OBJ_ACCEPT_IDS)
@@ -349,6 +351,17 @@ def test_obj_reader_accepts(tmp_path, text, uv):
     else:
         assert np.array_equal(mesh.uv, uv)
 
+
+_UV3 = _TRI + "vt 0 0\nvt 1 0\nvt 0 1\n"
+# (text, line) rows whose faces name a texture index below 1, read as no
+# texture by earlier versions.
+OBJ_TEXTURE_ID_FAULTS = [
+    (_UV3 + "f 1/-3 2/-2 3/-1\n", 7),
+    (_UV3 + "f 1/0 2/1 3/2\n", 7),
+    (_UV3 + "f 1/1/1 2/2/1 3/0/1\n", 7),
+    (_TRI + "f 1/0 2/0 3/0\n", 4),
+    (_UV3 + "f 1/1 2/2 3/3\nf 1/ 2/+0 3/\n", 8),
+]
 
 # (text, message pattern) rows that raise ParseError.
 OBJ_REJECTS = [
@@ -367,12 +380,16 @@ OBJ_REJECTS = [
     ("v 0 0 0\nv\nv 0 1 0\nf 1 2 3\n", r"m\.obj:2: vertex needs 3"),
     (_TRI + "f 1 2 3 # tri\n", r"m\.obj:4: only triangular"),
     (_TRI + "f 1 2 99999999999999999999\n", r"m\.obj:4: bad face index"),
-]
+] + [(text, rf"m\.obj:{line}: texture index must be >= 1")
+     for text, line in OBJ_TEXTURE_ID_FAULTS]
 OBJ_REJECT_IDS = ["two-texture-coordinates", "texture-index-range",
                   "negative-index", "short-vertex", "short-texture",
                   "bad-texture", "bad-face-index", "first-bad-line-face",
                   "first-bad-line-vertex", "no-vertices", "no-faces",
-                  "bare-vertex", "face-comment", "face-index-overflow"]
+                  "bare-vertex", "face-comment", "face-index-overflow",
+                  "negative-texture-index", "texture-index-zero",
+                  "texture-index-zero-vtn", "texture-index-zero-no-vt",
+                  "texture-index-plus-zero"]
 
 
 @pytest.mark.parametrize("text, match", OBJ_REJECTS, ids=OBJ_REJECT_IDS)
@@ -381,6 +398,73 @@ def test_obj_reader_rejects(tmp_path, text, match):
     path.write_bytes(text.encode())
     with pytest.raises(ParseError, match=match):
         load_obj(path)
+
+
+# Number spellings around the edges of what NumPy's text reader takes:
+# where it takes a token it must read Python's value bit for bit (the sign
+# of -nan too), and where it refuses one (1_0, non-ASCII digits, integers
+# past int64) the row-by-row reader decides.
+_FLOAT_TOKENS = ["nan", "-nan", "+nan", "NaN", "nan(1)", "inf", "-inf",
+                 "Infinity", "-Infinity", "iNf", "1e400", "-1e400",
+                 "1e-400", "4.9e-324", "+1.5", "-0", ".5", "5.", "00012",
+                 "1.7976931348623157e308", "1.7976931348623159e308",
+                 "0.30000000000000004", "1_0", "1e5_0", "\u0661", "0x10",
+                 "1e", ".", "-", "1,5", "1.5j", "1\x002", "1d5"]
+_INDEX_TOKENS = ["1", "0001", "+1", "1_0", "\u0661", "1.0", "1e0", "0x1",
+                 "3", "4", "9223372036854775807", "9223372036854775808",
+                 "99999999999999999999", "x"]
+# Separators that str.split splits on, one byte wide.
+_SEPARATOR_TOKENS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                     "\x1f"]
+
+
+def _bulk_obj(v="0", vt="0", face="f 1/1/1 2/2/1 3/3/1", sep=" "):
+    """A 3-vertex OBJ in the shapes read in bulk, with the given fields."""
+    rows = [f"v {v} 0 0", "v 1 0 0", "v 0 1 0", f"vt 0 {vt}", "vt 1 0",
+            "vt 0 1", face]
+    return "".join(row.replace(" ", sep) + "\n" for row in rows)
+
+
+def load_outcome(load, path):
+    """Bytes of the mesh ``load`` reads from ``path``, or its error."""
+    try:
+        mesh = load(path)
+    except Exception as exc:  # the same type and message is the contract
+        return type(exc), str(exc)
+    return (mesh.positions.tobytes(), mesh.faces.tobytes(),
+            None if mesh.uv is None else mesh.uv.tobytes())
+
+
+def _loads(tmp_path, text):
+    """:func:`load_outcome` of ``text`` for the reader and for the
+    line-by-line reference."""
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode())
+    return [load_outcome(load, path)
+            for load in (load_obj, sequential.load_obj)]
+
+
+@pytest.mark.parametrize("token", _FLOAT_TOKENS + _INDEX_TOKENS)
+def test_obj_number_tokens_match_sequential(tmp_path, token):
+    texts = [_bulk_obj(v=token), _bulk_obj(vt=token)]
+    if token in _INDEX_TOKENS:
+        t = token
+        texts += [_bulk_obj(face=face) for face in (
+            f"f {t} 2 3", f"f 1 2 {t}", f"f {t}/1 2/2 3/3", f"f 1/{t} 2/2 3/3",
+            f"f {t}/1/1 2/2/1 3/3/1", f"f 1/{t}/1 2/2/1 3/3/1",
+            f"f 1/1/1 2/2/1 3/3/{t}")]
+    for text in texts:
+        new, old = _loads(tmp_path, text)
+        assert new == old, text
+
+
+@pytest.mark.parametrize("sep", _SEPARATOR_TOKENS)
+def test_obj_separators_match_sequential(tmp_path, sep):
+    for face in ("f 1 2 3", "f 1/1 2/2 3/3", "f 1/1/1 2/2/1 3/3/1"):
+        text = _bulk_obj(v="-nan", vt="1e-400", face=face, sep=sep)
+        new, old = _loads(tmp_path, text)
+        assert new == old
+        assert isinstance(new[0], bytes)
 
 
 def test_obj_reader_rejects_non_utf8(tmp_path):

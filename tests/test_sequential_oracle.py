@@ -5,6 +5,7 @@ every error message equal. The corner-angle edge flip is held against the
 quad layouts it replaced: same decisions, diagonals equal to rounding."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,15 @@ import pytest
 import meshes
 import sequential
 import test_mesh
+from qcflow import mesh as mesh_module
 from qcflow.beltrami import field_from_json, field_to_json
 from qcflow.embed import layout_euclidean, layout_hyperbolic
-from qcflow.errors import BeltramiError, QcflowError, SurgeryError
+from qcflow.errors import (
+    BeltramiError,
+    ParseError,
+    QcflowError,
+    SurgeryError,
+)
 from qcflow.flow import edge_swap, run_flow
 from qcflow.geom import (
     apex_over_base,
@@ -311,20 +318,20 @@ def test_edge_flip_matches_quad_layout(geometry):
 # Text I/O
 
 
-def _loaded(load, path):
-    """Bytes of the mesh ``load`` reads from ``path``, or its error."""
-    try:
-        mesh = load(path)
-    except Exception as exc:  # the same type and message is the contract
-        return type(exc), str(exc)
-    return (mesh.positions.tobytes(), mesh.faces.tobytes(),
-            None if mesh.uv is None else mesh.uv.tobytes())
-
-
-def _same_load(path):
-    new = _loaded(load_obj, path)
-    assert new == _loaded(sequential.load_obj, path)
+def _same_load(path, faulty_line=None):
+    """The load of ``path``, checked against the line-by-line reader. That
+    reader took a texture index below 1 as no texture; ``faulty_line`` names
+    the line of such an index, which is an error now."""
+    new = test_mesh.load_outcome(load_obj, path)
+    old = test_mesh.load_outcome(sequential.load_obj, path)
+    if faulty_line is not None:
+        old = (ParseError,
+               f"{path}:{faulty_line}: texture index must be >= 1")
+    assert new == old
     return new
+
+
+_TEXTURE_ID_FAULTS = dict(test_mesh.OBJ_TEXTURE_ID_FAULTS)
 
 
 @pytest.mark.parametrize("text", [text for text, _ in test_mesh.OBJ_ACCEPTS]
@@ -332,7 +339,7 @@ def _same_load(path):
 def test_obj_reader_table_matches_sequential(tmp_path, text):
     path = tmp_path / "m.obj"
     path.write_bytes(text.encode())
-    _same_load(path)
+    _same_load(path, _TEXTURE_ID_FAULTS.get(text))
 
 
 @pytest.fixture(scope="module")
@@ -349,11 +356,43 @@ def analyze_inputs(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("name", ["src.obj", "dst.obj", "plain.obj"])
-def test_obj_reader_matches_sequential_at_scale(analyze_inputs, name):
-    positions, faces, uv = _same_load(analyze_inputs / name)
+@pytest.fixture(scope="module")
+def analyze_objs(analyze_inputs):
+    """The ``analyze-16k`` OBJs of seed 7, plus ``src.obj`` with every
+    space a tab and with ``a/t/n`` face corners (one ``vn`` record)."""
+    src = (analyze_inputs / "src.obj").read_text()
+    (analyze_inputs / "src_tab.obj").write_text(src.replace(" ", "\t"))
+    first_face = src.index("\nf ")
+    (analyze_inputs / "src_vtn.obj").write_text(
+        src[:first_face] + "\nvn 0 0 1"
+        + re.sub(r"(\d)(?=[ \n])", r"\1/1", src[first_face:]))
+    return {name: analyze_inputs / name for name in (
+        "src.obj", "dst.obj", "plain.obj", "src_tab.obj", "src_vtn.obj")}
+
+
+@pytest.mark.parametrize("name", ["src.obj", "dst.obj", "plain.obj",
+                                  "src_tab.obj", "src_vtn.obj"])
+def test_obj_reader_matches_sequential_at_scale(analyze_objs, name):
+    positions, faces, uv = _same_load(analyze_objs[name])
     assert len(faces) == 2 * 128 * 128 * 3 * 8  # bytes of 32,768 faces
     assert (uv is None) == (name == "plain.obj")
+
+
+def test_obj_reader_reads_benchmark_shapes_in_bulk(analyze_objs, tmp_path,
+                                                   monkeypatch):
+    # Every kind of these files has one of the shapes NumPy's text reader
+    # converts; none may fall back to the row-by-row converters.
+    def row_by_row(*args):
+        raise AssertionError("converted row by row")
+    monkeypatch.setattr(mesh_module, "_float_rows", row_by_row)
+    monkeypatch.setattr(mesh_module, "_corners", row_by_row)
+    for path in analyze_objs.values():
+        load_obj(path)
+    # a vertex weight is off the bulk shapes
+    path = tmp_path / "weight.obj"
+    path.write_text("v 0 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(AssertionError, match="row by row"):
+        load_obj(path)
 
 
 # Whitespace runs str.split() splits on, and tokens that Python's float and
@@ -478,7 +517,8 @@ def _field_read(read, text, n):
         return type(exc), str(exc)
 
 
-# texts whose vertex ids are repeated or not JSON integers -> the error
+# texts whose vertex ids are repeated or not JSON integers, or whose values
+# are not JSON numbers -> the error
 _BAD_IDS = {
     '{"mu": [{"i": 0, "re": 1, "im": 2}, {"i": 0, "re": 3, "im": 4}]}':
         "mu JSON names vertex 0 more than once",
@@ -490,6 +530,12 @@ _BAD_IDS = {
         "malformed mu JSON: vertex index true is not an integer",
     '{"mu": [{"i": "x", "re": 0}]}':
         'malformed mu JSON: vertex index "x" is not an integer',
+    '{"mu": [{"i": 0, "re": [1], "im": 0}]}':
+        "malformed mu JSON: re value [1] is not a number",
+    '{"mu": [{"i": 0, "re": "0.25", "im": false}]}':
+        'malformed mu JSON: re value "0.25" is not a number',
+    '{"mu": [{"i": 0, "re": 0.25, "im": false}]}':
+        "malformed mu JSON: im value false is not a number",
 }
 
 
@@ -507,6 +553,8 @@ _BAD_IDS = {
     '{"mu": [{"i": 0, "im": 0}, {"re": 0}]}',
     '{"mu": [{"i": "x", "re": 0}]}',
     '{"mu": [{"i": 0, "re": [1], "im": 0}]}',
+    '{"mu": [{"i": 0, "re": "0.25", "im": false}]}',
+    '{"mu": [{"i": 0, "re": 0.25, "im": false}]}',
     '{"mu": {"i": 0}}',
     '{"mu": 3}',
     '{"nu": []}',
@@ -524,8 +572,9 @@ def test_field_reader_matches_sequential(text, n):
         old = (BeltramiError,
                "mu JSON must contain every vertex index exactly once")
     if text in _BAD_IDS:
-        # the dict code kept the last value of a repeated id and truncated
-        # the others to integers (or failed to); they are rejected now
+        # the dict code kept the last value of a repeated id, truncated
+        # the others to integers (or failed to) and read strings and
+        # booleans as values; they are rejected now
         old = (BeltramiError, _BAD_IDS[text])
     assert new == old
 
