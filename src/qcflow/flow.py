@@ -12,8 +12,10 @@ definite and solved directly.
 Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
 pre-flow surgery of :mod:`qcflow.pipeline`; it flips by corner angles, with
 one rule for both background geometries. A swap rewrites only the two faces
-of the quad and rebuilds the mesh, so edge ids stay canonical; edge lengths
-are carried to the new ids by halfedge index. :func:`longest_edges` picks
+of the quad and their twin entries, and hands the patched pairing to
+:func:`~qcflow.mesh.build_mesh`, which re-derives canonical edge ids from it
+without searching for twins or re-checking manifoldness; edge lengths are
+carried to the new ids by halfedge index. :func:`longest_edges` picks
 the edges both surgery loops try. In-flow surgery swaps on the current
 metric, then rebases it by ``-u``.
 """
@@ -216,9 +218,13 @@ def edge_swap(mesh, metric, edge):
     ``l_ik`` and ``l_il``. Raises :class:`SurgeryError` when the edge is on
     the boundary, the swap would duplicate an existing edge, the quad is
     non-convex, or a new face would violate the triangle inequality.
-    Returns the updated mesh and metric. The mesh is rebuilt, so edge ids are
-    re-derived; every edge but the new diagonal keeps its length, carried
-    over by halfedge index.
+    Returns the updated mesh and metric. The mesh is not rebuilt from
+    scratch: :func:`~qcflow.mesh.build_mesh` takes the patched twin pairing,
+    which is manifold because the edge is interior and the new diagonal
+    ``(k, l)`` is not already an edge, and re-derives edge ids from it. Its
+    face checks still run and refuse ``k == l`` (a repeated vertex id).
+    Every edge but the new diagonal keeps its length, carried over by
+    halfedge index.
     """
     h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
     if h2 < 0:
@@ -253,21 +259,29 @@ def edge_swap(mesh, metric, edge):
             raise SurgeryError(
                 f"swap of edge {edge} produced an invalid face {f}")
 
+    # Only the two faces of the quad are rewritten, so every other halfedge
+    # keeps its id and its edge. Face ``h1 // 3 = (i, l, k)`` takes its
+    # outer sides from the old halfedges ``next(h2)`` and ``prev(h1)``, and
+    # face ``h2 // 3 = (j, k, l)`` from ``next(h1)`` and ``prev(h2)``; the
+    # new diagonal pairs the two middle slots. ``source`` is the old edge
+    # under each new halfedge, -1 on the diagonal.
     new_faces = mesh.faces.copy()
     new_faces[h1 // 3] = (i, l, k)
     new_faces[h2 // 3] = (j, k, l)
-    new_mesh = build_mesh(new_faces, positions=mesh.positions)
-
-    # Old edge id of every halfedge of the new mesh, -1 on the new diagonal.
-    # Only the two faces of the quad are rewritten, so every other halfedge
-    # keeps its id and its edge. Face ``h1 // 3 = (i, l, k)`` takes its slots
-    # from the old edges under ``next(h2)``, the diagonal and ``prev(h1)``,
-    # and face ``h2 // 3 = (j, k, l)`` from ``next(h1)``, the diagonal and
-    # ``prev(h2)``.
-    source = e.copy()
     f1, f2 = 3 * (h1 // 3), 3 * (h2 // 3)
-    source[f1:f1 + 3] = e[mesh.next(h2)], -1, e[mesh.prev(h1)]
-    source[f2:f2 + 3] = e[mesh.next(h1)], -1, e[mesh.prev(h2)]
+    slots = np.array([f1, f1 + 2, f2, f2 + 2])
+    old = np.array([mesh.next(h2), mesh.prev(h1), mesh.next(h1),
+                    mesh.prev(h2)])
+    twin = mesh.twin.copy()
+    outer = mesh.twin[old]
+    twin[slots] = outer
+    twin[f1 + 1], twin[f2 + 1] = f2 + 1, f1 + 1
+    twin[outer[outer >= 0]] = slots[outer >= 0]
+    new_mesh = build_mesh(new_faces, positions=mesh.positions, twin=twin)
+
+    source = e.copy()
+    source[slots] = e[old]
+    source[[f1 + 1, f2 + 1]] = -1
     source = source[new_mesh.edge_halfedges[:, 0]]
     new_lengths = metric.lengths[source]
     new_lengths[source < 0] = new_len

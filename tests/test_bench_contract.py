@@ -12,12 +12,16 @@ import pytest
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _tracer_calls():
+def _tracer_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, name) for module, names in spans._CALLS.items()
-            for name in names]
+    return [(module, name, span) for module, names in spans._CALLS.items()
+            for name, span in names.items()]
+
+
+def _tracer_calls():
+    return [(module, name) for module, name, _ in _tracer_spans()]
 
 
 @pytest.mark.parametrize("module, name", _tracer_calls(),
@@ -25,6 +29,21 @@ def _tracer_calls():
 def test_traced_name_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"qcflow.{module}"),
                             name, None))
+
+
+@pytest.mark.parametrize("module, name, span", _tracer_spans(),
+                         ids=lambda x: x)
+def test_traced_name_is_home_object(module, name, span):
+    # a wrapped name a module imports must be the object its home module
+    # defines (``qcflow.flow.build_mesh is qcflow.mesh.build_mesh``), so that
+    # the span named after the home measures the real function. A span named
+    # after a use (``pipeline.pre_swap``) takes the home the object records.
+    obj = getattr(importlib.import_module(f"qcflow.{module}"), name)
+    layer, _, func = span.partition(".")
+    home = importlib.import_module(f"qcflow.{layer}")
+    if not hasattr(home, func):
+        home, func = importlib.import_module(obj.__module__), obj.__name__
+    assert getattr(home, func) is obj
 
 
 def test_traced_linalg_resolves():

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import meshes
-from qcflow.errors import FlowError, SolverError, SurgeryError
+from qcflow.errors import FlowError, SolverError, SurgeryError, TopologyError
 from qcflow.flow import (
     FlowOptions,
     angle_derivatives,
@@ -521,6 +521,56 @@ def test_edge_swap_carries_lengths_by_vertex_pair(mesh, geometry, slot):
     for pair, x in new.items():
         if pair != frozenset((k, l)):
             assert x == old[pair]
+
+
+_MESH_FIELDS = ("faces", "twin", "edges", "edge_of_halfedge",
+                "edge_halfedges", "vertex_halfedge")
+
+
+@pytest.mark.parametrize("make, geometry", [
+    (lambda: meshes.grid_mesh(9, 7, bump=0.2), Geometry.EUCLIDEAN),
+    (lambda: meshes.embedded_torus(9, 6), Geometry.HYPERBOLIC),
+    (lambda: meshes.annulus_mesh(9, 3), Geometry.EUCLIDEAN),
+    (meshes.genus2_mesh, Geometry.EUCLIDEAN),
+    (lambda: meshes.subdivided_sphere(2), Geometry.EUCLIDEAN),
+], ids=["grid", "torus", "annulus", "genus2", "sphere"])
+def test_edge_swap_chain_matches_fresh_build(make, geometry):
+    # each swap patches the twin pairing instead of searching for it; the
+    # mesh it builds must equal a from-scratch build of its faces in every
+    # field, also after many swaps and for quads with a boundary side
+    mesh = make()
+    metric = induced_metric(mesh).retagged(geometry)
+    rng = np.random.default_rng(11)
+    swaps = boundary_quads = 0
+    for e in rng.integers(0, mesh.n_edges, 120).tolist():
+        try:
+            new_mesh, metric = edge_swap(mesh, metric, e)
+        except SurgeryError:
+            continue
+        fresh = build_mesh(new_mesh.faces, positions=mesh.positions)
+        for name in _MESH_FIELDS:
+            np.testing.assert_array_equal(getattr(new_mesh, name),
+                                          getattr(fresh, name), err_msg=name)
+        assert new_mesh.boundary_loops == fresh.boundary_loops
+        assert new_mesh.n_vertices == fresh.n_vertices
+        h1, h2 = mesh.edge_halfedges[e]
+        sides = [mesh.next(h1), mesh.prev(h1), mesh.next(h2), mesh.prev(h2)]
+        boundary_quads += bool((mesh.twin[sides] < 0).any())
+        mesh = new_mesh
+        swaps += 1
+    assert swaps >= 20
+    assert (boundary_quads > 0) == (not mesh.is_closed())
+
+
+def test_edge_swap_pillow_refused_by_face_check():
+    # both faces of the closed two-face pillow have the same apex, so the
+    # new faces repeat a vertex; the face check runs before the patched
+    # pairing is used
+    pillow = build_mesh(np.array([[0, 1, 2], [1, 0, 2]]))
+    metric = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(pillow.n_edges))
+    with pytest.raises(TopologyError,
+                       match=r"^repeated vertex id in faces \[0, 1\]$"):
+        edge_swap(pillow, metric, 0)
 
 
 @pytest.mark.parametrize("equal_sides", [False, True])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import meshes
+from qcflow import flow
 from qcflow.beltrami import BeltramiField, field_to_json
 from qcflow.cli import main as cli_main
 from qcflow.errors import BeltramiError, PresetError
-from qcflow.mesh import load_obj, save_obj
+from qcflow.mesh import build_mesh, load_obj, save_obj
 from qcflow.metric import Geometry
 from qcflow.pipeline import (
     PresetKind,
@@ -454,6 +455,31 @@ def test_qcmap_reports_pre_flow_swaps(k):
     swaps = qc.report["pre_flow_swaps"]
     assert (swaps > 0) == (not np.array_equal(qc.mesh.faces, mesh.faces))
     assert (swaps > 0) == (k == 0.85)
+
+
+def test_qcmap_swaps_match_searched_pairing(monkeypatch):
+    # the smooth field at k = 0.85 needs about 45 pre-flow swaps; with the
+    # patched twin pairing dropped, each swap searches for it from scratch,
+    # and the map must come out bit-equal
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    x, y = mesh.positions[:, 0], mesh.positions[:, 1]
+    mu = 0.85 * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x)
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    patched = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
+    dropped = []
+
+    def build_without_twin(faces, positions=None, uv=None, twin=None):
+        dropped.append(twin is not None)
+        return build_mesh(faces, positions, uv)
+
+    monkeypatch.setattr(flow, "build_mesh", build_without_twin)
+    searched = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
+    assert patched.report["pre_flow_swaps"] > 30
+    assert len(dropped) == patched.report["pre_flow_swaps"] and all(dropped)
+    assert patched.report["pre_flow_swaps"] == \
+        searched.report["pre_flow_swaps"]
+    np.testing.assert_array_equal(patched.mesh.faces, searched.mesh.faces)
+    np.testing.assert_array_equal(patched.param.coords, searched.param.coords)
 
 
 def test_qcmap_pre_flow_surgery_failure_names_faces():
