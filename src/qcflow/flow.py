@@ -7,7 +7,17 @@ Sign convention: the assembled Hessian is the curvature Jacobian
 ``u += du``. In the Euclidean case every row of H sums to zero (global
 scaling leaves angles unchanged) and the system is solved on the zero-mean
 subspace with one vertex pinned; in the hyperbolic case H is positive
-definite and solved directly.
+definite and solved whole.
+
+One solve path: the Hessian is the Hessian of a convex energy (Springborn,
+Schroeder & Pinkall 2008), so the pinned or whole system is symmetric
+positive definite. :func:`run_flow` factors it once per mesh by sparse LU
+and solves later steps by conjugate gradients preconditioned by that LU,
+to the inexact-Newton forcing tolerance ``min(1e-3, max|Kbar - K|)``
+relative to the right-hand side, which keeps the quadratic rate (Dembo,
+Eisenstat & Steihaug 1982). A factor that misses the tolerance within
+``_MAX_CG_ITERATIONS`` iterations is refreshed, and edge-swap surgery
+drops it, since a swap changes the sparsity pattern.
 
 Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
 pre-flow surgery of :mod:`qcflow.pipeline`; it flips by corner angles, with
@@ -47,6 +57,10 @@ from .metric import (
 _SURGERY_AFTER_HALVINGS = 5
 # step halvings per Newton iteration before the line search gives up
 _MAX_HALVINGS = 20
+# cap of the inexact-Newton forcing term min(cap, max|b|) of a reused factor
+_FORCING_CAP = 1e-3
+# conjugate-gradient iterations before a reused factor counts as stale
+_MAX_CG_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -67,12 +81,16 @@ class FlowOptions:
 @dataclass
 class FlowReport:
     """Convergence record; ``residuals`` has ``iterations + 1`` entries
-    (the leading one is the initial residual)."""
+    (the leading one is the initial residual). ``factorizations`` counts
+    the sparse LU factorizations of the Newton steps and ``cg_iterations``
+    the conjugate-gradient iterations run on reused factors."""
 
     residuals: list
     iterations: int
     swaps: int
     halvings: int
+    factorizations: int
+    cg_iterations: int
     u: np.ndarray
     converged: bool
     u_history: list = field(default_factory=list, repr=False)
@@ -82,6 +100,7 @@ class FlowReport:
             "iterations": self.iterations,
             "residuals": [float(r) for r in self.residuals],
             "swaps": self.swaps,
+            "factorizations": self.factorizations,
             "converged": self.converged,
         }
 
@@ -168,39 +187,71 @@ def assemble_hessian(mesh, metric, u=None, angles=None):
     return H.tocsr()
 
 
-def newton_step(H, residual, geometry):
-    """Solve ``H du = residual`` (= Kbar - K) by one sparse LU factorization.
+def newton_step(H, residual, geometry, factor=None, *, callback=None):
+    """Solve ``H du = residual`` (= Kbar - K) for the Newton direction.
+    Returns ``(du, factor)``: the direction and the sparse LU factor to hand
+    to the next step on the same mesh.
 
     Euclidean systems are singular with kernel spanned by the constant
     vector: the right-hand side is projected onto the zero-mean subspace,
     vertex 0 is pinned and the solution is re-centred to zero mean.
-    Hyperbolic systems are positive definite and factored whole. Raises
-    :class:`SolverError` when the system is singular: a Euclidean system on
-    a disconnected mesh (one constant per component spans the kernel, and
-    rounding may hide the extra zero pivots), or a degenerate metric.
+    Hyperbolic systems are positive definite and solved whole.
+
+    Without ``factor`` the system is factored by ``splu`` and solved
+    directly. With one, usually the LU of an earlier Hessian on the same
+    mesh, it is solved by conjugate gradients (valid because the pinned or
+    whole system is symmetric positive definite) started at
+    ``factor.solve(b)`` and preconditioned by ``factor.solve``, to the
+    inexact-Newton forcing tolerance ``|r| <= min(1e-3, max|b|) |b|``,
+    which keeps the quadratic rate. A factor that does not reach it within
+    ``_MAX_CG_ITERATIONS`` iterations, or that has the wrong size, is stale:
+    it is dropped and the system factored afresh. ``callback(xk)`` is
+    called after every CG iteration.
+
+    Raises :class:`SolverError` when the system is singular: a Euclidean
+    system on a disconnected mesh (one constant per component spans the
+    kernel, and rounding may hide the extra zero pivots; checked whenever
+    the system is factored), or a degenerate metric.
     """
     b = np.asarray(residual, dtype=np.float64).copy()
     euclidean = geometry == Geometry.EUCLIDEAN
     if euclidean:
         b -= b.mean()
-        n_parts = connected_components(H, directed=False, return_labels=False)
-        if n_parts > 1:
-            raise SolverError(f"singular Newton system: the mesh has "
-                              f"{n_parts} connected components")
     x = np.zeros(H.shape[0])
     if not np.any(b):
-        return x
+        return x, factor
     free = slice(1, None) if euclidean else slice(None)
-    try:
-        lu = spla.splu(H[free, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"singular Newton system: {exc}") from exc
-    x[free] = lu.solve(b[free])
+    A = H[free, free]
+    if factor is not None and factor.shape == A.shape:
+        y, info = spla.cg(
+            A, b[free], x0=factor.solve(b[free]),
+            rtol=min(_FORCING_CAP, float(np.abs(b).max())), atol=0.0,
+            maxiter=_MAX_CG_ITERATIONS,
+            M=spla.LinearOperator(A.shape, matvec=factor.solve,
+                                  dtype=np.float64),
+            callback=callback)
+        if info != 0:
+            factor = None  # stale
+    else:
+        factor = None
+    if factor is None:
+        if euclidean:
+            n_parts = connected_components(H, directed=False,
+                                           return_labels=False)
+            if n_parts > 1:
+                raise SolverError(f"singular Newton system: the mesh has "
+                                  f"{n_parts} connected components")
+        try:
+            factor = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"singular Newton system: {exc}") from exc
+        y = factor.solve(b[free])
+    x[free] = y
     if not np.all(np.isfinite(x)):
         raise SolverError("singular Newton system: non-finite solution")
     if euclidean:
         x -= x.mean()
-    return x
+    return x, factor
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +379,9 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     backtracks (halving the step) until the deformed metric is admissible and
     the max-norm residual decreases. After ``5`` failed halvings edge-swap
     surgery is attempted on the longest edge of every violating face.
-    Iteration stops when ``max |Kbar - K| < options.eps``.
+    Iteration stops when ``max |Kbar - K| < options.eps``. The sparse LU of
+    a step is handed to the next one (:func:`newton_step`), so a mesh is
+    factored once unless the factor goes stale; a swap drops it.
 
     ``target`` must satisfy the Euclidean Gauss-Bonnet identity
     ``sum(Kbar) = 2 pi chi`` (to 1e-9); hyperbolic targets are not
@@ -367,10 +420,22 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     swaps = 0
     halvings = 0
     iterations = 0
+    # The LU of the latest factored Hessian, reused by later Newton steps
+    # until surgery changes the mesh.
+    factor = None
+    factorizations = 0
+    cg_iterations = 0
+
+    def count_cg(xk):
+        nonlocal cg_iterations
+        cg_iterations += 1
 
     while res >= options.eps and iterations < options.max_iterations:
         H = assemble_hessian(mesh, current, angles=angles)
-        du = newton_step(H, target - K, geometry)
+        du, new_factor = newton_step(H, target - K, geometry, factor,
+                                     callback=count_cg)
+        factorizations += new_factor is not factor
+        factor = new_factor
 
         accepted = False
         surgery_progress = False
@@ -394,8 +459,10 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                     if n_done:
                         # Connectivity changed: rebase so that u deforms the
                         # new base to the swapped metric, recompute the state
-                        # at the unchanged u and restart with a fresh Hessian.
+                        # at the unchanged u and restart with a fresh Hessian
+                        # and a fresh factor (the sparsity pattern changed).
                         swaps += n_done
+                        factor = None
                         base = deform_metric(mesh, swapped, -u)
                         current = deform_metric(mesh, base, u)
                         angles = corner_angles(current, mesh)
@@ -427,7 +494,8 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
 
         if not accepted and not surgery_progress:
             report = _make_report(residuals, iterations, swaps, halvings,
-                                  u, False, u_history)
+                                  factorizations, cg_iterations, u, False,
+                                  u_history)
             if not saw_admissible:
                 detail = (" and surgery is disabled" if not options.surgery
                           else "")
@@ -443,8 +511,9 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
         u_history.append(u.copy())
 
     converged = res < options.eps
-    report = _make_report(residuals, iterations, swaps, halvings, u,
-                          converged, u_history)
+    report = _make_report(residuals, iterations, swaps, halvings,
+                          factorizations, cg_iterations, u, converged,
+                          u_history)
     if not converged:
         raise FlowError(
             f"flow did not converge within {options.max_iterations} "
@@ -453,8 +522,10 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                       report=report)
 
 
-def _make_report(residuals, iterations, swaps, halvings, u, converged,
-                 u_history):
+def _make_report(residuals, iterations, swaps, halvings, factorizations,
+                 cg_iterations, u, converged, u_history):
     return FlowReport(residuals=list(residuals), iterations=iterations,
-                      swaps=swaps, halvings=halvings, u=u.copy(),
+                      swaps=swaps, halvings=halvings,
+                      factorizations=factorizations,
+                      cg_iterations=cg_iterations, u=u.copy(),
                       converged=converged, u_history=[v.copy() for v in u_history])

@@ -3,6 +3,7 @@ program (``perfbench/spans.py``). Every name it wraps must still resolve, so
 that a rename or deletion in ``qcflow`` fails here and not only in the slow
 ``python3 -m pytest perfbench`` run."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -48,3 +49,23 @@ def test_traced_name_is_home_object(module, name, span):
 
 def test_traced_linalg_resolves():
     assert hasattr(importlib.import_module("qcflow.flow"), "spla")
+
+
+def test_flow_linalg_goes_through_spla():
+    # the tracer counts CG iterations by replacing ``qcflow.flow.spla`` with
+    # a counting stand-in, so ``flow.py`` must reach ``splu`` and ``cg`` only
+    # as ``spla.<name>``: a bare or differently qualified name bypasses it
+    names = {"splu", "cg"}
+    path = Path(importlib.import_module("qcflow.flow").__file__)
+    seen = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not names & {alias.name.rpartition(".")[2]
+                                for alias in node.names}
+        elif isinstance(node, ast.Name):
+            assert node.id not in names, f"bare {node.id} at line {node.lineno}"
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            assert isinstance(node.value, ast.Name), node.lineno
+            assert node.value.id == "spla", node.lineno
+            seen.add(node.attr)
+    assert seen == names

@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import meshes
+import qcflow.flow as flow_module
 from qcflow.errors import FlowError, SolverError, SurgeryError, TopologyError
 from qcflow.flow import (
     FlowOptions,
@@ -165,8 +166,9 @@ def test_hyperbolic_hessian_positive_definite_small():
 
 def test_newton_step_zero_residual(grid9):
     H = assemble_hessian(grid9, induced_metric(grid9))
-    du = newton_step(H, np.zeros(grid9.n_vertices), Geometry.EUCLIDEAN)
+    du, factor = newton_step(H, np.zeros(grid9.n_vertices), Geometry.EUCLIDEAN)
     assert not du.any()
+    assert factor is None
 
 
 def test_newton_step_zero_mean(grid9):
@@ -174,7 +176,7 @@ def test_newton_step_zero_mean(grid9):
     H = assemble_hessian(grid9, induced_metric(grid9))
     for _ in range(5):
         b = rng.normal(size=grid9.n_vertices)
-        du = newton_step(H, b, Geometry.EUCLIDEAN)
+        du, _ = newton_step(H, b, Geometry.EUCLIDEAN)
         assert abs(du.sum()) < 1e-10 * max(1.0, np.abs(du).max())
 
 
@@ -213,7 +215,7 @@ def test_newton_step_matches_dense_solve():
     for H in (_random_laplacian(rng), _torus_hessian(), _path_laplacian()):
         b = rng.normal(size=H.shape[0])
         b -= b.mean()
-        x = newton_step(sp.csr_matrix(H), b, Geometry.EUCLIDEAN)
+        x, _ = newton_step(sp.csr_matrix(H), b, Geometry.EUCLIDEAN)
         dense = np.linalg.lstsq(H, b, rcond=None)[0]
         dense -= dense.mean()
         assert np.abs(x - dense).max() < 1e-8 * max(1.0, np.abs(dense).max())
@@ -245,13 +247,84 @@ def test_newton_step_hyperbolic_matches_dense(grid9):
     metric = meshes.random_admissible_metric(grid9, rng, Geometry.HYPERBOLIC)
     H = assemble_hessian(grid9, metric)
     b = rng.normal(size=grid9.n_vertices)
-    x = newton_step(H, b, Geometry.HYPERBOLIC)
+    x, _ = newton_step(H, b, Geometry.HYPERBOLIC)
     dense = np.linalg.solve(H.toarray(), b)
     assert np.abs(x - dense).max() < 1e-8 * np.abs(dense).max()
 
 
+def _counting():
+    calls = []
+    return calls, lambda xk: calls.append(1)
+
+
+@pytest.mark.parametrize("geometry", [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC])
+def test_newton_step_reuses_factor_nearby(grid9, geometry):
+    # the LU at u = 0 preconditions CG at a nearby u: the same factor comes
+    # back, and du solves the new system to the forcing tolerance
+    rng = np.random.default_rng(53)
+    if geometry == Geometry.EUCLIDEAN:
+        metric = induced_metric(grid9)
+    else:
+        metric = meshes.random_admissible_metric(grid9, rng, geometry)
+    b = rng.normal(size=grid9.n_vertices)
+    _, factor = newton_step(assemble_hessian(grid9, metric), b, geometry)
+    H = assemble_hessian(grid9, metric,
+                         u=0.03 * rng.normal(size=grid9.n_vertices))
+    calls, count = _counting()
+    du, reused = newton_step(H, b, geometry, factor, callback=count)
+    assert reused is factor
+    assert 0 < len(calls) < flow_module._MAX_CG_ITERATIONS
+    dense = np.linalg.lstsq(H.toarray(), b, rcond=None)[0]
+    if geometry == Geometry.EUCLIDEAN:
+        b -= b.mean()
+        dense -= dense.mean()
+    rtol = min(flow_module._FORCING_CAP, np.abs(b).max())
+    assert np.linalg.norm(H @ du - b) <= rtol * np.linalg.norm(b)
+    assert np.abs(du - dense).max() < rtol * np.abs(dense).max()
+
+
+def test_newton_step_replaces_stale_factor(grid9):
+    # a factor of an unrelated system of the same size (a random Laplacian,
+    # pinned like the grid's) fails the CG budget and is replaced; the
+    # direct solve then meets the dense bound
+    rng = np.random.default_rng(59)
+    n = grid9.n_vertices
+    _, stale = newton_step(sp.csr_matrix(_random_laplacian(rng, n)),
+                           rng.normal(size=n), Geometry.EUCLIDEAN)
+    H = assemble_hessian(grid9, induced_metric(grid9))
+    b = rng.normal(size=n)
+    b -= b.mean()
+    calls, count = _counting()
+    du, factor = newton_step(H, b, Geometry.EUCLIDEAN, stale, callback=count)
+    assert factor is not stale
+    assert len(calls) == flow_module._MAX_CG_ITERATIONS
+    dense = np.linalg.lstsq(H.toarray(), b, rcond=None)[0]
+    dense -= dense.mean()
+    assert np.abs(du - dense).max() < 1e-8 * max(1.0, np.abs(dense).max())
+    # a factor of the wrong size is replaced without a CG run
+    _, small = newton_step(sp.csr_matrix(_path_laplacian()), np.arange(6.0),
+                           Geometry.EUCLIDEAN)
+    calls, count = _counting()
+    du2, factor = newton_step(H, b, Geometry.EUCLIDEAN, small, callback=count)
+    assert factor is not small and not calls
+    assert np.array_equal(du2, du)
+
+
 # ---------------------------------------------------------------------------
 # run_flow
+
+
+def _record_calls(monkeypatch, owner, name, events):
+    """Wrap ``owner.name`` to append ``name`` to ``events`` after every call
+    that returns."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        events.append(name)
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 def rectangle_target(mesh, corners):
@@ -291,6 +364,22 @@ def test_flow_converges_from_perturbation(grid33):
     # the flow undoes the conformal perturbation (up to a constant)
     recovered = res.u + u0
     assert np.abs(recovered - recovered.mean()).max() < 1e-6
+
+
+def test_flow_factors_once_per_mesh(grid33, monkeypatch):
+    # later Newton steps on the unchanged mesh reuse the first LU
+    calls = []
+    _record_calls(monkeypatch, flow_module.spla, "splu", calls)
+    metric = induced_metric(grid33)
+    x, y = grid33.positions[:, 0], grid33.positions[:, 1]
+    u0 = 0.6 * np.sin(2 * np.pi * x) * np.sin(np.pi * y) + 0.35 * np.cos(np.pi * x)
+    perturbed = DiscreteMetric(
+        Geometry.EUCLIDEAN, deform_metric(grid33, metric, u0 - u0.mean()).lengths)
+    target = rectangle_target(grid33, meshes.grid_corners(33, 33))
+    rep = run_flow(grid33, perturbed, target, Geometry.EUCLIDEAN).report
+    assert rep.converged and rep.iterations >= 3
+    assert len(calls) == rep.factorizations == 1
+    assert rep.cg_iterations > 0
 
 
 def test_flow_zero_mean_on_closed_mesh():
@@ -354,6 +443,28 @@ def test_flow_with_surgery_on_stretched_grid():
     assert np.abs(K - target).max() < 1e-8
 
 
+def test_flow_refactors_after_surgery(monkeypatch):
+    # a swap changes the sparsity pattern: the Newton step after it factors
+    # afresh instead of reusing the old mesh's LU
+    events = []
+    for owner, name in ((flow_module.spla, "splu"),
+                        (flow_module, "newton_step"),
+                        (flow_module, "edge_swap")):
+        _record_calls(monkeypatch, owner, name, events)
+    mesh = meshes.grid_mesh(7, 5, w=30.0, h=1.0)
+    target = np.zeros(mesh.n_vertices)
+    target[2 * 7 + 3] = -5.5
+    for c in meshes.grid_corners(7, 5):
+        target[c] = np.pi / 2 + 5.5 / 4
+    rep = run_flow(mesh, induced_metric(mesh), target, Geometry.EUCLIDEAN,
+                   FlowOptions(max_iterations=120)).report
+    assert rep.swaps > 0
+    assert events.count("splu") == rep.factorizations >= 2
+    last_swap = len(events) - 1 - events[::-1].index("edge_swap")
+    after = events[last_swap + 1:]
+    assert after[:2] == ["splu", "newton_step"]
+
+
 def test_flow_result_metric_is_deformed_base_after_surgery():
     # FlowResult contract: with surgery, base and u live on the swapped mesh
     # and deform exactly to the returned metric
@@ -389,7 +500,8 @@ def test_flow_report_json_contract(grid9):
     target = rectangle_target(grid9, meshes.grid_corners(9, 9))
     res = run_flow(grid9, metric, target, Geometry.EUCLIDEAN)
     doc = res.report.to_json_dict()
-    assert set(doc) == {"iterations", "residuals", "swaps", "converged"}
+    assert set(doc) == {"iterations", "residuals", "swaps", "factorizations",
+                        "converged"}
     assert doc["iterations"] == 0
     assert doc["converged"] is True
 
