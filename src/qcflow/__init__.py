@@ -37,6 +37,7 @@ from .flow import (
     FlowOptions,
     FlowReport,
     FlowResult,
+    NewtonFactor,
     angle_derivatives,
     assemble_hessian,
     edge_swap,

@@ -15,9 +15,11 @@ positive definite. :func:`run_flow` factors it once per mesh by sparse LU
 and solves later steps by conjugate gradients preconditioned by that LU,
 to the inexact-Newton forcing tolerance ``min(1e-3, max|Kbar - K|)``
 relative to the right-hand side, which keeps the quadratic rate (Dembo,
-Eisenstat & Steihaug 1982). A factor that misses the tolerance within
-``_MAX_CG_ITERATIONS`` iterations is refreshed, and edge-swap surgery
-drops it, since a swap changes the sparsity pattern.
+Eisenstat & Steihaug 1982). The LU travels in a :class:`NewtonFactor`
+handle. A factor that misses the tolerance within ``_MAX_CG_ITERATIONS``
+iterations is refreshed in place, releasing the stale LU before its
+successor is built, and edge-swap surgery drops it, since a swap changes
+the sparsity pattern.
 
 Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
 pre-flow surgery of :mod:`qcflow.pipeline`; it flips by corner angles, with
@@ -187,65 +189,101 @@ def assemble_hessian(mesh, metric, u=None, angles=None):
     return H.tocsr()
 
 
-def newton_step(H, residual, geometry, factor=None, *, callback=None):
+class NewtonFactor:
+    """The sparse LU that :func:`newton_step` carries from one Newton step
+    to the next on the same mesh. ``lu`` is the factor (``None`` until the
+    first factorization, or after a caller drops it because the mesh
+    changed); ``factorizations`` and ``cg_iterations`` count the sparse LU
+    factorizations and conjugate-gradient iterations spent through it. A
+    stale factor is replaced in place, and the old LU is released before
+    the new one is built, so a caller that keeps only this handle never
+    holds two factors."""
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.cg_iterations = 0
+
+    def refine(self, A, b, rtol):
+        """Solve ``A y = b`` by conjugate gradients started at
+        ``lu.solve(b)`` and preconditioned by ``lu.solve``, to the relative
+        residual ``rtol``. Returns ``None`` when there is no factor of
+        ``A``'s size or CG misses the tolerance within
+        ``_MAX_CG_ITERATIONS`` iterations (the factor is stale)."""
+        if self.lu is None or self.lu.shape != A.shape:
+            return None
+
+        def count(xk):
+            self.cg_iterations += 1
+
+        y, info = spla.cg(
+            A, b, x0=self.lu.solve(b),
+            rtol=rtol, atol=0.0,
+            maxiter=_MAX_CG_ITERATIONS,
+            M=spla.LinearOperator(A.shape, matvec=self.lu.solve,
+                                  dtype=np.float64),
+            callback=count)
+        return y if info == 0 else None
+
+    def refactor(self, A, b):
+        """Factor ``A`` afresh by sparse LU and solve ``A y = b`` directly."""
+        self.lu = None  # release the stale factor before building the next
+        try:
+            self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"singular Newton system: {exc}") from exc
+        self.factorizations += 1
+        return self.lu.solve(b)
+
+
+def newton_step(H, residual, geometry, factor=None):
     """Solve ``H du = residual`` (= Kbar - K) for the Newton direction.
-    Returns ``(du, factor)``: the direction and the sparse LU factor to hand
-    to the next step on the same mesh.
+    Returns ``(du, factor)``: the direction and the :class:`NewtonFactor`
+    to hand to the next step on the same mesh (``factor`` itself when one
+    is given, else a new one).
 
     Euclidean systems are singular with kernel spanned by the constant
     vector: the right-hand side is projected onto the zero-mean subspace,
     vertex 0 is pinned and the solution is re-centred to zero mean.
     Hyperbolic systems are positive definite and solved whole.
 
-    Without ``factor`` the system is factored by ``splu`` and solved
-    directly. With one, usually the LU of an earlier Hessian on the same
-    mesh, it is solved by conjugate gradients (valid because the pinned or
-    whole system is symmetric positive definite) started at
-    ``factor.solve(b)`` and preconditioned by ``factor.solve``, to the
+    With no factor, or one without an LU of the system's size, the system
+    is factored by ``splu`` and solved directly. With the LU of an earlier
+    Hessian on the same mesh it is solved by conjugate gradients (valid
+    because the pinned or whole system is symmetric positive definite)
+    started at the LU solution and preconditioned by the LU, to the
     inexact-Newton forcing tolerance ``|r| <= min(1e-3, max|b|) |b|``,
-    which keeps the quadratic rate. A factor that does not reach it within
-    ``_MAX_CG_ITERATIONS`` iterations, or that has the wrong size, is stale:
-    it is dropped and the system factored afresh. ``callback(xk)`` is
-    called after every CG iteration.
+    which keeps the quadratic rate. An LU that does not reach it within
+    ``_MAX_CG_ITERATIONS`` iterations is stale: it is released and the
+    system factored afresh into the same handle.
 
     Raises :class:`SolverError` when the system is singular: a Euclidean
     system on a disconnected mesh (one constant per component spans the
     kernel, and rounding may hide the extra zero pivots; checked whenever
-    the system is factored), or a degenerate metric.
+    the step would factor, before a zero residual returns), or a
+    degenerate metric.
     """
     b = np.asarray(residual, dtype=np.float64).copy()
     euclidean = geometry == Geometry.EUCLIDEAN
     if euclidean:
         b -= b.mean()
-    x = np.zeros(H.shape[0])
-    if not np.any(b):
-        return x, factor
     free = slice(1, None) if euclidean else slice(None)
     A = H[free, free]
-    if factor is not None and factor.shape == A.shape:
-        y, info = spla.cg(
-            A, b[free], x0=factor.solve(b[free]),
-            rtol=min(_FORCING_CAP, float(np.abs(b).max())), atol=0.0,
-            maxiter=_MAX_CG_ITERATIONS,
-            M=spla.LinearOperator(A.shape, matvec=factor.solve,
-                                  dtype=np.float64),
-            callback=callback)
-        if info != 0:
-            factor = None  # stale
-    else:
-        factor = None
     if factor is None:
+        factor = NewtonFactor()
+    x = np.zeros(H.shape[0])
+    y = factor.refine(A, b[free],
+                      rtol=min(_FORCING_CAP, float(np.abs(b).max())))
+    if y is None:
         if euclidean:
             n_parts = connected_components(H, directed=False,
                                            return_labels=False)
             if n_parts > 1:
                 raise SolverError(f"singular Newton system: the mesh has "
                                   f"{n_parts} connected components")
-        try:
-            factor = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SolverError(f"singular Newton system: {exc}") from exc
-        y = factor.solve(b[free])
+        if not np.any(b):
+            return x, factor
+        y = factor.refactor(A, b[free])
     x[free] = y
     if not np.all(np.isfinite(x)):
         raise SolverError("singular Newton system: non-finite solution")
@@ -379,9 +417,10 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     backtracks (halving the step) until the deformed metric is admissible and
     the max-norm residual decreases. After ``5`` failed halvings edge-swap
     surgery is attempted on the longest edge of every violating face.
-    Iteration stops when ``max |Kbar - K| < options.eps``. The sparse LU of
-    a step is handed to the next one (:func:`newton_step`), so a mesh is
-    factored once unless the factor goes stale; a swap drops it.
+    Iteration stops when ``max |Kbar - K| < options.eps``. One
+    :class:`NewtonFactor` is handed from step to step (:func:`newton_step`),
+    so a mesh is factored once unless the factor goes stale; a swap drops
+    its LU.
 
     ``target`` must satisfy the Euclidean Gauss-Bonnet identity
     ``sum(Kbar) = 2 pi chi`` (to 1e-9); hyperbolic targets are not
@@ -422,20 +461,11 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     iterations = 0
     # The LU of the latest factored Hessian, reused by later Newton steps
     # until surgery changes the mesh.
-    factor = None
-    factorizations = 0
-    cg_iterations = 0
-
-    def count_cg(xk):
-        nonlocal cg_iterations
-        cg_iterations += 1
+    factor = NewtonFactor()
 
     while res >= options.eps and iterations < options.max_iterations:
         H = assemble_hessian(mesh, current, angles=angles)
-        du, new_factor = newton_step(H, target - K, geometry, factor,
-                                     callback=count_cg)
-        factorizations += new_factor is not factor
-        factor = new_factor
+        du, factor = newton_step(H, target - K, geometry, factor)
 
         accepted = False
         surgery_progress = False
@@ -462,7 +492,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                         # at the unchanged u and restart with a fresh Hessian
                         # and a fresh factor (the sparsity pattern changed).
                         swaps += n_done
-                        factor = None
+                        factor.lu = None
                         base = deform_metric(mesh, swapped, -u)
                         current = deform_metric(mesh, base, u)
                         angles = corner_angles(current, mesh)
@@ -494,8 +524,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
 
         if not accepted and not surgery_progress:
             report = _make_report(residuals, iterations, swaps, halvings,
-                                  factorizations, cg_iterations, u, False,
-                                  u_history)
+                                  factor, u, False, u_history)
             if not saw_admissible:
                 detail = (" and surgery is disabled" if not options.surgery
                           else "")
@@ -511,9 +540,8 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
         u_history.append(u.copy())
 
     converged = res < options.eps
-    report = _make_report(residuals, iterations, swaps, halvings,
-                          factorizations, cg_iterations, u, converged,
-                          u_history)
+    report = _make_report(residuals, iterations, swaps, halvings, factor,
+                          u, converged, u_history)
     if not converged:
         raise FlowError(
             f"flow did not converge within {options.max_iterations} "
@@ -522,10 +550,10 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                       report=report)
 
 
-def _make_report(residuals, iterations, swaps, halvings, factorizations,
-                 cg_iterations, u, converged, u_history):
+def _make_report(residuals, iterations, swaps, halvings, factor, u,
+                 converged, u_history):
     return FlowReport(residuals=list(residuals), iterations=iterations,
                       swaps=swaps, halvings=halvings,
-                      factorizations=factorizations,
-                      cg_iterations=cg_iterations, u=u.copy(),
+                      factorizations=factor.factorizations,
+                      cg_iterations=factor.cg_iterations, u=u.copy(),
                       converged=converged, u_history=[v.copy() for v in u_history])

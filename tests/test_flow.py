@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -168,7 +170,7 @@ def test_newton_step_zero_residual(grid9):
     H = assemble_hessian(grid9, induced_metric(grid9))
     du, factor = newton_step(H, np.zeros(grid9.n_vertices), Geometry.EUCLIDEAN)
     assert not du.any()
-    assert factor is None
+    assert factor.lu is None and factor.factorizations == 0
 
 
 def test_newton_step_zero_mean(grid9):
@@ -233,6 +235,10 @@ def test_newton_step_singular_system_raises():
         H = sp.csr_matrix(scipy.linalg.block_diag(block, block))
         with pytest.raises(SolverError, match="singular"):
             newton_step(H, b, Geometry.EUCLIDEAN)
+        # the component check runs before a residual that projects to zero
+        # returns, whenever the step would factor
+        with pytest.raises(SolverError, match="2 connected components"):
+            newton_step(H, np.full(20, 3.0), Geometry.EUCLIDEAN)
 
 
 def test_newton_step_exactly_singular_raises():
@@ -252,11 +258,6 @@ def test_newton_step_hyperbolic_matches_dense(grid9):
     assert np.abs(x - dense).max() < 1e-8 * np.abs(dense).max()
 
 
-def _counting():
-    calls = []
-    return calls, lambda xk: calls.append(1)
-
-
 @pytest.mark.parametrize("geometry", [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC])
 def test_newton_step_reuses_factor_nearby(grid9, geometry):
     # the LU at u = 0 preconditions CG at a nearby u: the same factor comes
@@ -268,12 +269,13 @@ def test_newton_step_reuses_factor_nearby(grid9, geometry):
         metric = meshes.random_admissible_metric(grid9, rng, geometry)
     b = rng.normal(size=grid9.n_vertices)
     _, factor = newton_step(assemble_hessian(grid9, metric), b, geometry)
+    lu = factor.lu
     H = assemble_hessian(grid9, metric,
                          u=0.03 * rng.normal(size=grid9.n_vertices))
-    calls, count = _counting()
-    du, reused = newton_step(H, b, geometry, factor, callback=count)
-    assert reused is factor
-    assert 0 < len(calls) < flow_module._MAX_CG_ITERATIONS
+    du, reused = newton_step(H, b, geometry, factor)
+    assert reused is factor and factor.lu is lu
+    assert factor.factorizations == 1
+    assert 0 < factor.cg_iterations < flow_module._MAX_CG_ITERATIONS
     dense = np.linalg.lstsq(H.toarray(), b, rcond=None)[0]
     if geometry == Geometry.EUCLIDEAN:
         b -= b.mean()
@@ -289,25 +291,65 @@ def test_newton_step_replaces_stale_factor(grid9):
     # direct solve then meets the dense bound
     rng = np.random.default_rng(59)
     n = grid9.n_vertices
-    _, stale = newton_step(sp.csr_matrix(_random_laplacian(rng, n)),
-                           rng.normal(size=n), Geometry.EUCLIDEAN)
+    _, factor = newton_step(sp.csr_matrix(_random_laplacian(rng, n)),
+                            rng.normal(size=n), Geometry.EUCLIDEAN)
+    stale = factor.lu
     H = assemble_hessian(grid9, induced_metric(grid9))
     b = rng.normal(size=n)
     b -= b.mean()
-    calls, count = _counting()
-    du, factor = newton_step(H, b, Geometry.EUCLIDEAN, stale, callback=count)
-    assert factor is not stale
-    assert len(calls) == flow_module._MAX_CG_ITERATIONS
+    du, same = newton_step(H, b, Geometry.EUCLIDEAN, factor)
+    assert same is factor and factor.lu is not stale
+    assert factor.factorizations == 2
+    assert factor.cg_iterations == flow_module._MAX_CG_ITERATIONS
     dense = np.linalg.lstsq(H.toarray(), b, rcond=None)[0]
     dense -= dense.mean()
     assert np.abs(du - dense).max() < 1e-8 * max(1.0, np.abs(dense).max())
     # a factor of the wrong size is replaced without a CG run
     _, small = newton_step(sp.csr_matrix(_path_laplacian()), np.arange(6.0),
                            Geometry.EUCLIDEAN)
-    calls, count = _counting()
-    du2, factor = newton_step(H, b, Geometry.EUCLIDEAN, small, callback=count)
-    assert factor is not small and not calls
+    du2, _ = newton_step(H, b, Geometry.EUCLIDEAN, small)
+    assert small.factorizations == 2 and small.cg_iterations == 0
+    assert small.lu.shape == (n - 1, n - 1)
     assert np.array_equal(du2, du)
+
+
+class _TrackedLU:
+    # a weak-referenceable stand-in for SuperLU, which is not
+    def __init__(self, lu):
+        self.shape, self.solve = lu.shape, lu.solve
+
+
+def test_refresh_releases_stale_factor_first(grid33, monkeypatch):
+    # with a forcing cap that two CG iterations cannot meet, every step
+    # after the first finds its factor stale; when splu builds the next LU,
+    # no earlier one is alive, in the flow or in a direct newton_step call
+    built = []
+    splu = flow_module.spla.splu
+
+    def tracked_splu(*args, **kwargs):
+        assert all(ref() is None for ref in built)
+        lu = _TrackedLU(splu(*args, **kwargs))
+        built.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(flow_module.spla, "splu", tracked_splu)
+    monkeypatch.setattr(flow_module, "_FORCING_CAP", 1e-30)
+    monkeypatch.setattr(flow_module, "_MAX_CG_ITERATIONS", 2)
+    metric = induced_metric(grid33)
+    x, y = grid33.positions[:, 0], grid33.positions[:, 1]
+    u0 = 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    perturbed = DiscreteMetric(
+        Geometry.EUCLIDEAN, deform_metric(grid33, metric, u0 - u0.mean()).lengths)
+    target = rectangle_target(grid33, meshes.grid_corners(33, 33))
+    rep = run_flow(grid33, perturbed, target, Geometry.EUCLIDEAN).report
+    assert rep.factorizations == len(built) == rep.iterations >= 2
+    assert rep.cg_iterations == (len(built) - 1) * 2
+    built.clear()
+    H = assemble_hessian(grid33, metric)
+    b = target - vertex_curvature(corner_angles(metric, grid33), grid33)
+    _, factor = newton_step(H, b, Geometry.EUCLIDEAN)
+    newton_step(H, b, Geometry.EUCLIDEAN, factor)
+    assert factor.factorizations == len(built) == 2
 
 
 # ---------------------------------------------------------------------------
