@@ -101,11 +101,6 @@ def _build_parser():
     return top
 
 
-def _flow_options(args):
-    return FlowOptions(eps=args.eps, max_iterations=args.max_iterations,
-                       surgery=not args.no_surgery)
-
-
 def _preset(args, mesh):
     kind = _PRESETS[args.preset]
     if kind == PresetKind.RECTANGLE:
@@ -127,7 +122,7 @@ def _run(args):
     if args.command == "flatten":
         mesh = load_obj(args.input)
         result = cmd_flatten(mesh, _GEOMETRIES[args.geometry],
-                             _preset(args, mesh), _flow_options(args))
+                             _preset(args, mesh), args.flow)
         _write_outputs(result, args)
         if result.module is not None:
             print(f"module {result.module:.9g}")
@@ -138,7 +133,7 @@ def _run(args):
         with open(args.mu, "r", encoding="utf-8") as fh:
             mu = field_from_json(fh.read(), n_vertices=mesh.n_vertices)
         result = cmd_qcmap(mesh, mu, _GEOMETRIES[args.geometry],
-                           _preset(args, mesh), _flow_options(args))
+                           _preset(args, mesh), args.flow)
         _write_outputs(result, args)
         if result.module is not None:
             print(f"module {result.module:.9g}")
@@ -189,6 +184,13 @@ def _run(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("flatten", "qcmap"):
+        try:
+            args.flow = FlowOptions(eps=args.eps,
+                                    max_iterations=args.max_iterations,
+                                    surgery=not args.no_surgery)
+        except ValueError as exc:  # an out-of-range --eps or --max-iterations
+            parser.error(str(exc))
     try:
         return _run(args)
     except (ParseError, OSError) as exc:

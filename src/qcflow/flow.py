@@ -16,7 +16,7 @@ and solves later steps by conjugate gradients preconditioned by that LU,
 to the inexact-Newton forcing tolerance ``min(1e-3, max|Kbar - K|)``
 relative to the right-hand side, which keeps the quadratic rate (Dembo,
 Eisenstat & Steihaug 1982). The LU travels in a :class:`NewtonFactor`
-handle. A factor that misses the tolerance within ``_MAX_CG_ITERATIONS``
+record. A factor that misses the tolerance within ``_MAX_CG_ITERATIONS``
 iterations is refreshed in place, releasing the stale LU before its
 successor is built, and edge-swap surgery drops it, since a swap changes
 the sparsity pattern.
@@ -34,7 +34,7 @@ metric, then rebases it by ``-u``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,7 +95,6 @@ class FlowReport:
     cg_iterations: int
     u: np.ndarray
     converged: bool
-    u_history: list = field(default_factory=list, repr=False)
 
     def to_json_dict(self):
         return {
@@ -164,15 +163,13 @@ def angle_derivatives(metric, mesh, angles=None):
     return D
 
 
-def assemble_hessian(mesh, metric, u=None, angles=None):
-    """Sparse curvature Jacobian ``H = dK/du`` (CSR, symmetric).
+def assemble_hessian(mesh, metric, angles=None):
+    """Sparse curvature Jacobian ``H = dK/du`` (CSR, symmetric) at
+    ``metric``.
 
-    When ``u`` is given the metric is deformed first. Off-diagonal entries
-    exist only on edges; each face contributes one value per unordered corner
-    pair, so symmetry is exact by construction.
+    Off-diagonal entries exist only on edges; each face contributes one
+    value per unordered corner pair, so symmetry is exact by construction.
     """
-    if u is not None:
-        metric = deform_metric(mesh, metric, u)
     D = angle_derivatives(metric, mesh, angles=angles)
     f = mesh.faces
     rows = [f[:, 0], f[:, 1], f[:, 0], f[:, 2], f[:, 1], f[:, 2],
@@ -189,6 +186,7 @@ def assemble_hessian(mesh, metric, u=None, angles=None):
     return H.tocsr()
 
 
+@dataclass
 class NewtonFactor:
     """The sparse LU that :func:`newton_step` carries from one Newton step
     to the next on the same mesh. ``lu`` is the factor (``None`` until the
@@ -196,44 +194,12 @@ class NewtonFactor:
     changed); ``factorizations`` and ``cg_iterations`` count the sparse LU
     factorizations and conjugate-gradient iterations spent through it. A
     stale factor is replaced in place, and the old LU is released before
-    the new one is built, so a caller that keeps only this handle never
+    the new one is built, so a caller that keeps only this record never
     holds two factors."""
 
-    def __init__(self):
-        self.lu = None
-        self.factorizations = 0
-        self.cg_iterations = 0
-
-    def refine(self, A, b, rtol):
-        """Solve ``A y = b`` by conjugate gradients started at
-        ``lu.solve(b)`` and preconditioned by ``lu.solve``, to the relative
-        residual ``rtol``. Returns ``None`` when there is no factor of
-        ``A``'s size or CG misses the tolerance within
-        ``_MAX_CG_ITERATIONS`` iterations (the factor is stale)."""
-        if self.lu is None or self.lu.shape != A.shape:
-            return None
-
-        def count(xk):
-            self.cg_iterations += 1
-
-        y, info = spla.cg(
-            A, b, x0=self.lu.solve(b),
-            rtol=rtol, atol=0.0,
-            maxiter=_MAX_CG_ITERATIONS,
-            M=spla.LinearOperator(A.shape, matvec=self.lu.solve,
-                                  dtype=np.float64),
-            callback=count)
-        return y if info == 0 else None
-
-    def refactor(self, A, b):
-        """Factor ``A`` afresh by sparse LU and solve ``A y = b`` directly."""
-        self.lu = None  # release the stale factor before building the next
-        try:
-            self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SolverError(f"singular Newton system: {exc}") from exc
-        self.factorizations += 1
-        return self.lu.solve(b)
+    lu: object = None
+    factorizations: int = 0
+    cg_iterations: int = 0
 
 
 def newton_step(H, residual, geometry, factor=None):
@@ -255,7 +221,7 @@ def newton_step(H, residual, geometry, factor=None):
     inexact-Newton forcing tolerance ``|r| <= min(1e-3, max|b|) |b|``,
     which keeps the quadratic rate. An LU that does not reach it within
     ``_MAX_CG_ITERATIONS`` iterations is stale: it is released and the
-    system factored afresh into the same handle.
+    system factored afresh into the same record.
 
     Raises :class:`SolverError` when the system is singular: a Euclidean
     system on a disconnected mesh (one constant per component spans the
@@ -272,8 +238,20 @@ def newton_step(H, residual, geometry, factor=None):
     if factor is None:
         factor = NewtonFactor()
     x = np.zeros(H.shape[0])
-    y = factor.refine(A, b[free],
-                      rtol=min(_FORCING_CAP, float(np.abs(b).max())))
+    y = None
+    if factor.lu is not None and factor.lu.shape == A.shape:
+        def count(xk):
+            factor.cg_iterations += 1
+
+        y, info = spla.cg(
+            A, b[free], x0=factor.lu.solve(b[free]),
+            rtol=min(_FORCING_CAP, float(np.abs(b).max())), atol=0.0,
+            maxiter=_MAX_CG_ITERATIONS,
+            M=spla.LinearOperator(A.shape, matvec=factor.lu.solve,
+                                  dtype=np.float64),
+            callback=count)
+        if info:
+            y = None
     if y is None:
         if euclidean:
             n_parts = connected_components(H, directed=False,
@@ -283,7 +261,13 @@ def newton_step(H, residual, geometry, factor=None):
                                   f"{n_parts} connected components")
         if not np.any(b):
             return x, factor
-        y = factor.refactor(A, b[free])
+        factor.lu = None  # release the stale factor before building the next
+        try:
+            factor.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"singular Newton system: {exc}") from exc
+        factor.factorizations += 1
+        y = factor.lu.solve(b[free])
     x[free] = y
     if not np.all(np.isfinite(x)):
         raise SolverError("singular Newton system: non-finite solution")
@@ -416,7 +400,8 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     assembles the curvature Jacobian, solves for the Newton direction and
     backtracks (halving the step) until the deformed metric is admissible and
     the max-norm residual decreases. After ``5`` failed halvings edge-swap
-    surgery is attempted on the longest edge of every violating face.
+    surgery is attempted once on the longest edge of every violating face;
+    if any swap succeeds, the iteration ends there on the swapped mesh.
     Iteration stops when ``max |Kbar - K| < options.eps``. One
     :class:`NewtonFactor` is handed from step to step (:func:`newton_step`),
     so a mesh is factored once unless the factor goes stale; a swap drops
@@ -453,12 +438,9 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     angles = corner_angles(current, mesh)
     K = vertex_curvature(angles, mesh)
     res = float(np.max(np.abs(target - K)))
-
     residuals = [res]
-    u_history = [u.copy()]
-    swaps = 0
-    halvings = 0
-    iterations = 0
+    swaps = halvings = iterations = 0
+    failure = None
     # The LU of the latest factored Hessian, reused by later Newton steps
     # until surgery changes the mesh.
     factor = NewtonFactor()
@@ -466,26 +448,20 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     while res >= options.eps and iterations < options.max_iterations:
         H = assemble_hessian(mesh, current, angles=angles)
         du, factor = newton_step(H, target - K, geometry, factor)
-
-        accepted = False
-        surgery_progress = False
-        surgery_tried = False
-        saw_admissible = False
-        halv = 0
-        while halv <= _MAX_HALVINGS:
-            step = 0.5 ** halv
-            u_try = u + step * du
+        surgery_tried = saw_admissible = False
+        for halv in range(_MAX_HALVINGS + 1):
+            u_try = u + 0.5 ** halv * du
             try:
                 trial = deform_metric(mesh, base, u_try)
-                trial_violations = check_triangle_inequality(trial, mesh)
+                bad = check_triangle_inequality(trial, mesh)
             except MetricError:
-                trial_violations = None
-            if trial_violations:
+                continue
+            if bad:
                 if (options.surgery and not surgery_tried
                         and halv >= _SURGERY_AFTER_HALVINGS):
                     surgery_tried = True
-                    edges = longest_edges(mesh, trial, trial_violations)
-                    mesh, swapped, n_done = _swap_edges(mesh, current, edges)
+                    mesh, swapped, n_done = _swap_edges(
+                        mesh, current, longest_edges(mesh, trial, bad))
                     if n_done:
                         # Connectivity changed: rebase so that u deforms the
                         # new base to the swapped metric, recompute the state
@@ -498,62 +474,39 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                         angles = corner_angles(current, mesh)
                         K = vertex_curvature(angles, mesh)
                         res = float(np.max(np.abs(target - K)))
-                        surgery_progress = True
                         break
-                halv += 1
-                halvings += 1
-                continue
-            if trial_violations is None:
-                halv += 1
-                halvings += 1
                 continue
             saw_admissible = True
             trial_angles = corner_angles(trial, mesh)
             K_try = vertex_curvature(trial_angles, mesh)
             res_try = float(np.max(np.abs(target - K_try)))
             if res_try < res:
-                u = u_try
-                current = trial
-                angles = trial_angles
-                K = K_try
-                res = res_try
-                accepted = True
+                u, current, angles, K, res = (u_try, trial, trial_angles,
+                                              K_try, res_try)
                 break
-            halv += 1
-            halvings += 1
-
-        if not accepted and not surgery_progress:
-            report = _make_report(residuals, iterations, swaps, halvings,
-                                  factor, u, False, u_history)
-            if not saw_admissible:
-                detail = (" and surgery is disabled" if not options.surgery
-                          else "")
-                raise FlowError(
-                    "deformed metric inadmissible at every step length"
-                    + detail, report=report)
-            raise FlowError(
-                "line search failed to reduce the curvature residual",
-                report=report)
-
+        else:  # every step length failed
+            halvings += _MAX_HALVINGS + 1
+            if saw_admissible:
+                failure = "line search failed to reduce the curvature residual"
+            else:
+                failure = ("deformed metric inadmissible at every step length"
+                           + ("" if options.surgery
+                              else " and surgery is disabled"))
+            break
+        halvings += halv
         iterations += 1
         residuals.append(res)
-        u_history.append(u.copy())
 
     converged = res < options.eps
-    report = _make_report(residuals, iterations, swaps, halvings, factor,
-                          u, converged, u_history)
-    if not converged:
-        raise FlowError(
-            f"flow did not converge within {options.max_iterations} "
-            f"iterations (residual {res:.3e})", report=report)
+    if not converged and failure is None:
+        failure = (f"flow did not converge within {options.max_iterations} "
+                   f"iterations (residual {res:.3e})")
+    report = FlowReport(residuals=residuals, iterations=iterations,
+                        swaps=swaps, halvings=halvings,
+                        factorizations=factor.factorizations,
+                        cg_iterations=factor.cg_iterations, u=u.copy(),
+                        converged=converged)
+    if failure:
+        raise FlowError(failure, report=report)
     return FlowResult(mesh=mesh, metric=current, base=base, u=u,
                       report=report)
-
-
-def _make_report(residuals, iterations, swaps, halvings, factor, u,
-                 converged, u_history):
-    return FlowReport(residuals=list(residuals), iterations=iterations,
-                      swaps=swaps, halvings=halvings,
-                      factorizations=factor.factorizations,
-                      cg_iterations=factor.cg_iterations, u=u.copy(),
-                      converged=converged, u_history=[v.copy() for v in u_history])

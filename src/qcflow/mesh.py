@@ -92,12 +92,6 @@ class HalfedgeMesh:
     def prev(h):
         return h - h % 3 + (h % 3 + 2) % 3
 
-    def is_boundary_halfedge(self, h):
-        return self.twin[h] < 0
-
-    def is_closed(self):
-        return not self.boundary_loops
-
     def boundary_vertex_mask(self):
         mask = np.zeros(self.n_vertices, dtype=bool)
         for loop in self.boundary_loops:
@@ -647,16 +641,6 @@ class CutGraph:
         the value)."""
         values = np.asarray(values)
         return values[self.new_to_orig_vertex]
-
-    def pull_vertex(self, values):
-        """Average per-cut-vertex data back onto original vertices."""
-        values = np.asarray(values)
-        n = int(self.new_to_orig_vertex.max()) + 1
-        out = np.zeros(n, dtype=values.dtype)
-        cnt = np.zeros(n)
-        np.add.at(out, self.new_to_orig_vertex, values)
-        np.add.at(cnt, self.new_to_orig_vertex, 1.0)
-        return out / cnt
 
     def push_edge(self, values):
         """Transfer per-original-edge data (e.g. lengths) onto the cut mesh."""

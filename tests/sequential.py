@@ -10,6 +10,12 @@ new code must reproduce them bit for bit; see ``test_sequential_oracle.py``.
 It also keeps the quad layouts with which ``qcflow.flow.edge_swap`` used to
 decide and measure a flip, before the corner-angle rule replaced them; there
 the new code must take the same decisions and agree to rounding.
+
+And it keeps the Newton loop of ``qcflow.flow.run_flow`` as it was before
+the line search became one ``for`` loop with a single exit: flag-driven
+backtracking, a report built at each of its three exits. The flat loop must
+give the same report field by field, the same result mesh and metric bit
+for bit, or the same ``FlowError`` message and report.
 """
 
 import json
@@ -23,16 +29,35 @@ from qcflow.beltrami import BeltramiField, Parameterization
 from qcflow.embed import _check_disk, _check_flat
 from qcflow.errors import (
     BeltramiError,
+    FlowError,
     LayoutError,
     MetricError,
     ParseError,
     SurgeryError,
     TopologyError,
 )
+from qcflow.flow import (
+    _MAX_HALVINGS,
+    _SURGERY_AFTER_HALVINGS,
+    FlowOptions,
+    FlowReport,
+    FlowResult,
+    NewtonFactor,
+    _swap_edges,
+    assemble_hessian,
+    longest_edges,
+    newton_step,
+)
 from qcflow.geom import _TANGENT_SLACK, apex_over_base, hyperbolic_distance
 from qcflow.geom import place_third_hyperbolic as place_third_hyperbolic_array
 from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
-from qcflow.metric import Geometry, check_triangle_inequality, corner_angles
+from qcflow.metric import (
+    Geometry,
+    check_triangle_inequality,
+    corner_angles,
+    deform_metric,
+    vertex_curvature,
+)
 
 
 def mobius_to_origin(c, z):
@@ -599,3 +624,132 @@ def csv_text(rows):
     for r in rows:
         lines.append(",".join(f"{x:.9g}" for x in r))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The Newton loop
+
+
+def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
+    """Flag-driven damped Newton loop: ``accepted`` and ``surgery_progress``
+    decide after the line search whether the iteration failed, and each
+    halving advances two counters."""
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != (mesh.n_vertices,):
+        raise ValueError("target must assign one curvature per vertex")
+    metric = metric.retagged(geometry)
+    violations = check_triangle_inequality(metric, mesh)
+    if violations:
+        raise MetricError(
+            f"initial metric violates triangle inequality on faces "
+            f"{violations[:16]}", faces=violations)
+    chi = mesh.n_vertices - mesh.n_edges + mesh.n_faces
+    if geometry == Geometry.EUCLIDEAN:
+        defect = abs(float(target.sum()) - 2.0 * np.pi * chi)
+        if defect > 1e-9:
+            raise FlowError(
+                f"target curvature violates Gauss-Bonnet: sum(Kbar) deviates "
+                f"from 2 pi chi by {defect:.3e}")
+
+    base = metric
+    u = np.zeros(mesh.n_vertices)
+    current = deform_metric(mesh, base, u)
+    angles = corner_angles(current, mesh)
+    K = vertex_curvature(angles, mesh)
+    res = float(np.max(np.abs(target - K)))
+
+    residuals = [res]
+    swaps = 0
+    halvings = 0
+    iterations = 0
+    factor = NewtonFactor()
+
+    while res >= options.eps and iterations < options.max_iterations:
+        H = assemble_hessian(mesh, current, angles=angles)
+        du, factor = newton_step(H, target - K, geometry, factor)
+
+        accepted = False
+        surgery_progress = False
+        surgery_tried = False
+        saw_admissible = False
+        halv = 0
+        while halv <= _MAX_HALVINGS:
+            step = 0.5 ** halv
+            u_try = u + step * du
+            try:
+                trial = deform_metric(mesh, base, u_try)
+                trial_violations = check_triangle_inequality(trial, mesh)
+            except MetricError:
+                trial_violations = None
+            if trial_violations:
+                if (options.surgery and not surgery_tried
+                        and halv >= _SURGERY_AFTER_HALVINGS):
+                    surgery_tried = True
+                    edges = longest_edges(mesh, trial, trial_violations)
+                    mesh, swapped, n_done = _swap_edges(mesh, current, edges)
+                    if n_done:
+                        swaps += n_done
+                        factor.lu = None
+                        base = deform_metric(mesh, swapped, -u)
+                        current = deform_metric(mesh, base, u)
+                        angles = corner_angles(current, mesh)
+                        K = vertex_curvature(angles, mesh)
+                        res = float(np.max(np.abs(target - K)))
+                        surgery_progress = True
+                        break
+                halv += 1
+                halvings += 1
+                continue
+            if trial_violations is None:
+                halv += 1
+                halvings += 1
+                continue
+            saw_admissible = True
+            trial_angles = corner_angles(trial, mesh)
+            K_try = vertex_curvature(trial_angles, mesh)
+            res_try = float(np.max(np.abs(target - K_try)))
+            if res_try < res:
+                u = u_try
+                current = trial
+                angles = trial_angles
+                K = K_try
+                res = res_try
+                accepted = True
+                break
+            halv += 1
+            halvings += 1
+
+        if not accepted and not surgery_progress:
+            report = _make_report(residuals, iterations, swaps, halvings,
+                                  factor, u, False)
+            if not saw_admissible:
+                detail = (" and surgery is disabled" if not options.surgery
+                          else "")
+                raise FlowError(
+                    "deformed metric inadmissible at every step length"
+                    + detail, report=report)
+            raise FlowError(
+                "line search failed to reduce the curvature residual",
+                report=report)
+
+        iterations += 1
+        residuals.append(res)
+
+    converged = res < options.eps
+    report = _make_report(residuals, iterations, swaps, halvings, factor,
+                          u, converged)
+    if not converged:
+        raise FlowError(
+            f"flow did not converge within {options.max_iterations} "
+            f"iterations (residual {res:.3e})", report=report)
+    return FlowResult(mesh=mesh, metric=current, base=base, u=u,
+                      report=report)
+
+
+def _make_report(residuals, iterations, swaps, halvings, factor, u,
+                 converged):
+    return FlowReport(residuals=list(residuals), iterations=iterations,
+                      swaps=swaps, halvings=halvings,
+                      factorizations=factor.factorizations,
+                      cg_iterations=factor.cg_iterations, u=u.copy(),
+                      converged=converged)

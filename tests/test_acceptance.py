@@ -19,6 +19,7 @@ from qcflow.beltrami import (
     map_distance,
 )
 from qcflow.embed import layout_euclidean, torus_periods
+from qcflow.errors import FlowError
 from qcflow.flow import FlowOptions, assemble_hessian, run_flow
 from qcflow.geom import mobius_from_origin, poincare_circle_to_euclidean
 from qcflow.mesh import build_mesh, cut_to_disk, save_obj
@@ -60,8 +61,7 @@ def _small_meshes():
     ]
 
 
-@functools.lru_cache(maxsize=None)
-def _rect_run(nx, ny, w, h, perturbed):
+def _rect_input(nx, ny, w, h, perturbed):
     mesh = meshes.grid_mesh(nx, ny, w=w, h=h)
     metric = induced_metric(mesh)
     if perturbed:
@@ -72,6 +72,12 @@ def _rect_run(nx, ny, w, h, perturbed):
         metric = DiscreteMetric(Geometry.EUCLIDEAN,
                                 deform_metric(mesh, metric, u0).lengths)
     preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(nx, ny))
+    return mesh, metric, preset
+
+
+@functools.lru_cache(maxsize=None)
+def _rect_run(nx, ny, w, h, perturbed):
+    mesh, metric, preset = _rect_input(nx, ny, w, h, perturbed)
     out = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset, _TIGHT, metric=metric)
     return mesh, out
 
@@ -133,21 +139,36 @@ def test_criterion_02_gauss_bonnet_invariance():
             for _ in range(3):
                 metric = meshes.random_admissible_metric(mesh, rng, geometry)
                 worst = max(worst, abs(gauss_bonnet_residual(metric, mesh)))
-    # mid-flow deformed metrics of the rectangle benchmark
-    mesh, out = _rect_run(33, 33, 1.0, 1.0, True)
-    base = out.flow.base
-    for u in out.flow.report.u_history:
-        metric = deform_metric(out.flow.mesh, base, u)
-        worst = max(worst, abs(gauss_bonnet_residual(metric, out.flow.mesh)))
-    # mid-flow metrics of the hyperbolic genus-2 flow
+    # every Newton iterate of the rectangle benchmark and of the hyperbolic
+    # genus-2 flow
+    mesh, metric, preset = _rect_input(33, 33, 1.0, 1.0, True)
     g2 = meshes.genus2_mesh()
-    res = run_flow(g2, induced_metric(g2), np.zeros(g2.n_vertices),
-                   Geometry.HYPERBOLIC)
-    for u in res.report.u_history:
-        metric = deform_metric(res.mesh, res.base, u)
-        worst = max(worst, abs(gauss_bonnet_residual(metric, res.mesh)))
-    ok = worst < 1e-9
-    assert _report(2, "gauss-bonnet-invariance", ok, f"worst |residual| {worst:.2e}")
+    flows = [
+        lambda opts: cmd_flatten(mesh, Geometry.EUCLIDEAN, preset, opts,
+                                 metric=metric).flow,
+        lambda opts: run_flow(g2, induced_metric(g2), np.zeros(g2.n_vertices),
+                              Geometry.HYPERBOLIC, opts),
+    ]
+    count = 0
+    for eps, flow in zip((_TIGHT.eps, FlowOptions().eps), flows):
+        done = flow(FlowOptions(eps=eps))
+        # no swaps, so every iterate lives on the input mesh and base
+        assert done.report.swaps == 0
+        iterates = [np.zeros(done.mesh.n_vertices)]
+        # iterate k is where the same flow stops with a budget of k steps
+        for k in range(1, done.report.iterations):
+            try:
+                flow(FlowOptions(eps=eps, max_iterations=k))
+            except FlowError as exc:
+                iterates.append(exc.report.u)
+        iterates.append(done.u)
+        for u in iterates:
+            deformed = deform_metric(done.mesh, done.base, u)
+            worst = max(worst, abs(gauss_bonnet_residual(deformed, done.mesh)))
+        count += len(iterates)
+    ok = worst < 1e-9 and count == 4 + 6
+    assert _report(2, "gauss-bonnet-invariance", ok,
+                   f"worst |residual| {worst:.2e} over {count} iterates")
 
 
 def test_criterion_03_rectangle_flattening():

@@ -6,18 +6,30 @@ that a rename or deletion in ``qcflow`` fails here and not only in the slow
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import meshes
+from qcflow.errors import FlowError
+from qcflow.flow import FlowOptions, run_flow
+from qcflow.metric import Geometry, induced_metric
 
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _tracer_spans():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, name, span) for module, names in spans._CALLS.items()
+    return spans
+
+
+def _tracer_spans():
+    return [(module, name, span)
+            for module, names in _load_spans()._CALLS.items()
             for name, span in names.items()]
 
 
@@ -69,3 +81,30 @@ def test_flow_linalg_goes_through_spla():
             assert node.value.id == "spla", node.lineno
             seen.add(node.attr)
     assert seen == names
+
+
+@pytest.mark.parametrize("max_iterations", [50, 1],
+                         ids=["converged", "flow-error"])
+def test_flow_hook_reads_report_counts(max_iterations):
+    # the tracer's ``flow.run_flow`` hook adds the report's iteration and
+    # halving counts, from the result of a converged flow or from the
+    # report a FlowError carries
+    mesh = meshes.grid_mesh(7, 5, w=30.0, h=1.0)
+    target = np.zeros(mesh.n_vertices)
+    target[2 * 7 + 3] = -5.5
+    for c in meshes.grid_corners(7, 5):
+        target[c] = np.pi / 2 + 5.5 / 4
+    args = (mesh, induced_metric(mesh), target, Geometry.EUCLIDEAN,
+            FlowOptions(max_iterations=max_iterations))
+    result = exc = None
+    try:
+        result = run_flow(*args)
+        report = result.report
+    except FlowError as err:
+        exc, report = err, err.report
+    assert (exc is None) == (max_iterations == 50)
+    counts = Counter()
+    _load_spans()._HOOKS["flow.run_flow"](counts, args, result, exc)
+    assert report.halvings > 0
+    assert counts["flow.newton_iters"] == report.iterations
+    assert counts["flow.halvings"] == report.halvings

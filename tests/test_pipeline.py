@@ -410,6 +410,23 @@ def test_cli_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0"), ("--eps", "nan"), ("--eps", "-1"),
+    ("--max-iterations", "0"),
+])
+def test_cli_flow_flag_out_of_range_is_usage_error(tmp_path, grid_obj,
+                                                   capsys, flag, value):
+    out = tmp_path / "o.obj"
+    with pytest.raises(SystemExit) as err:
+        cli_main(["flatten", "--input", str(grid_obj), "--preset",
+                  "rectangle", "--corners", "0,8,80,72", flag, value,
+                  "--out", str(out)])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith("qcflow: error: ")
+    assert not out.exists()
+
+
 def test_cli_outputs_deterministic(tmp_path, grid_obj):
     outs = []
     for tag in ("1", "2"):

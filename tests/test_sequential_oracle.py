@@ -2,7 +2,10 @@
 against the sequential loops they replaced (``sequential.py``): the
 arithmetic is unchanged, so every result must be equal bit for bit, and
 every error message equal. The corner-angle edge flip is held against the
-quad layouts it replaced: same decisions, diagonals equal to rounding."""
+quad layouts it replaced: same decisions, diagonals equal to rounding.
+The flat Newton loop of ``run_flow`` is held against the flag-driven loop it
+replaced, on every exit: same report, same result bit for bit, or the same
+error."""
 
 import importlib.util
 import re
@@ -19,11 +22,12 @@ from qcflow.beltrami import field_from_json, field_to_json
 from qcflow.embed import layout_euclidean, layout_hyperbolic
 from qcflow.errors import (
     BeltramiError,
+    FlowError,
     ParseError,
     QcflowError,
     SurgeryError,
 )
-from qcflow.flow import edge_swap, run_flow
+from qcflow.flow import FlowOptions, edge_swap, run_flow
 from qcflow.geom import (
     apex_over_base,
     hyperbolic_distance,
@@ -34,7 +38,13 @@ from qcflow.geom import (
     poincare_circle_to_euclidean,
 )
 from qcflow.mesh import build_mesh, cut_to_disk, load_obj, slice_along_edges
-from qcflow.metric import DiscreteMetric, Geometry, cosine_law, induced_metric
+from qcflow.metric import (
+    DiscreteMetric,
+    Geometry,
+    cosine_law,
+    deform_metric,
+    induced_metric,
+)
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
@@ -585,3 +595,105 @@ def test_mu_json_round_trip_matches_sequential(analyze_inputs):
     assert new.values.tobytes() == \
         sequential.field_from_json(text, 129 * 129).values.tobytes()
     assert field_to_json(new) == sequential.field_to_json(new)
+
+
+# ---------------------------------------------------------------------------
+# The Newton loop
+
+
+def _perturbed_rectangle():
+    mesh = meshes.grid_mesh(9, 9)
+    x = mesh.positions[:, 0]
+    u0 = 0.5 * np.sin(3 * np.pi * x)
+    metric = DiscreteMetric(
+        Geometry.EUCLIDEAN,
+        deform_metric(mesh, induced_metric(mesh), u0 - u0.mean()).lengths)
+    target = np.zeros(mesh.n_vertices)
+    target[list(meshes.grid_corners(9, 9))] = np.pi / 2
+    return mesh, metric, target, Geometry.EUCLIDEAN
+
+
+def _stretched_cone():
+    mesh = meshes.grid_mesh(7, 5, w=30.0, h=1.0)
+    target = np.zeros(mesh.n_vertices)
+    target[2 * 7 + 3] = -5.5
+    for c in meshes.grid_corners(7, 5):
+        target[c] = np.pi / 2 + 5.5 / 4
+    return mesh, induced_metric(mesh), target, Geometry.EUCLIDEAN
+
+
+def _moved_corner():
+    # 3 of curvature moved from the centre vertex to corner 0: no step
+    # length along the Newton directions stays admissible
+    mesh = meshes.grid_mesh(9, 9)
+    target = np.zeros(mesh.n_vertices)
+    target[list(meshes.grid_corners(9, 9))] = np.pi / 2
+    target[40] -= 3.0
+    target[0] += 3.0
+    return mesh, induced_metric(mesh), target, Geometry.EUCLIDEAN
+
+
+def _genus2_hyperbolic():
+    mesh = meshes.genus2_mesh()
+    return (mesh, induced_metric(mesh), np.zeros(mesh.n_vertices),
+            Geometry.HYPERBOLIC)
+
+
+_INADMISSIBLE = "deformed metric inadmissible at every step length"
+
+# (build, options, error message or None, iterations, swaps, halvings,
+# factorizations, cg_iterations), one row per exit of the loop
+_FLOW_EXITS = {
+    "converged": (_perturbed_rectangle, {}, None, 4, 0, 0, 1, 7),
+    "budget": (_perturbed_rectangle, {"max_iterations": 1},
+               "flow did not converge within 1 iterations (residual "
+               "2.217e-01)", 1, 0, 0, 1, 0),
+    "surgery": (_stretched_cone, {"max_iterations": 120}, None,
+                12, 2, 19, 2, 104),
+    "line-search": (_stretched_cone,
+                    {"max_iterations": 120, "surgery": False},
+                    "line search failed to reduce the curvature residual",
+                    12, 0, 73, 2, 141),
+    "surgery-budget": (_stretched_cone, {"max_iterations": 3},
+                       "flow did not converge within 3 iterations (residual "
+                       "1.932e+00)", 3, 0, 5, 1, 14),
+    "inadmissible": (_moved_corner, {}, _INADMISSIBLE, 12, 0, 129, 2, 121),
+    "inadmissible-no-surgery": (
+        _moved_corner, {"surgery": False},
+        _INADMISSIBLE + " and surgery is disabled", 12, 0, 129, 2, 121),
+    "hyperbolic": (_genus2_hyperbolic, {}, None, 5, 0, 0, 1, 27),
+}
+
+
+def _flow_outcome(flow, mesh, metric, target, geometry, options):
+    try:
+        res = flow(mesh, metric, target, geometry, options)
+    except FlowError as exc:
+        return str(exc), exc.report, None
+    return None, res.report, res
+
+
+@pytest.mark.parametrize("case", list(_FLOW_EXITS))
+def test_flow_loop_matches_sequential(case):
+    build, opts, message, *counts = _FLOW_EXITS[case]
+    mesh, metric, target, geometry = build()
+    options = FlowOptions(**opts)
+    new = _flow_outcome(run_flow, mesh, metric, target, geometry, options)
+    old = _flow_outcome(sequential.run_flow, mesh, metric, target, geometry,
+                        options)
+    assert new[0] == old[0] == message
+    (rep, ref), (res, expect) = (new[1], old[1]), (new[2], old[2])
+    for name in ("residuals", "iterations", "swaps", "halvings",
+                 "factorizations", "cg_iterations", "converged"):
+        assert getattr(rep, name) == getattr(ref, name), name
+    assert rep.u.tobytes() == ref.u.tobytes()
+    assert [rep.iterations, rep.swaps, rep.halvings, rep.factorizations,
+            rep.cg_iterations] == counts
+    assert rep.converged == (message is None)
+    if message is None:
+        assert res.u.tobytes() == expect.u.tobytes()
+        assert np.array_equal(res.mesh.faces, expect.mesh.faces)
+        for got, want in ((res.metric, expect.metric),
+                          (res.base, expect.base)):
+            assert got.geometry == want.geometry
+            assert got.lengths.tobytes() == want.lengths.tobytes()
