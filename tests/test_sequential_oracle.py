@@ -678,11 +678,11 @@ def test_flow_loop_matches_sequential(case):
     build, opts, message, *counts = _FLOW_EXITS[case]
     mesh, metric, target, geometry = build()
     options = FlowOptions(**opts)
-    new = _flow_outcome(run_flow, mesh, metric, target, geometry, options)
-    old = _flow_outcome(sequential.run_flow, mesh, metric, target, geometry,
-                        options)
-    assert new[0] == old[0] == message
-    (rep, ref), (res, expect) = (new[1], old[1]), (new[2], old[2])
+    got, rep, res = _flow_outcome(run_flow, mesh, metric, target, geometry,
+                                  options)
+    want, ref, expect = _flow_outcome(sequential.run_flow, mesh, metric,
+                                      target, geometry, options)
+    assert got == want == message
     for name in ("residuals", "iterations", "swaps", "halvings",
                  "factorizations", "cg_iterations", "converged"):
         assert getattr(rep, name) == getattr(ref, name), name
