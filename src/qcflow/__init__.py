@@ -48,6 +48,7 @@ from .mesh import (
     CutGraph,
     HalfedgeMesh,
     build_mesh,
+    cut_graph,
     cut_to_disk,
     euler_characteristic,
     load_obj,

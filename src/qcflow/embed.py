@@ -17,7 +17,7 @@ import numpy as np
 from .beltrami import Parameterization
 from .errors import LayoutError, MetricError
 from .geom import apex_over_base, place_third_euclidean, place_third_hyperbolic
-from .mesh import dual_bfs
+from .mesh import dual_bfs, euler_characteristic
 from .metric import (
     Geometry,
     check_triangle_inequality,
@@ -26,6 +26,9 @@ from .metric import (
 )
 
 _FLATNESS_TOL = 1e-6
+# Torus periods: translations closer than this share of the layout diameter
+# are equal.
+_PERIOD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class TorusPeriods:
 
 
 def _check_disk(mesh):
-    chi = mesh.n_vertices - mesh.n_edges + mesh.n_faces
+    chi = euler_characteristic(mesh)
     if chi != 1 or len(mesh.boundary_loops) != 1:
         raise LayoutError(
             f"layout requires a topological disk (chi={chi}, "
@@ -66,7 +69,8 @@ def _check_flat(mesh, angles):
 
 def _layout(mesh, metric, seed, place):
     """Vertex coordinates of a flat disk metric: face 0 is seeded, then each
-    breadth-first level of the dual graph is placed in one batch.
+    breadth-first level of the dual graph is placed in one batch. Raises
+    unless the mesh is a disk and the metric admissible and flat.
 
     A face reached across its entry halfedge (from ``va`` to ``vb``) has
     both of those vertices placed, since they belong to the face it was
@@ -74,6 +78,10 @@ def _layout(mesh, metric, seed, place):
     the first face in breadth-first order that has it opposite its entry
     edge, from ``va``, ``vb`` and the lengths of its edges to them.
     """
+    _check_disk(mesh)
+    bad = check_triangle_inequality(metric, mesh)
+    if bad:
+        raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
     angles = corner_angles(metric, mesh)
     _check_flat(mesh, angles)
 
@@ -117,10 +125,6 @@ def layout_euclidean(mesh, metric):
     """
     if metric.geometry != Geometry.EUCLIDEAN:
         raise MetricError("layout_euclidean requires a Euclidean metric")
-    _check_disk(mesh)
-    bad = check_triangle_inequality(metric, mesh)
-    if bad:
-        raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
 
     def seed(l01, l12, l20, _angles):
         return (0.0 + 0j, l01 + 0j, complex(*apex_over_base(l01, l20, l12)))
@@ -140,10 +144,6 @@ def layout_hyperbolic(mesh, metric):
     """
     if metric.geometry != Geometry.HYPERBOLIC:
         raise MetricError("layout_hyperbolic requires a hyperbolic metric")
-    _check_disk(mesh)
-    bad = check_triangle_inequality(metric, mesh)
-    if bad:
-        raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
 
     def seed(l01, l12, l20, face_angles):
         return (0.0 + 0j,
@@ -158,23 +158,24 @@ def layout_hyperbolic(mesh, metric):
     return Parameterization(coords, Geometry.HYPERBOLIC)
 
 
-def torus_periods(mesh, cut, layout, tol=1e-6):
+def torus_periods(mesh, cut, layout):
     """Deck translations of a flattened genus-1 surface cut along two loops.
 
     Every cut edge has two copies in the cut-open layout; their images must
-    differ by a single constant translation per loop (checked against ``tol``
-    times the layout diameter). The two shortest independent translations are
-    returned as the lattice basis.
+    differ by a single constant translation per loop (checked against
+    ``_PERIOD_TOL`` times the layout diameter). The two shortest independent
+    translations are returned as the lattice basis.
     """
     z = np.asarray(getattr(layout, "coords", layout), dtype=np.complex128)
     finite = z[np.isfinite(z)]
     scale = float(np.abs(finite - finite.mean()).max()) * 2.0 or 1.0
+    eps, near = _PERIOD_TOL * scale, 10.0 * _PERIOD_TOL * scale
 
     translations = []
     for oe, ((a1, b1), (a2, b2)) in sorted(cut.edge_copy_pairs.items()):
         t1 = z[a2] - z[a1]
         t2 = z[b2] - z[b1]
-        if abs(t1 - t2) > tol * scale:
+        if abs(t1 - t2) > eps:
             raise LayoutError(
                 f"cut edge {oe}: copies differ by a non-constant translation "
                 f"({t1:.6g} vs {t2:.6g})")
@@ -182,12 +183,12 @@ def torus_periods(mesh, cut, layout, tol=1e-6):
 
     clusters = []  # [sum, count]
     for t in translations:
-        if abs(t) <= tol * scale:
+        if abs(t) <= eps:
             continue
-        if t.real < -tol * scale or (abs(t.real) <= tol * scale and t.imag < 0.0):
+        if t.real < -eps or (abs(t.real) <= eps and t.imag < 0.0):
             t = -t
         for c in clusters:
-            if abs(t - c[0] / c[1]) <= 10.0 * tol * scale:
+            if abs(t - c[0] / c[1]) <= near:
                 c[0] += t
                 c[1] += 1
                 break
@@ -204,11 +205,11 @@ def torus_periods(mesh, cut, layout, tol=1e-6):
     if len(means) == 3:
         t3 = means[2]
         combos = [za + zb, za - zb]
-        if not any(abs(t3 - w) <= 10.0 * tol * scale or
-                   abs(t3 + w) <= 10.0 * tol * scale for w in combos):
+        if not any(abs(t3 - w) <= near or
+                   abs(t3 + w) <= near for w in combos):
             raise LayoutError(
                 "three cut-loop translations are not lattice-consistent")
-    if abs((np.conj(za) * zb).imag) <= tol * scale * scale:
+    if abs((np.conj(za) * zb).imag) <= eps * scale:
         raise LayoutError("cut-loop translations are linearly dependent")
 
     # Lagrange-Gauss reduction: the cut loops give *a* basis of the deck

@@ -42,7 +42,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import FlowError, MetricError, SolverError, SurgeryError
-from .mesh import build_mesh
+from .mesh import build_mesh, euler_characteristic
 from .metric import (
     DiscreteMetric,
     Geometry,
@@ -424,7 +424,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
         raise MetricError(
             f"initial metric violates triangle inequality on faces "
             f"{violations[:16]}", faces=violations)
-    chi = mesh.n_vertices - mesh.n_edges + mesh.n_faces
+    chi = euler_characteristic(mesh)
     if geometry == Geometry.EUCLIDEAN:
         defect = abs(float(target.sum()) - 2.0 * np.pi * chi)
         if defect > 1e-9:

@@ -1,10 +1,13 @@
 """Halfedge triangle-mesh core: construction, OBJ I/O, topology queries and
-cut-to-disk surgery.
+cutting a mesh open into a disk.
 
 Halfedges are indexed implicitly: face ``f`` owns halfedges ``3f``, ``3f+1``,
 ``3f+2``, where halfedge ``3f+s`` runs from corner ``s`` to corner ``(s+1)%3``
 of the face. ``next`` and ``prev`` are therefore index arithmetic and only the
 twin pairing is stored.
+
+Every cut follows one rule, :func:`cut_graph`. Slicing keeps every face and
+corner slot, so halfedge ids carry the cut bookkeeping across the cut.
 """
 
 from __future__ import annotations
@@ -627,8 +630,9 @@ class CutGraph:
 
     ``cut_edges`` are edge ids of the *original* mesh. ``new_to_orig_vertex``
     and ``new_to_orig_edge`` map ids of the cut-open mesh back to the
-    original; ``edge_copy_pairs`` lists, for every cut edge, its two copies as
-    new-vertex endpoint pairs aligned with the original edge orientation.
+    original; ``edge_copy_pairs`` lists, for every cut edge in ascending
+    order, its two copies as new-vertex endpoint pairs aligned with the
+    original edge orientation, the copy along its smaller halfedge first.
     """
 
     cut_edges: tuple
@@ -702,60 +706,37 @@ def slice_along_edges(mesh, edge_ids):
         positions = mesh.positions[new_to_orig]
     new_mesh = build_mesh(corner_vertex.reshape(-1, 3), positions=positions)
 
-    # New edge -> original edge through sorted unordered endpoint keys.
-    def pair_key(ends):
-        return ends.min(axis=1) * mesh.n_vertices + ends.max(axis=1)
-
-    orig_key = pair_key(mesh.edges)
-    order = np.argsort(orig_key)
-    new_key = pair_key(new_to_orig[new_mesh.edges])
-    new_to_orig_edge = order[np.searchsorted(orig_key[order], new_key)]
-
-    # The copies of each cut edge, oriented like the original and listed in
-    # new-edge order; edges in order of their first copy.
-    copy = np.nonzero(cut[new_to_orig_edge])[0]
-    oe = new_to_orig_edge[copy]
-    ends = new_mesh.edges[copy]
-    flip = new_to_orig[ends[:, 0]] != mesh.edges[oe, 0]
-    ends[flip] = ends[flip, ::-1]
-    edges, first, counts = np.unique(oe, return_index=True,
-                                     return_counts=True)
-    by_first = np.argsort(first)
-    wrong = np.nonzero(counts[by_first] != 2)[0]
-    if wrong.size:
-        k = by_first[wrong[0]]
-        raise TopologyError(f"cut edge {edges[k]} produced {counts[k]} "
-                            "copies instead of 2")
-    pairs = ends[np.argsort(oe, kind="stable")].reshape(-1, 2, 2).tolist()
-    edge_copy_pairs = {int(edges[k]): tuple(map(tuple, pairs[k]))
-                       for k in by_first}
-
+    # Slicing keeps every face and corner slot, so halfedge ids carry over: a
+    # new edge maps to the edge under its smaller halfedge, and a cut edge's
+    # halfedges h0 < h1 give its two copies, h1's reversed to match h0.
+    h0, h1 = mesh.edge_halfedges[cut_ids].T
+    ends = corner_vertex[np.column_stack(
+        [h0, mesh.next(h0), mesh.next(h1), h1])].reshape(-1, 2, 2).tolist()
     graph = CutGraph(
         cut_edges=tuple(cut_ids.tolist()),
         new_to_orig_vertex=new_to_orig,
-        new_to_orig_edge=new_to_orig_edge,
-        edge_copy_pairs=edge_copy_pairs,
+        new_to_orig_edge=mesh.edge_of_halfedge[new_mesh.edge_halfedges[:, 0]],
+        edge_copy_pairs={e: tuple(map(tuple, pair))
+                         for e, pair in zip(cut_ids.tolist(), ends)},
     )
     return new_mesh, graph
 
 
-def cut_to_disk(mesh):
-    """Cut a closed connected mesh open into a topological disk.
+def cut_graph(mesh):
+    """Interior edges that slice a connected mesh open into a disk: none for
+    a disk or a sphere, one path between the two loops of an annulus, a
+    graph of cycle rank ``2g`` for a closed surface of genus ``g``.
 
-    The cut graph is the complement of the breadth-first dual spanning tree
-    rooted at face 0 (built level-synchronously by :func:`dual_bfs`; each
-    face hangs off the face that first reaches it), pruned to its 2-core:
-    edges at degree-1 vertices are removed in rounds until none is left, and
-    the 2-core does not depend on the order of removal. For a sphere (where
-    the pruned graph is empty) a two-edge slit inside face 0 is used instead.
-    Deterministic for a given face ordering.
+    The complement of the breadth-first dual spanning tree from face 0
+    (:func:`dual_bfs`), pruned to its 2-core by rounds of leaf-edge removal
+    (the 2-core does not depend on their order). No boundary edge is in the
+    tree, so the boundary loops anchor the pruning; they are then dropped.
+    Returns ascending edge ids.
     """
-    if mesh.boundary_loops:
-        raise TopologyError("cut_to_disk requires a closed mesh")
     tree = [mesh.edge_of_halfedge[entry] for entry in dual_bfs(mesh)]
     tree = np.concatenate(tree) if tree else np.zeros(0, dtype=np.int64)
     if tree.size != mesh.n_faces - 1:
-        raise TopologyError("cut_to_disk requires a connected mesh")
+        raise TopologyError("cut graph requires a connected mesh")
 
     cut = np.ones(mesh.n_edges, dtype=bool)
     cut[tree] = False
@@ -767,7 +748,20 @@ def cut_to_disk(mesh):
         if not leaf.any():
             break
         cut_ids = cut_ids[~leaf]
+    return cut_ids[mesh.edge_halfedges[cut_ids, 1] >= 0]
 
+
+def cut_to_disk(mesh):
+    """Cut a closed connected mesh open into a topological disk along its
+    :func:`cut_graph`. For a sphere (where the cut graph is empty) a
+    two-edge slit inside face 0 is used instead.
+    """
+    if mesh.boundary_loops:
+        raise TopologyError("cut_to_disk requires a closed mesh")
+    try:
+        cut_ids = cut_graph(mesh)
+    except TopologyError:
+        raise TopologyError("cut_to_disk requires a connected mesh") from None
     if not cut_ids.size:
         # Sphere: open a two-edge slit inside face 0.
         cut_ids = np.sort(mesh.edge_of_halfedge[:2])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
+from .mesh import euler_characteristic
 
 # cos arguments within this distance outside [-1, 1] are clamped; anything
 # worse signals a genuinely broken metric and raises.
@@ -168,7 +169,7 @@ def gauss_bonnet_residual(metric, mesh):
     or -1 (hyperbolic); approximately zero for every consistent metric."""
     angles = corner_angles(metric, mesh)
     K = vertex_curvature(angles, mesh)
-    chi = mesh.n_vertices - mesh.n_edges + mesh.n_faces
+    chi = euler_characteristic(mesh)
     total = float(K.sum())
     if metric.geometry == Geometry.HYPERBOLIC:
         total -= float(face_areas(metric, mesh, angles=angles).sum())

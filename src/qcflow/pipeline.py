@@ -9,7 +9,6 @@ outputs.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import BeltramiError, PresetError, SurgeryError
 from .flow import FlowOptions, edge_swap, longest_edges, run_flow
 from .mesh import (
     _format_rows,
+    cut_graph,
     cut_to_disk,
     euler_characteristic,
     slice_along_edges,
@@ -67,9 +67,12 @@ class TargetPreset:
 
 
 def _loop_length(mesh, metric, loop):
+    """Length of a boundary loop: each vertex's outgoing boundary halfedge
+    is the loop edge to its successor. Summed left to right."""
     total = 0.0
-    for a, b in zip(loop, loop[1:] + loop[:1]):
-        total += float(metric.lengths[mesh.edge_id(a, b)])
+    edges = mesh.edge_of_halfedge[mesh.vertex_halfedge[list(loop)]]
+    for length in metric.lengths[edges].tolist():
+        total += length
     return total
 
 
@@ -102,7 +105,7 @@ def target_curvature(mesh, preset, metric=None):
                 f"boundaries={len(loops)})")
         if metric is None:
             metric = induced_metric(mesh)
-        lens = [_loop_length(mesh, metric, list(lp)) for lp in loops]
+        lens = [_loop_length(mesh, metric, lp) for lp in loops]
         outer = int(np.argmax(lens))
         for idx, lp in enumerate(loops):
             sign = 1.0 if idx == outer else -1.0
@@ -151,43 +154,6 @@ def normalize_rectangle(param, mesh, corners):
     h2 = out[ordered[2]].imag
     h3 = out[ordered[3]].imag
     return Parameterization(out, param.geometry), 0.5 * (h2 + h3), ordered
-
-
-def _boundary_slit_path(mesh):
-    """Deterministic interior edge path joining the two boundary loops (used
-    to open an annulus into a disk). Breadth-first from the first loop
-    through interior edges and interior vertices only."""
-    loops = mesh.boundary_loops
-    boundary = mesh.boundary_vertex_mask()
-    targets = set(loops[1])
-    parent = {v: None for v in sorted(loops[0])}
-    queue = deque(sorted(loops[0]))
-    hit = None
-    while queue and hit is None:
-        v = queue.popleft()
-        for h in mesh.outgoing_halfedges(v):
-            e = int(mesh.edge_of_halfedge[h])
-            if mesh.edge_halfedges[e, 1] < 0:
-                continue  # the slit must be made of interior edges
-            w = int(mesh.dest(h))
-            if w in parent:
-                continue
-            if w in targets:
-                parent[w] = (v, e)
-                hit = w
-                break
-            if boundary[w]:
-                continue  # path may not run along a boundary loop
-            parent[w] = (v, e)
-            queue.append(w)
-    if hit is None:
-        raise PresetError("no interior path between the two boundary loops")
-    edges = []
-    v = hit
-    while parent[v] is not None:
-        v, e = parent[v]
-        edges.append(e)
-    return edges
 
 
 @dataclass
@@ -254,35 +220,29 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
         return FlattenResult(mesh=fr.mesh, param=param, flow=fr,
                              module=module, report=report)
 
+    # Annulus and closed surfaces: cut open, push the flat metric, lay out.
+    module = periods = extra = None
     if kind == PresetKind.ANNULUS:
-        lens = sorted(_loop_length(fr.mesh, fr.metric, list(lp))
+        lens = sorted(_loop_length(fr.mesh, fr.metric, lp)
                       for lp in fr.mesh.boundary_loops)
         module = lens[0] / lens[1]
-        slit = _boundary_slit_path(fr.mesh)
+        slit = cut_graph(fr.mesh)
         disk, cut = slice_along_edges(fr.mesh, slit)
-        cut_metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                                    cut.push_edge(fr.metric.lengths))
-        param = layout_euclidean(disk, cut_metric)
-        report = _report_dict(geometry, preset, fr, module=module,
-                              extra={"slit_edges": len(slit),
-                                     "boundary_convention":
-                                         "uniform 2pi/n outer, -2pi/n inner"})
-        return FlattenResult(mesh=disk, param=param, flow=fr, module=module,
-                             cut=cut, report=report)
-
-    # Closed surfaces: cut to a disk, transfer the flat metric, lay out.
-    disk, cut = cut_to_disk(fr.mesh)
+        extra = {"slit_edges": len(slit),
+                 "boundary_convention": "uniform 2pi/n outer, -2pi/n inner"}
+    else:
+        disk, cut = cut_to_disk(fr.mesh)
     cut_metric = DiscreteMetric(geometry, cut.push_edge(fr.metric.lengths))
-    if kind == PresetKind.CLOSED_FLAT:
+    if geometry == Geometry.HYPERBOLIC:
+        param = layout_hyperbolic(disk, cut_metric)
+    else:
         param = layout_euclidean(disk, cut_metric)
-        periods = torus_periods(disk, cut, param)
-        report = _report_dict(geometry, preset, fr, periods=periods)
-        return FlattenResult(mesh=disk, param=param, flow=fr,
-                             periods=periods, cut=cut, report=report)
-    param = layout_hyperbolic(disk, cut_metric)
-    report = _report_dict(geometry, preset, fr)
-    return FlattenResult(mesh=disk, param=param, flow=fr, cut=cut,
-                         report=report)
+        if kind == PresetKind.CLOSED_FLAT:
+            periods = torus_periods(disk, cut, param)
+    report = _report_dict(geometry, preset, fr, module=module,
+                          periods=periods, extra=extra)
+    return FlattenResult(mesh=disk, param=param, flow=fr, module=module,
+                         periods=periods, cut=cut, report=report)
 
 
 def _aux_metric_with_surgery(mesh, base_metric, z, mu):

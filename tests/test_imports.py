@@ -1,6 +1,7 @@
-"""Every imported name is used: a walk over the syntax trees of the package
-and the tests, in place of a linter. ``from __future__`` imports and the
-package's re-exports in ``qcflow/__init__.py`` are exempt."""
+"""Every imported name is used: a walk over the syntax trees of the package,
+the tests and the benchmark harness, in place of a linter. ``from
+__future__`` imports and the package's re-exports in ``qcflow/__init__.py``
+are exempt."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "qcflow").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+    sorted((ROOT / "tests").glob("*.py")) + \
+    sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):

@@ -6,6 +6,7 @@ import sequential
 from qcflow.errors import MetricError, ParseError, TopologyError
 from qcflow.mesh import (
     build_mesh,
+    cut_graph,
     cut_to_disk,
     euler_characteristic,
     load_obj,
@@ -193,7 +194,7 @@ def test_cut_open_mesh_rejected(grid9):
         cut_to_disk(grid9)
 
 
-@pytest.mark.parametrize("builder", [
+CLOSED_BUILDERS = [
     lambda: meshes.tetrahedron(),
     lambda: meshes.subdivided_sphere(1),
     lambda: meshes.subdivided_sphere(2),
@@ -203,12 +204,51 @@ def test_cut_open_mesh_rejected(grid9):
     lambda: meshes.embedded_torus(10, 6),
     lambda: meshes.voxel_torus(),
     lambda: meshes.genus2_mesh(),
-])
+]
+
+
+@pytest.mark.parametrize("builder", CLOSED_BUILDERS)
 def test_cut_to_disk_property(builder):
     mesh = builder()
     disk, _ = cut_to_disk(mesh)
     assert euler_characteristic(disk) == 1
     assert len(disk.boundary_loops) == 1
+
+
+@pytest.mark.parametrize("builder", CLOSED_BUILDERS)
+def test_cut_graph_is_the_pruned_cut_of_a_closed_mesh(builder):
+    # the sequential cut, less the two-edge slit that opens a sphere
+    mesh = builder()
+    cut = sequential.cut_to_disk(mesh)[1].cut_edges
+    expected = cut if euler_characteristic(mesh) != 2 else ()
+    assert tuple(cut_graph(mesh).tolist()) == expected
+
+
+@pytest.mark.parametrize("n, hole", [(9, 1), (9, 3), (17, 5), (33, 11)])
+def test_cut_graph_of_an_annulus_is_one_path_between_its_loops(n, hole):
+    mesh = meshes.annulus_mesh(n, hole)
+    path = cut_graph(mesh)
+    assert path.size and (mesh.edge_halfedges[path, 1] >= 0).all()
+    # a simple path: every vertex on it has degree 2 but its two ends, and
+    # it has one vertex more than edges
+    ends = mesh.edges[path]
+    on_path, degree = np.unique(ends, return_counts=True)
+    assert len(on_path) == len(path) + 1
+    assert sorted(degree)[2:] == [2] * (len(on_path) - 2)
+    tips = on_path[degree == 1]
+    loops = [set(lp) for lp in mesh.boundary_loops]
+    # one end on each loop, and no other vertex on either
+    assert sorted([int(t) in lp for lp in loops] for t in tips) == \
+        [[False, True], [True, False]]
+    inner = set(on_path.tolist()) - set(tips.tolist())
+    assert not inner & (loops[0] | loops[1])
+    disk, _ = slice_along_edges(mesh, path)
+    assert euler_characteristic(disk) == 1
+    assert len(disk.boundary_loops) == 1
+
+
+def test_cut_graph_of_a_disk_is_empty(grid9):
+    assert cut_graph(grid9).size == 0
 
 
 def test_slice_requires_interior_edge(grid9):

@@ -13,6 +13,7 @@ from qcflow.metric import Geometry
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
+    _loop_length,
     cmd_check,
     cmd_compare,
     cmd_compose,
@@ -62,6 +63,18 @@ def test_annulus_target(annulus):
     inner = min(loops, key=len)
     assert K[list(outer)] == pytest.approx(2 * np.pi / len(outer))
     assert K[list(inner)] == pytest.approx(-2 * np.pi / len(inner))
+
+
+@pytest.mark.parametrize("n, hole", [(9, 1), (9, 3), (17, 5), (33, 11)])
+def test_loop_length_matches_the_edge_id_walk(n, hole):
+    # bit for bit, on the flat metric the annulus module is read from
+    fr = cmd_flatten(meshes.annulus_mesh(n, hole), Geometry.EUCLIDEAN,
+                     TargetPreset(PresetKind.ANNULUS)).flow
+    for loop in fr.mesh.boundary_loops:
+        walk = 0.0
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            walk += float(fr.metric.lengths[fr.mesh.edge_id(a, b)])
+        assert _loop_length(fr.mesh, fr.metric, loop) == walk
 
 
 def test_annulus_preset_rejects_disk(grid9):

@@ -37,7 +37,13 @@ from qcflow.geom import (
     place_third_hyperbolic,
     poincare_circle_to_euclidean,
 )
-from qcflow.mesh import build_mesh, cut_to_disk, load_obj, slice_along_edges
+from qcflow.mesh import (
+    build_mesh,
+    cut_graph,
+    cut_to_disk,
+    load_obj,
+    slice_along_edges,
+)
 from qcflow.metric import (
     DiscreteMetric,
     Geometry,
@@ -48,7 +54,6 @@ from qcflow.metric import (
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
-    _boundary_slit_path,
     cmd_flatten,
     csv_text,
 )
@@ -129,7 +134,7 @@ def test_cut_to_disk_matches_sequential(build):
 
 def test_annulus_slit_matches_sequential():
     mesh = meshes.annulus_mesh(9, 3)
-    slit = _boundary_slit_path(mesh)
+    slit = cut_graph(mesh)
     _same_cut(slice_along_edges(mesh, slit),
               sequential.slice_along_edges(mesh, slit))
 
