@@ -62,32 +62,41 @@ class Parameterization:
                     f"(max {m:.6f})")
 
 
-def auxiliary_metric(metric, z, mu, mesh):
+def auxiliary_metric(metric, corners, mu, mesh):
     """Metric under which the quasi-conformal map prescribed by ``mu``
     becomes conformal.
 
-    Per edge: ``dz = z_j - z_i``, ``mu_e = (mu_i + mu_j) / 2`` and the length
-    is scaled by ``|dz + mu_e * conj(dz)| / |dz|``. Since ``sup |mu| < 1``
-    every scale factor lies in ``[1 - |mu_e|, 1 + |mu_e|]`` and is positive.
-    The result is returned unchecked: triangle inequalities may fail and the
-    flow's surgery must handle that.
+    ``corners[f, s]`` is the ``mu = 0`` coordinate ``z`` of corner ``s`` of
+    face ``f``; in a chart cut open along some edges, those edges' two faces
+    give their ends different coordinates. Halfedge ``3f+s`` reads ``dz =
+    z[f, s+1] - z[f, s]`` in its own face, ``mu_e = (mu_i + mu_j) / 2`` and
+    the scale ``|dz + mu_e * conj(dz)| / |dz|``. An edge's length is scaled
+    by the mean of its halfedges' scales, which equals each of them exactly
+    where the chart is single-valued. Since ``sup |mu| < 1`` every scale
+    factor lies in ``[1 - |mu_e|, 1 + |mu_e|]`` and is positive. The result
+    is returned unchecked: triangle inequalities may fail and the flow's
+    surgery must handle that.
     """
     if metric.geometry != Geometry.EUCLIDEAN:
         raise BeltramiError("auxiliary metric requires a Euclidean base metric")
-    zc = np.asarray(getattr(z, "coords", z), dtype=np.complex128)
+    corners = np.asarray(corners, dtype=np.complex128)
     values = mu.values if isinstance(mu, BeltramiField) else BeltramiField(mu).values
-    if zc.shape != (mesh.n_vertices,) or values.shape != (mesh.n_vertices,):
-        raise BeltramiError("z and mu must assign one value per vertex")
-    a = mesh.edges[:, 0]
-    b = mesh.edges[:, 1]
-    dz = zc[b] - zc[a]
+    if corners.shape != mesh.faces.shape or values.shape != (mesh.n_vertices,):
+        raise BeltramiError(
+            "corners must assign one value per face corner, mu one per vertex")
+    e = mesh.edge_of_halfedge
+    dz = (np.take(corners, [1, 2, 0], axis=1) - corners).ravel()
     mod = np.abs(dz)
     zero = np.nonzero(mod == 0.0)[0]
     if zero.size:
-        raise BeltramiError(f"zero dz on edges {zero.tolist()[:16]}")
-    mu_e = 0.5 * (values[a] + values[b])
-    scale = np.abs(dz + mu_e * np.conj(dz)) / mod
-    return DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * scale)
+        raise BeltramiError(
+            f"zero dz on edges {np.unique(e[zero]).tolist()[:16]}")
+    a, b = mesh.edges.T
+    mu_h = (0.5 * (values[a] + values[b]))[e]
+    scale = np.abs(dz + mu_h * np.conj(dz)) / mod
+    # summed from zero in halfedge order, so two equal scales give s exactly
+    mean = np.bincount(e, scale) / np.bincount(e)
+    return DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * mean)
 
 
 @dataclass(frozen=True)

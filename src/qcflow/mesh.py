@@ -640,12 +640,6 @@ class CutGraph:
     new_to_orig_edge: np.ndarray
     edge_copy_pairs: dict
 
-    def push_vertex(self, values):
-        """Transfer per-original-vertex data onto the cut mesh (copies share
-        the value)."""
-        values = np.asarray(values)
-        return values[self.new_to_orig_vertex]
-
     def push_edge(self, values):
         """Transfer per-original-edge data (e.g. lengths) onto the cut mesh."""
         values = np.asarray(values)

@@ -134,26 +134,21 @@ def preset_geometry(preset):
             else Geometry.EUCLIDEAN)
 
 
-def _order_corners(mesh, corners):
-    loop = list(mesh.boundary_loops[0])
-    pos = {v: i for i, v in enumerate(loop)}
-    start = pos[corners[0]]
-    ordered = sorted(corners, key=lambda c: (pos[c] - start) % len(loop))
-    return ordered
-
-
 def normalize_rectangle(param, mesh, corners):
     """Similarity transform putting corner 0 at the origin and corner 1 at
     1 + 0i (unit width); returns the transformed parameterization and the
     height (the conformal module)."""
-    ordered = _order_corners(mesh, corners)
+    loop = list(mesh.boundary_loops[0])
+    pos = {v: i for i, v in enumerate(loop)}
+    start = pos[corners[0]]
+    ordered = sorted(corners, key=lambda c: (pos[c] - start) % len(loop))
     z = param.coords
     z0 = z[ordered[0]]
     w = z[ordered[1]] - z0
     out = (z - z0) / w
     h2 = out[ordered[2]].imag
     h3 = out[ordered[3]].imag
-    return Parameterization(out, param.geometry), 0.5 * (h2 + h3), ordered
+    return Parameterization(out, param.geometry), 0.5 * (h2 + h3)
 
 
 @dataclass
@@ -208,8 +203,8 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
     if kind in (PresetKind.RECTANGLE, PresetKind.FREE_DISK):
         param = layout_euclidean(fr.mesh, fr.metric)
         if kind == PresetKind.RECTANGLE:
-            param, module, _ = normalize_rectangle(param, fr.mesh,
-                                                   preset.corners)
+            param, module = normalize_rectangle(param, fr.mesh,
+                                                preset.corners)
         else:
             z = param.coords
             center = z.mean()
@@ -245,25 +240,47 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
                          periods=periods, cut=cut, report=report)
 
 
-def _aux_metric_with_surgery(mesh, base_metric, z, mu):
+def _chart_swap(mesh, metric, corners, edge):
+    """:func:`edge_swap` carrying the chart ``corners`` along: the two
+    rewritten faces take each vertex's coordinate from the old quad. A seam
+    edge, whose two faces give one of its ends different coordinates, is
+    refused; flattened, ``corners`` is indexed by halfedge, as halfedge
+    ``3f+s`` starts at corner ``s`` of face ``f``."""
+    h0, h1 = mesh.edge_halfedges[edge].tolist()
+    z = corners.ravel()
+    if h1 >= 0 and (z[h0] != z[mesh.next(h1)] or z[mesh.next(h0)] != z[h1]):
+        raise SurgeryError(f"edge {edge} is on a seam of the chart")
+    new_mesh, metric = edge_swap(mesh, metric, edge)
+    quad = [h0 // 3, h1 // 3]
+    at = dict(zip(mesh.faces[quad].ravel().tolist(),
+                  corners[quad].ravel().tolist()))
+    corners = corners.copy()
+    corners[quad] = [[at[v] for v in face]
+                     for face in new_mesh.faces[quad].tolist()]
+    return new_mesh, metric, corners
+
+
+def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
     """Auxiliary metric on a possibly re-triangulated mesh.
 
     When the scaled lengths break a triangle inequality, the first longest
     edge of a violating face that can be swapped (under the base metric,
-    where the quad is admissible) is swapped and the auxiliary metric
-    recomputed, up to ``_PRE_SURGERY_ROUNDS`` times. Returns the mesh, its
-    auxiliary metric and the number of swaps made; the :class:`BeltramiError`
-    raised otherwise names the violating faces of the last auxiliary metric.
+    where the quad is admissible) and is not on a seam of the chart
+    ``corners`` is swapped and the auxiliary metric recomputed, up to
+    ``_PRE_SURGERY_ROUNDS`` times. Returns the mesh, its auxiliary metric
+    and the number of swaps made; the :class:`BeltramiError` raised
+    otherwise names the violating faces of the last auxiliary metric.
     """
     cur_mesh, cur_base = mesh, base_metric
     for swaps in range(_PRE_SURGERY_ROUNDS):
-        aux = auxiliary_metric(cur_base, z, mu, cur_mesh)
+        aux = auxiliary_metric(cur_base, corners, mu, cur_mesh)
         violations = check_triangle_inequality(aux, cur_mesh)
         if not violations:
             return cur_mesh, aux, swaps
         for e in longest_edges(cur_mesh, aux, violations):
             try:
-                cur_mesh, cur_base = edge_swap(cur_mesh, cur_base, e)
+                cur_mesh, cur_base, corners = _chart_swap(
+                    cur_mesh, cur_base, corners, e)
             except SurgeryError:
                 continue
             break
@@ -278,8 +295,9 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     """Quasi-conformal map with prescribed Beltrami field: conformal flatten
     (mu = 0) for the parameter ``z``, auxiliary metric, second flow, layout
     and normalization. With ``mu = 0`` the output equals :func:`cmd_flatten`
-    bit-identically. Presets laid out on a cut mesh (closed surfaces and the
-    annulus) take ``z`` from the cut chart and make no pre-flow swaps."""
+    bit-identically. ``z`` is read per face corner, so the presets laid out
+    on a cut mesh (closed surfaces and the annulus) take it from the cut
+    chart, and no pre-flow swap crosses the chart's seams."""
     if not isinstance(mu, BeltramiField):
         mu = BeltramiField(np.asarray(mu))
     if metric is None:
@@ -287,45 +305,16 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     metric = metric.retagged(Geometry.EUCLIDEAN)
     base = cmd_flatten(mesh, geometry, preset, options,
                        metric=metric.retagged(geometry))
-    if base.cut is not None:
-        return _qcmap_cut(mesh, mu, geometry, preset, options, base, metric)
-
-    z = base.param
-    qmesh, aux, swaps = _aux_metric_with_surgery(mesh, metric, z, mu)
-    result = cmd_flatten(qmesh, geometry, preset, options, metric=aux)
+    # Slicing keeps every face and corner slot, so the cut mesh's faces name
+    # the input faces' corners in the cut chart.
+    chart = mesh if base.cut is None else base.mesh
+    corners = base.param.coords[chart.faces]
+    qmesh, aux, swaps = _aux_metric_with_surgery(mesh, metric, corners, mu)
+    result = cmd_flatten(qmesh, geometry, preset, options,
+                         metric=aux.retagged(geometry))
     result.report["pre_flow_swaps"] = swaps
     result.report["mu_max_modulus"] = mu.max_modulus
     result.report["conformal_module_mu0"] = base.module
-    return result
-
-
-def _qcmap_cut(mesh, mu, geometry, preset, options, base, metric):
-    """Variant for the presets laid out on a cut mesh (closed surfaces and
-    the slit annulus): z lives on the cut mesh, so edge scales are computed
-    there and pulled back. The two copies of a cut edge see the same |dz|
-    under deck translations (consistent mu); the copies' scales are
-    averaged, which also covers the Mobius-identified genus >= 2 case where
-    exact cross-chart consistency is out of scope."""
-    cut = base.cut
-    mu_cut = BeltramiField(cut.push_vertex(mu.values))
-    metric_cut = DiscreteMetric(Geometry.EUCLIDEAN,
-                                cut.push_edge(metric.lengths))
-    aux_cut = auxiliary_metric(metric_cut, base.param, mu_cut, base.mesh)
-    scale_cut = aux_cut.lengths / metric_cut.lengths
-    num = np.zeros(mesh.n_edges)
-    den = np.zeros(mesh.n_edges)
-    np.add.at(num, cut.new_to_orig_edge, scale_cut)
-    np.add.at(den, cut.new_to_orig_edge, 1.0)
-    aux = DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * (num / den))
-    violations = check_triangle_inequality(aux, mesh)
-    if violations:
-        raise BeltramiError(
-            f"auxiliary metric inadmissible on faces {violations[:16]}"
-            + ("..." if len(violations) > 16 else ""), faces=violations)
-    result = cmd_flatten(mesh, geometry, preset, options,
-                         metric=aux.retagged(geometry))
-    result.report["pre_flow_swaps"] = 0
-    result.report["mu_max_modulus"] = mu.max_modulus
     return result
 
 

@@ -16,6 +16,12 @@ the line search became one ``for`` loop with a single exit: flag-driven
 backtracking, a report built at each of its three exits. The flat loop must
 give the same report field by field, the same result mesh and metric bit
 for bit, or the same ``FlowError`` message and report.
+
+And it keeps ``qcflow.beltrami.auxiliary_metric`` as it was when it read a
+per-vertex ``z`` one edge at a time, and the push-scale-average step with
+which ``qcmap`` used to build the auxiliary metric of a cut chart. On a
+single-valued chart the per-halfedge form must give the same lengths bit
+for bit; on a cut chart it must agree with the copy average to rounding.
 """
 
 import json
@@ -52,6 +58,7 @@ from qcflow.geom import _TANGENT_SLACK, apex_over_base, hyperbolic_distance
 from qcflow.geom import place_third_hyperbolic as place_third_hyperbolic_array
 from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
 from qcflow.metric import (
+    DiscreteMetric,
     Geometry,
     check_triangle_inequality,
     corner_angles,
@@ -753,3 +760,42 @@ def _make_report(residuals, iterations, swaps, halvings, factor, u,
                       factorizations=factor.factorizations,
                       cg_iterations=factor.cg_iterations, u=u.copy(),
                       converged=converged)
+
+
+def auxiliary_metric(metric, z, mu, mesh):
+    """Per edge: ``dz = z_j - z_i``, ``mu_e = (mu_i + mu_j) / 2``, the length
+    scaled by ``|dz + mu_e * conj(dz)| / |dz|``."""
+    if metric.geometry != Geometry.EUCLIDEAN:
+        raise BeltramiError("auxiliary metric requires a Euclidean base metric")
+    zc = np.asarray(getattr(z, "coords", z), dtype=np.complex128)
+    values = mu.values if isinstance(mu, BeltramiField) else BeltramiField(mu).values
+    if zc.shape != (mesh.n_vertices,) or values.shape != (mesh.n_vertices,):
+        raise BeltramiError("z and mu must assign one value per vertex")
+    a = mesh.edges[:, 0]
+    b = mesh.edges[:, 1]
+    dz = zc[b] - zc[a]
+    mod = np.abs(dz)
+    zero = np.nonzero(mod == 0.0)[0]
+    if zero.size:
+        raise BeltramiError(f"zero dz on edges {zero.tolist()[:16]}")
+    mu_e = 0.5 * (values[a] + values[b])
+    scale = np.abs(dz + mu_e * np.conj(dz)) / mod
+    return DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * scale)
+
+
+def cut_auxiliary_metric(metric, base, mu, mesh):
+    """Auxiliary metric of a cut layout ``base`` (a ``FlattenResult`` with a
+    cut): the metric and ``mu`` pushed onto the cut mesh, scaled there,
+    divided back by the base length, and the copies of each cut edge
+    averaged."""
+    cut = base.cut
+    mu_cut = BeltramiField(np.asarray(mu)[cut.new_to_orig_vertex])
+    metric_cut = DiscreteMetric(Geometry.EUCLIDEAN,
+                                cut.push_edge(metric.lengths))
+    aux_cut = auxiliary_metric(metric_cut, base.param, mu_cut, base.mesh)
+    scale_cut = aux_cut.lengths / metric_cut.lengths
+    num = np.zeros(mesh.n_edges)
+    den = np.zeros(mesh.n_edges)
+    np.add.at(num, cut.new_to_orig_edge, scale_cut)
+    np.add.at(den, cut.new_to_orig_edge, 1.0)
+    return DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * (num / den))

@@ -53,7 +53,7 @@ def test_auxiliary_metric_zero_mu_is_identity(grid9):
     metric = induced_metric(grid9)
     z = grid_param(grid9)
     mu = BeltramiField(np.zeros(grid9.n_vertices, dtype=complex))
-    out = auxiliary_metric(metric, z, mu, grid9)
+    out = auxiliary_metric(metric, z.coords[grid9.faces], mu, grid9)
     assert np.array_equal(out.lengths, metric.lengths)
 
 
@@ -62,7 +62,7 @@ def test_auxiliary_metric_real_stretch():
     metric = induced_metric(mesh)
     z = grid_param(mesh)
     mu = BeltramiField(np.full(mesh.n_vertices, 0.5 + 0j))
-    out = auxiliary_metric(metric, z, mu, mesh)
+    out = auxiliary_metric(metric, z.coords[mesh.faces], mu, mesh)
     # horizontal edges (real dz) scale by |1 + 0.5| = 1.5
     e = mesh.edge_id(0, 1)
     assert out.lengths[e] == pytest.approx(1.5 * metric.lengths[e])
@@ -76,7 +76,7 @@ def test_auxiliary_metric_scale_bounds(grid33):
     z = grid_param(grid33)
     mu0 = 0.15 + 0.15j
     mu = BeltramiField(np.full(grid33.n_vertices, mu0))
-    out = auxiliary_metric(metric, z, mu, grid33)
+    out = auxiliary_metric(metric, z.coords[grid33.faces], mu, grid33)
     scale = out.lengths / metric.lengths
     lo, hi = 1.0 - abs(mu0), 1.0 + abs(mu0)
     assert scale.min() >= lo - 1e-12
@@ -88,7 +88,7 @@ def test_auxiliary_metric_rejects_zero_dz(grid9):
     z = Parameterization(np.zeros(grid9.n_vertices, dtype=complex))
     mu = BeltramiField(np.zeros(grid9.n_vertices, dtype=complex))
     with pytest.raises(BeltramiError):
-        auxiliary_metric(metric, z, mu, grid9)
+        auxiliary_metric(metric, z.coords[grid9.faces], mu, grid9)
 
 
 def test_auxiliary_metric_rejects_hyperbolic(grid9):
@@ -96,7 +96,7 @@ def test_auxiliary_metric_rejects_hyperbolic(grid9):
     z = grid_param(grid9)
     mu = BeltramiField(np.zeros(grid9.n_vertices, dtype=complex))
     with pytest.raises(BeltramiError):
-        auxiliary_metric(metric, z, mu, grid9)
+        auxiliary_metric(metric, z.coords[grid9.faces], mu, grid9)
 
 
 def test_estimate_identity(grid9):
@@ -261,7 +261,7 @@ def test_auxiliary_metric_per_edge_scale_bounds(grid9):
                     + 1j * rng.normal(size=grid9.n_vertices))
     values /= max(1.0, 1.1 * np.abs(values).max())
     mu = BeltramiField(values)
-    out = auxiliary_metric(metric, z, mu, grid9)
+    out = auxiliary_metric(metric, z.coords[grid9.faces], mu, grid9)
     a, b = grid9.edges[:, 0], grid9.edges[:, 1]
     mu_e = np.abs(0.5 * (values[a] + values[b]))
     scale = out.lengths / metric.lengths

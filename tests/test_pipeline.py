@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import meshes
-from qcflow import flow
+from qcflow import flow, pipeline
 from qcflow.beltrami import BeltramiField, field_to_json
 from qcflow.cli import main as cli_main
-from qcflow.errors import BeltramiError, PresetError
+from qcflow.errors import BeltramiError, PresetError, SurgeryError
 from qcflow.mesh import build_mesh, load_obj, save_obj
-from qcflow.metric import Geometry
+from qcflow.metric import Geometry, induced_metric
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
+    _chart_swap,
     _loop_length,
     cmd_check,
     cmd_compare,
@@ -249,6 +250,72 @@ def test_cli_qcmap_annulus(tmp_path, annulus):
         modules.append(json.loads(report.read_text())["module"])
     assert (tmp_path / "qc-0.0.obj").read_bytes() == flat.read_bytes()
     assert abs(modules[1] - modules[0]) > 1e-3
+
+
+@pytest.mark.parametrize("mesh, kind, geometry", [
+    (meshes.embedded_torus(24, 16), PresetKind.CLOSED_FLAT,
+     Geometry.EUCLIDEAN),
+    (meshes.genus2_mesh(), PresetKind.CLOSED_HYPERBOLIC, Geometry.HYPERBOLIC),
+], ids=["closed-flat", "closed-hyperbolic"])
+def test_qcmap_zero_mu_equals_flatten_closed(tmp_path, mesh, kind, geometry):
+    preset = TargetPreset(kind)
+    flat = cmd_flatten(mesh, geometry, preset)
+    qc = cmd_qcmap(mesh, np.zeros(mesh.n_vertices), geometry, preset)
+    assert qc.report["pre_flow_swaps"] == 0
+    a, b = tmp_path / "flat.obj", tmp_path / "qc.obj"
+    save_obj(flat.mesh, a, uv=flat.param)
+    save_obj(qc.mesh, b, uv=qc.param)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_qcmap_annulus_swaps_leave_the_seam_alone(annulus, monkeypatch):
+    # the cut chart gives the two faces of a slit edge different corners, so
+    # the pre-flow surgery swaps only off the slit; this field still fails
+    base = cmd_flatten(annulus, Geometry.EUCLIDEAN,
+                       TargetPreset(PresetKind.ANNULUS))
+    slit = {tuple(annulus.edges[e]) for e in base.cut.cut_edges}
+    tried, made = [], []
+
+    def recording_swap(mesh, metric, edge):
+        tried.append(tuple(mesh.edges[edge]))
+        out = flow.edge_swap(mesh, metric, edge)
+        made.append(tried[-1])
+        return out
+
+    monkeypatch.setattr(pipeline, "edge_swap", recording_swap)
+    mu = np.full(annulus.n_vertices, 0.7 * np.exp(0.25j * np.pi))
+    with pytest.raises(BeltramiError, match="^auxiliary metric is "
+                       "inadmissible even after edge-swap surgery"):
+        cmd_qcmap(annulus, mu, Geometry.EUCLIDEAN,
+                  TargetPreset(PresetKind.ANNULUS))
+    assert made and not slit & set(tried)
+
+
+def test_chart_swap_refuses_seam_edges(annulus, monkeypatch):
+    # each slit edge's two faces give its ends different cut-chart corners
+    base = cmd_flatten(annulus, Geometry.EUCLIDEAN,
+                       TargetPreset(PresetKind.ANNULUS))
+    corners = base.param.coords[base.mesh.faces]
+    monkeypatch.setattr(pipeline, "edge_swap", None)
+    for e in base.cut.cut_edges:
+        with pytest.raises(SurgeryError, match="on a seam of the chart"):
+            _chart_swap(annulus, induced_metric(annulus), corners, e)
+
+
+def test_chart_swap_carries_corners(grid9):
+    # in a single-valued chart, the carried corners are the chart's
+    # coordinates of the swapped faces
+    z = cmd_flatten(grid9, Geometry.EUCLIDEAN, RECT9).param.coords
+    metric = induced_metric(grid9)
+    swapped = 0
+    for e in range(grid9.n_edges):
+        try:
+            mesh, _, corners = _chart_swap(grid9, metric, z[grid9.faces], e)
+        except SurgeryError:
+            continue
+        swapped += 1
+        assert np.array_equal(corners, z[mesh.faces])
+    assert swapped > 50
 
 
 # ---------------------------------------------------------------------------
@@ -536,4 +603,5 @@ def test_qcmap_closed_failure_names_faces():
     assert len(faces) > 16
     assert min(faces) >= 0 and max(faces) < mesh.n_faces
     assert str(info.value) == (
-        f"auxiliary metric inadmissible on faces {faces[:16]}...")
+        "auxiliary metric is inadmissible even after edge-swap surgery on "
+        f"faces {faces[:16]}")

@@ -5,7 +5,9 @@ every error message equal. The corner-angle edge flip is held against the
 quad layouts it replaced: same decisions, diagonals equal to rounding.
 The flat Newton loop of ``run_flow`` is held against the flag-driven loop it
 replaced, on every exit: same report, same result bit for bit, or the same
-error."""
+error. The per-halfedge auxiliary metric is held against the per-vertex
+formula it replaced (bit for bit) and against the cut-chart copy average
+(to rounding)."""
 
 import importlib.util
 import re
@@ -18,7 +20,7 @@ import meshes
 import sequential
 import test_mesh
 from qcflow import mesh as mesh_module
-from qcflow.beltrami import field_from_json, field_to_json
+from qcflow.beltrami import auxiliary_metric, field_from_json, field_to_json
 from qcflow.embed import layout_euclidean, layout_hyperbolic
 from qcflow.errors import (
     BeltramiError,
@@ -54,6 +56,7 @@ from qcflow.metric import (
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
+    _aux_metric_with_surgery,
     cmd_flatten,
     csv_text,
 )
@@ -702,3 +705,60 @@ def test_flow_loop_matches_sequential(case):
                           (res.base, expect.base)):
             assert got.geometry == want.geometry
             assert got.lengths.tobytes() == want.lengths.tobytes()
+
+
+def _grid9_random_field():
+    mesh = meshes.grid_mesh(9, 9)
+    rng = np.random.default_rng(77)
+    mu = rng.normal(size=mesh.n_vertices) + 1j * rng.normal(
+        size=mesh.n_vertices)
+    z = mesh.positions[:, 0] + 1j * mesh.positions[:, 1]
+    return mesh, z, 0.9 * mu / np.abs(mu).max()
+
+
+def _bumped_grid_smooth_field(swapped):
+    # the conformal chart of the 33x33 bumped grid and the smooth field at
+    # k = 0.85, on the input mesh or on the mesh its pre-flow swaps leave
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    z = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset).param.coords
+    x, y = mesh.positions[:, 0], mesh.positions[:, 1]
+    mu = 0.85 * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x)
+    if swapped:
+        mesh, _, swaps = _aux_metric_with_surgery(
+            mesh, induced_metric(mesh), z[mesh.faces], mu)
+        assert swaps > 30
+    return mesh, z, mu
+
+
+@pytest.mark.parametrize("build", [
+    _grid9_random_field,
+    lambda: _bumped_grid_smooth_field(False),
+    lambda: _bumped_grid_smooth_field(True),
+], ids=["grid9-random", "grid33-bump", "grid33-bump-swapped"])
+def test_auxiliary_metric_matches_per_vertex_formula(build):
+    mesh, z, mu = build()
+    metric = induced_metric(mesh)
+    got = auxiliary_metric(metric, z[mesh.faces], mu, mesh)
+    want = sequential.auxiliary_metric(metric, z, mu, mesh)
+    assert got.lengths.tobytes() == want.lengths.tobytes()
+
+
+@pytest.mark.parametrize("mesh, kind, geometry, k", [
+    (meshes.annulus_mesh(9, 3), PresetKind.ANNULUS, Geometry.EUCLIDEAN, 0.5),
+    (meshes.embedded_torus(24, 16), PresetKind.CLOSED_FLAT,
+     Geometry.EUCLIDEAN, 0.5),
+    (meshes.genus2_mesh(), PresetKind.CLOSED_HYPERBOLIC, Geometry.HYPERBOLIC,
+     0.3),
+], ids=["annulus", "torus", "genus2"])
+def test_auxiliary_metric_averages_cut_copies(mesh, kind, geometry, k):
+    # dividing the scaled copy by its length again, as the old pull-back
+    # did, rounds; the per-halfedge mean does not
+    metric = induced_metric(mesh)
+    base = cmd_flatten(mesh, geometry, TargetPreset(kind),
+                       metric=metric.retagged(geometry))
+    mu = np.full(mesh.n_vertices, k * np.exp(0.25j * np.pi))
+    got = auxiliary_metric(metric, base.param.coords[base.mesh.faces], mu,
+                           mesh)
+    want = sequential.cut_auxiliary_metric(metric, base, mu, mesh)
+    np.testing.assert_allclose(got.lengths, want.lengths, rtol=1e-14, atol=0)
