@@ -86,17 +86,22 @@ def auxiliary_metric(metric, corners, mu, mesh):
             "corners must assign one value per face corner, mu one per vertex")
     e = mesh.edge_of_halfedge
     dz = (np.take(corners, [1, 2, 0], axis=1) - corners).ravel()
-    mod = np.abs(dz)
-    zero = np.nonzero(mod == 0.0)[0]
+    zero = np.nonzero(dz == 0)[0]
     if zero.size:
         raise BeltramiError(
             f"zero dz on edges {np.unique(e[zero]).tolist()[:16]}")
     a, b = mesh.edges.T
-    mu_h = (0.5 * (values[a] + values[b]))[e]
-    scale = np.abs(dz + mu_h * np.conj(dz)) / mod
+    scale = _scale(dz, (0.5 * (values[a] + values[b]))[e])
     # summed from zero in halfedge order, so two equal scales give s exactly
     mean = np.bincount(e, scale) / np.bincount(e)
     return DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * mean)
+
+
+def _scale(dz, mu_e):
+    """The auxiliary metric's scale ``|dz + mu_e * conj(dz)| / |dz|`` of
+    halfedges with nonzero chart offsets ``dz`` on edges with coefficients
+    ``mu_e``."""
+    return np.abs(dz + mu_e * np.conj(dz)) / np.abs(dz)
 
 
 @dataclass(frozen=True)

@@ -23,25 +23,32 @@ the sparsity pattern.
 
 Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
 pre-flow surgery of :mod:`qcflow.pipeline`; it flips by corner angles, with
-one rule for both background geometries. A swap rewrites only the two faces
-of the quad and their twin entries, and hands the patched pairing to
-:func:`~qcflow.mesh.build_mesh`, which re-derives canonical edge ids from it
-without searching for twins or re-checking manifoldness; edge lengths are
-carried to the new ids by halfedge index. :func:`longest_edges` picks
-the edges both surgery loops try. In-flow surgery swaps on the current
-metric, then rebases it by ``-u``.
+one rule for both background geometries. A swap keeps every edge id: it
+rewrites the two faces of the quad and patches at most ten entries of a
+copy of each halfedge array, and the flipped edge keeps its id and takes
+the new diagonal's length. A surgery loop renumbers once, after its last
+swap (:func:`renumber`, which hands the patched pairing to
+:func:`~qcflow.mesh.build_mesh`). :func:`longest_edges` picks the edges
+both surgery loops try. In-flow surgery swaps on the current metric, then
+rebases it by ``-u``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import FlowError, MetricError, SolverError, SurgeryError
+from .errors import (
+    FlowError,
+    MetricError,
+    SolverError,
+    SurgeryError,
+    TopologyError,
+)
 from .mesh import build_mesh, euler_characteristic
 from .metric import (
     DiscreteMetric,
@@ -290,14 +297,16 @@ def edge_swap(mesh, metric, edge):
     geometry; the new diagonal is the side opposite ``theta_i`` between
     ``l_ik`` and ``l_il``. Raises :class:`SurgeryError` when the edge is on
     the boundary, the swap would duplicate an existing edge, the quad is
-    non-convex, or a new face would violate the triangle inequality.
-    Returns the updated mesh and metric. The mesh is not rebuilt from
-    scratch: :func:`~qcflow.mesh.build_mesh` takes the patched twin pairing,
-    which is manifold because the edge is interior and the new diagonal
-    ``(k, l)`` is not already an edge, and re-derives edge ids from it. Its
-    face checks still run and refuse ``k == l`` (a repeated vertex id).
-    Every edge but the new diagonal keeps its length, carried over by
-    halfedge index.
+    non-convex, or a new face would violate the triangle inequality, and
+    :class:`~qcflow.errors.TopologyError` when ``k == l`` (a new face would
+    repeat a vertex id).
+
+    Returns the updated mesh and metric; the inputs are not modified. Edge
+    ids are stable: the new diagonal keeps the id and takes the length of
+    ``edge``, every other edge keeps its id and length, and the faces keep
+    theirs. Only the two faces of the quad are rewritten, on copies of the
+    input arrays, so the result is not canonically numbered (see
+    :class:`~qcflow.mesh.HalfedgeMesh`); :func:`renumber` restores that.
     """
     h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
     if h2 < 0:
@@ -325,40 +334,75 @@ def edge_swap(mesh, metric, edge):
         raise SurgeryError(f"non-convex quad at edge {edge}")
     if not np.isfinite(new_len) or new_len <= 0.0:
         raise SurgeryError(f"degenerate new diagonal at edge {edge}")
-    for f, sides in ((h1 // 3, (l_il, new_len, l_ik)),
-                     (h2 // 3, (l_jk, new_len, l_jl))):
+    f1, f2 = h1 // 3, h2 // 3
+    for f, sides in ((f1, (l_il, new_len, l_ik)),
+                     (f2, (l_jk, new_len, l_jl))):
         a, b, c = sorted(sides, reverse=True)
         if a >= b + c:
             raise SurgeryError(
                 f"swap of edge {edge} produced an invalid face {f}")
+    if k == l:
+        raise TopologyError(f"repeated vertex id in faces {sorted((f1, f2))}")
 
-    # Only the two faces of the quad are rewritten, so every other halfedge
-    # keeps its id and its edge. Face ``h1 // 3 = (i, l, k)`` takes its
-    # outer sides from the old halfedges ``next(h2)`` and ``prev(h1)``, and
-    # face ``h2 // 3 = (j, k, l)`` from ``next(h1)`` and ``prev(h2)``; the
-    # new diagonal pairs the two middle slots. ``source`` is the old edge
-    # under each new halfedge, -1 on the diagonal.
-    new_faces = mesh.faces.copy()
-    new_faces[h1 // 3] = (i, l, k)
-    new_faces[h2 // 3] = (j, k, l)
-    f1, f2 = 3 * (h1 // 3), 3 * (h2 // 3)
-    slots = np.array([f1, f1 + 2, f2, f2 + 2])
+    # Face ``f1 = (i, l, k)`` takes its outer sides from the old halfedges
+    # ``next(h2)`` and ``prev(h1)``, and face ``f2 = (j, k, l)`` from
+    # ``next(h1)`` and ``prev(h2)``; the new diagonal pairs the two middle
+    # slots. With four distinct vertices no outer halfedge is the twin of
+    # another, so every outer twin lies outside the quad.
+    faces = mesh.faces.copy()
+    faces[f1] = (i, l, k)
+    faces[f2] = (j, k, l)
+    b1, b2 = 3 * f1, 3 * f2
+    slots = np.array([b1, b1 + 2, b2, b2 + 2])
     old = np.array([mesh.next(h2), mesh.prev(h1), mesh.next(h1),
                     mesh.prev(h2)])
     twin = mesh.twin.copy()
     outer = mesh.twin[old]
     twin[slots] = outer
-    twin[f1 + 1], twin[f2 + 1] = f2 + 1, f1 + 1
+    twin[b1 + 1], twin[b2 + 1] = b2 + 1, b1 + 1
     twin[outer[outer >= 0]] = slots[outer >= 0]
-    new_mesh = build_mesh(new_faces, positions=mesh.positions, twin=twin)
 
-    source = e.copy()
-    source[slots] = e[old]
-    source[[f1 + 1, f2 + 1]] = -1
-    source = source[new_mesh.edge_halfedges[:, 0]]
-    new_lengths = metric.lengths[source]
-    new_lengths[source < 0] = new_len
-    return new_mesh, DiscreteMetric(g, new_lengths)
+    # The five edges of the quad list their halfedges smaller first and
+    # take the orientation of the smaller one, as build_mesh orders them.
+    edge_of_halfedge = e.copy()
+    edge_of_halfedge[slots] = e[old]
+    edge_of_halfedge[[b1 + 1, b2 + 1]] = edge
+    moved = np.append(e[old], edge)
+    hs = np.append(slots, b1 + 1)
+    first = np.where((twin[hs] < 0) | (hs < twin[hs]), hs, twin[hs])
+    edge_halfedges = mesh.edge_halfedges.copy()
+    edge_halfedges[moved] = np.column_stack([first, twin[first]])
+    corner = faces.ravel()
+    edges = mesh.edges.copy()
+    edges[moved] = np.column_stack([corner[first],
+                                    corner[mesh.next(first)]])
+
+    # A vertex whose outgoing halfedge moved follows it to its new slot; i
+    # and j lose the old diagonal and take their side of the new faces.
+    # Only interior halfedges leave, so a boundary vertex keeps its
+    # outgoing boundary halfedge.
+    to_slot = dict(zip(old.tolist() + [h1, h2], slots.tolist() + [b1, b2]))
+    vertex_halfedge = mesh.vertex_halfedge.copy()
+    for v in (i, j, k, l):
+        h = int(vertex_halfedge[v])
+        vertex_halfedge[v] = to_slot.get(h, h)
+
+    lengths = metric.lengths.copy()
+    lengths[edge] = new_len
+    new_mesh = replace(mesh, faces=faces, twin=twin, edges=edges,
+                       edge_of_halfedge=edge_of_halfedge,
+                       edge_halfedges=edge_halfedges,
+                       vertex_halfedge=vertex_halfedge)
+    return new_mesh, DiscreteMetric(g, lengths)
+
+
+def renumber(mesh, lengths):
+    """Canonical numbering of a mesh that :func:`edge_swap` left with stable
+    edge ids: the mesh :func:`~qcflow.mesh.build_mesh` derives from its
+    faces and twin pairing, and ``lengths`` (indexed by the old edge ids)
+    carried to the new ids through each edge's smaller halfedge."""
+    new = build_mesh(mesh.faces, mesh.positions, twin=mesh.twin)
+    return new, lengths[mesh.edge_of_halfedge[new.edge_halfedges[:, 0]]]
 
 
 def longest_edges(mesh, metric, faces):
@@ -374,17 +418,19 @@ def longest_edges(mesh, metric, faces):
 
 def _swap_edges(mesh, current, edges):
     """In-flow surgery: swap each listed edge in turn on the deformed metric
-    ``current``, skipping the ones that cannot be swapped. Returns the mesh,
-    its swapped metric and the number of swaps."""
+    ``current``, skipping the ones that cannot be swapped, then renumber
+    once. Returns the mesh, its swapped metric and the number of swaps."""
     done = 0
-    for a, b in mesh.edges[edges]:
-        # Ids change with every rebuild, so the vertex pair names the edge; a
-        # swap removes only its own edge, so the other listed edges remain.
+    # Swaps keep edge ids, so every listed id names its edge until swapped.
+    for e in edges.tolist():
         try:
-            mesh, current = edge_swap(mesh, current, mesh.edge_id(a, b))
+            mesh, current = edge_swap(mesh, current, e)
         except SurgeryError:
             continue
         done += 1
+    if done:
+        mesh, lengths = renumber(mesh, current.lengths)
+        current = DiscreteMetric(current.geometry, lengths)
     return mesh, current, done
 
 

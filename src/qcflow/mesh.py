@@ -56,6 +56,13 @@ class HalfedgeMesh:
         One outgoing halfedge per vertex: the smallest for interior
         vertices; for boundary vertices the unique outgoing boundary
         halfedge, so that counter-clockwise rotation sweeps the whole fan.
+
+    Numbering: :func:`build_mesh` numbers edges canonically, as described
+    above. The meshes :func:`qcflow.flow.edge_swap` returns keep the edge
+    ids of their input instead, so there edge ids need not ascend with the
+    smaller halfedge and an interior vertex's ``vertex_halfedge`` is any
+    outgoing halfedge. Every other property above still holds, and
+    :func:`qcflow.flow.renumber` restores the canonical numbering.
     """
 
     faces: np.ndarray
@@ -137,11 +144,11 @@ def build_mesh(faces, positions=None, uv=None, *, twin=None):
     -1 on the boundary, and is trusted: the pairing search, the
     oriented-edge repeat check and the bowtie and fan checks are skipped.
     Precondition: it is the pairing a search would find, and the mesh is
-    manifold, as after a flip of an interior edge of a manifold mesh whose
-    quad has four distinct vertices and whose new diagonal is not already
-    an edge (see :func:`qcflow.flow.edge_swap`). The face, unused-vertex
-    and shape checks still run; edges, ``vertex_halfedge`` and the boundary
-    loops are derived from it exactly as from a searched pairing.
+    manifold, as on the meshes :func:`qcflow.flow.edge_swap` returns, whose
+    flips keep the pairing of a manifold mesh. The face, unused-vertex and
+    shape checks still run; edges, ``vertex_halfedge`` and the boundary
+    loops are derived from it exactly as from a searched pairing, so the
+    result is canonically numbered (:func:`qcflow.flow.renumber`).
 
     Raises
     ------

@@ -80,13 +80,17 @@ def opposite_lengths(metric, mesh):
 def check_triangle_inequality(metric, mesh):
     """Face ids violating the strict triangle inequality (empty iff
     admissible)."""
-    L = opposite_lengths(metric, mesh)
-    bad = (
+    return np.nonzero(_violates(opposite_lengths(metric, mesh)))[0].tolist()
+
+
+def _violates(L):
+    """Mask of the rows of the ``(n, 3)`` side lengths ``L`` that break the
+    strict triangle inequality; each row's sides may come in any order."""
+    return (
         (L[:, 0] >= L[:, 1] + L[:, 2])
         | (L[:, 1] >= L[:, 2] + L[:, 0])
         | (L[:, 2] >= L[:, 0] + L[:, 1])
     )
-    return np.nonzero(bad)[0].tolist()
 
 
 def cosine_law(geometry, a, b, c):

@@ -16,13 +16,14 @@ import numpy as np
 from .beltrami import (
     BeltramiField,
     Parameterization,
+    _scale,
     auxiliary_metric,
     compose_beltrami,
     estimate_beltrami,
     map_distance,
 )
 from .errors import BeltramiError, PresetError, SurgeryError
-from .flow import FlowOptions, edge_swap, longest_edges, run_flow
+from .flow import FlowOptions, edge_swap, longest_edges, renumber, run_flow
 from .mesh import (
     _format_rows,
     cut_graph,
@@ -33,6 +34,7 @@ from .mesh import (
 from .metric import (
     DiscreteMetric,
     Geometry,
+    _violates,
     check_triangle_inequality,
     corner_angles,
     gauss_bonnet_residual,
@@ -266,26 +268,60 @@ def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
     When the scaled lengths break a triangle inequality, the first longest
     edge of a violating face that can be swapped (under the base metric,
     where the quad is admissible) and is not on a seam of the chart
-    ``corners`` is swapped and the auxiliary metric recomputed, up to
-    ``_PRE_SURGERY_ROUNDS`` times. Returns the mesh, its auxiliary metric
-    and the number of swaps made; the :class:`BeltramiError` raised
-    otherwise names the violating faces of the last auxiliary metric.
+    ``corners`` is swapped, up to ``_PRE_SURGERY_ROUNDS`` times; the last
+    of them is made but never checked. Swaps keep edge and face ids, so
+    after each one only the new diagonal's auxiliary length is measured and
+    only its two faces are checked again. After the last swap the mesh is
+    renumbered once and its auxiliary metric measured in full, which also
+    names a zero-``dz`` diagonal by its canonical edge id. Returns the
+    mesh, its auxiliary metric and the number of swaps made; the
+    :class:`BeltramiError` raised otherwise names the violating faces the
+    last check found.
     """
-    cur_mesh, cur_base = mesh, base_metric
-    for swaps in range(_PRE_SURGERY_ROUNDS):
-        aux = auxiliary_metric(cur_base, corners, mu, cur_mesh)
-        violations = check_triangle_inequality(aux, cur_mesh)
-        if not violations:
-            return cur_mesh, aux, swaps
-        for e in longest_edges(cur_mesh, aux, violations):
+    aux = auxiliary_metric(base_metric, corners, mu, mesh)
+    violations = check_triangle_inequality(aux, mesh)
+    if not violations:
+        return mesh, aux, 0
+    if not isinstance(mu, BeltramiField):
+        mu = BeltramiField(mu)
+    lengths = aux.lengths.copy()
+    bad = np.zeros(mesh.n_faces, dtype=bool)
+    bad[violations] = True
+    for swaps in range(1, _PRE_SURGERY_ROUNDS + 1):
+        for e in longest_edges(mesh, DiscreteMetric(Geometry.EUCLIDEAN,
+                                                    lengths), violations):
             try:
-                cur_mesh, cur_base, corners = _chart_swap(
-                    cur_mesh, cur_base, corners, e)
+                mesh, base_metric, corners = _chart_swap(
+                    mesh, base_metric, corners, e)
             except SurgeryError:
                 continue
             break
         else:
             break
+        if swaps == _PRE_SURGERY_ROUNDS:
+            break
+        halfedges = mesh.edge_halfedges[e]
+        z = corners.ravel()
+        dz = z[mesh.next(halfedges)] - z[halfedges]
+        if dz.all():
+            a, b = mesh.edges[e]
+            scale = _scale(dz, 0.5 * (mu.values[a] + mu.values[b]))
+            lengths[e] = base_metric.lengths[e] * scale.mean()
+            quad = halfedges // 3
+            bad[quad] = _violates(
+                lengths[mesh.edge_of_halfedge.reshape(-1, 3)[quad]])
+            violations = np.nonzero(bad)[0].tolist()
+            if violations:
+                continue
+        # Done, or a zero-dz diagonal, which the full measure names by its
+        # canonical edge id.
+        mesh, base_lengths = renumber(mesh, base_metric.lengths)
+        aux = auxiliary_metric(DiscreteMetric(Geometry.EUCLIDEAN,
+                                              base_lengths), corners, mu, mesh)
+        violations = check_triangle_inequality(aux, mesh)
+        if not violations:
+            return mesh, aux, swaps
+        break
     raise BeltramiError(
         f"auxiliary metric is inadmissible even after edge-swap surgery on "
         f"faces {violations[:16]}", faces=violations)

@@ -17,6 +17,14 @@ backtracking, a report built at each of its three exits. The flat loop must
 give the same report field by field, the same result mesh and metric bit
 for bit, or the same ``FlowError`` message and report.
 
+And it keeps the edge swap as it was before swaps kept their edge ids:
+``edge_swap`` that rebuilds a canonically numbered mesh from the patched
+twin pairing after every swap and carries the lengths to the new ids, the
+in-flow loop that names its edges by vertex pair, and the pre-flow loop
+that measures the whole auxiliary metric and checks every face after every
+swap. The stable-id swaps, renumbered once per loop, must give the same
+meshes, lengths and swap counts bit for bit, or the same error.
+
 And it keeps ``qcflow.beltrami.auxiliary_metric`` as it was when it read a
 per-vertex ``z`` one edge at a time, and the push-scale-average step with
 which ``qcmap`` used to build the auxiliary metric of a cut chart. On a
@@ -31,6 +39,7 @@ from operator import itemgetter, methodcaller
 
 import numpy as np
 
+from qcflow import beltrami
 from qcflow.beltrami import BeltramiField, Parameterization
 from qcflow.embed import _check_disk, _check_flat
 from qcflow.errors import (
@@ -49,7 +58,6 @@ from qcflow.flow import (
     FlowReport,
     FlowResult,
     NewtonFactor,
-    _swap_edges,
     assemble_hessian,
     longest_edges,
     newton_step,
@@ -62,9 +70,12 @@ from qcflow.metric import (
     Geometry,
     check_triangle_inequality,
     corner_angles,
+    cosine_law,
     deform_metric,
+    opposite_side,
     vertex_curvature,
 )
+from qcflow.pipeline import _PRE_SURGERY_ROUNDS
 
 
 def mobius_to_origin(c, z):
@@ -799,3 +810,118 @@ def cut_auxiliary_metric(metric, base, mu, mesh):
     np.add.at(num, cut.new_to_orig_edge, scale_cut)
     np.add.at(den, cut.new_to_orig_edge, 1.0)
     return DiscreteMetric(Geometry.EUCLIDEAN, metric.lengths * (num / den))
+
+
+# ---------------------------------------------------------------------------
+# Edge-swap surgery with a canonical rebuild per swap
+
+
+def edge_swap(mesh, metric, edge):
+    """Flip ``edge`` by corner angles, then rebuild the mesh from the
+    patched twin pairing (canonical edge ids) and carry every length but
+    the new diagonal's by halfedge index."""
+    h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
+    if h2 < 0:
+        raise SurgeryError(f"edge {edge} is on the boundary")
+    i, j = int(mesh.origin(h1)), int(mesh.dest(h1))
+    k = int(mesh.dest(mesh.next(h1)))
+    l = int(mesh.dest(mesh.next(h2)))
+    if mesh.edge_id(k, l) >= 0:
+        raise SurgeryError(f"swap of edge {edge} would duplicate edge "
+                           f"({k}, {l})")
+
+    e = mesh.edge_of_halfedge
+    g = metric.geometry
+    d, l_ik, l_jk, l_il, l_jl = metric.lengths[
+        [edge, e[mesh.prev(h1)], e[mesh.next(h1)], e[mesh.next(h2)],
+         e[mesh.prev(h2)]]]
+    with np.errstate(invalid="ignore"):
+        angles = np.arccos(cosine_law(g, np.array([l_jk, l_jl, l_ik, l_il]),
+                                      d, np.array([l_ik, l_il, l_jk, l_jl])))
+        theta_i, theta_j = angles[:2].sum(), angles[2:].sum()
+        new_len = float(opposite_side(g, l_ik, l_il, theta_i))
+    if not (theta_i < np.pi and theta_j < np.pi):
+        raise SurgeryError(f"non-convex quad at edge {edge}")
+    if not np.isfinite(new_len) or new_len <= 0.0:
+        raise SurgeryError(f"degenerate new diagonal at edge {edge}")
+    for f, sides in ((h1 // 3, (l_il, new_len, l_ik)),
+                     (h2 // 3, (l_jk, new_len, l_jl))):
+        a, b, c = sorted(sides, reverse=True)
+        if a >= b + c:
+            raise SurgeryError(
+                f"swap of edge {edge} produced an invalid face {f}")
+
+    new_faces = mesh.faces.copy()
+    new_faces[h1 // 3] = (i, l, k)
+    new_faces[h2 // 3] = (j, k, l)
+    f1, f2 = 3 * (h1 // 3), 3 * (h2 // 3)
+    slots = np.array([f1, f1 + 2, f2, f2 + 2])
+    old = np.array([mesh.next(h2), mesh.prev(h1), mesh.next(h1),
+                    mesh.prev(h2)])
+    twin = mesh.twin.copy()
+    outer = mesh.twin[old]
+    twin[slots] = outer
+    twin[f1 + 1], twin[f2 + 1] = f2 + 1, f1 + 1
+    twin[outer[outer >= 0]] = slots[outer >= 0]
+    new_mesh = build_mesh(new_faces, positions=mesh.positions, twin=twin)
+
+    source = e.copy()
+    source[slots] = e[old]
+    source[[f1 + 1, f2 + 1]] = -1
+    source = source[new_mesh.edge_halfedges[:, 0]]
+    new_lengths = metric.lengths[source]
+    new_lengths[source < 0] = new_len
+    return new_mesh, DiscreteMetric(g, new_lengths)
+
+
+def _swap_edges(mesh, current, edges):
+    """In-flow surgery: swap each listed edge, named by its vertex pair
+    because ids change with every rebuild."""
+    done = 0
+    for a, b in mesh.edges[edges]:
+        try:
+            mesh, current = edge_swap(mesh, current, mesh.edge_id(a, b))
+        except SurgeryError:
+            continue
+        done += 1
+    return mesh, current, done
+
+
+def _chart_swap(mesh, metric, corners, edge):
+    """:func:`edge_swap` that refuses a seam edge of the chart ``corners``
+    and carries the corners of the two rewritten faces along."""
+    h0, h1 = mesh.edge_halfedges[edge].tolist()
+    z = corners.ravel()
+    if h1 >= 0 and (z[h0] != z[mesh.next(h1)] or z[mesh.next(h0)] != z[h1]):
+        raise SurgeryError(f"edge {edge} is on a seam of the chart")
+    new_mesh, metric = edge_swap(mesh, metric, edge)
+    quad = [h0 // 3, h1 // 3]
+    at = dict(zip(mesh.faces[quad].ravel().tolist(),
+                  corners[quad].ravel().tolist()))
+    corners = corners.copy()
+    corners[quad] = [[at[v] for v in face]
+                     for face in new_mesh.faces[quad].tolist()]
+    return new_mesh, metric, corners
+
+
+def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
+    """Pre-flow surgery that measures the whole auxiliary metric and checks
+    every face again after every swap."""
+    cur_mesh, cur_base = mesh, base_metric
+    for swaps in range(_PRE_SURGERY_ROUNDS):
+        aux = beltrami.auxiliary_metric(cur_base, corners, mu, cur_mesh)
+        violations = check_triangle_inequality(aux, cur_mesh)
+        if not violations:
+            return cur_mesh, aux, swaps
+        for e in longest_edges(cur_mesh, aux, violations):
+            try:
+                cur_mesh, cur_base, corners = _chart_swap(
+                    cur_mesh, cur_base, corners, e)
+            except SurgeryError:
+                continue
+            break
+        else:
+            break
+    raise BeltramiError(
+        f"auxiliary metric is inadmissible even after edge-swap surgery on "
+        f"faces {violations[:16]}", faces=violations)

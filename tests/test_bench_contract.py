@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps qcflow functions by name from outside the
 program (``perfbench/spans.py``). Every name it wraps must still resolve, so
 that a rename or deletion in ``qcflow`` fails here and not only in the slow
-``python3 -m pytest perfbench`` run."""
+``python3 -m pytest perfbench`` run, and the edge swaps it counts must all
+go through the names it wraps."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 from collections import Counter
@@ -13,9 +15,13 @@ import numpy as np
 import pytest
 
 import meshes
+import qcflow.flow as flow_module
+import qcflow.pipeline as pipeline_module
+import sequential
 from qcflow.errors import FlowError
 from qcflow.flow import FlowOptions, run_flow
 from qcflow.metric import Geometry, induced_metric
+from qcflow.pipeline import PresetKind, TargetPreset, cmd_flatten, cmd_qcmap
 
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -108,3 +114,51 @@ def test_flow_hook_reads_report_counts(max_iterations):
     assert report.halvings > 0
     assert counts["flow.newton_iters"] == report.iterations
     assert counts["flow.halvings"] == report.halvings
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_pre_flow_swaps_go_through_traced_name(monkeypatch):
+    # ``pipeline.pre_swap`` counts the calls of ``qcflow.pipeline.edge_swap``:
+    # a qcmap run must attempt each pre-flow swap through it, as many as the
+    # sequential surgery loop attempts on the same chart
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    x, y = mesh.positions[:, 0], mesh.positions[:, 1]
+    mu = 0.85 * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x)
+    traced = _count_calls(monkeypatch, pipeline_module, "edge_swap")
+    cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
+    chart = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset).param.coords
+    oracle = _count_calls(monkeypatch, sequential, "edge_swap")
+    sequential._aux_metric_with_surgery(mesh, induced_metric(mesh),
+                                        chart[mesh.faces], mu)
+    assert len(traced) == len(oracle) > 30
+
+
+def test_flow_swaps_go_through_traced_name(monkeypatch):
+    # ``flow.edge_swap`` counts the calls of ``qcflow.flow.edge_swap``: the
+    # in-flow surgery must attempt each swap through it, as many as the
+    # sequential loop attempts
+    mesh = meshes.grid_mesh(7, 5, w=30.0, h=1.0)
+    target = np.zeros(mesh.n_vertices)
+    target[2 * 7 + 3] = -5.5
+    for c in meshes.grid_corners(7, 5):
+        target[c] = np.pi / 2 + 5.5 / 4
+    args = (mesh, induced_metric(mesh), target, Geometry.EUCLIDEAN,
+            FlowOptions(max_iterations=120))
+    traced = _count_calls(monkeypatch, flow_module, "edge_swap")
+    swaps = run_flow(*args).report.swaps
+    oracle = _count_calls(monkeypatch, sequential, "edge_swap")
+    assert sequential.run_flow(*args).report.swaps == swaps > 0
+    assert len(traced) == len(oracle) >= swaps

@@ -15,6 +15,7 @@ from qcflow.flow import (
     edge_swap,
     longest_edges,
     newton_step,
+    renumber,
     run_flow,
 )
 from qcflow.mesh import build_mesh
@@ -672,39 +673,91 @@ _MESH_FIELDS = ("faces", "twin", "edges", "edge_of_halfedge",
                 "edge_halfedges", "vertex_halfedge")
 
 
-@pytest.mark.parametrize("make, geometry", [
+_CHAIN_MESHES = pytest.mark.parametrize("make, geometry", [
     (lambda: meshes.grid_mesh(9, 7, bump=0.2), Geometry.EUCLIDEAN),
     (lambda: meshes.embedded_torus(9, 6), Geometry.HYPERBOLIC),
     (lambda: meshes.annulus_mesh(9, 3), Geometry.EUCLIDEAN),
     (meshes.genus2_mesh, Geometry.EUCLIDEAN),
     (lambda: meshes.subdivided_sphere(2), Geometry.EUCLIDEAN),
 ], ids=["grid", "torus", "annulus", "genus2", "sphere"])
-def test_edge_swap_chain_matches_fresh_build(make, geometry):
-    # each swap patches the twin pairing instead of searching for it; the
-    # mesh it builds must equal a from-scratch build of its faces in every
-    # field, also after many swaps and for quads with a boundary side
-    mesh = make()
-    metric = induced_metric(mesh).retagged(geometry)
-    rng = np.random.default_rng(11)
-    swaps = boundary_quads = 0
-    for e in rng.integers(0, mesh.n_edges, 120).tolist():
+
+
+def _random_swaps(mesh, metric, seed=11, tries=120):
+    """Chain of swaps of random edge ids, each on the previous result:
+    yields the mesh before the swap, the swapped edge and the result."""
+    rng = np.random.default_rng(seed)
+    for e in rng.integers(0, mesh.n_edges, tries).tolist():
         try:
             new_mesh, metric = edge_swap(mesh, metric, e)
         except SurgeryError:
             continue
+        yield mesh, e, new_mesh, metric
+        mesh = new_mesh
+
+
+@_CHAIN_MESHES
+def test_edge_swap_chain_matches_fresh_build(make, geometry):
+    # each swap patches the twin pairing instead of searching for it; the
+    # renumbered mesh must equal a from-scratch build of its faces in every
+    # field, also after many swaps and for quads with a boundary side
+    mesh = make()
+    metric = induced_metric(mesh).retagged(geometry)
+    swaps = boundary_quads = 0
+    for mesh, e, new_mesh, metric in _random_swaps(mesh, metric):
+        renumbered, _ = renumber(new_mesh, metric.lengths)
         fresh = build_mesh(new_mesh.faces, positions=mesh.positions)
         for name in _MESH_FIELDS:
-            np.testing.assert_array_equal(getattr(new_mesh, name),
+            np.testing.assert_array_equal(getattr(renumbered, name),
                                           getattr(fresh, name), err_msg=name)
-        assert new_mesh.boundary_loops == fresh.boundary_loops
-        assert new_mesh.n_vertices == fresh.n_vertices
+        assert renumbered.boundary_loops == fresh.boundary_loops
+        assert renumbered.n_vertices == fresh.n_vertices
         h1, h2 = mesh.edge_halfedges[e]
         sides = [mesh.next(h1), mesh.prev(h1), mesh.next(h2), mesh.prev(h2)]
         boundary_quads += bool((mesh.twin[sides] < 0).any())
-        mesh = new_mesh
         swaps += 1
     assert swaps >= 20
     assert (boundary_quads > 0) == bool(mesh.boundary_loops)
+
+
+@_CHAIN_MESHES
+def test_edge_swap_keeps_halfedge_invariants(make, geometry):
+    # the stable-id mesh a swap returns, before any renumbering, is a valid
+    # halfedge mesh: every property HalfedgeMesh promises but the canonical
+    # numbering holds after every swap of a chain
+    start = make()
+    metric = induced_metric(start).retagged(geometry)
+    h = np.arange(start.n_halfedges)
+    swaps = 0
+    for _, e, mesh, metric in _random_swaps(start, metric):
+        inner = h[mesh.twin >= 0]
+        # twin is an involution between opposite halfedges
+        assert np.array_equal(mesh.twin[mesh.twin[inner]], inner)
+        assert np.array_equal(mesh.origin(mesh.twin[inner]), mesh.dest(inner))
+        # edge_of_halfedge and edge_halfedges agree, smaller halfedge first
+        first, second = mesh.edge_halfedges.T
+        ids = np.arange(mesh.n_edges)
+        assert np.array_equal(mesh.edge_of_halfedge[first], ids)
+        assert np.array_equal(mesh.twin[first], second)
+        paired = second >= 0
+        assert np.all(first[paired] < second[paired])
+        assert np.array_equal(mesh.edge_of_halfedge[second[paired]],
+                              ids[paired])
+        assert np.array_equal(np.bincount(mesh.edge_of_halfedge),
+                              1 + paired)
+        # each edge is oriented like its smaller halfedge, and the swapped
+        # edge joins the new diagonal's ends
+        assert np.array_equal(mesh.edges[:, 0], mesh.origin(first))
+        assert np.array_equal(mesh.edges[:, 1], mesh.dest(first))
+        assert mesh.edge_id(*mesh.edges[e]) == e
+        # every vertex_halfedge is outgoing, the boundary one if any
+        v = np.arange(mesh.n_vertices)
+        assert np.array_equal(mesh.origin(mesh.vertex_halfedge), v)
+        boundary = h[mesh.twin < 0]
+        assert np.array_equal(mesh.vertex_halfedge[mesh.origin(boundary)],
+                              boundary)
+        assert mesh.boundary_loops == start.boundary_loops
+        swaps += 1
+    assert swaps >= 20
 
 
 def test_edge_swap_pillow_refused_by_face_check():

@@ -300,11 +300,11 @@ def test_rejects_pinched_vertex():
 
 
 def _swapped_grid():
-    from qcflow.flow import edge_swap
+    from qcflow.flow import edge_swap, renumber
     mesh = meshes.grid_mesh(6, 5, bump=0.2)
     interior = int(np.nonzero(mesh.edge_halfedges[:, 1] >= 0)[0][7])
-    swapped, _ = edge_swap(mesh, induced_metric(mesh), interior)
-    return swapped
+    swapped, metric = edge_swap(mesh, induced_metric(mesh), interior)
+    return renumber(swapped, metric.lengths)[0]
 
 
 @pytest.mark.parametrize("builder", [

@@ -5,10 +5,14 @@ every error message equal. The corner-angle edge flip is held against the
 quad layouts it replaced: same decisions, diagonals equal to rounding.
 The flat Newton loop of ``run_flow`` is held against the flag-driven loop it
 replaced, on every exit: same report, same result bit for bit, or the same
-error. The per-halfedge auxiliary metric is held against the per-vertex
-formula it replaced (bit for bit) and against the cut-chart copy average
-(to rounding)."""
+error. The pre-flow surgery loop, whose swaps keep their edge ids, is held
+against the loop that rebuilt the mesh and measured the whole auxiliary
+metric after every swap: same mesh, lengths and swap count bit for bit, or
+the same error. The per-halfedge auxiliary metric is held against the
+per-vertex formula it replaced (bit for bit) and against the cut-chart copy
+average (to rounding)."""
 
+import functools
 import importlib.util
 import re
 from pathlib import Path
@@ -60,6 +64,10 @@ from qcflow.pipeline import (
     cmd_flatten,
     csv_text,
 )
+
+_MESH_FIELDS = ("faces", "twin", "edges", "edge_of_halfedge",
+                "edge_halfedges", "vertex_halfedge", "boundary_loops",
+                "n_vertices")
 
 
 def bits(z):
@@ -762,3 +770,90 @@ def test_auxiliary_metric_averages_cut_copies(mesh, kind, geometry, k):
                            mesh)
     want = sequential.cut_auxiliary_metric(metric, base, mu, mesh)
     np.testing.assert_allclose(got.lengths, want.lengths, rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The pre-flow surgery loop
+
+
+def _chart(mesh, kind, corners=()):
+    """The corner chart ``cmd_qcmap`` reads the auxiliary metric off: the
+    ``mu = 0`` layout at every face corner, on the cut mesh for a cut
+    layout."""
+    base = cmd_flatten(mesh, Geometry.EUCLIDEAN, TargetPreset(kind, corners))
+    chart = mesh if base.cut is None else base.mesh
+    return base.param.coords[chart.faces]
+
+
+@functools.lru_cache(maxsize=None)
+def _bumped_grid_chart():
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    return mesh, _chart(mesh, PresetKind.RECTANGLE,
+                        meshes.grid_corners(33, 33))
+
+
+def _sweep_case(kind, k):
+    # the fields of the qcmap-sweep benchmark at phase 0
+    mesh, corners = _bumped_grid_chart()
+    x, y = mesh.positions[:, 0], mesh.positions[:, 1]
+    if kind == "const":
+        mu = np.full(mesh.n_vertices, k * np.exp(0.25j * np.pi))
+    else:
+        mu = k * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x)
+    return mesh, corners, mu
+
+
+def _cut_chart_case(mesh, kind, k):
+    return (mesh, _chart(mesh, kind),
+            np.full(mesh.n_vertices, k * np.exp(0.25j * np.pi)))
+
+
+def _zero_dz_case():
+    # a unit square split along (0, 1); the chart stretches that diagonal
+    # and puts the other two vertices on one point, so the auxiliary
+    # metric breaks both faces at the diagonal and the flip, admissible
+    # under the base metric, gives a diagonal with dz = 0
+    pos = np.array([[0.0, 0, 0], [1, 1, 0], [0, 1, 0], [1, 0, 0]])
+    mesh = build_mesh(np.array([[0, 1, 2], [1, 0, 3]]), pos)
+    z = np.array([-0.05, 0.05, 1j, 1j])
+    return mesh, z[mesh.faces], np.full(4, 0.9)
+
+
+_SURGERY_CASES = {
+    **{f"{kind}-{k:.2f}": (lambda kind=kind, k=k: _sweep_case(kind, k))
+       for kind in ("const", "smooth") for k in (0.5, 0.7, 0.85, 0.95)},
+    "annulus-seams": lambda: _cut_chart_case(meshes.annulus_mesh(9, 3),
+                                             PresetKind.ANNULUS, 0.7),
+    "torus-0.85": lambda: _cut_chart_case(meshes.embedded_torus(24, 16),
+                                          PresetKind.CLOSED_FLAT, 0.85),
+    "zero-dz": _zero_dz_case,
+}
+
+
+def _surgery_outcome(surgery, mesh, corners, mu):
+    try:
+        result = surgery(mesh, induced_metric(mesh), corners, mu)
+    except BeltramiError as exc:
+        return (type(exc), str(exc), exc.faces), None
+    return None, result
+
+
+@pytest.mark.parametrize("case", list(_SURGERY_CASES))
+def test_pre_flow_surgery_matches_sequential(case):
+    mesh, corners, mu = _SURGERY_CASES[case]()
+    got, result = _surgery_outcome(_aux_metric_with_surgery, mesh, corners,
+                                   mu)
+    want, expect = _surgery_outcome(sequential._aux_metric_with_surgery, mesh,
+                                    corners, mu)
+    assert got == want
+    if case == "zero-dz":
+        # the diagonal is named by its canonical id, not its stable one (0)
+        assert want == (BeltramiError, "zero dz on edges [1]", [])
+    if want is None:
+        (new_mesh, aux, swaps), (ref_mesh, ref_aux, ref_swaps) = result, expect
+        assert swaps == ref_swaps
+        for name in _MESH_FIELDS:
+            np.testing.assert_array_equal(getattr(new_mesh, name),
+                                          getattr(ref_mesh, name),
+                                          err_msg=name)
+        assert aux.lengths.tobytes() == ref_aux.lengths.tobytes()
