@@ -41,3 +41,40 @@ def test_unused_import_walk():
               "from a import b, c as d\n"
               "def f():\n    return np.pi + os.sep + d\n")
     assert unused_imports(source) == [(4, "b")]
+
+
+def import_time_modules(source):
+    """(line, module) of every import statement that runs when the module is
+    imported: top-level and class-body statements, not function bodies."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "qcflow").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_import_at_module_level(path):
+    # ``qcflow.flow`` imports SciPy at the first Newton system, so commands
+    # that build none (estimate-mu, compose-mu, compare, check) run on NumPy
+    # alone
+    found = import_time_modules(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in found
+            if name.partition(".")[0] == "scipy"] == []
+
+
+def test_import_time_walk():
+    source = ("import scipy.sparse as sp\nfrom scipy import linalg\n"
+              "from . import flow\ntry:\n    import os\nexcept ImportError:\n"
+              "    pass\nclass A:\n    import scipy.fft\n"
+              "def f():\n    import scipy.signal\n")
+    assert import_time_modules(source) == [
+        (1, "scipy.sparse"), (2, "scipy"), (5, "os"), (9, "scipy.fft")]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,54 @@ def test_qcmap_torus_with_consistent_mu():
     # constant mu turns the square torus into a genuinely different lattice
     ratio = abs(out.periods.zb) / abs(out.periods.za)
     assert ratio != pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def rect33x17():
+    mesh = meshes.grid_mesh(33, 17, w=2, bump=0.3)
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 17))
+    return mesh, preset, cmd_flatten(mesh, Geometry.EUCLIDEAN, preset).module
+
+
+@pytest.mark.parametrize("k", [0.3, 0.7, 0.85, 0.95, -0.5])
+def test_qcmap_real_constant_mu_module_is_exact(rect33x17, k):
+    # z -> z + k conj(z) scales x by 1 + k and y by 1 - k, so a real
+    # constant mu multiplies the conformal module by (1 - k) / (1 + k); the
+    # grid is not square, so that module is not 1 by symmetry
+    mesh, preset, module = rect33x17
+    mu = BeltramiField(np.full(mesh.n_vertices, k + 0j))
+    qc = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
+    expected = module * (1 - k) / (1 + k)
+    assert abs(qc.module - expected) <= 1e-7 * expected
+
+
+def _reduced_ratio(za, zb):
+    """``zb / za`` in the upper half-plane (a basis is defined only up to
+    sign), moved to the fundamental domain of SL(2, Z), where two bases of
+    one lattice give the same point."""
+    tau = zb / za
+    tau = tau if tau.imag > 0 else -tau
+    while True:
+        tau -= round(tau.real)
+        if abs(tau) >= 1:
+            return tau
+        tau = -1 / tau
+
+
+@pytest.mark.parametrize("n", [(12, 8), (24, 16)], ids=["12x8", "24x16"])
+@pytest.mark.parametrize("mu0", [0.5 * np.exp(0.25j * np.pi),
+                                 0.85 * np.exp(0.25j * np.pi), 0.3 - 0.2j],
+                         ids=["0.5", "0.85", "0.3-0.2i"])
+def test_qcmap_flat_torus_periods_are_affine(n, mu0):
+    # on a flat torus a constant mu is the affine map z -> z + mu conj(z),
+    # which maps the flat periods onto the quasi-conformal ones
+    mesh, metric = meshes.torus_grid(*n, h=0.7)
+    preset = TargetPreset(PresetKind.CLOSED_FLAT)
+    flat = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset, metric=metric).periods
+    mu = BeltramiField(np.full(mesh.n_vertices, mu0))
+    qc = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset, metric=metric).periods
+    za, zb = (z + mu0 * np.conj(z) for z in (flat.za, flat.zb))
+    assert abs(_reduced_ratio(qc.za, qc.zb) - _reduced_ratio(za, zb)) <= 1e-12
 
 
 def test_cli_qcmap_annulus(tmp_path, annulus):
@@ -462,6 +514,62 @@ def test_cli_qcmap_estimate_compose_compare(tmp_path, grid_obj, grid9):
                      "--mesh", str(grid_obj), "--threshold", "1e-12"]) == 0
     assert cli_main(["compare", "--a", str(flat), "--b", str(qc),
                      "--mesh", str(grid_obj), "--threshold", "1e-12"]) == 1
+
+
+_NUMPY_ONLY_RUN = """
+import json, sys
+import qcflow.cli as cli
+jobs = json.loads(sys.argv[1])
+codes = [cli.main(argv) for argv in jobs["numpy"]]
+before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+codes.append(cli.main(jobs["flatten"]))
+print(json.dumps({"codes": codes, "scipy_before_flatten": before,
+                  "flatten": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_cli_loads_scipy_at_the_first_newton_system(tmp_path):
+    # a fresh interpreter runs check, estimate-mu, compose-mu and compare on
+    # NumPy alone; flatten in the same process then loads SciPy and writes
+    # the bytes an in-process run writes. The bump makes the flow take
+    # Newton steps: a flat grid already has the rectangle's curvature.
+    mesh = meshes.grid_mesh(9, 9, bump=0.3)
+    grid_obj = tmp_path / "grid.obj"
+    save_obj(mesh, grid_obj)
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text(
+        field_to_json(BeltramiField(np.full(mesh.n_vertices, 0.2 + 0.1j))))
+    flat, qc = tmp_path / "flat.obj", tmp_path / "qc.obj"
+    corners = ["--preset", "rectangle", "--corners", "0,8,80,72"]
+    assert cli_main(["flatten", "--input", str(grid_obj), *corners,
+                     "--out", str(flat)]) == 0
+    assert cli_main(["qcmap", "--input", str(grid_obj), "--mu", str(mu_path),
+                     *corners, "--out", str(qc)]) == 0
+    fresh = tmp_path / "fresh.obj"
+    jobs = {
+        "numpy": [
+            ["check", "--input", str(grid_obj)],
+            ["estimate-mu", "--src", str(flat), "--dst", str(qc),
+             "--out", str(tmp_path / "est.json"),
+             "--hist", str(tmp_path / "hist.csv")],
+            ["compose-mu", "--mu-f", str(mu_path), "--mu-g", str(mu_path),
+             "--f-src", str(flat), "--f-dst", str(qc),
+             "--out", str(tmp_path / "comp.json")],
+            ["compare", "--a", str(flat), "--b", str(qc),
+             "--mesh", str(grid_obj)],
+        ],
+        "flatten": ["flatten", "--input", str(grid_obj), *corners,
+                    "--out", str(fresh)],
+    }
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_RUN,
+                          json.dumps(jobs)], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    doc = json.loads(run.stdout.splitlines()[-1])
+    assert doc == {"codes": [0] * 5, "scipy_before_flatten": [],
+                   "flatten": True}
+    assert fresh.read_bytes() == flat.read_bytes()
 
 
 def test_cli_validation_exit_code(tmp_path, grid_obj):
