@@ -27,10 +27,9 @@ one rule for both background geometries. A swap keeps every edge id: it
 rewrites the two faces of the quad and patches at most ten entries of a
 copy of each halfedge array, and the flipped edge keeps its id and takes
 the new diagonal's length. A surgery loop renumbers once, after its last
-swap (:func:`renumber`, which hands the patched pairing to
-:func:`~qcflow.mesh.build_mesh`). :func:`longest_edges` picks the edges
-both surgery loops try. In-flow surgery swaps on the current metric, then
-rebases it by ``-u``.
+swap (:func:`renumber`, which rebuilds the mesh from its faces).
+:func:`longest_edges` picks the edges both surgery loops try. In-flow
+surgery swaps on the current metric, then rebases it by ``-u``.
 """
 
 from __future__ import annotations
@@ -422,10 +421,10 @@ def edge_swap(mesh, metric, edge):
 
 def renumber(mesh, lengths):
     """Canonical numbering of a mesh that :func:`edge_swap` left with stable
-    edge ids: the mesh :func:`~qcflow.mesh.build_mesh` derives from its
-    faces and twin pairing, and ``lengths`` (indexed by the old edge ids)
-    carried to the new ids through each edge's smaller halfedge."""
-    new = build_mesh(mesh.faces, mesh.positions, twin=mesh.twin)
+    edge ids: the mesh :func:`~qcflow.mesh.build_mesh` builds from its
+    faces, and ``lengths`` (indexed by the old edge ids) carried to the new
+    ids through each edge's smaller halfedge."""
+    new = build_mesh(mesh.faces, mesh.positions)
     return new, lengths[mesh.edge_of_halfedge[new.edge_halfedges[:, 0]]]
 
 

@@ -133,30 +133,19 @@ class HalfedgeMesh:
         return -1
 
 
-def build_mesh(faces, positions=None, uv=None, *, twin=None):
+def build_mesh(faces, positions=None, uv=None):
     """Build a validated :class:`HalfedgeMesh` from an indexed face list.
 
     The vertex count is one more than the largest face index, or the length
     of ``positions`` or ``uv`` when that is larger, so trailing vertices no
     face uses are reported as unused.
 
-    ``twin``, when given, is the ``(3F,)`` halfedge pairing of ``faces``,
-    -1 on the boundary, and is trusted: the pairing search, the
-    oriented-edge repeat check and the bowtie and fan checks are skipped.
-    Precondition: it is the pairing a search would find, and the mesh is
-    manifold, as on the meshes :func:`qcflow.flow.edge_swap` returns, whose
-    flips keep the pairing of a manifold mesh. The face, unused-vertex and
-    shape checks still run; edges, ``vertex_halfedge`` and the boundary
-    loops are derived from it exactly as from a searched pairing, so the
-    result is canonically numbered (:func:`qcflow.flow.renumber`).
-
     Raises
     ------
     TopologyError
         On non-triangular input, repeated vertex ids within a face,
         non-manifold edges (an oriented edge shared by two faces), unused or
-        non-manifold (bowtie or pinched) vertices, or a ``twin`` of the
-        wrong shape.
+        non-manifold (bowtie or pinched) vertices.
     """
     faces = np.ascontiguousarray(faces, dtype=np.int64)
     _require(faces.ndim == 2 and faces.shape[1] == 3, TopologyError,
@@ -196,26 +185,20 @@ def build_mesh(faces, positions=None, uv=None, *, twin=None):
     origin = faces.ravel()
     dest = faces[:, [1, 2, 0]].ravel()
 
-    trusted = twin is not None
-    if trusted:
-        twin = np.asarray(twin, dtype=np.int64)
-        _require(twin.shape == (nh,), TopologyError,
-                 f"twin must have shape ({nh},)")
-    else:
-        # Twins: sort the oriented edges by key, look up each reversed key.
-        key = origin * nv + dest
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        repeat = _first_repeat(order, sorted_key)
-        if repeat is not None:
-            h1, h2 = repeat
-            raise TopologyError(
-                f"oriented edge ({origin[h2]}, {dest[h2]}) shared by faces "
-                f"{h1 // 3} and {h2 // 3}: non-manifold or inconsistently "
-                "oriented")
-        reverse = dest * nv + origin
-        slot = np.minimum(np.searchsorted(sorted_key, reverse), nh - 1)
-        twin = np.where(sorted_key[slot] == reverse, order[slot], -1)
+    # Twins: sort the oriented edges by key and look up each reversed key.
+    key = origin * nv + dest
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    repeat = _first_repeat(order, sorted_key)
+    if repeat is not None:
+        h1, h2 = repeat
+        raise TopologyError(
+            f"oriented edge ({origin[h2]}, {dest[h2]}) shared by faces "
+            f"{h1 // 3} and {h2 // 3}: non-manifold or inconsistently "
+            "oriented")
+    reverse = dest * nv + origin
+    slot = np.minimum(np.searchsorted(sorted_key, reverse), nh - 1)
+    twin = np.where(sorted_key[slot] == reverse, order[slot], -1)
 
     # Edges in order of their smaller halfedge, oriented like it.
     first = np.nonzero((twin < 0) | (np.arange(nh) < twin))[0]
@@ -234,24 +217,22 @@ def build_mesh(faces, positions=None, uv=None, *, twin=None):
     np.minimum.at(vertex_halfedge, origin, np.arange(nh))
     vertex_halfedge[boundary_origin] = boundary
 
-    # Manifold-vertex checks, on a searched pairing only: no vertex has two
-    # outgoing boundary halfedges, and the CCW fan walk from
-    # vertex_halfedge reaches every incident corner.
-    if not trusted:
-        boundary_order = np.argsort(boundary_origin, kind="stable")
-        repeat = _first_repeat(boundary_order,
-                               boundary_origin[boundary_order])
-        if repeat is not None:
-            raise TopologyError(
-                f"vertex {boundary_origin[repeat[1]]} has two outgoing "
-                "boundary edges (non-manifold bowtie)")
-        reached = np.bincount(np.concatenate(
-            [walker for walker, _ in _fan_walk(twin, vertex_halfedge)]),
-            minlength=nv)
-        pinched = np.nonzero(reached != np.bincount(origin, minlength=nv))[0]
-        if pinched.size:
-            raise TopologyError(f"vertex {pinched[0]} has a disconnected "
-                                "fan (non-manifold vertex)")
+    # Manifold-vertex checks: no vertex has two outgoing boundary
+    # halfedges, and the CCW fan walk from vertex_halfedge reaches every
+    # incident corner.
+    boundary_order = np.argsort(boundary_origin, kind="stable")
+    repeat = _first_repeat(boundary_order, boundary_origin[boundary_order])
+    if repeat is not None:
+        raise TopologyError(
+            f"vertex {boundary_origin[repeat[1]]} has two outgoing boundary "
+            "edges (non-manifold bowtie)")
+    reached = np.bincount(np.concatenate(
+        [walker for walker, _ in _fan_walk(twin, vertex_halfedge)]),
+        minlength=nv)
+    pinched = np.nonzero(reached != np.bincount(origin, minlength=nv))[0]
+    if pinched.size:
+        raise TopologyError(f"vertex {pinched[0]} has a disconnected fan "
+                            "(non-manifold vertex)")
 
     return HalfedgeMesh(
         faces=faces,

@@ -168,22 +168,6 @@ class FlattenResult:
     report: dict = field(default_factory=dict)
 
 
-def _report_dict(geometry, preset, flow_result, module=None, periods=None,
-                 extra=None):
-    doc = {
-        "geometry": geometry.value,
-        "preset": preset.kind.value,
-        "flow": flow_result.report.to_json_dict(),
-    }
-    if module is not None:
-        doc["module"] = module
-    if periods is not None:
-        doc["periods"] = periods.to_json_dict()
-    if extra:
-        doc.update(extra)
-    return doc
-
-
 def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
     """Conformal flatten: induced metric -> Yamabe flow -> isometric layout
     -> preset-specific normalization.
@@ -202,23 +186,11 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
     fr = run_flow(mesh, metric, target, geometry, options)
     kind = preset.kind
 
-    if kind in (PresetKind.RECTANGLE, PresetKind.FREE_DISK):
-        param = layout_euclidean(fr.mesh, fr.metric)
-        if kind == PresetKind.RECTANGLE:
-            param, module = normalize_rectangle(param, fr.mesh,
-                                                preset.corners)
-        else:
-            z = param.coords
-            center = z.mean()
-            scale = np.abs(z - center).max()
-            param = Parameterization((z - center) / scale, param.geometry)
-            module = None
-        report = _report_dict(geometry, preset, fr, module=module)
-        return FlattenResult(mesh=fr.mesh, param=param, flow=fr,
-                             module=module, report=report)
-
-    # Annulus and closed surfaces: cut open, push the flat metric, lay out.
-    module = periods = extra = None
+    # Annulus and closed surfaces are cut open and the flat metric pushed
+    # onto the cut mesh; disks are laid out as they are.
+    disk, cut, flat = fr.mesh, None, fr.metric
+    module = periods = None
+    extra = {}
     if kind == PresetKind.ANNULUS:
         lens = sorted(_loop_length(fr.mesh, fr.metric, lp)
                       for lp in fr.mesh.boundary_loops)
@@ -227,17 +199,32 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
         disk, cut = slice_along_edges(fr.mesh, slit)
         extra = {"slit_edges": len(slit),
                  "boundary_convention": "uniform 2pi/n outer, -2pi/n inner"}
-    else:
+    elif kind in (PresetKind.CLOSED_FLAT, PresetKind.CLOSED_HYPERBOLIC):
         disk, cut = cut_to_disk(fr.mesh)
-    cut_metric = DiscreteMetric(geometry, cut.push_edge(fr.metric.lengths))
+    if cut is not None:
+        flat = DiscreteMetric(geometry, cut.push_edge(fr.metric.lengths))
+
     if geometry == Geometry.HYPERBOLIC:
-        param = layout_hyperbolic(disk, cut_metric)
+        param = layout_hyperbolic(disk, flat)
     else:
-        param = layout_euclidean(disk, cut_metric)
-        if kind == PresetKind.CLOSED_FLAT:
-            periods = torus_periods(disk, cut, param)
-    report = _report_dict(geometry, preset, fr, module=module,
-                          periods=periods, extra=extra)
+        param = layout_euclidean(disk, flat)
+    if kind == PresetKind.RECTANGLE:
+        param, module = normalize_rectangle(param, disk, preset.corners)
+    elif kind == PresetKind.FREE_DISK:
+        z = param.coords
+        center = z.mean()
+        scale = np.abs(z - center).max()
+        param = Parameterization((z - center) / scale, param.geometry)
+    elif kind == PresetKind.CLOSED_FLAT:
+        periods = torus_periods(disk, cut, param)
+
+    report = {"geometry": geometry.value, "preset": kind.value,
+              "flow": fr.report.to_json_dict()}
+    if module is not None:
+        report["module"] = module
+    if periods is not None:
+        report["periods"] = periods.to_json_dict()
+    report.update(extra)
     return FlattenResult(mesh=disk, param=param, flow=fr, module=module,
                          periods=periods, cut=cut, report=report)
 
@@ -333,7 +320,9 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     and normalization. With ``mu = 0`` the output equals :func:`cmd_flatten`
     bit-identically. ``z`` is read per face corner, so the presets laid out
     on a cut mesh (closed surfaces and the annulus) take it from the cut
-    chart, and no pre-flow swap crosses the chart's seams."""
+    chart, and no pre-flow swap crosses the chart's seams. If the flatten's
+    flow swapped edges there, the faces it rewrote have no corners in that
+    chart, and a :class:`BeltramiError` names those where mu is nonzero."""
     if not isinstance(mu, BeltramiField):
         mu = BeltramiField(np.asarray(mu))
     if metric is None:
@@ -342,9 +331,21 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     base = cmd_flatten(mesh, geometry, preset, options,
                        metric=metric.retagged(geometry))
     # Slicing keeps every face and corner slot, so the cut mesh's faces name
-    # the input faces' corners in the cut chart.
+    # the input faces' corners in the cut chart, except the faces an in-flow
+    # swap of the conformal flatten rewrote: there they belong to other
+    # vertices. Where mu is zero on such a face's vertices, its scales are
+    # exactly 1 and its corners never enter.
     chart = mesh if base.cut is None else base.mesh
     corners = base.param.coords[chart.faces]
+    if base.cut is not None:
+        moved = np.nonzero((base.cut.new_to_orig_vertex[base.mesh.faces]
+                            != mesh.faces).any(axis=1))[0]
+        moved = moved[(mu.values[mesh.faces[moved]] != 0).any(axis=1)]
+        if moved.size:
+            raise BeltramiError(
+                "the conformal flatten swapped edges of faces "
+                f"{moved[:16].tolist()}, where mu is nonzero, so the cut "
+                "chart has no corners for them", faces=moved.tolist())
     qmesh, aux, swaps = _aux_metric_with_surgery(mesh, metric, corners, mu)
     result = cmd_flatten(qmesh, geometry, preset, options,
                          metric=aux.retagged(geometry))

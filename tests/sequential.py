@@ -817,9 +817,9 @@ def cut_auxiliary_metric(metric, base, mu, mesh):
 
 
 def edge_swap(mesh, metric, edge):
-    """Flip ``edge`` by corner angles, then rebuild the mesh from the
-    patched twin pairing (canonical edge ids) and carry every length but
-    the new diagonal's by halfedge index."""
+    """Flip ``edge`` by corner angles, then rebuild the mesh from its faces
+    (canonical edge ids) and carry every length but the new diagonal's by
+    halfedge index."""
     h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
     if h2 < 0:
         raise SurgeryError(f"edge {edge} is on the boundary")
@@ -858,12 +858,7 @@ def edge_swap(mesh, metric, edge):
     slots = np.array([f1, f1 + 2, f2, f2 + 2])
     old = np.array([mesh.next(h2), mesh.prev(h1), mesh.next(h1),
                     mesh.prev(h2)])
-    twin = mesh.twin.copy()
-    outer = mesh.twin[old]
-    twin[slots] = outer
-    twin[f1 + 1], twin[f2 + 1] = f2 + 1, f1 + 1
-    twin[outer[outer >= 0]] = slots[outer >= 0]
-    new_mesh = build_mesh(new_faces, positions=mesh.positions, twin=twin)
+    new_mesh = build_mesh(new_faces, positions=mesh.positions)
 
     source = e.copy()
     source[slots] = e[old]

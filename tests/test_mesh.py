@@ -135,13 +135,6 @@ def test_rejects_bowtie_vertex():
         build_mesh(faces)
 
 
-def test_given_twin_must_cover_every_halfedge(grid9):
-    # a given pairing skips the pairing search, not the shape checks
-    with pytest.raises(TopologyError,
-                       match=r"^twin must have shape \(384,\)$"):
-        build_mesh(grid9.faces, twin=grid9.twin[:-1])
-
-
 def test_induced_metric_right_triangle():
     mesh = build_mesh(np.array([[0, 1, 2]]),
                       np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]))

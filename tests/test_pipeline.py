@@ -9,7 +9,7 @@ import pytest
 
 import meshes
 from qcflow import flow, pipeline
-from qcflow.beltrami import BeltramiField, field_to_json
+from qcflow.beltrami import BeltramiField, estimate_beltrami, field_to_json
 from qcflow.cli import main as cli_main
 from qcflow.errors import BeltramiError, PresetError, SurgeryError
 from qcflow.mesh import build_mesh, load_obj, save_obj
@@ -214,7 +214,6 @@ def test_qcmap_round_trip_on_grid(grid33):
     mu = BeltramiField(np.full(grid33.n_vertices, mu0))
     flat = cmd_flatten(grid33, Geometry.EUCLIDEAN, preset)
     qc = cmd_qcmap(grid33, mu, Geometry.EUCLIDEAN, preset)
-    from qcflow.beltrami import estimate_beltrami
     est = estimate_beltrami(flat.param, qc.param, grid33)
     err_re = np.abs(est.vertex_mu.values.real - mu0.real)
     err_im = np.abs(est.vertex_mu.values.imag - mu0.imag)
@@ -279,6 +278,44 @@ def test_qcmap_flat_torus_periods_are_affine(n, mu0):
     qc = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset, metric=metric).periods
     za, zb = (z + mu0 * np.conj(z) for z in (flat.za, flat.zb))
     assert abs(_reduced_ratio(qc.za, qc.zb) - _reduced_ratio(za, zb)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [(24, 16), (48, 32)], ids=["24x16", "48x32"])
+@pytest.mark.parametrize("k", [0.3, 0.5])
+def test_qcmap_embedded_torus_periods_are_affine(n, k):
+    # the conformal flatten makes the embedded torus a flat one, so a
+    # constant mu maps its periods by z -> z + mu conj(z) as well
+    mesh = meshes.embedded_torus(*n)
+    preset = TargetPreset(PresetKind.CLOSED_FLAT)
+    flat = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset).periods
+    mu0 = k * np.exp(0.25j * np.pi)
+    mu = BeltramiField(np.full(mesh.n_vertices, mu0))
+    qc = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset).periods
+    za, zb = (z + mu0 * np.conj(z) for z in (flat.za, flat.zb))
+    assert abs(_reduced_ratio(qc.za, qc.zb) - _reduced_ratio(za, zb)) <= 1e-8
+
+
+@pytest.mark.parametrize("field", ["const", "smooth"])
+def test_qcmap_round_trip_converges_at_second_order(field):
+    # criterion 06's round-trip error |est - mu| on the bumped square, for
+    # the sweep's constant and smooth fields at k = 0.5: each halving of
+    # the mesh size divides its median and p90 by about 4
+    errors = []
+    for n in (17, 33, 65):
+        mesh = meshes.grid_mesh(n, n, bump=0.3)
+        x, y = mesh.positions[:, 0], mesh.positions[:, 1]
+        mu = (np.full(mesh.n_vertices, 0.5 * np.exp(0.25j * np.pi))
+              if field == "const" else
+              0.5 * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x))
+        preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(n, n))
+        flat = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset)
+        qc = cmd_qcmap(mesh, BeltramiField(mu), Geometry.EUCLIDEAN, preset)
+        est = estimate_beltrami(flat.param, qc.param, mesh)
+        err = np.abs(est.vertex_mu.values - mu)
+        errors.append([np.median(err), np.percentile(err, 90)])
+    errors = np.array(errors)
+    order = np.log2(errors[:-1] / errors[1:])
+    assert order.min() >= 1.7, order
 
 
 def test_cli_qcmap_annulus(tmp_path, annulus):
@@ -662,31 +699,6 @@ def test_qcmap_reports_pre_flow_swaps(k):
     assert (swaps > 0) == (k == 0.85)
 
 
-def test_qcmap_swaps_match_searched_pairing(monkeypatch):
-    # the smooth field at k = 0.85 needs about 45 pre-flow swaps; with the
-    # patched twin pairing dropped, the one renumbering after them searches
-    # for it from scratch, and the map must come out bit-equal
-    mesh = meshes.grid_mesh(33, 33, bump=0.3)
-    x, y = mesh.positions[:, 0], mesh.positions[:, 1]
-    mu = 0.85 * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x)
-    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
-    patched = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
-    dropped = []
-
-    def build_without_twin(faces, positions=None, uv=None, twin=None):
-        dropped.append(twin is not None)
-        return build_mesh(faces, positions, uv)
-
-    monkeypatch.setattr(flow, "build_mesh", build_without_twin)
-    searched = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
-    assert patched.report["pre_flow_swaps"] > 30
-    assert len(dropped) == 1 and all(dropped)
-    assert patched.report["pre_flow_swaps"] == \
-        searched.report["pre_flow_swaps"]
-    np.testing.assert_array_equal(patched.mesh.faces, searched.mesh.faces)
-    np.testing.assert_array_equal(patched.param.coords, searched.param.coords)
-
-
 def test_qcmap_pre_flow_surgery_failure_names_faces():
     mesh = meshes.grid_mesh(33, 33, bump=0.3)
     mu = np.full(mesh.n_vertices, 0.95 * np.exp(0.25j * np.pi))
@@ -713,3 +725,29 @@ def test_qcmap_closed_failure_names_faces():
     assert str(info.value) == (
         "auxiliary metric is inadmissible even after edge-swap surgery on "
         f"faces {faces[:16]}")
+
+
+def test_qcmap_refuses_corners_the_flatten_swapped_away():
+    # the conformal flatten of this jittered torus swaps one edge in its
+    # flow, which rewrites faces 40 and 41; the cut chart then has corners
+    # only for the rewritten faces, so a nonzero mu on the input ones is
+    # refused, while a zero mu there scales by exactly 1 and never reads
+    # them: mu = 0 still gives flatten's uv
+    base = meshes.embedded_torus(16, 8, R=2.0, r=0.9)
+    jitter = np.random.default_rng(44).normal(scale=0.2,
+                                              size=base.positions.shape)
+    mesh = build_mesh(base.faces, base.positions + jitter)
+    preset = TargetPreset(PresetKind.CLOSED_FLAT)
+    flat = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset)
+    assert flat.report["flow"]["swaps"] == 1
+    mu = np.full(mesh.n_vertices, 0.1 * np.exp(0.25j * np.pi))
+    with pytest.raises(BeltramiError) as info:
+        cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
+    assert info.value.faces == [40, 41]
+    assert str(info.value) == (
+        "the conformal flatten swapped edges of faces [40, 41], where mu is "
+        "nonzero, so the cut chart has no corners for them")
+    mu[mesh.faces[[40, 41]].ravel()] = 0.0
+    assert cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset).periods is not None
+    qc = cmd_qcmap(mesh, np.zeros(mesh.n_vertices), Geometry.EUCLIDEAN, preset)
+    np.testing.assert_array_equal(qc.param.coords, flat.param.coords)
