@@ -110,31 +110,21 @@ def _preset(args, mesh):
     return TargetPreset(kind)
 
 
-def _write_outputs(result, args):
-    save_obj(result.mesh, args.out, uv=result.param)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(result.report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _run(args):
-    if args.command == "flatten":
+    if args.command in ("flatten", "qcmap"):
         mesh = load_obj(args.input)
-        result = cmd_flatten(mesh, _GEOMETRIES[args.geometry],
-                             _preset(args, mesh), args.flow)
-        _write_outputs(result, args)
-        if result.module is not None:
-            print(f"module {result.module:.9g}")
-        return 0
-
-    if args.command == "qcmap":
-        mesh = load_obj(args.input)
-        with open(args.mu, "r", encoding="utf-8") as fh:
-            mu = field_from_json(fh.read(), n_vertices=mesh.n_vertices)
-        result = cmd_qcmap(mesh, mu, _GEOMETRIES[args.geometry],
-                           _preset(args, mesh), args.flow)
-        _write_outputs(result, args)
+        run = cmd_flatten
+        if args.command == "qcmap":
+            with open(args.mu, "r", encoding="utf-8") as fh:
+                mu = field_from_json(fh.read(), n_vertices=mesh.n_vertices)
+            run = functools.partial(cmd_qcmap, mu=mu)
+        result = run(mesh, geometry=_GEOMETRIES[args.geometry],
+                     preset=_preset(args, mesh), options=args.flow)
+        save_obj(result.mesh, args.out, uv=result.param)
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(result.report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         if result.module is not None:
             print(f"module {result.module:.9g}")
         return 0

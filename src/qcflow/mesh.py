@@ -12,6 +12,7 @@ corner slot, so halfedge ids carry the cut bookkeeping across the cut.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -598,9 +599,14 @@ def save_obj(mesh, path, uv=None):
         blocks.append(_format_rows("f %d %d %d\n", mesh.faces + 1))
 
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("".join(blocks))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("".join(blocks))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _format_rows(line_format, rows):

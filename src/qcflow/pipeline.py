@@ -252,29 +252,31 @@ def _chart_swap(mesh, metric, corners, edge):
 def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
     """Auxiliary metric on a possibly re-triangulated mesh.
 
-    When the scaled lengths break a triangle inequality, the first longest
+    While the scaled lengths break a triangle inequality, the first longest
     edge of a violating face that can be swapped (under the base metric,
     where the quad is admissible) and is not on a seam of the chart
-    ``corners`` is swapped, up to ``_PRE_SURGERY_ROUNDS`` times; the last
-    of them is made but never checked. Swaps keep edge and face ids, so
+    ``corners`` is swapped, up to ``_PRE_SURGERY_ROUNDS`` times. A swap
+    rewrites only the two faces of its quad and changes only the new
+    diagonal's length, so it clears at most two violations: the loop stops
+    once more faces violate than twice the swaps left, which never stops a
+    run that would succeed within the cap. Swaps keep edge and face ids, so
     after each one only the new diagonal's auxiliary length is measured and
-    only its two faces are checked again. After the last swap the mesh is
+    only its two faces are checked again. After the loop a swapped mesh is
     renumbered once and its auxiliary metric measured in full, which also
     names a zero-``dz`` diagonal by its canonical edge id. Returns the
     mesh, its auxiliary metric and the number of swaps made; the
     :class:`BeltramiError` raised otherwise names the violating faces the
     last check found.
     """
-    aux = auxiliary_metric(base_metric, corners, mu, mesh)
-    violations = check_triangle_inequality(aux, mesh)
-    if not violations:
-        return mesh, aux, 0
     if not isinstance(mu, BeltramiField):
         mu = BeltramiField(mu)
+    aux = auxiliary_metric(base_metric, corners, mu, mesh)
+    violations = check_triangle_inequality(aux, mesh)
     lengths = aux.lengths.copy()
     bad = np.zeros(mesh.n_faces, dtype=bool)
     bad[violations] = True
-    for swaps in range(1, _PRE_SURGERY_ROUNDS + 1):
+    swaps = 0
+    while 0 < len(violations) <= 2 * (_PRE_SURGERY_ROUNDS - swaps):
         for e in longest_edges(mesh, DiscreteMetric(Geometry.EUCLIDEAN,
                                                     lengths), violations):
             try:
@@ -285,33 +287,29 @@ def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
             break
         else:
             break
-        if swaps == _PRE_SURGERY_ROUNDS:
-            break
+        swaps += 1
         halfedges = mesh.edge_halfedges[e]
         z = corners.ravel()
         dz = z[mesh.next(halfedges)] - z[halfedges]
-        if dz.all():
-            a, b = mesh.edges[e]
-            scale = _scale(dz, 0.5 * (mu.values[a] + mu.values[b]))
-            lengths[e] = base_metric.lengths[e] * scale.mean()
-            quad = halfedges // 3
-            bad[quad] = _violates(
-                lengths[mesh.edge_of_halfedge.reshape(-1, 3)[quad]])
-            violations = np.nonzero(bad)[0].tolist()
-            if violations:
-                continue
-        # Done, or a zero-dz diagonal, which the full measure names by its
-        # canonical edge id.
+        if not dz.all():  # the full measure names it by its canonical id
+            break
+        a, b = mesh.edges[e]
+        scale = _scale(dz, 0.5 * (mu.values[a] + mu.values[b]))
+        lengths[e] = base_metric.lengths[e] * scale.mean()
+        quad = halfedges // 3
+        bad[quad] = _violates(
+            lengths[mesh.edge_of_halfedge.reshape(-1, 3)[quad]])
+        violations = np.nonzero(bad)[0].tolist()
+    if swaps:
         mesh, base_lengths = renumber(mesh, base_metric.lengths)
         aux = auxiliary_metric(DiscreteMetric(Geometry.EUCLIDEAN,
                                               base_lengths), corners, mu, mesh)
         violations = check_triangle_inequality(aux, mesh)
-        if not violations:
-            return mesh, aux, swaps
-        break
-    raise BeltramiError(
-        f"auxiliary metric is inadmissible even after edge-swap surgery on "
-        f"faces {violations[:16]}", faces=violations)
+    if violations:
+        raise BeltramiError(
+            f"auxiliary metric is inadmissible even after edge-swap surgery "
+            f"on faces {violations[:16]}", faces=violations)
+    return mesh, aux, swaps
 
 
 def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):

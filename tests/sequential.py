@@ -901,13 +901,16 @@ def _chart_swap(mesh, metric, corners, edge):
 
 def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
     """Pre-flow surgery that measures the whole auxiliary metric and checks
-    every face again after every swap."""
+    every face again after every swap. It gives up once more faces violate
+    than twice the swaps left, as a swap clears at most two of them."""
     cur_mesh, cur_base = mesh, base_metric
-    for swaps in range(_PRE_SURGERY_ROUNDS):
+    for swaps in range(_PRE_SURGERY_ROUNDS + 1):
         aux = beltrami.auxiliary_metric(cur_base, corners, mu, cur_mesh)
         violations = check_triangle_inequality(aux, cur_mesh)
         if not violations:
             return cur_mesh, aux, swaps
+        if len(violations) > 2 * (_PRE_SURGERY_ROUNDS - swaps):
+            break
         for e in longest_edges(cur_mesh, aux, violations):
             try:
                 cur_mesh, cur_base, corners = _chart_swap(

@@ -9,11 +9,16 @@ import pytest
 
 import meshes
 from qcflow import flow, pipeline
-from qcflow.beltrami import BeltramiField, estimate_beltrami, field_to_json
+from qcflow.beltrami import (
+    BeltramiField,
+    auxiliary_metric,
+    estimate_beltrami,
+    field_to_json,
+)
 from qcflow.cli import main as cli_main
 from qcflow.errors import BeltramiError, PresetError, SurgeryError
 from qcflow.mesh import build_mesh, load_obj, save_obj
-from qcflow.metric import Geometry, induced_metric
+from qcflow.metric import Geometry, check_triangle_inequality, induced_metric
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
@@ -629,6 +634,38 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_failed_write_leaves_no_temp_file(tmp_path, grid_obj):
+    # --out names a directory: the write fails after the temporary file is
+    # made, and that file must not be left behind
+    out = tmp_path / "out.obj"
+    out.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    code = cli_main(["flatten", "--input", str(grid_obj), "--preset",
+                     "rectangle", "--corners", "0,8,80,72", "--out", str(out)])
+    assert code == 2
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.listdir(out) == []
+
+
+def test_cli_qcmap_error_order(tmp_path, grid_obj, grid9, capsys):
+    # OBJ errors come first, then the mu JSON, then the preset
+    bad_obj = tmp_path / "bad.obj"
+    bad_obj.write_text("v 0 0\nf 1 2 3\n")
+    bad_mu = tmp_path / "bad.json"
+    bad_mu.write_text("{")
+    mu = tmp_path / "mu.json"
+    mu.write_text(field_to_json(BeltramiField(np.zeros(grid9.n_vertices))))
+    for obj, mu_path, code, message in [
+        (bad_obj, bad_mu, 2, f"error: {bad_obj}:1: "),
+        (grid_obj, bad_mu, 1, "error: malformed mu JSON: "),
+        (grid_obj, mu, 1, "error: rectangle preset requires --corners"),
+    ]:
+        assert cli_main(["qcmap", "--input", str(obj), "--mu", str(mu_path),
+                         "--preset", "rectangle",
+                         "--out", str(tmp_path / "o.obj")]) == code
+        assert capsys.readouterr().err.startswith(message)
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli_main(["flutten"])
@@ -699,10 +736,19 @@ def test_qcmap_reports_pre_flow_swaps(k):
     assert (swaps > 0) == (k == 0.85)
 
 
-def test_qcmap_pre_flow_surgery_failure_names_faces():
+def test_qcmap_pre_flow_surgery_failure_names_faces(monkeypatch):
+    # more faces violate than the swap cap can clear, two per swap, so the
+    # surgery gives up before its first swap and names the initial faces
     mesh = meshes.grid_mesh(33, 33, bump=0.3)
     mu = np.full(mesh.n_vertices, 0.95 * np.exp(0.25j * np.pi))
     preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    tried = []
+
+    def recording_swap(mesh, metric, edge):
+        tried.append(edge)
+        return flow.edge_swap(mesh, metric, edge)
+
+    monkeypatch.setattr(pipeline, "edge_swap", recording_swap)
     with pytest.raises(BeltramiError,
                        match="^auxiliary metric is inadmissible even after "
                              "edge-swap surgery on faces ") as info:
@@ -711,6 +757,23 @@ def test_qcmap_pre_flow_surgery_failure_names_faces():
     assert faces.size > 0
     assert faces.min() >= 0 and faces.max() < mesh.n_faces
     assert "\n" not in str(info.value)
+    assert tried == []
+    chart = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset).param.coords
+    aux = auxiliary_metric(induced_metric(mesh), chart[mesh.faces], mu, mesh)
+    assert info.value.faces == check_triangle_inequality(aux, mesh)
+    assert len(info.value.faces) == 972
+
+
+def test_qcmap_pre_flow_surgery_checks_its_last_swap(monkeypatch):
+    # the smooth 0.85 field needs 45 swaps on this grid; with the cap at 45
+    # the 45th swap must be checked, not thrown away
+    monkeypatch.setattr(pipeline, "_PRE_SURGERY_ROUNDS", 45)
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    x, y = mesh.positions[:, 0], mesh.positions[:, 1]
+    mu = 0.85 * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x)
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    qc = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
+    assert qc.report["pre_flow_swaps"] == 45
 
 
 def test_qcmap_closed_failure_names_faces():
