@@ -101,13 +101,11 @@ def _build_parser():
     return top
 
 
-def _preset(args, mesh):
+def _preset(args):
     kind = _PRESETS[args.preset]
-    if kind == PresetKind.RECTANGLE:
-        if args.corners is None:
-            raise QcflowError("rectangle preset requires --corners i,j,k,l")
-        return TargetPreset(kind, args.corners)
-    return TargetPreset(kind)
+    if kind == PresetKind.RECTANGLE and args.corners is None:
+        raise QcflowError("rectangle preset requires --corners i,j,k,l")
+    return TargetPreset(kind, args.corners or ())
 
 
 def _run(args):
@@ -119,7 +117,7 @@ def _run(args):
                 mu = field_from_json(fh.read(), n_vertices=mesh.n_vertices)
             run = functools.partial(cmd_qcmap, mu=mu)
         result = run(mesh, geometry=_GEOMETRIES[args.geometry],
-                     preset=_preset(args, mesh), options=args.flow)
+                     preset=_preset(args), options=args.flow)
         save_obj(result.mesh, args.out, uv=result.param)
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:

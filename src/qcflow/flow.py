@@ -51,6 +51,7 @@ from .mesh import build_mesh, euler_characteristic
 from .metric import (
     DiscreteMetric,
     Geometry,
+    _violates,
     check_triangle_inequality,
     corner_angles,
     cosine_law,
@@ -358,10 +359,9 @@ def edge_swap(mesh, metric, edge):
     if not np.isfinite(new_len) or new_len <= 0.0:
         raise SurgeryError(f"degenerate new diagonal at edge {edge}")
     f1, f2 = h1 // 3, h2 // 3
-    for f, sides in ((f1, (l_il, new_len, l_ik)),
-                     (f2, (l_jk, new_len, l_jl))):
-        a, b, c = sorted(sides, reverse=True)
-        if a >= b + c:
+    sides = np.array([[l_il, new_len, l_ik], [l_jk, new_len, l_jl]])
+    for f, bad in zip((f1, f2), _violates(sides)):
+        if bad:
             raise SurgeryError(
                 f"swap of edge {edge} produced an invalid face {f}")
     if k == l:
@@ -461,6 +461,14 @@ def _swap_edges(mesh, current, edges):
 # The flow proper
 
 
+def _evaluate(mesh, metric, target):
+    """Corner angles, curvature and ``max|target - K|`` of ``metric``; the
+    :class:`MetricError` of :func:`corner_angles` is the flow's verdict."""
+    angles = corner_angles(metric, mesh)
+    K = vertex_curvature(angles, mesh)
+    return angles, K, float(np.max(np.abs(target - K)))
+
+
 def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     """Drive the discrete metric to the prescribed curvature by damped
     Newton iterations.
@@ -504,9 +512,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     base = metric
     u = np.zeros(mesh.n_vertices)
     current = deform_metric(mesh, base, u)
-    angles = corner_angles(current, mesh)
-    K = vertex_curvature(angles, mesh)
-    res = float(np.max(np.abs(target - K)))
+    angles, K, res = _evaluate(mesh, current, target)
     residuals = [res]
     swaps = halvings = iterations = 0
     failure = None
@@ -522,15 +528,15 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
             u_try = u + 0.5 ** halv * du
             try:
                 trial = deform_metric(mesh, base, u_try)
-                bad = check_triangle_inequality(trial, mesh)
-            except MetricError:
-                continue
-            if bad:
-                if (options.surgery and not surgery_tried
+                trial_angles, K_try, res_try = _evaluate(mesh, trial, target)
+            except MetricError as exc:
+                # Only the verdict on ``trial`` names faces; an overflow in
+                # deform_metric names none and just halves the step.
+                if (exc.faces and options.surgery and not surgery_tried
                         and halv >= _SURGERY_AFTER_HALVINGS):
                     surgery_tried = True
                     mesh, swapped, n_done = _swap_edges(
-                        mesh, current, longest_edges(mesh, trial, bad))
+                        mesh, current, longest_edges(mesh, trial, exc.faces))
                     if n_done:
                         # Connectivity changed: rebase so that u deforms the
                         # new base to the swapped metric, recompute the state
@@ -540,15 +546,10 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                         factor.lu = None
                         base = deform_metric(mesh, swapped, -u)
                         current = deform_metric(mesh, base, u)
-                        angles = corner_angles(current, mesh)
-                        K = vertex_curvature(angles, mesh)
-                        res = float(np.max(np.abs(target - K)))
+                        angles, K, res = _evaluate(mesh, current, target)
                         break
                 continue
             saw_admissible = True
-            trial_angles = corner_angles(trial, mesh)
-            K_try = vertex_curvature(trial_angles, mesh)
-            res_try = float(np.max(np.abs(target - K_try)))
             if res_try < res:
                 u, current, angles, K, res = (u_try, trial, trial_angles,
                                               K_try, res_try)

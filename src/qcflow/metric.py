@@ -33,9 +33,9 @@ class DiscreteMetric:
     """Edge-length assignment plus background-geometry tag.
 
     Only the lengths are validated; the per-face triangle inequalities are
-    checked by the callers that need them (:func:`check_triangle_inequality`),
-    because the flow loop must detect violations itself to trigger
-    damping/surgery.
+    checked by the callers that need them (:func:`check_triangle_inequality`
+    or the :class:`MetricError` of :func:`corner_angles`), because the flow
+    loop reads the violating faces to trigger damping/surgery.
     """
 
     geometry: Geometry
@@ -186,8 +186,8 @@ def deform_metric(mesh, base, u):
     Euclidean: ``L_ab = exp(u_a) * l_ab * exp(u_b)``.
     Hyperbolic: ``L_ab = 2 * asinh(exp(u_a + u_b) * sinh(l_ab / 2))``.
 
-    The result is returned unchecked: it may violate triangle inequalities
-    and callers must validate before using it.
+    Only the lengths are checked: the result may violate triangle
+    inequalities and callers must validate before using it.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.n_vertices,):
@@ -203,6 +203,4 @@ def deform_metric(mesh, base, u):
                 lengths = 2.0 * np.arcsinh(np.exp(s) * np.sinh(0.5 * base.lengths))
         except FloatingPointError as exc:
             raise MetricError(f"conformal deformation overflowed: {exc}") from exc
-    if not np.isfinite(lengths).all():
-        raise MetricError("conformal deformation overflowed")
     return DiscreteMetric(base.geometry, lengths)

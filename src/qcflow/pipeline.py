@@ -263,10 +263,10 @@ def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
     after each one only the new diagonal's auxiliary length is measured and
     only its two faces are checked again. After the loop a swapped mesh is
     renumbered once and its auxiliary metric measured in full, which also
-    names a zero-``dz`` diagonal by its canonical edge id. Returns the
-    mesh, its auxiliary metric and the number of swaps made; the
-    :class:`BeltramiError` raised otherwise names the violating faces the
-    last check found.
+    names a zero-``dz`` diagonal by its canonical edge id; renumbering keeps
+    face ids, so the loop's own violation list stands. Returns the mesh,
+    its auxiliary metric and the number of swaps made; the
+    :class:`BeltramiError` raised otherwise names those violating faces.
     """
     if not isinstance(mu, BeltramiField):
         mu = BeltramiField(mu)
@@ -304,7 +304,6 @@ def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
         mesh, base_lengths = renumber(mesh, base_metric.lengths)
         aux = auxiliary_metric(DiscreteMetric(Geometry.EUCLIDEAN,
                                               base_lengths), corners, mu, mesh)
-        violations = check_triangle_inequality(aux, mesh)
     if violations:
         raise BeltramiError(
             f"auxiliary metric is inadmissible even after edge-swap surgery "

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 import meshes
 import qcflow.flow as flow_module
+import qcflow.metric as metric_module
 from qcflow.errors import FlowError, SolverError, SurgeryError, TopologyError
 from qcflow.flow import (
     FlowOptions,
@@ -527,6 +528,48 @@ def test_flow_surgery_disabled_fails_on_stretched_grid():
     with pytest.raises(FlowError):
         run_flow(mesh, metric, target, Geometry.EUCLIDEAN,
                  FlowOptions(max_iterations=120, surgery=False))
+
+
+def stretched_cone():
+    """The stretched grid with a cone at vertex 17 and the excess spread
+    over its corners, whose flow needs in-flow edge swaps."""
+    mesh = meshes.grid_mesh(7, 5, w=30.0, h=1.0)
+    target = np.zeros(mesh.n_vertices)
+    target[2 * 7 + 3] = -5.5
+    for c in meshes.grid_corners(7, 5):
+        target[c] = np.pi / 2 + 5.5 / 4
+    return mesh, target
+
+
+@pytest.mark.parametrize("case", ["rectangle-33", "stretched-cone"])
+def test_flow_checks_triangle_inequality_once(monkeypatch, case):
+    # the flow's own check judges only the initial metric; every later
+    # metric is judged by the MetricError of corner_angles
+    if case == "rectangle-33":
+        mesh = meshes.grid_mesh(33, 33, bump=0.3)
+        target = rectangle_target(mesh, meshes.grid_corners(33, 33))
+    else:
+        mesh, target = stretched_cone()
+    calls = []
+    _record_calls(monkeypatch, flow_module, "check_triangle_inequality",
+                  calls)
+    rep = run_flow(mesh, induced_metric(mesh), target, Geometry.EUCLIDEAN,
+                   FlowOptions(max_iterations=120)).report
+    assert rep.converged
+    assert (rep.swaps > 0) == (case == "stretched-cone")
+    assert len(calls) == 1
+
+
+def test_flow_halves_steps_the_cosine_guard_rejects(monkeypatch):
+    # a trial whose corner angles fail the cosine guard is inadmissible
+    # like one that breaks a triangle inequality: the step is halved, and
+    # a flow that cannot finish raises FlowError with its report
+    monkeypatch.setattr(metric_module, "_COS_GUARD", -1e-4)
+    mesh, target = stretched_cone()
+    with pytest.raises(FlowError) as err:
+        run_flow(mesh, induced_metric(mesh), target, Geometry.EUCLIDEAN,
+                 FlowOptions(max_iterations=120))
+    assert err.value.report is not None
 
 
 def test_flow_report_json_contract(grid9):

@@ -622,6 +622,17 @@ def test_cli_validation_exit_code(tmp_path, grid_obj):
     assert code == 1
 
 
+def test_cli_corners_only_with_rectangle(tmp_path, grid_obj, capsys):
+    # --corners with another preset is a preset error, not dropped
+    out = tmp_path / "x.obj"
+    assert cli_main(["flatten", "--input", str(grid_obj), "--preset",
+                     "free-disk", "--corners", "0,8,80,72",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: free-disk preset takes no corners\n")
+    assert not out.exists()
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.obj"
     bad.write_text("v 0 0\nf 1 2 3\n")
