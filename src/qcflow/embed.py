@@ -139,8 +139,9 @@ def layout_hyperbolic(mesh, metric):
     Seeds the first face at ``tau(v0) = 0``, ``tau(v1) = tanh(l01 / 2)``,
     ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates one
     breadth-first level at a time, with the same placing-face rule as
-    :func:`layout_euclidean`, by intersecting hyperbolic circles (converted
-    to Euclidean circles), keeping each face's orientation positive.
+    :func:`layout_euclidean`: each vertex is the apex over its entry edge
+    in the Mobius frame of that edge (:func:`place_third_hyperbolic`), on
+    the side that keeps the face's orientation positive.
     """
     if metric.geometry != Geometry.HYPERBOLIC:
         raise MetricError("layout_hyperbolic requires a hyperbolic metric")

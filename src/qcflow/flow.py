@@ -489,8 +489,8 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     pre-checked since the area term is flow-dependent.
 
     Returns a :class:`FlowResult`; raises :class:`FlowError` on an infeasible
-    target, a failed line search, or a non-converged budget, with the partial
-    report attached.
+    target, a failed line search, an inadmissible metric after surgery, or a
+    non-converged budget, with the partial report attached.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (mesh.n_vertices,):
@@ -544,9 +544,12 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                         # and a fresh factor (the sparsity pattern changed).
                         swaps += n_done
                         factor.lu = None
-                        base = deform_metric(mesh, swapped, -u)
-                        current = deform_metric(mesh, base, u)
-                        angles, K, res = _evaluate(mesh, current, target)
+                        try:
+                            base = deform_metric(mesh, swapped, -u)
+                            current = deform_metric(mesh, base, u)
+                            angles, K, res = _evaluate(mesh, current, target)
+                        except MetricError as exc:
+                            failure = f"metric after surgery inadmissible: {exc}"
                         break
                 continue
             saw_admissible = True
@@ -564,6 +567,8 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                               else " and surgery is disabled"))
             break
         halvings += halv
+        if failure:
+            break
         iterations += 1
         residuals.append(res)
 

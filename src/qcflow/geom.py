@@ -4,6 +4,10 @@ The hyperbolic plane is modelled as the unit disk with metric
 ``4 dz dzbar / (1 - z zbar)^2``; distances are
 ``d(p, q) = 2 atanh |(p - q) / (1 - conj(q) p)|`` and rigid motions are
 Mobius transformations ``z -> e^{i t} (z - z0) / (1 - conj(z0) z)``.
+
+Both layouts place a vertex by one rule: the apex over its base edge
+(:func:`apex_over_base`), in the plane's frame of that edge or in the
+Mobius frame that moves its first end to the origin.
 """
 
 from __future__ import annotations
@@ -122,69 +126,22 @@ def place_third_euclidean(pa, pb, la, lb):
 
 
 def place_third_hyperbolic(pa, pb, la, lb):
-    """Hyperbolic analogue of :func:`place_third_euclidean`: intersection of
-    hyperbolic circles (pa, la) and (pb, lb) on the counter-clockwise side of
-    the geodesic ``pa -> pb``; elementwise on arrays.
+    """Hyperbolic analogue of :func:`place_third_euclidean`: point at
+    hyperbolic distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
+    counter-clockwise side of the geodesic ``pa -> pb``; elementwise on
+    arrays.
 
-    The circles are converted to their Euclidean counterparts and
-    intersected; the side is selected in the Mobius frame centred at ``pa``
-    (where the geodesic is a straight ray), the candidate on the left of the
-    chord first. Near-tangent configurations, and elements where neither
-    candidate lies inside the disk on that side, fall back to the hyperbolic
-    law-of-cosines construction in that frame.
+    The same construction as in the plane, in the Mobius frame of the base
+    edge: there ``pa`` sits at 0, the geodesic is the ray through
+    ``w = mobius_to_origin(pa, pb)``, the circle about ``pa`` has Euclidean
+    radius ``tanh(la / 2)`` and the circle about ``w`` has its Euclidean
+    centre on that ray, so :func:`apex_over_base` gives the point (inside
+    the disk by construction), which is rotated onto the ray and mapped
+    back. Impossible triangles and degenerate bases raise
+    :class:`LayoutError` as in the plane, with the frame's Euclidean radii.
     """
-    scalar = np.ndim(pa) == 0
-    pa, pb = (np.atleast_1d(np.asarray(p, dtype=np.complex128))
-              for p in (pa, pb))
-    la, lb = (np.atleast_1d(np.asarray(v, dtype=np.float64))
-              for v in (la, lb))
-    c1, r1 = poincare_circle_to_euclidean(pa, la)
-    c2, r2 = poincare_circle_to_euclidean(pb, lb)
-    ref = mobius_to_origin(pa, pb)
-
-    # Euclidean circle-circle intersection, where it is well conditioned.
-    chord = c2 - c1
-    d = _abs(chord)
-    out = np.empty(pa.shape, dtype=np.complex128)
-    done = np.zeros(pa.shape, dtype=bool)
-    with np.errstate(all="ignore"):  # elements that do not meet are masked
-        x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-        h2 = r1 * r1 - x * x
-        y = np.sqrt(h2)
-        u = chord / d
-        meet = ~(d <= 0.0) & ~(h2 < _TANGENT_SLACK * r1 * r1)
-        for side in (y, -y):
-            cand = c1 + _cmul(_complex(x, side), u)
-            w = mobius_to_origin(pa, cand)
-            left = w.imag * ref.real - w.real * ref.imag > 0.0
-            take = meet & ~done & ~(_abs(cand) >= 1.0) & left
-            out[take] = cand[take]
-            done |= take
-
-    # Fallback: angle at pa from the cosine law, laid out in the frame at pa.
-    fall = np.flatnonzero(~done)
-    if fall.size:
-        out[fall] = _cosine_law_third(pa[fall], pb[fall], la[fall],
-                                      lb[fall], ref[fall])
-    return out[0] if scalar else out
-
-
-def _cosine_law_third(pa, pb, la, lb, ref):
-    d = hyperbolic_distance(pa, pb)
-    with np.errstate(all="ignore"):  # degenerate bases raise below
-        arg = ((np.cosh(d) * np.cosh(la) - np.cosh(lb))
-               / (np.sinh(d) * np.sinh(la)))
-    bad = (d <= 0.0) | (np.abs(arg) > 1.0 + _TANGENT_SLACK)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        if d[i] <= 0.0:
-            raise LayoutError("degenerate base edge")
-        raise LayoutError(
-            f"hyperbolic circle intersection failed (la={float(la[i])}, "
-            f"lb={float(lb[i])}, base={float(d[i])})")
-    alpha = np.arccos(np.clip(arg, -1.0, 1.0))
-    direction = ref / _abs(ref)
-    w = _cmul(_cmul(np.tanh(0.5 * la).astype(np.complex128), direction),
-              np.exp(_complex(0.0, alpha)))
-    return mobius_from_origin(pa, w)
-
+    w = mobius_to_origin(pa, pb)
+    d = _abs(w)
+    centre, radius = poincare_circle_to_euclidean(d, lb)
+    x, y = apex_over_base(centre.real, np.tanh(0.5 * la), radius)
+    return mobius_from_origin(pa, _cmul(_complex(x, y), w / d))

@@ -11,6 +11,14 @@ It also keeps the quad layouts with which ``qcflow.flow.edge_swap`` used to
 decide and measure a flip, before the corner-angle rule replaced them; there
 the new code must take the same decisions and agree to rounding.
 
+And it keeps the construction with which ``place_third_hyperbolic`` used
+to place a vertex in the Poincare disk, before the plane's apex over the
+base edge, taken in the Mobius frame of that edge, replaced it: the two
+Euclidean images of the hyperbolic circles intersected, one of the two
+candidates picked by a side test and an in-disk test, and a law-of-cosines
+fallback for near-tangent circles. There the new code must agree to 1e-12
+on fat triangles and keep both distances to 1e-7 on thin ones.
+
 And it keeps the Newton loop of ``qcflow.flow.run_flow`` as it was before
 the line search became one ``for`` loop with a single exit: flag-driven
 backtracking, a report built at each of its three exits. The flat loop must
@@ -142,9 +150,27 @@ def _euclidean_circle_intersection(c1, r1, c2, r2):
 
 
 def place_third_hyperbolic(pa, pb, la, lb):
-    """Hyperbolic analogue of :func:`place_third_euclidean`: intersection of
-    hyperbolic circles (pa, la) and (pb, lb) on the counter-clockwise side of
-    the geodesic ``pa -> pb``.
+    """Hyperbolic analogue of :func:`place_third_euclidean`: the point at
+    hyperbolic distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
+    counter-clockwise side of the geodesic ``pa -> pb``.
+
+    The plane's construction in the Mobius frame of the base edge: the
+    circle about ``pa`` is the circle of radius ``tanh(la / 2)`` about 0,
+    the circle about ``w``, the image of ``pb``, has its centre on the ray
+    through ``w``; the apex over that base is rotated onto the ray and
+    mapped back.
+    """
+    w = mobius_to_origin(pa, pb)
+    d = abs(w)
+    centre, radius = poincare_circle_to_euclidean(d, lb)
+    apex = place_third_euclidean(0.0, centre.real, np.tanh(0.5 * la), radius)
+    return mobius_from_origin(pa, apex * (w / d))
+
+
+def place_third_hyperbolic_circles(pa, pb, la, lb):
+    """The construction :func:`place_third_hyperbolic` replaced: intersection
+    of hyperbolic circles (pa, la) and (pb, lb) on the counter-clockwise side
+    of the geodesic ``pa -> pb``.
 
     The circles are converted to their Euclidean counterparts and
     intersected; the side is selected in the Mobius frame centred at ``pa``
@@ -310,9 +336,9 @@ def layout_hyperbolic(mesh, metric):
     """Poincare-disk layout of a hyperbolically flat metric on a disk.
 
     Seeds the first face at ``tau(v0) = 0``, ``tau(v1) = tanh(l01 / 2)``,
-    ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates breadth-first by
-    intersecting hyperbolic circles (converted to Euclidean circles),
-    keeping each face's orientation positive.
+    ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates breadth-first,
+    placing each vertex at the apex over its entry edge in the Mobius frame
+    of that edge, keeping each face's orientation positive.
     """
     if metric.geometry != Geometry.HYPERBOLIC:
         raise MetricError("layout_hyperbolic requires a hyperbolic metric")

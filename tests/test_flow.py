@@ -572,6 +572,20 @@ def test_flow_halves_steps_the_cosine_guard_rejects(monkeypatch):
     assert err.value.report is not None
 
 
+def test_flow_reports_inadmissible_metric_after_surgery(monkeypatch):
+    # the metric an in-flow swap leaves behind is judged like a trial: when
+    # the cosine guard rejects it, the flow ends with FlowError and its
+    # report, not a bare MetricError
+    monkeypatch.setattr(metric_module, "_COS_GUARD", -1e-3)
+    mesh, target = stretched_cone()
+    with pytest.raises(FlowError, match="after surgery") as err:
+        run_flow(mesh, induced_metric(mesh), target, Geometry.EUCLIDEAN,
+                 FlowOptions(max_iterations=120))
+    assert err.value.report is not None
+    assert err.value.report.swaps > 0
+    assert not err.value.report.converged
+
+
 def test_flow_report_json_contract(grid9):
     metric = induced_metric(grid9)
     target = rectangle_target(grid9, meshes.grid_corners(9, 9))

@@ -77,27 +77,37 @@ def test_place_third_euclidean_rejects_impossible():
 
 def test_place_third_hyperbolic_invariants():
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        pa = random_disk_point(rng, 0.7)
-        pb = random_disk_point(rng, 0.7)
-        d = float(hyperbolic_distance(pa, pb))
-        if d < 1e-3:
-            continue
-        la = rng.uniform(0.2, 1.5) * d
-        lb = rng.uniform(abs(la - d) * 1.05 + 1e-6, (la + d) * 0.95)
-        p = place_third_hyperbolic(pa, pb, la, lb)
-        assert abs(p) < 1.0
-        assert float(hyperbolic_distance(pa, p)) == pytest.approx(la, rel=1e-9)
-        assert float(hyperbolic_distance(pb, p)) == pytest.approx(lb, rel=1e-9)
-        # counter-clockwise in the frame where pa sits at the origin
-        w = mobius_to_origin(pa, p)
-        ref = mobius_to_origin(pa, pb)
-        assert (w * np.conj(ref)).imag > 0.0
+    for rmax in (0.7, 0.95):  # genus-2 layouts reach |z| = 0.954
+        for _ in range(200):
+            pa = random_disk_point(rng, rmax)
+            pb = random_disk_point(rng, rmax)
+            d = float(hyperbolic_distance(pa, pb))
+            if d < 1e-3:
+                continue
+            la = rng.uniform(0.2, 1.5) * d
+            lb = rng.uniform(abs(la - d) * 1.05 + 1e-6, (la + d) * 0.95)
+            p = place_third_hyperbolic(pa, pb, la, lb)
+            assert abs(p) < 1.0
+            assert float(hyperbolic_distance(pa, p)) == pytest.approx(
+                la, rel=1e-9)
+            assert float(hyperbolic_distance(pb, p)) == pytest.approx(
+                lb, rel=1e-9)
+            # counter-clockwise in the frame where pa sits at the origin
+            w = mobius_to_origin(pa, p)
+            ref = mobius_to_origin(pa, pb)
+            assert (w * np.conj(ref)).imag > 0.0
+
+
+def test_place_third_hyperbolic_rejects_impossible():
+    with pytest.raises(LayoutError):  # the circles do not meet
+        place_third_hyperbolic(0.0, 0.5 + 0j, 0.2, 0.2)
+    with pytest.raises(LayoutError):  # degenerate base
+        place_third_hyperbolic(0.3 + 0.1j, 0.3 + 0.1j, 0.2, 0.2)
 
 
 def test_place_third_hyperbolic_fallback_agrees():
-    # the cosine-law fallback and the circle-intersection path agree; force
-    # the fallback with a nearly degenerate (thin) triangle
+    # a nearly degenerate (thin) triangle, where the apex is ill-conditioned,
+    # still keeps both distances
     pa, pb = 0.1 + 0.05j, 0.4 - 0.1j
     d = float(hyperbolic_distance(pa, pb))
     la = 0.6 * d

@@ -3,6 +3,8 @@ against the sequential loops they replaced (``sequential.py``): the
 arithmetic is unchanged, so every result must be equal bit for bit, and
 every error message equal. The corner-angle edge flip is held against the
 quad layouts it replaced: same decisions, diagonals equal to rounding.
+The hyperbolic placement is held against the circle intersection it
+replaced: equal to 1e-12 on fat triangles, both distances to 1e-7 on thin.
 The flat Newton loop of ``run_flow`` is held against the flag-driven loop it
 replaced, on every exit: same report, same result bit for bit, or the same
 error. The pre-flow surgery loop, whose swaps keep their edge ids, is held
@@ -243,22 +245,29 @@ def test_apex_matches_scalar_base_frame():
         assert bits(complex(*apex_over_base(*args))) == bits(old)
 
 
-@pytest.mark.parametrize("frame", [False, True], ids=["disk", "base-frame"])
-def test_place_third_hyperbolic_matches_scalar(frame):
+def _hyperbolic_triangles(frame, rmax=0.7):
+    """``(pa, pb, la, lb, thin)``: 1000 admissible triangles over random
+    bases, in the disk or with ``pa`` at 0 and ``pb`` on the positive real
+    axis; a fifth of them thin, ``lb`` within 1e-7 of ``|la - d|``."""
     rng = np.random.default_rng(13 + frame)
     n = 1000
     if frame:  # pa at 0, pb on the positive real axis
         pa = np.zeros(n, dtype=np.complex128)
         pb = rng.uniform(0.05, 0.9, n) + 0j
     else:
-        pa = _random_disk_points(rng, n, 0.7)
-        pb = _random_disk_points(rng, n, 0.7)
+        pa = _random_disk_points(rng, n, rmax)
+        pb = _random_disk_points(rng, n, rmax)
     d = hyperbolic_distance(pa, pb)
     la = rng.uniform(0.2, 1.5, n) * d
     lb = rng.uniform(np.abs(la - d) * 1.05, (la + d) * 0.95)
-    # thin triangles take the cosine-law fallback
     thin = rng.uniform(0.0, 1.0, n) < 0.2
     lb[thin] = np.abs(la[thin] - d[thin]) * (1.0 + 1e-7)
+    return pa, pb, la, lb, thin
+
+
+@pytest.mark.parametrize("frame", [False, True], ids=["disk", "base-frame"])
+def test_place_third_hyperbolic_matches_scalar(frame):
+    pa, pb, la, lb, _ = _hyperbolic_triangles(frame)
     old = [sequential.place_third_hyperbolic(*args)
            for args in zip(pa, pb, la.tolist(), lb.tolist())]
     assert bits(place_third_hyperbolic(pa, pb, la, lb)) == bits(old)
@@ -267,6 +276,26 @@ def test_place_third_hyperbolic_matches_scalar(frame):
                        lb[:50].tolist()))
     assert bits([place_third_hyperbolic(*args) for args in scalars]) == \
         bits([sequential.place_third_hyperbolic(*args) for args in scalars])
+
+
+@pytest.mark.parametrize("frame, rmax", [(False, 0.7), (True, 0.7),
+                                         (False, 0.95)],
+                         ids=["disk", "base-frame", "disk-0.95"])
+def test_place_third_hyperbolic_matches_circles(frame, rmax):
+    # The apex over the base edge in its Mobius frame lands where the
+    # intersection of the two circles (with its cosine-law fallback) did:
+    # to 1e-12 on fat triangles; on thin ones, which are ill-conditioned
+    # under both constructions, both keep the two distances to 1e-7.
+    pa, pb, la, lb, thin = _hyperbolic_triangles(frame, rmax)
+    new = place_third_hyperbolic(pa, pb, la, lb)
+    old = np.array([sequential.place_third_hyperbolic_circles(*args)
+                    for args in zip(pa, pb, la.tolist(), lb.tolist())])
+    assert np.abs(new - old)[~thin].max() <= 1e-12
+    for p in (new[thin], old[thin]):
+        np.testing.assert_allclose(hyperbolic_distance(pa[thin], p),
+                                   la[thin], rtol=1e-7)
+        np.testing.assert_allclose(hyperbolic_distance(pb[thin], p),
+                                   lb[thin], rtol=1e-7)
 
 
 # ---------------------------------------------------------------------------
