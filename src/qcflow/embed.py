@@ -4,8 +4,8 @@ Poincare disk, plus flat-torus period extraction from a cut-open layout.
 The layout is level-synchronous: it walks the dual graph breadth-first from
 face 0 and places all faces of one level in one array batch. Each vertex is
 placed once, by the first face in breadth-first order that has it free,
-across that face's entry edge; the result is the one a face-by-face
-breadth-first loop gives, bit for bit.
+across that face's entry edge; the result, and the error of a layout that
+fails, is the one a face-by-face breadth-first loop gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ import numpy as np
 
 from .beltrami import Parameterization
 from .errors import LayoutError, MetricError
-from .geom import apex_over_base, place_third_euclidean, place_third_hyperbolic
+from .geom import (
+    _checked_place,
+    _place_euclidean,
+    _place_hyperbolic,
+    apex_over_base,
+)
 from .mesh import dual_bfs, euler_characteristic
 from .metric import (
     Geometry,
@@ -77,6 +82,12 @@ def _layout(mesh, metric, seed, place):
     reached from, in an earlier level. Its third corner ``vc`` is placed by
     the first face in breadth-first order that has it opposite its entry
     edge, from ``va``, ``vb`` and the lengths of its edges to them.
+
+    A level does only the placement arithmetic (``place``, unchecked, on
+    the real and imaginary parts of the coordinates). Validity is checked
+    once, after the last level: the first failed placement in breadth-first
+    order raises the :class:`LayoutError` that the checked placement gives
+    for it.
     """
     _check_disk(mesh)
     bad = check_triangle_inequality(metric, mesh)
@@ -102,11 +113,17 @@ def _layout(mesh, metric, seed, place):
     la, lb = lengths[edge[opposite]], lengths[edge[mesh.next(entry)]]
 
     ends = np.searchsorted(first, np.cumsum([len(lv) for lv in levels]))
-    for start, stop in zip(np.r_[0, ends[:-1]], ends):
-        if stop > start:
-            at = slice(start, stop)
-            coords[vc[at]] = place(coords[va[at]], coords[vb[at]], la[at],
-                                   lb[at])
+    bounds = np.unique(np.r_[0, ends]).tolist()  # levels that place a vertex
+    x, y = coords.real, coords.imag
+    failed = np.zeros(len(vc), dtype=bool)
+    with np.errstate(all="ignore"):  # failed placements raise below
+        for at in map(slice, bounds[:-1], bounds[1:]):
+            a, b, c = va[at], vb[at], vc[at]
+            x[c], y[c], failed[at], _ = place(x[a], y[a], x[b], y[b],
+                                              la[at], lb[at])
+    if failed.any():
+        i = np.flatnonzero(failed)[:1]
+        _checked_place(place, coords[va[i]], coords[vb[i]], la[i], lb[i])
 
     if len(vc) + 3 < mesh.n_vertices:
         raise LayoutError("mesh is not face-connected")
@@ -129,7 +146,7 @@ def layout_euclidean(mesh, metric):
     def seed(l01, l12, l20, _angles):
         return (0.0 + 0j, l01 + 0j, complex(*apex_over_base(l01, l20, l12)))
 
-    coords = _layout(mesh, metric, seed, place_third_euclidean)
+    coords = _layout(mesh, metric, seed, _place_euclidean)
     return Parameterization(coords, Geometry.EUCLIDEAN)
 
 
@@ -151,7 +168,7 @@ def layout_hyperbolic(mesh, metric):
                 np.tanh(0.5 * l01) + 0j,
                 np.tanh(0.5 * l20) * np.exp(1j * face_angles[0]))
 
-    coords = _layout(mesh, metric, seed, place_third_hyperbolic)
+    coords = _layout(mesh, metric, seed, _place_hyperbolic)
     radius = np.abs(coords)
     if radius.max() >= 1.0:
         raise LayoutError(

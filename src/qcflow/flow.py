@@ -294,7 +294,9 @@ def newton_step(H, residual, geometry, factor=None):
             return x, factor
         factor.lu = None  # release the stale factor before building the next
         try:
-            factor.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            # A is exactly symmetric, so its transpose, a CSC view of the
+            # same arrays, is the CSC form of A
+            factor.lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"singular Newton system: {exc}") from exc
         factor.factorizations += 1

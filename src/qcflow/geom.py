@@ -84,6 +84,29 @@ def poincare_circle_to_euclidean(c, r):
     return center[()], np.sqrt(np.where(0.0 > r2, 0.0, r2))[()]
 
 
+def _apex(d, la, lb):
+    """:func:`apex_over_base` without its check: ``(x, y, bad)``, with
+    ``bad`` marking the elements it raises for. Call it under
+    ``np.errstate(all="ignore")``."""
+    x = (d * d + la * la - lb * lb) / (2.0 * d)
+    h2 = la * la - x * x
+    bad = (d <= 0.0) | (h2 < -_TANGENT_SLACK * la * la)
+    return x, np.sqrt(np.where(0.0 > h2, 0.0, h2)), bad
+
+
+def _check_apex(bad, d, la, lb):
+    """Raise the :class:`LayoutError` of the first ``bad`` element of an
+    :func:`apex_over_base` over the bases ``d`` with sides ``la``, ``lb``."""
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        d, la, lb = (float(np.broadcast_to(v, bad.shape).flat[i])
+                     for v in (d, la, lb))
+        if d <= 0.0:
+            raise LayoutError("degenerate base edge")
+        raise LayoutError(
+            f"circle intersection failed (la={la}, lb={lb}, base={d})")
+
+
 def apex_over_base(d, la, lb):
     """Apex ``(x, y)``, ``y >= 0``, of the triangle over the base edge from
     0 to ``d`` on the real axis with sides ``la`` (from 0) and ``lb`` (from
@@ -94,19 +117,61 @@ def apex_over_base(d, la, lb):
     slack).
     """
     d, la, lb = (np.asarray(v, dtype=np.float64) for v in (d, la, lb))
-    with np.errstate(all="ignore"):  # degenerate bases raise below
-        x = (d * d + la * la - lb * lb) / (2.0 * d)
-        h2 = la * la - x * x
-    bad = (d <= 0.0) | (h2 < -_TANGENT_SLACK * la * la)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        d, la, lb = (float(np.broadcast_to(v, bad.shape).flat[i])
-                     for v in (d, la, lb))
-        if d <= 0.0:
-            raise LayoutError("degenerate base edge")
-        raise LayoutError(
-            f"circle intersection failed (la={la}, lb={lb}, base={d})")
-    return x[()], np.sqrt(np.where(0.0 > h2, 0.0, h2))[()]
+    with np.errstate(all="ignore"):  # bad elements raise below
+        x, y, bad = _apex(d, la, lb)
+    _check_apex(bad, d, la, lb)
+    return x[()], y[()]
+
+
+def _place_euclidean(ax, ay, bx, by, la, lb):
+    """Unchecked :func:`place_third_euclidean` on real coordinate arrays:
+    ``(x, y, bad, frame)``, the placed point, the mask of the elements the
+    checked form raises for and the ``(d, la, lb)`` of its apex, for
+    :func:`_check_apex`. Call it under ``np.errstate(all="ignore")``.
+
+    The unit chord is rounded as NumPy divides a complex by a real,
+    ``(cx + cy * 0) * (1 / d)``, so every bit, signed zeros included, is
+    the complex form's.
+    """
+    cx, cy = bx - ax, by - ay
+    d = np.hypot(cx, cy)
+    x, y, bad = _apex(d, la, lb)
+    s = 1.0 / d
+    ux, uy = (cx + cy * 0.0) * s, (cy - cx * 0.0) * s
+    return ax + (x * ux - y * uy), ay + (x * uy + y * ux), bad, (d, la, lb)
+
+
+def _place_hyperbolic(ax, ay, bx, by, la, lb):
+    """Unchecked :func:`place_third_hyperbolic` on real coordinate arrays,
+    returning what :func:`_place_euclidean` returns.
+
+    The same construction as in the plane, in the Mobius frame of the base
+    edge: there ``pa`` sits at 0, the geodesic is the ray through
+    ``w = mobius_to_origin(pa, pb)``, the circle about ``pa`` has Euclidean
+    radius ``tanh(la / 2)`` and the circle about ``w`` has its Euclidean
+    centre on that ray, so the apex over the base (inside the disk by
+    construction) is rotated onto the ray and mapped back. The frame of an
+    impossible triangle or a degenerate base holds the Euclidean radii.
+    """
+    pa = _complex(ax, ay)
+    w = mobius_to_origin(pa, _complex(bx, by))
+    d = _abs(w)
+    centre, radius = poincare_circle_to_euclidean(d, lb)
+    frame = (centre.real, np.tanh(0.5 * la), radius)
+    x, y, bad = _apex(*frame)
+    z = mobius_from_origin(pa, _cmul(_complex(x, y), w / d))
+    return z.real, z.imag, bad, frame
+
+
+def _checked_place(place, pa, pb, la, lb):
+    """``place`` on complex points with its check: the placed points, or
+    the :class:`LayoutError` of the first element that fails."""
+    pa, pb = (np.asarray(p, dtype=np.complex128) for p in (pa, pb))
+    la, lb = (np.asarray(v, dtype=np.float64) for v in (la, lb))
+    with np.errstate(all="ignore"):  # bad elements raise below
+        x, y, bad, frame = place(pa.real, pa.imag, pb.real, pb.imag, la, lb)
+    _check_apex(bad, *frame)
+    return _complex(x, y)[()]
 
 
 def place_third_euclidean(pa, pb, la, lb):
@@ -116,32 +181,19 @@ def place_third_euclidean(pa, pb, la, lb):
 
     Computed in the local frame of the base edge (:func:`apex_over_base`,
     equivalently the law-of-cosines angle construction), which stays well
-    conditioned for near-tangent circles.
+    conditioned for near-tangent circles. Raises :class:`LayoutError` for
+    the first impossible triangle or degenerate base.
     """
-    pa = np.asarray(pa, dtype=np.complex128)
-    chord = np.asarray(pb, dtype=np.complex128) - pa
-    d = _abs(chord)
-    x, y = apex_over_base(d, la, lb)
-    return (pa + _cmul(_complex(x, y), chord / d))[()]
+    return _checked_place(_place_euclidean, pa, pb, la, lb)
 
 
 def place_third_hyperbolic(pa, pb, la, lb):
     """Hyperbolic analogue of :func:`place_third_euclidean`: point at
     hyperbolic distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
     counter-clockwise side of the geodesic ``pa -> pb``; elementwise on
-    arrays.
-
-    The same construction as in the plane, in the Mobius frame of the base
-    edge: there ``pa`` sits at 0, the geodesic is the ray through
-    ``w = mobius_to_origin(pa, pb)``, the circle about ``pa`` has Euclidean
-    radius ``tanh(la / 2)`` and the circle about ``w`` has its Euclidean
-    centre on that ray, so :func:`apex_over_base` gives the point (inside
-    the disk by construction), which is rotated onto the ray and mapped
-    back. Impossible triangles and degenerate bases raise
-    :class:`LayoutError` as in the plane, with the frame's Euclidean radii.
+    arrays. The apex over the base edge in its Mobius frame
+    (:func:`_place_hyperbolic`); impossible triangles and degenerate bases
+    raise :class:`LayoutError` as in the plane, with the frame's Euclidean
+    radii.
     """
-    w = mobius_to_origin(pa, pb)
-    d = _abs(w)
-    centre, radius = poincare_circle_to_euclidean(d, lb)
-    x, y = apex_over_base(centre.real, np.tanh(0.5 * la), radius)
-    return mobius_from_origin(pa, _cmul(_complex(x, y), w / d))
+    return _checked_place(_place_hyperbolic, pa, pb, la, lb)

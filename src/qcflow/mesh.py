@@ -576,6 +576,10 @@ def save_obj(mesh, path, uv=None):
     reproduces them bit-identically. ``uv`` may be a complex per-vertex array
     or any object with a ``coords`` attribute. When the mesh has no 3D
     positions the uv coordinates are written as the ``v`` records.
+
+    Face corners are formatted once per vertex, not once per corner: each
+    vertex gets its token (``i``, or ``i/i`` when uv is written) and the
+    face block is one ``%`` over the tokens of every corner.
     """
     coords = None
     if uv is not None:
@@ -590,18 +594,18 @@ def save_obj(mesh, path, uv=None):
                                np.zeros(mesh.n_vertices)])
 
     blocks = [_format_rows("v %.9g %.9g %.9g\n", pos)]
+    tokens = list(map(str, range(1, mesh.n_vertices + 1)))
     if coords is not None:
         uv_rows = np.column_stack([coords.real, coords.imag])
         blocks.append(_format_rows("vt %.9g %.9g\n", uv_rows))
-        blocks.append(_format_rows("f %d/%d %d/%d %d/%d\n",
-                                   np.repeat(mesh.faces + 1, 2, axis=1)))
-    else:
-        blocks.append(_format_rows("f %d %d %d\n", mesh.faces + 1))
+        tokens = [f"{t}/{t}" for t in tokens]
+    blocks.append(_format_rows("f %s %s %s\n",
+                               np.array(tokens, dtype=object)[mesh.faces]))
 
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("".join(blocks))
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

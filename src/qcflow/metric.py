@@ -18,9 +18,10 @@ import numpy as np
 from .errors import MetricError
 from .mesh import euler_characteristic
 
-# cos arguments within this distance outside [-1, 1] are clamped; anything
-# worse signals a genuinely broken metric and raises.
-_COS_GUARD = 1e-9
+# A face is inadmissible when a corner cosine reaches +-(1 + _COS_GUARD): at
+# +-1 its angle is 0 or pi, and the cotangents of the flow's Hessian divide
+# by sin(angle) = 0.
+_COS_GUARD = 0.0
 
 
 class Geometry(enum.Enum):
@@ -112,24 +113,14 @@ def opposite_side(geometry, b, c, angle):
                       - np.sinh(b) * np.sinh(c) * np.cos(angle))
 
 
-def _safe_acos(arg, what):
-    arg = np.asarray(arg)
-    worst = float(np.max(np.abs(arg))) if arg.size else 0.0
-    if worst > 1.0 + _COS_GUARD:
-        faces = None
-        if arg.ndim == 2:
-            faces = np.nonzero(np.abs(arg).max(axis=1) > 1.0 + _COS_GUARD)[0]
-        raise MetricError(f"{what}: cosine argument {worst} outside [-1, 1]",
-                          faces=faces)
-    return np.arccos(np.clip(arg, -1.0, 1.0))
-
-
 def corner_angles(metric, mesh):
     """Corner angles of every face under the metric's cosine law.
 
     Euclidean faces satisfy angle sum pi; hyperbolic faces have angle sum
-    strictly below pi. Raises :class:`MetricError` (with the offending faces)
-    when a triangle inequality is violated.
+    strictly below pi. Raises :class:`MetricError` naming the inadmissible
+    faces: those that break the strict triangle inequality or, when none
+    does, those with a corner cosine at or beyond +-1, whose angle would be
+    0 or pi.
     """
     violations = check_triangle_inequality(metric, mesh)
     if violations:
@@ -138,9 +129,16 @@ def corner_angles(metric, mesh):
             + ("..." if len(violations) > 16 else ""),
             faces=violations)
     L = opposite_lengths(metric, mesh)
-    arg = cosine_law(metric.geometry, L, np.roll(L, -1, axis=1),
+    cos = cosine_law(metric.geometry, L, np.roll(L, -1, axis=1),
                      np.roll(L, -2, axis=1))
-    return _safe_acos(arg, "corner_angles")
+    limit = 1.0 + _COS_GUARD
+    if np.abs(cos).max(initial=0.0) >= limit:
+        flat = np.flatnonzero(np.abs(cos).max(axis=1) >= limit)
+        raise MetricError(
+            f"corner angle 0 or pi on faces {flat[:16].tolist()}"
+            + ("..." if flat.size > 16 else ""),
+            faces=flat.tolist())
+    return np.arccos(cos)
 
 
 def vertex_curvature(angles, mesh):

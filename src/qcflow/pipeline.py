@@ -22,7 +22,7 @@ from .beltrami import (
     estimate_beltrami,
     map_distance,
 )
-from .errors import BeltramiError, PresetError, SurgeryError
+from .errors import BeltramiError, MetricError, PresetError, SurgeryError
 from .flow import FlowOptions, edge_swap, longest_edges, renumber, run_flow
 from .mesh import (
     _format_rows,
@@ -403,9 +403,11 @@ def cmd_compare(a_mesh, b_mesh, ref_mesh, threshold=None):
 
 
 def cmd_check(mesh):
-    """Validity report: Euler characteristic, boundary census, Gauss-Bonnet
-    residual of the induced metric, minimum corner angle, triangle-inequality
-    violations."""
+    """Validity report: Euler characteristic, boundary census, and for the
+    induced metric its violations (the inadmissible faces that the
+    :class:`MetricError` of :func:`corner_angles` names: a broken triangle
+    inequality or a corner angle of 0 or pi) or, when there are none, its
+    Gauss-Bonnet residual and minimum corner angle."""
     doc = {
         "vertices": mesh.n_vertices,
         "edges": mesh.n_edges,
@@ -415,10 +417,12 @@ def cmd_check(mesh):
     }
     if mesh.positions is not None:
         metric = induced_metric(mesh)
-        violations = check_triangle_inequality(metric, mesh)
-        doc["violations"] = violations
-        if not violations:
+        try:
             angles = corner_angles(metric, mesh)
+        except MetricError as exc:
+            doc["violations"] = exc.faces
+        else:
+            doc["violations"] = []
             doc["gauss_bonnet_residual"] = gauss_bonnet_residual(metric, mesh)
             doc["min_angle"] = float(angles.min())
     return doc

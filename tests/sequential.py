@@ -3,9 +3,10 @@
 These are the face-by-face breadth-first layout, the per-vertex cut loops
 and the scalar placement primitives that the array code in ``qcflow.geom``,
 ``qcflow.embed`` and ``qcflow.mesh`` replaced, and the line-by-line OBJ
-reader and entry-by-entry mu JSON and CSV code that the bulk text I/O in
-``qcflow.mesh``, ``qcflow.beltrami`` and ``qcflow.pipeline`` replaced. The
-new code must reproduce them bit for bit; see ``test_sequential_oracle.py``.
+reader and writer and entry-by-entry mu JSON and CSV code that the bulk
+text I/O in ``qcflow.mesh``, ``qcflow.beltrami`` and ``qcflow.pipeline``
+replaced. The new code must reproduce them bit for bit; see
+``test_sequential_oracle.py``.
 
 It also keeps the quad layouts with which ``qcflow.flow.edge_swap`` used to
 decide and measure a flip, before the corner-angle rule replaced them; there
@@ -545,6 +546,26 @@ def load_obj(path):
     if len(uvs) and (tex >= 0).all():
         uv = _vertex_uv(path, faces, tex, uvs, len(verts))
     return build_mesh(faces.reshape(-1, 3), positions=verts, uv=uv)
+
+
+def save_obj(mesh, path, uv=None):
+    """Line-by-line OBJ writer: one ``%`` per record, one ``%d`` per face
+    corner index."""
+    coords = None
+    if uv is not None:
+        coords = np.asarray(getattr(uv, "coords", uv), dtype=np.complex128)
+    pos = mesh.positions
+    if pos is None:
+        pos = [(z.real, z.imag, 0.0) for z in coords]
+    lines = ["v %.9g %.9g %.9g\n" % tuple(p) for p in pos]
+    if coords is not None:
+        lines += ["vt %.9g %.9g\n" % (z.real, z.imag) for z in coords]
+        lines += ["f " + " ".join("%d/%d" % (v + 1, v + 1) for v in face)
+                  + "\n" for face in mesh.faces]
+    else:
+        lines += ["f %d %d %d\n" % tuple(face + 1) for face in mesh.faces]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def _read_lines(path):

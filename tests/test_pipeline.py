@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,12 @@ from qcflow.beltrami import (
     field_to_json,
 )
 from qcflow.cli import main as cli_main
-from qcflow.errors import BeltramiError, PresetError, SurgeryError
+from qcflow.errors import (
+    BeltramiError,
+    MetricError,
+    PresetError,
+    SurgeryError,
+)
 from qcflow.mesh import build_mesh, load_obj, save_obj
 from qcflow.metric import Geometry, check_triangle_inequality, induced_metric
 from qcflow.pipeline import (
@@ -496,6 +502,28 @@ def test_cmd_check_sliver():
     doc = cmd_check(sliver)
     assert doc["violations"] == []
     assert doc["min_angle"] < 1e-3
+
+
+def test_zero_angle_faces_are_named():
+    # vertex 40 moved to 1e-9 short of vertex 41: both faces on edge 40-41
+    # keep the strict triangle inequality, but a cosine of theirs rounds to
+    # +-1, a corner of 0 or pi whose cotangent the Newton system would
+    # divide by. check lists them; flatten stops at the first flow state
+    # and names them, with no RuntimeWarning.
+    grid = meshes.grid_mesh(9, 9, bump=0.3)
+    pos = grid.positions.copy()
+    pos[40] = pos[41] - [1e-9, 0.0, 0.0]
+    mesh = build_mesh(grid.faces, pos)
+    faces = [f for f in range(mesh.n_faces) if {40, 41} <= set(mesh.faces[f])]
+    assert not check_triangle_inequality(induced_metric(mesh), mesh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        doc = cmd_check(mesh)
+        assert doc["violations"] == faces
+        assert "min_angle" not in doc
+        with pytest.raises(MetricError, match="corner angle 0 or pi") as err:
+            cmd_flatten(mesh, Geometry.EUCLIDEAN, RECT9)
+    assert err.value.faces == faces
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The array-built layout, cut and placement code and the bulk text I/O
 against the sequential loops they replaced (``sequential.py``): the
-arithmetic is unchanged, so every result must be equal bit for bit, and
-every error message equal. The corner-angle edge flip is held against the
-quad layouts it replaced: same decisions, diagonals equal to rounding.
-The hyperbolic placement is held against the circle intersection it
-replaced: equal to 1e-12 on fat triangles, both distances to 1e-7 on thin.
+arithmetic is unchanged, so every result must be equal bit for bit (the
+OBJ writer's bytes included), and every error message equal (that of a
+layout that fails after its last level included). The corner-angle edge
+flip is held against the quad layouts it replaced: same decisions,
+diagonals equal to rounding. The hyperbolic placement is held against the
+circle intersection it replaced: equal to 1e-12 on fat triangles, both
+distances to 1e-7 on thin.
 The flat Newton loop of ``run_flow`` is held against the flag-driven loop it
 replaced, on every exit: same report, same result bit for bit, or the same
 error. The pre-flow surgery loop, whose swaps keep their edge ids, is held
@@ -25,12 +27,14 @@ import pytest
 import meshes
 import sequential
 import test_mesh
+from qcflow import embed
 from qcflow import mesh as mesh_module
 from qcflow.beltrami import auxiliary_metric, field_from_json, field_to_json
 from qcflow.embed import layout_euclidean, layout_hyperbolic
 from qcflow.errors import (
     BeltramiError,
     FlowError,
+    LayoutError,
     ParseError,
     QcflowError,
     SurgeryError,
@@ -50,6 +54,7 @@ from qcflow.mesh import (
     cut_graph,
     cut_to_disk,
     load_obj,
+    save_obj,
     slice_along_edges,
 )
 from qcflow.metric import (
@@ -108,20 +113,61 @@ def _genus2_disk():
     return _closed_disk(mesh, induced_metric(mesh), Geometry.HYPERBOLIC)
 
 
+@functools.cache
+def _perfbench_gen():
+    """The benchmark's input generator, ``perfbench/gen.py``."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _genus2_block_disk():
+    mesh = _perfbench_gen().genus2_block(4)
+    return _closed_disk(mesh, induced_metric(mesh), Geometry.HYPERBOLIC)
+
+
+def _layouts(metric):
+    if metric.geometry == Geometry.HYPERBOLIC:
+        return layout_hyperbolic, sequential.layout_hyperbolic
+    return layout_euclidean, sequential.layout_euclidean
+
+
 @pytest.mark.parametrize("build", [
     lambda: (meshes.grid_mesh(9, 9), induced_metric(meshes.grid_mesh(9, 9))),
     lambda: _rectangle_flow(33, 0.3),
+    lambda: _rectangle_flow(129, 0.3),
     _annulus_disk,
     _torus_disk,
     _genus2_disk,
-], ids=["grid9", "grid33-bump", "annulus-slit", "torus-disk", "genus2-disk"])
+    _genus2_block_disk,
+], ids=["grid9", "grid33-bump", "grid129-bump", "annulus-slit", "torus-disk",
+        "genus2-disk", "genus2-block4-disk"])
 def test_layout_matches_sequential(build):
     mesh, metric = build()
-    if metric.geometry == Geometry.HYPERBOLIC:
-        new, old = layout_hyperbolic, sequential.layout_hyperbolic
-    else:
-        new, old = layout_euclidean, sequential.layout_euclidean
+    new, old = _layouts(metric)
     assert bits(new(mesh, metric).coords) == bits(old(mesh, metric).coords)
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+@pytest.mark.parametrize("seed", range(3))
+def test_layout_failure_matches_sequential(monkeypatch, geometry, seed):
+    # With the flatness check off, a curved metric drives some placement
+    # off its circles: the level loop, which checks once after the last
+    # level, raises the error the face-by-face loop raises at that face.
+    for module in (embed, sequential):
+        monkeypatch.setattr(module, "_check_flat", lambda mesh, angles: None)
+    mesh = meshes.grid_mesh(9, 9)
+    metric = meshes.random_admissible_metric(
+        mesh, np.random.default_rng(seed), geometry, amplitude=0.8)
+    new, old = _layouts(metric)
+    with pytest.raises(LayoutError) as want:
+        old(mesh, metric)
+    assert str(want.value).startswith("circle intersection failed")
+    with pytest.raises(LayoutError, match=f"^{re.escape(str(want.value))}$"):
+        new(mesh, metric)
 
 
 def _same_cut(new, old):
@@ -401,13 +447,8 @@ def test_obj_reader_table_matches_sequential(tmp_path, text):
 def analyze_inputs(tmp_path_factory):
     """The ``analyze-16k`` benchmark inputs of seed 7: 16,641-vertex OBJs
     with and without ``vt`` records, and a mu JSON."""
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", root / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
     out = tmp_path_factory.mktemp("analyze")
-    gen.gen_analyze(out, np.random.default_rng(7), smoke=False)
+    _perfbench_gen().gen_analyze(out, np.random.default_rng(7), smoke=False)
     return out
 
 
@@ -543,6 +584,28 @@ def test_obj_reader_perturbations_match_sequential(tmp_path, seed):
     for _ in range(50):
         path.write_bytes(_perturbed_obj(rng).encode())
         _same_load(path)
+
+
+def _uv(mesh, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=mesh.n_vertices) + 1j * rng.normal(
+        size=mesh.n_vertices)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (meshes.tetrahedron(), None),
+    lambda: (meshes.grid_mesh(9, 9), _uv(meshes.grid_mesh(9, 9), 31)),
+    lambda: (build_mesh(meshes.grid_mesh(9, 9).faces),
+             _uv(meshes.grid_mesh(9, 9), 32)),
+    lambda: (meshes.grid_mesh(129, 129), _uv(meshes.grid_mesh(129, 129), 33)),
+], ids=["tetra", "grid9-uv", "uv-only", "grid129-uv"])
+def test_save_obj_matches_sequential(tmp_path, build):
+    mesh, uv = build()
+    save_obj(mesh, tmp_path / "new.obj", uv=uv)
+    sequential.save_obj(mesh, tmp_path / "old.obj", uv=uv)
+    new = (tmp_path / "new.obj").read_bytes()
+    assert new == (tmp_path / "old.obj").read_bytes()
+    assert (b"/" in new) == (uv is not None)
 
 
 _VALUES = [0.0, -0.0, 1e-300, 5e-324, 1e16, 1.5e300, 0.1, 1 / 3,
