@@ -4,8 +4,9 @@ Poincare disk, plus flat-torus period extraction from a cut-open layout.
 The layout is level-synchronous: it walks the dual graph breadth-first from
 face 0 and places all faces of one level in one array batch. Each vertex is
 placed once, by the first face in breadth-first order that has it free,
-across that face's entry edge; the result, and the error of a layout that
-fails, is the one a face-by-face breadth-first loop gives, bit for bit.
+across that face's entry edge; the result is the one a face-by-face
+breadth-first loop gives, bit for bit, and a layout that fails names the
+face at which that loop fails.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import numpy as np
 
 from .beltrami import Parameterization
 from .errors import LayoutError, MetricError
-from .geom import (
-    _checked_place,
-    _place_euclidean,
-    _place_hyperbolic,
-    apex_over_base,
-)
+from .geom import _place_euclidean, _place_hyperbolic, apex_over_base
 from .mesh import dual_bfs, euler_characteristic
 from .metric import (
     Geometry,
@@ -83,11 +79,10 @@ def _layout(mesh, metric, seed, place):
     the first face in breadth-first order that has it opposite its entry
     edge, from ``va``, ``vb`` and the lengths of its edges to them.
 
-    A level does only the placement arithmetic (``place``, unchecked, on
-    the real and imaginary parts of the coordinates). Validity is checked
-    once, after the last level: the first failed placement in breadth-first
-    order raises the :class:`LayoutError` that the checked placement gives
-    for it.
+    A level places its vertices in one call of ``place``, on the real and
+    imaginary parts of the coordinates. The first element it cannot place,
+    the first failed placement in breadth-first order, raises a
+    :class:`LayoutError` naming its face.
     """
     _check_disk(mesh)
     bad = check_triangle_inequality(metric, mesh)
@@ -115,15 +110,18 @@ def _layout(mesh, metric, seed, place):
     ends = np.searchsorted(first, np.cumsum([len(lv) for lv in levels]))
     bounds = np.unique(np.r_[0, ends]).tolist()  # levels that place a vertex
     x, y = coords.real, coords.imag
-    failed = np.zeros(len(vc), dtype=bool)
-    with np.errstate(all="ignore"):  # failed placements raise below
+    with np.errstate(all="ignore"):  # a failed placement raises below
         for at in map(slice, bounds[:-1], bounds[1:]):
             a, b, c = va[at], vb[at], vc[at]
-            x[c], y[c], failed[at], _ = place(x[a], y[a], x[b], y[b],
-                                              la[at], lb[at])
-    if failed.any():
-        i = np.flatnonzero(failed)[:1]
-        _checked_place(place, coords[va[i]], coords[vb[i]], la[i], lb[i])
+            x[c], y[c], bad = place(x[a], y[a], x[b], y[b], la[at], lb[at])
+            if bad.any():
+                i = at.start + int(np.argmax(bad))
+                f = int(entry[i]) // 3
+                raise LayoutError(
+                    f"cannot place vertex {vc[i]} of face {f} from vertices "
+                    f"{va[i]} and {vb[i]}: no triangle with sides "
+                    f"la={float(la[i])}, lb={float(lb[i])} fits over them",
+                    faces=[f])
 
     if len(vc) + 3 < mesh.n_vertices:
         raise LayoutError("mesh is not face-connected")
@@ -157,8 +155,8 @@ def layout_hyperbolic(mesh, metric):
     ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates one
     breadth-first level at a time, with the same placing-face rule as
     :func:`layout_euclidean`: each vertex is the apex over its entry edge
-    in the Mobius frame of that edge (:func:`place_third_hyperbolic`), on
-    the side that keeps the face's orientation positive.
+    in the Mobius frame of that edge (:mod:`qcflow.geom`), on the side that
+    keeps the face's orientation positive.
     """
     if metric.geometry != Geometry.HYPERBOLIC:
         raise MetricError("layout_hyperbolic requires a hyperbolic metric")

@@ -2,7 +2,12 @@
 
 
 class QcflowError(Exception):
-    """Base class for all errors raised by qcflow."""
+    """Base class for all errors raised by qcflow. ``faces`` lists the
+    offending face ids, empty when an error names none."""
+
+    def __init__(self, message, faces=None):
+        super().__init__(message)
+        self.faces = list(faces) if faces is not None else []
 
 
 class ParseError(QcflowError):
@@ -16,10 +21,6 @@ class TopologyError(QcflowError):
 class MetricError(QcflowError):
     """Edge-length assignment is invalid (non-positive, overflow, or
     triangle inequality broken on some face)."""
-
-    def __init__(self, message, faces=None):
-        super().__init__(message)
-        self.faces = list(faces) if faces is not None else []
 
 
 class SolverError(QcflowError):
@@ -43,10 +44,6 @@ class SurgeryError(QcflowError):
 
 class BeltramiError(QcflowError):
     """Beltrami field or map estimation is invalid."""
-
-    def __init__(self, message, faces=None):
-        super().__init__(message)
-        self.faces = list(faces) if faces is not None else []
 
 
 class LayoutError(QcflowError):

@@ -367,7 +367,8 @@ def edge_swap(mesh, metric, edge):
             raise SurgeryError(
                 f"swap of edge {edge} produced an invalid face {f}")
     if k == l:
-        raise TopologyError(f"repeated vertex id in faces {sorted((f1, f2))}")
+        quad = sorted((f1, f2))
+        raise TopologyError(f"repeated vertex id in faces {quad}", faces=quad)
 
     # Face ``f1 = (i, l, k)`` takes its outer sides from the old halfedges
     # ``next(h2)`` and ``prev(h1)``, and face ``f2 = (j, k, l)`` from

@@ -7,7 +7,8 @@ Mobius transformations ``z -> e^{i t} (z - z0) / (1 - conj(z0) z)``.
 
 Both layouts place a vertex by one rule: the apex over its base edge
 (:func:`apex_over_base`), in the plane's frame of that edge or in the
-Mobius frame that moves its first end to the origin.
+Mobius frame that moves its first end to the origin. The placements mark
+the triangles they cannot place, and the layout names their faces.
 """
 
 from __future__ import annotations
@@ -86,25 +87,12 @@ def poincare_circle_to_euclidean(c, r):
 
 def _apex(d, la, lb):
     """:func:`apex_over_base` without its check: ``(x, y, bad)``, with
-    ``bad`` marking the elements it raises for. Call it under
-    ``np.errstate(all="ignore")``."""
+    ``bad`` marking the elements whose base is degenerate or whose circles
+    do not meet. Call it under ``np.errstate(all="ignore")``."""
     x = (d * d + la * la - lb * lb) / (2.0 * d)
     h2 = la * la - x * x
     bad = (d <= 0.0) | (h2 < -_TANGENT_SLACK * la * la)
     return x, np.sqrt(np.where(0.0 > h2, 0.0, h2)), bad
-
-
-def _check_apex(bad, d, la, lb):
-    """Raise the :class:`LayoutError` of the first ``bad`` element of an
-    :func:`apex_over_base` over the bases ``d`` with sides ``la``, ``lb``."""
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        d, la, lb = (float(np.broadcast_to(v, bad.shape).flat[i])
-                     for v in (d, la, lb))
-        if d <= 0.0:
-            raise LayoutError("degenerate base edge")
-        raise LayoutError(
-            f"circle intersection failed (la={la}, lb={lb}, base={d})")
 
 
 def apex_over_base(d, la, lb):
@@ -119,17 +107,26 @@ def apex_over_base(d, la, lb):
     d, la, lb = (np.asarray(v, dtype=np.float64) for v in (d, la, lb))
     with np.errstate(all="ignore"):  # bad elements raise below
         x, y, bad = _apex(d, la, lb)
-    _check_apex(bad, d, la, lb)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        d, la, lb = (float(np.broadcast_to(v, bad.shape).flat[i])
+                     for v in (d, la, lb))
+        if d <= 0.0:
+            raise LayoutError("degenerate base edge")
+        raise LayoutError(
+            f"circle intersection failed (la={la}, lb={lb}, base={d})")
     return x[()], y[()]
 
 
 def _place_euclidean(ax, ay, bx, by, la, lb):
-    """Unchecked :func:`place_third_euclidean` on real coordinate arrays:
-    ``(x, y, bad, frame)``, the placed point, the mask of the elements the
-    checked form raises for and the ``(d, la, lb)`` of its apex, for
-    :func:`_check_apex`. Call it under ``np.errstate(all="ignore")``.
+    """Point at distance ``la`` from ``pa = (ax, ay)`` and ``lb`` from
+    ``pb = (bx, by)`` on the counter-clockwise side of ``pa -> pb``, on real
+    arrays: ``(x, y, bad)``, ``bad`` marking impossible triangles and
+    degenerate bases. Call it under ``np.errstate(all="ignore")``.
 
-    The unit chord is rounded as NumPy divides a complex by a real,
+    The apex over the base edge in its local frame (:func:`apex_over_base`),
+    which stays well conditioned for near-tangent circles. The unit chord
+    is rounded as NumPy divides a complex by a real,
     ``(cx + cy * 0) * (1 / d)``, so every bit, signed zeros included, is
     the complex form's.
     """
@@ -138,62 +135,25 @@ def _place_euclidean(ax, ay, bx, by, la, lb):
     x, y, bad = _apex(d, la, lb)
     s = 1.0 / d
     ux, uy = (cx + cy * 0.0) * s, (cy - cx * 0.0) * s
-    return ax + (x * ux - y * uy), ay + (x * uy + y * ux), bad, (d, la, lb)
+    return ax + (x * ux - y * uy), ay + (x * uy + y * ux), bad
 
 
 def _place_hyperbolic(ax, ay, bx, by, la, lb):
-    """Unchecked :func:`place_third_hyperbolic` on real coordinate arrays,
-    returning what :func:`_place_euclidean` returns.
+    """Hyperbolic analogue of :func:`_place_euclidean`: the point at
+    hyperbolic distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
+    counter-clockwise side of the geodesic ``pa -> pb``, as ``(x, y, bad)``.
 
     The same construction as in the plane, in the Mobius frame of the base
     edge: there ``pa`` sits at 0, the geodesic is the ray through
     ``w = mobius_to_origin(pa, pb)``, the circle about ``pa`` has Euclidean
     radius ``tanh(la / 2)`` and the circle about ``w`` has its Euclidean
     centre on that ray, so the apex over the base (inside the disk by
-    construction) is rotated onto the ray and mapped back. The frame of an
-    impossible triangle or a degenerate base holds the Euclidean radii.
+    construction) is rotated onto the ray and mapped back.
     """
     pa = _complex(ax, ay)
     w = mobius_to_origin(pa, _complex(bx, by))
     d = _abs(w)
     centre, radius = poincare_circle_to_euclidean(d, lb)
-    frame = (centre.real, np.tanh(0.5 * la), radius)
-    x, y, bad = _apex(*frame)
+    x, y, bad = _apex(centre.real, np.tanh(0.5 * la), radius)
     z = mobius_from_origin(pa, _cmul(_complex(x, y), w / d))
-    return z.real, z.imag, bad, frame
-
-
-def _checked_place(place, pa, pb, la, lb):
-    """``place`` on complex points with its check: the placed points, or
-    the :class:`LayoutError` of the first element that fails."""
-    pa, pb = (np.asarray(p, dtype=np.complex128) for p in (pa, pb))
-    la, lb = (np.asarray(v, dtype=np.float64) for v in (la, lb))
-    with np.errstate(all="ignore"):  # bad elements raise below
-        x, y, bad, frame = place(pa.real, pa.imag, pb.real, pb.imag, la, lb)
-    _check_apex(bad, *frame)
-    return _complex(x, y)[()]
-
-
-def place_third_euclidean(pa, pb, la, lb):
-    """Point at distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
-    counter-clockwise side of the segment ``pa -> pb``; elementwise on
-    arrays.
-
-    Computed in the local frame of the base edge (:func:`apex_over_base`,
-    equivalently the law-of-cosines angle construction), which stays well
-    conditioned for near-tangent circles. Raises :class:`LayoutError` for
-    the first impossible triangle or degenerate base.
-    """
-    return _checked_place(_place_euclidean, pa, pb, la, lb)
-
-
-def place_third_hyperbolic(pa, pb, la, lb):
-    """Hyperbolic analogue of :func:`place_third_euclidean`: point at
-    hyperbolic distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
-    counter-clockwise side of the geodesic ``pa -> pb``; elementwise on
-    arrays. The apex over the base edge in its Mobius frame
-    (:func:`_place_hyperbolic`); impossible triangles and degenerate bases
-    raise :class:`LayoutError` as in the plane, with the frame's Euclidean
-    radii.
-    """
-    return _checked_place(_place_hyperbolic, pa, pb, la, lb)
+    return z.real, z.imag, bad

@@ -160,8 +160,8 @@ def build_mesh(faces, positions=None, uv=None):
         | (faces[:, 2] == faces[:, 0])
     )
     if degenerate.any():
-        raise TopologyError(
-            f"repeated vertex id in faces {np.nonzero(degenerate)[0].tolist()}")
+        bad = np.nonzero(degenerate)[0].tolist()
+        raise TopologyError(f"repeated vertex id in faces {bad}", faces=bad)
 
     nv = int(faces.max()) + 1
     if positions is not None:
@@ -196,7 +196,7 @@ def build_mesh(faces, positions=None, uv=None):
         raise TopologyError(
             f"oriented edge ({origin[h2]}, {dest[h2]}) shared by faces "
             f"{h1 // 3} and {h2 // 3}: non-manifold or inconsistently "
-            "oriented")
+            "oriented", faces=[h1 // 3, h2 // 3])
     reverse = dest * nv + origin
     slot = np.minimum(np.searchsorted(sorted_key, reverse), nh - 1)
     twin = np.where(sorted_key[slot] == reverse, order[slot], -1)

@@ -122,13 +122,13 @@ def corner_angles(metric, mesh):
     does, those with a corner cosine at or beyond +-1, whose angle would be
     0 or pi.
     """
-    violations = check_triangle_inequality(metric, mesh)
+    L = opposite_lengths(metric, mesh)
+    violations = np.nonzero(_violates(L))[0].tolist()
     if violations:
         raise MetricError(
             f"triangle inequality violated on faces {violations[:16]}"
             + ("..." if len(violations) > 16 else ""),
             faces=violations)
-    L = opposite_lengths(metric, mesh)
     cos = cosine_law(metric.geometry, L, np.roll(L, -1, axis=1),
                      np.roll(L, -2, axis=1))
     limit = 1.0 + _COS_GUARD

@@ -249,24 +249,25 @@ def _chart_swap(mesh, metric, corners, edge):
     return new_mesh, metric, corners
 
 
-def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
+def _aux_metric_with_surgery(mesh, base_metric, corners, mu, surgery=True):
     """Auxiliary metric on a possibly re-triangulated mesh.
 
     While the scaled lengths break a triangle inequality, the first longest
     edge of a violating face that can be swapped (under the base metric,
     where the quad is admissible) and is not on a seam of the chart
-    ``corners`` is swapped, up to ``_PRE_SURGERY_ROUNDS`` times. A swap
-    rewrites only the two faces of its quad and changes only the new
-    diagonal's length, so it clears at most two violations: the loop stops
-    once more faces violate than twice the swaps left, which never stops a
-    run that would succeed within the cap. Swaps keep edge and face ids, so
-    after each one only the new diagonal's auxiliary length is measured and
-    only its two faces are checked again. After the loop a swapped mesh is
-    renumbered once and its auxiliary metric measured in full, which also
-    names a zero-``dz`` diagonal by its canonical edge id; renumbering keeps
-    face ids, so the loop's own violation list stands. Returns the mesh,
-    its auxiliary metric and the number of swaps made; the
-    :class:`BeltramiError` raised otherwise names those violating faces.
+    ``corners`` is swapped, up to ``_PRE_SURGERY_ROUNDS`` times, or never
+    when ``surgery`` is false. A swap rewrites only the two faces of its
+    quad and changes only the new diagonal's length, so it clears at most
+    two violations: the loop stops once more faces violate than twice the
+    swaps left, which never stops a run that would succeed within the cap.
+    Swaps keep edge and face ids, so after each one only the new diagonal's
+    auxiliary length is measured and only its two faces are checked again.
+    After the loop a swapped mesh is renumbered once and its auxiliary
+    metric measured in full, which also names a zero-``dz`` diagonal by its
+    canonical edge id; renumbering keeps face ids, so the loop's own
+    violation list stands. Returns the mesh, its auxiliary metric and the
+    number of swaps made; the :class:`BeltramiError` raised otherwise names
+    those violating faces.
     """
     if not isinstance(mu, BeltramiField):
         mu = BeltramiField(mu)
@@ -275,8 +276,8 @@ def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
     lengths = aux.lengths.copy()
     bad = np.zeros(mesh.n_faces, dtype=bool)
     bad[violations] = True
-    swaps = 0
-    while 0 < len(violations) <= 2 * (_PRE_SURGERY_ROUNDS - swaps):
+    swaps, rounds = 0, _PRE_SURGERY_ROUNDS if surgery else 0
+    while 0 < len(violations) <= 2 * (rounds - swaps):
         for e in longest_edges(mesh, DiscreteMetric(Geometry.EUCLIDEAN,
                                                     lengths), violations):
             try:
@@ -306,8 +307,11 @@ def _aux_metric_with_surgery(mesh, base_metric, corners, mu):
                                               base_lengths), corners, mu, mesh)
     if violations:
         raise BeltramiError(
-            f"auxiliary metric is inadmissible even after edge-swap surgery "
-            f"on faces {violations[:16]}", faces=violations)
+            "auxiliary metric is inadmissible "
+            + ("even after edge-swap surgery " if surgery else "")
+            + f"on faces {violations[:16]}"
+            + ("" if surgery else " and surgery is disabled"),
+            faces=violations)
     return mesh, aux, swaps
 
 
@@ -317,7 +321,8 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     and normalization. With ``mu = 0`` the output equals :func:`cmd_flatten`
     bit-identically. ``z`` is read per face corner, so the presets laid out
     on a cut mesh (closed surfaces and the annulus) take it from the cut
-    chart, and no pre-flow swap crosses the chart's seams. If the flatten's
+    chart, and no pre-flow swap crosses the chart's seams; with
+    ``options.surgery`` off none is made. If the flatten's
     flow swapped edges there, the faces it rewrote have no corners in that
     chart, and a :class:`BeltramiError` names those where mu is nonzero."""
     if not isinstance(mu, BeltramiField):
@@ -343,7 +348,8 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
                 "the conformal flatten swapped edges of faces "
                 f"{moved[:16].tolist()}, where mu is nonzero, so the cut "
                 "chart has no corners for them", faces=moved.tolist())
-    qmesh, aux, swaps = _aux_metric_with_surgery(mesh, metric, corners, mu)
+    qmesh, aux, swaps = _aux_metric_with_surgery(mesh, metric, corners, mu,
+                                                 options.surgery)
     result = cmd_flatten(qmesh, geometry, preset, options,
                          metric=aux.retagged(geometry))
     result.report["pre_flow_swaps"] = swaps

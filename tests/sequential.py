@@ -12,7 +12,11 @@ It also keeps the quad layouts with which ``qcflow.flow.edge_swap`` used to
 decide and measure a flip, before the corner-angle rule replaced them; there
 the new code must take the same decisions and agree to rounding.
 
-And it keeps the construction with which ``place_third_hyperbolic`` used
+The face-by-face layout names the face at which a placement fails, and the
+scalar placements raise where the array kernels ``_place_euclidean`` and
+``_place_hyperbolic`` of ``qcflow.geom`` mark a triangle they cannot place.
+
+And it keeps the construction with which the hyperbolic placement used
 to place a vertex in the Poincare disk, before the plane's apex over the
 base edge, taken in the Mobius frame of that edge, replaced it: the two
 Euclidean images of the hyperbolic circles intersected, one of the two
@@ -72,7 +76,6 @@ from qcflow.flow import (
     newton_step,
 )
 from qcflow.geom import _TANGENT_SLACK, apex_over_base, hyperbolic_distance
-from qcflow.geom import place_third_hyperbolic as place_third_hyperbolic_array
 from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
 from qcflow.metric import (
     DiscreteMetric,
@@ -219,9 +222,8 @@ def swapped_diagonal(geometry, edge, d, l_ik, l_jk, l_il, l_jl):
         new_len = float(abs(pk - pl))
     else:
         base = np.tanh(0.5 * d)
-        pk = place_third_hyperbolic_array(0.0 + 0j, base + 0j, l_ik, l_jk)
-        pl = np.conj(place_third_hyperbolic_array(0.0 + 0j, base + 0j, l_il,
-                                                  l_jl))
+        pk = place_third_hyperbolic(0.0 + 0j, base + 0j, l_ik, l_jk)
+        pl = np.conj(place_third_hyperbolic(0.0 + 0j, base + 0j, l_il, l_jl))
         if pk.imag <= 0.0 or pl.imag >= 0.0:
             raise SurgeryError(f"degenerate quad at edge {edge}")
         cross = hyperbolic_segment_real_axis_crossing(pk, pl)
@@ -299,7 +301,13 @@ def _layout(mesh, metric, seed, place):
                 vc = int(mesh.faces[g, sc])
                 la = float(lengths[mesh.edge_of_halfedge[3 * g + sc]])
                 lb = float(lengths[mesh.edge_of_halfedge[3 * g + (sc + 2) % 3]])
-                coords[vc] = place(coords[va], coords[vb], la, lb)
+                try:
+                    coords[vc] = place(coords[va], coords[vb], la, lb)
+                except LayoutError as exc:
+                    raise LayoutError(
+                        f"cannot place vertex {vc} of face {g} from vertices "
+                        f"{va} and {vb}: no triangle with sides la={la}, "
+                        f"lb={lb} fits over them", faces=[g]) from exc
                 placed[vc] = True
             done[g] = True
             queue.append(g)

@@ -823,9 +823,10 @@ def test_edge_swap_pillow_refused_by_face_check():
     # pairing is used
     pillow = build_mesh(np.array([[0, 1, 2], [1, 0, 2]]))
     metric = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(pillow.n_edges))
-    with pytest.raises(TopologyError,
-                       match=r"^repeated vertex id in faces \[0, 1\]$"):
+    with pytest.raises(TopologyError) as info:
         edge_swap(pillow, metric, 0)
+    assert str(info.value) == "repeated vertex id in faces [0, 1]"
+    assert info.value.faces == [0, 1]
 
 
 @pytest.mark.parametrize("equal_sides", [False, True])

@@ -1,7 +1,8 @@
 """Every imported name is used: a walk over the syntax trees of the package,
 the tests and the benchmark harness, in place of a linter. ``from
 __future__`` imports and the package's re-exports in ``qcflow/__init__.py``
-are exempt."""
+are exempt. Every public function of the package is read by the package or
+re-exported, so no public wrapper is kept for the tests alone."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,51 @@ def test_unused_import_walk():
               "from a import b, c as d\n"
               "def f():\n    return np.pi + os.sep + d\n")
     assert unused_imports(source) == [(4, "b")]
+
+
+# Public functions that no package code reads, each with why it stays.
+_UNREAD_KEPT = {
+    # tests/meshes.py measures hyperbolic edge lengths with it, and the
+    # benchmark's input generator, perfbench/gen.py, imports tests/meshes.py
+    ("geom", "hyperbolic_distance"),
+}
+
+
+def unread_functions(sources):
+    """(module, name) of every public top-level function in the modules
+    ``sources`` (module name -> source) that none of them reads, by name or
+    as an attribute, and that ``__init__`` does not re-export."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and module == "__init__":
+                read.update(a.name for a in node.names)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_every_public_function_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in (ROOT / "src" / "qcflow").glob("*.py")}
+    assert sorted(set(unread_functions(sources)) - _UNREAD_KEPT) == []
+
+
+def test_unread_function_walk():
+    sources = {
+        "__init__": "from .a import f\n",
+        "a": "def f():\n    pass\ndef g():\n    pass\n"
+             "def _h():\n    pass\ndef k():\n    return g()\n",
+        "b": "import a\ndef m():\n    return a.k\ndef n():\n    pass\n",
+    }
+    assert unread_functions(sources) == [("b", "m"), ("b", "n")]
 
 
 def import_time_modules(source):

@@ -119,13 +119,15 @@ def test_boundary_loop_of_grid(grid9):
 
 def test_rejects_nonmanifold_edge():
     faces = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError) as info:
         build_mesh(faces)
+    assert info.value.faces == [0, 2]
 
 
 def test_rejects_repeated_vertex_in_face():
-    with pytest.raises(TopologyError):
-        build_mesh(np.array([[0, 1, 1]]))
+    with pytest.raises(TopologyError) as info:
+        build_mesh(np.array([[2, 0, 1], [0, 1, 1]]))
+    assert info.value.faces == [1]
 
 
 def test_rejects_bowtie_vertex():

@@ -23,6 +23,7 @@ from qcflow.errors import (
     PresetError,
     SurgeryError,
 )
+from qcflow.flow import FlowOptions
 from qcflow.mesh import build_mesh, load_obj, save_obj
 from qcflow.metric import Geometry, check_triangle_inequality, induced_metric
 from qcflow.pipeline import (
@@ -813,6 +814,29 @@ def test_qcmap_pre_flow_surgery_checks_its_last_swap(monkeypatch):
     preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
     qc = cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset)
     assert qc.report["pre_flow_swaps"] == 45
+
+
+def test_qcmap_no_surgery_makes_no_pre_flow_swap(monkeypatch):
+    # the smooth 0.85 field needs 45 pre-flow swaps on this grid; with
+    # surgery off qcmap makes none and names the faces that violate
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    x, y = mesh.positions[:, 0], mesh.positions[:, 1]
+    mu = 0.85 * np.sin(np.pi * x) * np.sin(np.pi * y) * np.exp(2j * np.pi * x)
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    options = FlowOptions(surgery=False)
+    tried = []
+    monkeypatch.setattr(pipeline, "edge_swap",
+                        lambda mesh, metric, edge: tried.append(edge))
+    with pytest.raises(BeltramiError) as info:
+        cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset, options)
+    assert tried == []
+    chart = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset, options).param.coords
+    aux = auxiliary_metric(induced_metric(mesh), chart[mesh.faces], mu, mesh)
+    faces = check_triangle_inequality(aux, mesh)
+    assert info.value.faces == faces != []
+    assert str(info.value) == (
+        f"auxiliary metric is inadmissible on faces {faces[:16]} and "
+        "surgery is disabled")
 
 
 def test_qcmap_closed_failure_names_faces():

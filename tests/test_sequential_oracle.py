@@ -1,12 +1,12 @@
 """The array-built layout, cut and placement code and the bulk text I/O
 against the sequential loops they replaced (``sequential.py``): the
 arithmetic is unchanged, so every result must be equal bit for bit (the
-OBJ writer's bytes included), and every error message equal (that of a
-layout that fails after its last level included). The corner-angle edge
-flip is held against the quad layouts it replaced: same decisions,
-diagonals equal to rounding. The hyperbolic placement is held against the
-circle intersection it replaced: equal to 1e-12 on fat triangles, both
-distances to 1e-7 on thin.
+OBJ writer's bytes included), and every error message equal (a layout
+that fails names the face the face-by-face loop fails at). The
+corner-angle edge flip is held against the quad layouts it replaced: same
+decisions, diagonals equal to rounding. The hyperbolic placement is held
+against the circle intersection it replaced: equal to 1e-12 on fat
+triangles, both distances to 1e-7 on thin.
 The flat Newton loop of ``run_flow`` is held against the flag-driven loop it
 replaced, on every exit: same report, same result bit for bit, or the same
 error. The pre-flow surgery loop, whose swaps keep their edge ids, is held
@@ -41,12 +41,12 @@ from qcflow.errors import (
 )
 from qcflow.flow import FlowOptions, edge_swap, run_flow
 from qcflow.geom import (
+    _place_euclidean,
+    _place_hyperbolic,
     apex_over_base,
     hyperbolic_distance,
     mobius_from_origin,
     mobius_to_origin,
-    place_third_euclidean,
-    place_third_hyperbolic,
     poincare_circle_to_euclidean,
 )
 from qcflow.mesh import (
@@ -71,6 +71,7 @@ from qcflow.pipeline import (
     cmd_flatten,
     csv_text,
 )
+from test_geom import place
 
 _MESH_FIELDS = ("faces", "twin", "edges", "edge_of_halfedge",
                 "edge_halfedges", "vertex_halfedge", "boundary_loops",
@@ -155,8 +156,9 @@ def test_layout_matches_sequential(build):
 @pytest.mark.parametrize("seed", range(3))
 def test_layout_failure_matches_sequential(monkeypatch, geometry, seed):
     # With the flatness check off, a curved metric drives some placement
-    # off its circles: the level loop, which checks once after the last
-    # level, raises the error the face-by-face loop raises at that face.
+    # off its circles: the level loop raises at the face at which the
+    # face-by-face loop fails, naming the vertex, the two it is placed
+    # from and the sides la and lb.
     for module in (embed, sequential):
         monkeypatch.setattr(module, "_check_flat", lambda mesh, angles: None)
     mesh = meshes.grid_mesh(9, 9)
@@ -165,9 +167,12 @@ def test_layout_failure_matches_sequential(monkeypatch, geometry, seed):
     new, old = _layouts(metric)
     with pytest.raises(LayoutError) as want:
         old(mesh, metric)
-    assert str(want.value).startswith("circle intersection failed")
-    with pytest.raises(LayoutError, match=f"^{re.escape(str(want.value))}$"):
+    assert str(want.value.__cause__).startswith("circle intersection failed")
+    with pytest.raises(LayoutError) as got:
         new(mesh, metric)
+    assert len(want.value.faces) == 1
+    assert got.value.faces == want.value.faces
+    assert str(got.value) == str(want.value)
 
 
 def _same_cut(new, old):
@@ -268,15 +273,32 @@ def test_place_third_euclidean_matches_scalar():
     lb = rng.uniform(np.abs(la - d) * 1.001, (la + d) * 0.999)
     old = [sequential.place_third_euclidean(*args)
            for args in zip(pa, pb, la.tolist(), lb.tolist())]
-    assert bits(place_third_euclidean(pa, pb, la, lb)) == bits(old)
-    # the first impossible element raises what the scalar code raises for it
+    z, bad = place(_place_euclidean, pa, pb, la, lb)
+    assert bits(z) == bits(old) and not bad.any()
+    _check_bad_where_scalar_raises(_place_euclidean,
+                                   sequential.place_third_euclidean,
+                                   pa, pb, la, lb, d)
+
+
+def _check_bad_where_scalar_raises(kernel, scalar, pa, pb, la, lb, d):
+    # impossible triangles at 3 and 7 and a degenerate base at 11: ``bad``
+    # is set exactly where the scalar code raises
+    pb, lb = pb.copy(), lb.copy()
     lb[[3, 7]] = la[[3, 7]] + d[[3, 7]] * 1.5
-    with pytest.raises(QcflowError) as info:
-        place_third_euclidean(pa, pb, la, lb)
-    with pytest.raises(QcflowError) as scalar:
-        sequential.place_third_euclidean(pa[3], pb[3], float(la[3]),
-                                         float(lb[3]))
-    assert str(info.value) == str(scalar.value)
+    pb[11] = pa[11]
+    raised = [_raises(LayoutError, scalar, *args)
+              for args in zip(pa, pb, la.tolist(), lb.tolist())]
+    bad = place(kernel, pa, pb, la, lb)[1]
+    assert np.flatnonzero(bad).tolist() == np.flatnonzero(raised).tolist() \
+        == [3, 7, 11]
+
+
+def _raises(error, fn, *args):
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
 
 
 def test_apex_matches_scalar_base_frame():
@@ -316,12 +338,16 @@ def test_place_third_hyperbolic_matches_scalar(frame):
     pa, pb, la, lb, _ = _hyperbolic_triangles(frame)
     old = [sequential.place_third_hyperbolic(*args)
            for args in zip(pa, pb, la.tolist(), lb.tolist())]
-    assert bits(place_third_hyperbolic(pa, pb, la, lb)) == bits(old)
+    z, bad = place(_place_hyperbolic, pa, pb, la, lb)
+    assert bits(z) == bits(old) and not bad.any()
     # Python scalars
     scalars = list(zip(pa[:50].tolist(), pb[:50].tolist(), la[:50].tolist(),
                        lb[:50].tolist()))
-    assert bits([place_third_hyperbolic(*args) for args in scalars]) == \
+    assert bits([place(_place_hyperbolic, *args)[0] for args in scalars]) == \
         bits([sequential.place_third_hyperbolic(*args) for args in scalars])
+    _check_bad_where_scalar_raises(_place_hyperbolic,
+                                   sequential.place_third_hyperbolic,
+                                   pa, pb, la, lb, hyperbolic_distance(pa, pb))
 
 
 @pytest.mark.parametrize("frame, rmax", [(False, 0.7), (True, 0.7),
@@ -333,7 +359,7 @@ def test_place_third_hyperbolic_matches_circles(frame, rmax):
     # to 1e-12 on fat triangles; on thin ones, which are ill-conditioned
     # under both constructions, both keep the two distances to 1e-7.
     pa, pb, la, lb, thin = _hyperbolic_triangles(frame, rmax)
-    new = place_third_hyperbolic(pa, pb, la, lb)
+    new = place(_place_hyperbolic, pa, pb, la, lb)[0]
     old = np.array([sequential.place_third_hyperbolic_circles(*args)
                     for args in zip(pa, pb, la.tolist(), lb.tolist())])
     assert np.abs(new - old)[~thin].max() <= 1e-12
