@@ -9,6 +9,15 @@ scaling leaves angles unchanged) and the system is solved on the zero-mean
 subspace with one vertex pinned; in the hyperbolic case H is positive
 definite and solved whole.
 
+Start: a Euclidean flow starts at ``u = 0``. Along the constant direction
+the hyperbolic energy of Bobenko, Pinkall & Springborn (2015) has the
+derivative ``Area(u) - (sum(Kbar) - 2 pi chi)``, so the Gauss-Bonnet area
+fixes the overall scale before any Newton step: a hyperbolic flow starts at
+the uniform factor that gives the metric about that area
+(:func:`_gauss_bonnet_scale`) when the metric there is admissible and
+lowers the residual, else at ``u = 0``. ``FlowReport.residuals[0]`` is the
+residual at the start.
+
 One solve path: the Hessian is the Hessian of a convex energy (Springborn,
 Schroeder & Pinkall 2008), so the pinned or whole system is symmetric
 positive definite. :func:`run_flow` factors it once per mesh by sparse LU
@@ -114,9 +123,10 @@ class FlowOptions:
 @dataclass
 class FlowReport:
     """Convergence record; ``residuals`` has ``iterations + 1`` entries
-    (the leading one is the initial residual). ``factorizations`` counts
-    the sparse LU factorizations of the Newton steps and ``cg_iterations``
-    the conjugate-gradient iterations run on reused factors."""
+    (the leading one is the residual at the flow's start).
+    ``factorizations`` counts the sparse LU factorizations of the Newton
+    steps and ``cg_iterations`` the conjugate-gradient iterations run on
+    reused factors."""
 
     residuals: list
     iterations: int
@@ -472,9 +482,64 @@ def _evaluate(mesh, metric, target):
     return angles, K, float(np.max(np.abs(target - K)))
 
 
+def _gauss_bonnet_scale(mesh, base, area):
+    """Uniform conformal factor ``u0`` under which the hyperbolic metric
+    ``base`` has about the total area ``area``, or None when ``area`` or the
+    estimate ``A_E`` below is not a positive finite number.
+
+    A small hyperbolic triangle has about the Euclidean area of the triangle
+    with sides ``2 sinh(l / 2)``, and :func:`deform_metric` scales each
+    ``sinh(l / 2)`` by ``exp(2 u0)``, so that area by ``exp(4 u0)``: ``u0 =
+    log(area / A_E) / 4`` with ``A_E`` the Heron area sum of those
+    triangles. A face whose ``2 sinh(l / 2)`` sides break the triangle
+    inequality (a large hyperbolic triangle) adds nothing to ``A_E``.
+    """
+    if not area > 0.0:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = (2.0 * np.sinh(0.5 * opposite_lengths(base, mesh))).T
+        heron = (a + b + c) * (b + c - a) * (c + a - b) * (a + b - c)
+        euclidean = 0.25 * float(np.sqrt(np.maximum(heron, 0.0)).sum())
+    if not 0.0 < euclidean < np.inf:
+        return None
+    return 0.25 * (np.log(area) - np.log(euclidean))
+
+
+def _start(mesh, base, target):
+    """The flow's first state ``(u, metric, angles, K, residual)``.
+
+    A Euclidean flow starts at ``u = 0``: a uniform scale changes no angle.
+    A hyperbolic flow starts at the uniform factor of
+    :func:`_gauss_bonnet_scale` for the Gauss-Bonnet area ``sum(Kbar) - 2 pi
+    chi`` when the metric there passes a Newton trial's test (admissible, and
+    a lower residual than at ``u = 0``), else at ``u = 0``.
+    """
+    u = np.zeros(mesh.n_vertices)
+    current = deform_metric(mesh, base, u)
+    state = (u, current, *_evaluate(mesh, current, target))
+    if base.geometry == Geometry.EUCLIDEAN:
+        return state
+    area = float(target.sum()) - 2.0 * np.pi * euler_characteristic(mesh)
+    u0 = _gauss_bonnet_scale(mesh, base, area)
+    if u0 is None:
+        return state
+    u = np.full(mesh.n_vertices, u0)
+    try:
+        current = deform_metric(mesh, base, u)
+        scaled = (u, current, *_evaluate(mesh, current, target))
+    except MetricError:
+        return state
+    return scaled if scaled[-1] < state[-1] else state
+
+
 def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     """Drive the discrete metric to the prescribed curvature by damped
     Newton iterations.
+
+    A hyperbolic flow starts at its Gauss-Bonnet scale when that start
+    passes a Newton trial's test (:func:`_start`), a Euclidean one at
+    ``u = 0``; ``report.residuals[0]`` is the residual there, and ``u``
+    is the total factor from the input metric either way.
 
     Each iteration deforms the lengths by the accumulated conformal factor,
     assembles the curvature Jacobian, solves for the Newton direction and
@@ -513,9 +578,7 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                 f"from 2 pi chi by {defect:.3e}")
 
     base = metric
-    u = np.zeros(mesh.n_vertices)
-    current = deform_metric(mesh, base, u)
-    angles, K, res = _evaluate(mesh, current, target)
+    u, current, angles, K, res = _start(mesh, base, target)
     residuals = [res]
     swaps = halvings = iterations = 0
     failure = None

@@ -311,6 +311,8 @@ def dual_bfs(mesh):
     # One extra slot, always seen, catches boundary halfedges: -1 // 3 = -1.
     seen = np.zeros(mesh.n_faces + 1, dtype=bool)
     seen[[0, -1]] = True
+    # slot[f]: position of the first discovery of face f in its level
+    slot = np.empty(mesh.n_faces + 1, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     while True:
         entry = twin[frontier].ravel()
@@ -319,8 +321,10 @@ def dual_bfs(mesh):
         if not new.any():
             return
         entry, face = entry[new], face[new]
-        first = np.unique(face, return_index=True)[1]
-        first.sort()
+        # Written in reverse, the last write to a face is its first position.
+        k = np.arange(face.size)
+        slot[face[::-1]] = k[::-1]
+        first = slot[face] == k
         frontier = face[first]
         seen[frontier] = True
         yield entry[first]

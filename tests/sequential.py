@@ -71,6 +71,7 @@ from qcflow.flow import (
     FlowReport,
     FlowResult,
     NewtonFactor,
+    _gauss_bonnet_scale,
     assemble_hessian,
     longest_edges,
     newton_step,
@@ -706,7 +707,9 @@ def csv_text(rows):
 def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     """Flag-driven damped Newton loop: ``accepted`` and ``surgery_progress``
     decide after the line search whether the iteration failed, and each
-    halving advances two counters."""
+    halving advances two counters. A hyperbolic flow starts, as the flat
+    loop does, at the uniform factor of ``_gauss_bonnet_scale`` when the
+    metric there is admissible and has a lower residual than at u = 0."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (mesh.n_vertices,):
         raise ValueError("target must assign one curvature per vertex")
@@ -730,6 +733,22 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     angles = corner_angles(current, mesh)
     K = vertex_curvature(angles, mesh)
     res = float(np.max(np.abs(target - K)))
+    if geometry == Geometry.HYPERBOLIC:
+        u0 = _gauss_bonnet_scale(mesh, base,
+                                 float(target.sum()) - 2.0 * np.pi * chi)
+        if u0 is not None:
+            u_try = np.full(mesh.n_vertices, u0)
+            try:
+                trial = deform_metric(mesh, base, u_try)
+                trial_angles = corner_angles(trial, mesh)
+            except MetricError:
+                pass
+            else:
+                K_try = vertex_curvature(trial_angles, mesh)
+                res_try = float(np.max(np.abs(target - K_try)))
+                if res_try < res:
+                    u, current, angles, K, res = (u_try, trial, trial_angles,
+                                                  K_try, res_try)
 
     residuals = [res]
     swaps = 0

@@ -20,7 +20,7 @@ from qcflow.beltrami import (
 )
 from qcflow.embed import layout_euclidean, torus_periods
 from qcflow.errors import FlowError
-from qcflow.flow import FlowOptions, assemble_hessian, run_flow
+from qcflow.flow import FlowOptions, _start, assemble_hessian, run_flow
 from qcflow.geom import mobius_from_origin, poincare_circle_to_euclidean
 from qcflow.mesh import build_mesh, cut_to_disk, save_obj
 from qcflow.metric import (
@@ -143,18 +143,25 @@ def test_criterion_02_gauss_bonnet_invariance():
     # genus-2 flow
     mesh, metric, preset = _rect_input(33, 33, 1.0, 1.0, True)
     g2 = meshes.genus2_mesh()
+    g2_metric = induced_metric(g2).retagged(Geometry.HYPERBOLIC)
+    g2_target = np.zeros(g2.n_vertices)
     flows = [
         lambda opts: cmd_flatten(mesh, Geometry.EUCLIDEAN, preset, opts,
                                  metric=metric).flow,
-        lambda opts: run_flow(g2, induced_metric(g2), np.zeros(g2.n_vertices),
-                              Geometry.HYPERBOLIC, opts),
+        lambda opts: run_flow(g2, g2_metric, g2_target, Geometry.HYPERBOLIC,
+                              opts),
     ]
+    # a Euclidean flow starts at u = 0, a hyperbolic one at its Gauss-Bonnet
+    # scale
+    starts = [np.zeros(mesh.n_vertices), _start(g2, g2_metric, g2_target)[0]]
+    assert np.all(starts[1] != 0.0)
     count = 0
-    for eps, flow in zip((_TIGHT.eps, FlowOptions().eps), flows):
+    for eps, flow, start in zip((_TIGHT.eps, FlowOptions().eps), flows,
+                                starts):
         done = flow(FlowOptions(eps=eps))
         # no swaps, so every iterate lives on the input mesh and base
         assert done.report.swaps == 0
-        iterates = [np.zeros(done.mesh.n_vertices)]
+        iterates = [start]
         # iterate k is where the same flow stops with a budget of k steps
         for k in range(1, done.report.iterations):
             try:
@@ -166,7 +173,7 @@ def test_criterion_02_gauss_bonnet_invariance():
             deformed = deform_metric(done.mesh, done.base, u)
             worst = max(worst, abs(gauss_bonnet_residual(deformed, done.mesh)))
         count += len(iterates)
-    ok = worst < 1e-9 and count == 4 + 6
+    ok = worst < 1e-9 and count == 4 + 7
     assert _report(2, "gauss-bonnet-invariance", ok,
                    f"worst |residual| {worst:.2e} over {count} iterates")
 

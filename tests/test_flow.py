@@ -1,3 +1,4 @@
+import warnings
 import weakref
 
 import numpy as np
@@ -8,7 +9,13 @@ import scipy.sparse as sp
 import meshes
 import qcflow.flow as flow_module
 import qcflow.metric as metric_module
-from qcflow.errors import FlowError, SolverError, SurgeryError, TopologyError
+from qcflow.errors import (
+    FlowError,
+    MetricError,
+    SolverError,
+    SurgeryError,
+    TopologyError,
+)
 from qcflow.flow import (
     FlowOptions,
     angle_derivatives,
@@ -19,12 +26,13 @@ from qcflow.flow import (
     renumber,
     run_flow,
 )
-from qcflow.mesh import build_mesh
+from qcflow.mesh import build_mesh, euler_characteristic
 from qcflow.metric import (
     DiscreteMetric,
     Geometry,
     corner_angles,
     deform_metric,
+    face_areas,
     induced_metric,
     vertex_curvature,
 )
@@ -459,6 +467,95 @@ def test_flow_hyperbolic_genus2(genus2):
     assert res.metric.geometry == Geometry.HYPERBOLIC
     K = vertex_curvature(corner_angles(res.metric, res.mesh), res.mesh)
     assert np.abs(K).max() < 1e-8
+
+
+def _genus2_block(s):
+    """Genus-2 voxel surface: a 5s x 3s x s block with two s x s holes."""
+    solid = {(i, j, k) for i in range(5 * s) for j in range(3 * s)
+             for k in range(s)}
+    for x0 in (s, 3 * s):
+        solid -= {(i, j, k) for i in range(x0, x0 + s)
+                  for j in range(s, 2 * s) for k in range(s)}
+    return meshes.voxel_surface(solid)
+
+
+def test_hyperbolic_flow_starts_at_gauss_bonnet_area(monkeypatch):
+    mesh = _genus2_block(4)
+    metric = induced_metric(mesh).retagged(Geometry.HYPERBOLIC)
+    target = np.zeros(mesh.n_vertices)
+    u, start, angles, _, _ = flow_module._start(mesh, metric, target)
+    assert u[0] != 0.0 and np.all(u == u[0])
+    area = float(face_areas(start, mesh, angles=angles).sum())
+    want = -2.0 * np.pi * euler_characteristic(mesh)
+    assert abs(area - want) < 0.01 * want
+    scaled = run_flow(mesh, metric, target, Geometry.HYPERBOLIC)
+    monkeypatch.setattr(flow_module, "_gauss_bonnet_scale", lambda *a: None)
+    zero = run_flow(mesh, metric, target, Geometry.HYPERBOLIC)
+    assert scaled.report.iterations <= zero.report.iterations
+    assert scaled.report.factorizations == 1
+    assert np.abs(scaled.u - zero.u).max() < 1e-8
+
+
+def _start_cases(case):
+    """(mesh, metric, target) of a hyperbolic flow whose Gauss-Bonnet start
+    fails."""
+    if case == "large-triangles":
+        # admissible, sides 10, 10 and 14.1, but 2 sinh(l / 2) gives 148,
+        # 148 and 1176: no face adds to the Euclidean estimate
+        mesh = meshes.genus2_mesh()
+        metric = DiscreteMetric(Geometry.HYPERBOLIC,
+                                10.0 * induced_metric(mesh).lengths)
+        return mesh, metric, np.zeros(mesh.n_vertices)
+    if case == "nonpositive-area":
+        # a disk with zero target: sum(Kbar) - 2 pi chi = -2 pi
+        mesh = meshes.grid_mesh(5, 5)
+        metric = induced_metric(mesh).retagged(Geometry.HYPERBOLIC)
+        return mesh, metric, np.zeros(mesh.n_vertices)
+    mesh = meshes.genus2_mesh()
+    metric = induced_metric(mesh).retagged(Geometry.HYPERBOLIC)
+    if case == "inadmissible":
+        # u = 1 at both ends of edge 0 gives the faces there 2 sinh(l / 2)
+        # sides that break the triangle inequality; the uniform factor that
+        # shrinks the metric to a tenth of its area breaks those faces
+        u = np.zeros(mesh.n_vertices)
+        u[mesh.edges[0]] = 1.0
+        metric = deform_metric(mesh, metric, u)
+        area = 0.1 * float(face_areas(metric, mesh).sum())
+        chi = euler_characteristic(mesh)
+        return mesh, metric, np.full(mesh.n_vertices,
+                                     (area + 2.0 * np.pi * chi)
+                                     / mesh.n_vertices)
+    # "no-lower-residual": the target is the input's own curvature
+    at_zero = deform_metric(mesh, metric, np.zeros(mesh.n_vertices))
+    return mesh, metric, vertex_curvature(corner_angles(at_zero, mesh), mesh)
+
+
+@pytest.mark.parametrize("case", ["large-triangles", "nonpositive-area",
+                                  "inadmissible", "no-lower-residual"])
+def test_hyperbolic_flow_falls_back_to_zero_start(case):
+    mesh, metric, target = _start_cases(case)
+    area = float(target.sum()) - 2.0 * np.pi * euler_characteristic(mesh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u0 = flow_module._gauss_bonnet_scale(mesh, metric, area)
+        assert (u0 is None) == (case in ("large-triangles",
+                                         "nonpositive-area"))
+        if case == "inadmissible":
+            scaled = deform_metric(mesh, metric, np.full(mesh.n_vertices, u0))
+            with pytest.raises(MetricError):
+                corner_angles(scaled, mesh)
+        u, _, _, _, res = flow_module._start(mesh, metric, target)
+        try:
+            report = run_flow(mesh, metric, target, Geometry.HYPERBOLIC,
+                              FlowOptions(max_iterations=1)).report
+        except FlowError as exc:
+            report = exc.report
+    at_zero = deform_metric(mesh, metric, np.zeros(mesh.n_vertices))
+    K = vertex_curvature(corner_angles(at_zero, mesh), mesh)
+    assert not u.any()
+    assert res == report.residuals[0] == np.abs(target - K).max()
+    if case == "no-lower-residual":
+        assert report.converged and report.iterations == 0
 
 
 def test_flow_with_surgery_on_stretched_grid():

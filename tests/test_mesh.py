@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qcflow.mesh import (
     build_mesh,
     cut_graph,
     cut_to_disk,
+    dual_bfs,
     euler_characteristic,
     load_obj,
     save_obj,
@@ -244,6 +247,40 @@ def test_cut_graph_of_an_annulus_is_one_path_between_its_loops(n, hole):
 
 def test_cut_graph_of_a_disk_is_empty(grid9):
     assert cut_graph(grid9).size == 0
+
+
+def _fifo_levels(mesh):
+    """Entry halfedges of a first-in-first-out search of the dual graph from
+    face 0, grouped by depth."""
+    depth = {0: 0}
+    levels = []
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for h in range(3 * f, 3 * f + 3):
+            entry = int(mesh.twin[h])
+            if entry < 0 or entry // 3 in depth:
+                continue
+            depth[entry // 3] = d = depth[f] + 1
+            if d > len(levels):
+                levels.append([])
+            levels[d - 1].append(entry)
+            queue.append(entry // 3)
+    return levels
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: meshes.grid_mesh(17, 9),
+    lambda: meshes.annulus_mesh(17, 5),
+    lambda: meshes.embedded_torus(24, 16),
+    lambda: meshes.genus2_mesh(),
+    lambda: cut_to_disk(meshes.embedded_torus(24, 16))[0],
+], ids=["grid", "annulus", "torus", "genus2", "torus-disk"])
+def test_dual_bfs_levels_are_a_fifo_search(builder):
+    mesh = builder()
+    levels = [level.tolist() for level in dual_bfs(mesh)]
+    assert levels == _fifo_levels(mesh)
+    assert sum(map(len, levels)) == mesh.n_faces - 1
 
 
 def test_slice_requires_interior_edge(grid9):

@@ -795,7 +795,7 @@ _FLOW_EXITS = {
     "inadmissible-no-surgery": (
         _moved_corner, {"surgery": False},
         _INADMISSIBLE + " and surgery is disabled", 12, 0, 129, 2, 121),
-    "hyperbolic": (_genus2_hyperbolic, {}, None, 5, 0, 0, 1, 27),
+    "hyperbolic": (_genus2_hyperbolic, {}, None, 6, 0, 1, 1, 25),
 }
 
 
