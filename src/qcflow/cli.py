@@ -61,7 +61,8 @@ def _build_parser():
         p.add_argument("--corners", type=_parse_corners, default=None,
                        help="four boundary vertex ids for the rectangle preset")
         p.add_argument("--eps", type=float, default=1e-8,
-                       help="curvature tolerance (radians)")
+                       help="curvature tolerance (radians); above 1e-6 the "
+                       "layout can fail on a vertex left curved")
         p.add_argument("--max-iterations", type=int, default=50)
         p.add_argument("--no-surgery", action="store_true",
                        help="disable edge-swap surgery")

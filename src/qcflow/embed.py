@@ -1,12 +1,13 @@
 """Isometric layout of flat and hyperbolic metrics into the plane or the
 Poincare disk, plus flat-torus period extraction from a cut-open layout.
 
-The layout is level-synchronous: it walks the dual graph breadth-first from
-face 0 and places all faces of one level in one array batch. Each vertex is
-placed once, by the first face in breadth-first order that has it free,
-across that face's entry edge; the result is the one a face-by-face
-breadth-first loop gives, bit for bit, and a layout that fails names the
-face at which that loop fails.
+The layout is level-synchronous: it seeds the first edge of face 0, walks
+the dual graph breadth-first from face 0 and places all faces of one level
+in one array batch, face 0 alone in the first. Each vertex after that edge
+is placed once, by the first face in breadth-first order that has it free,
+across that face's entry edge (halfedge 0 for face 0); the result is the
+one a face-by-face breadth-first loop gives, bit for bit, and a layout that
+fails names the face at which that loop fails.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .beltrami import Parameterization
 from .errors import LayoutError, MetricError
-from .geom import _place_euclidean, _place_hyperbolic, apex_over_base
+from .geom import _place_euclidean, _place_hyperbolic
 from .mesh import dual_bfs, euler_characteristic
 from .metric import (
     Geometry,
@@ -65,19 +66,23 @@ def _check_flat(mesh, angles):
             v = int(np.argmax(np.abs(np.where(interior, K, 0.0))))
             raise LayoutError(
                 f"interior vertex {v} has curvature {worst:.3e}; the metric "
-                "must be flat to embed")
+                "must be flat to embed",
+                faces=sorted(h // 3 for h in mesh.outgoing_halfedges(v)))
 
 
-def _layout(mesh, metric, seed, place):
-    """Vertex coordinates of a flat disk metric: face 0 is seeded, then each
-    breadth-first level of the dual graph is placed in one batch. Raises
-    unless the mesh is a disk and the metric admissible and flat.
+def _layout(mesh, metric, radius, place):
+    """Vertex coordinates of a flat disk metric: the first edge of face 0 is
+    seeded, from 0 to ``radius(l01)`` on the positive real axis, then each
+    breadth-first level of the dual graph is placed in one batch, face 0
+    alone in the first. Raises unless the mesh is a disk and the metric
+    admissible and flat.
 
-    A face reached across its entry halfedge (from ``va`` to ``vb``) has
-    both of those vertices placed, since they belong to the face it was
-    reached from, in an earlier level. Its third corner ``vc`` is placed by
-    the first face in breadth-first order that has it opposite its entry
-    edge, from ``va``, ``vb`` and the lengths of its edges to them.
+    A face reached across its entry halfedge (from ``va`` to ``vb``; for
+    face 0 its halfedge 0, the seeded edge) has both of those vertices
+    placed, since they belong to the face it was reached from, in an
+    earlier level. Its third corner ``vc`` is placed by the first face in
+    breadth-first order that has it opposite its entry edge, from ``va``,
+    ``vb`` and the lengths of its edges to them.
 
     A level places its vertices in one call of ``place``, on the real and
     imaginary parts of the coordinates. The first element it cannot place,
@@ -88,21 +93,19 @@ def _layout(mesh, metric, seed, place):
     bad = check_triangle_inequality(metric, mesh)
     if bad:
         raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
-    angles = corner_angles(metric, mesh)
-    _check_flat(mesh, angles)
+    _check_flat(mesh, corner_angles(metric, mesh))
 
     lengths = metric.lengths
     edge = mesh.edge_of_halfedge
     corner = mesh.faces.ravel()
     coords = np.full(mesh.n_vertices, np.nan + 0j, dtype=np.complex128)
-    l01, l12, l20 = (float(lengths[edge[h]]) for h in range(3))
-    coords[corner[:3]] = seed(l01, l12, l20, angles[0])
+    coords[corner[:2]] = 0.0, radius(float(lengths[edge[0]]))
 
-    levels = list(dual_bfs(mesh))
-    entry = np.concatenate([np.zeros(0, dtype=np.int64)] + levels)
+    levels = [np.zeros(1, dtype=np.int64), *dual_bfs(mesh)]
+    entry = np.concatenate(levels)
     opposite = mesh.prev(entry)
     first = np.unique(corner[opposite], return_index=True)[1]
-    first = np.sort(first[~np.isin(corner[opposite[first]], corner[:3])])
+    first = np.sort(first[~np.isin(corner[opposite[first]], corner[:2])])
     entry, opposite = entry[first], opposite[first]
     vc, va, vb = corner[opposite], corner[entry], corner[mesh.next(entry)]
     la, lb = lengths[edge[opposite]], lengths[edge[mesh.next(entry)]]
@@ -123,7 +126,7 @@ def _layout(mesh, metric, seed, place):
                     f"la={float(la[i])}, lb={float(lb[i])} fits over them",
                     faces=[f])
 
-    if len(vc) + 3 < mesh.n_vertices:
+    if len(vc) + 2 < mesh.n_vertices:
         raise LayoutError("mesh is not face-connected")
     return coords
 
@@ -131,42 +134,34 @@ def _layout(mesh, metric, seed, place):
 def layout_euclidean(mesh, metric):
     """Isometric plane layout of a flat Euclidean metric on a disk.
 
-    The first face is seeded with its first vertex at the origin and its
-    second on the positive real axis; every further vertex is placed, one
-    breadth-first level at a time, on the counter-clockwise side of an
-    already-embedded edge of the first face in level order that has it free.
-    Every embedded edge reproduces its metric length (to roundoff-level
-    drift).
+    The first edge of the first face is seeded from the origin to ``l01``
+    on the positive real axis; every further vertex, that face's third
+    corner included, is placed, one breadth-first level at a time, on the
+    counter-clockwise side of an already-embedded edge of the first face in
+    level order that has it free. Every embedded edge reproduces its metric
+    length (to roundoff-level drift).
     """
     if metric.geometry != Geometry.EUCLIDEAN:
         raise MetricError("layout_euclidean requires a Euclidean metric")
-
-    def seed(l01, l12, l20, _angles):
-        return (0.0 + 0j, l01 + 0j, complex(*apex_over_base(l01, l20, l12)))
-
-    coords = _layout(mesh, metric, seed, _place_euclidean)
+    coords = _layout(mesh, metric, lambda l01: l01, _place_euclidean)
     return Parameterization(coords, Geometry.EUCLIDEAN)
 
 
 def layout_hyperbolic(mesh, metric):
     """Poincare-disk layout of a hyperbolically flat metric on a disk.
 
-    Seeds the first face at ``tau(v0) = 0``, ``tau(v1) = tanh(l01 / 2)``,
-    ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates one
-    breadth-first level at a time, with the same placing-face rule as
-    :func:`layout_euclidean`: each vertex is the apex over its entry edge
-    in the Mobius frame of that edge (:mod:`qcflow.geom`), on the side that
-    keeps the face's orientation positive.
+    Seeds the first edge of the first face at ``tau(v0) = 0`` and
+    ``tau(v1) = tanh(l01 / 2)`` and places every further vertex, that
+    face's third corner included, one breadth-first level at a time, with
+    the same placing-face rule as :func:`layout_euclidean`: each vertex is
+    the apex over its entry edge in the Mobius frame of that edge
+    (:mod:`qcflow.geom`), on the side that keeps the face's orientation
+    positive.
     """
     if metric.geometry != Geometry.HYPERBOLIC:
         raise MetricError("layout_hyperbolic requires a hyperbolic metric")
-
-    def seed(l01, l12, l20, face_angles):
-        return (0.0 + 0j,
-                np.tanh(0.5 * l01) + 0j,
-                np.tanh(0.5 * l20) * np.exp(1j * face_angles[0]))
-
-    coords = _layout(mesh, metric, seed, _place_hyperbolic)
+    coords = _layout(mesh, metric, lambda l01: np.tanh(0.5 * l01),
+                     _place_hyperbolic)
     radius = np.abs(coords)
     if radius.max() >= 1.0:
         raise LayoutError(

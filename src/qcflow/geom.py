@@ -5,17 +5,16 @@ The hyperbolic plane is modelled as the unit disk with metric
 ``d(p, q) = 2 atanh |(p - q) / (1 - conj(q) p)|`` and rigid motions are
 Mobius transformations ``z -> e^{i t} (z - z0) / (1 - conj(z0) z)``.
 
-Both layouts place a vertex by one rule: the apex over its base edge
-(:func:`apex_over_base`), in the plane's frame of that edge or in the
-Mobius frame that moves its first end to the origin. The placements mark
-the triangles they cannot place, and the layout names their faces.
+Both layouts place every vertex after the first edge by one rule: the
+apex over its base edge (:func:`_apex`), in the plane's frame of that edge
+or in the Mobius frame that moves its first end to the origin. The
+placements mark the triangles they cannot place, and the layout names
+their faces.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import LayoutError
 
 # relative slack accepted when a circle-circle intersection is near-tangent
 _TANGENT_SLACK = 1e-9
@@ -86,36 +85,15 @@ def poincare_circle_to_euclidean(c, r):
 
 
 def _apex(d, la, lb):
-    """:func:`apex_over_base` without its check: ``(x, y, bad)``, with
-    ``bad`` marking the elements whose base is degenerate or whose circles
-    do not meet. Call it under ``np.errstate(all="ignore")``."""
+    """Apex ``(x, y)``, ``y >= 0``, of the triangle over the base edge from
+    0 to ``d`` on the real axis with sides ``la`` (from 0) and ``lb`` (from
+    ``d``), elementwise on arrays: ``(x, y, bad)``, with ``bad`` marking the
+    elements whose base is degenerate or whose circles do not meet (beyond a
+    relative tangency slack). Call it under ``np.errstate(all="ignore")``."""
     x = (d * d + la * la - lb * lb) / (2.0 * d)
     h2 = la * la - x * x
     bad = (d <= 0.0) | (h2 < -_TANGENT_SLACK * la * la)
     return x, np.sqrt(np.where(0.0 > h2, 0.0, h2)), bad
-
-
-def apex_over_base(d, la, lb):
-    """Apex ``(x, y)``, ``y >= 0``, of the triangle over the base edge from
-    0 to ``d`` on the real axis with sides ``la`` (from 0) and ``lb`` (from
-    ``d``); elementwise on arrays.
-
-    Raises :class:`LayoutError` for the first element whose base is
-    degenerate or whose circles do not meet (beyond a relative tangency
-    slack).
-    """
-    d, la, lb = (np.asarray(v, dtype=np.float64) for v in (d, la, lb))
-    with np.errstate(all="ignore"):  # bad elements raise below
-        x, y, bad = _apex(d, la, lb)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        d, la, lb = (float(np.broadcast_to(v, bad.shape).flat[i])
-                     for v in (d, la, lb))
-        if d <= 0.0:
-            raise LayoutError("degenerate base edge")
-        raise LayoutError(
-            f"circle intersection failed (la={la}, lb={lb}, base={d})")
-    return x[()], y[()]
 
 
 def _place_euclidean(ax, ay, bx, by, la, lb):
@@ -124,7 +102,7 @@ def _place_euclidean(ax, ay, bx, by, la, lb):
     arrays: ``(x, y, bad)``, ``bad`` marking impossible triangles and
     degenerate bases. Call it under ``np.errstate(all="ignore")``.
 
-    The apex over the base edge in its local frame (:func:`apex_over_base`),
+    The apex over the base edge in its local frame (:func:`_apex`),
     which stays well conditioned for near-tangent circles. The unit chord
     is rounded as NumPy divides a complex by a real,
     ``(cx + cy * 0) * (1 / d)``, so every bit, signed zeros included, is

@@ -76,7 +76,7 @@ from qcflow.flow import (
     longest_edges,
     newton_step,
 )
-from qcflow.geom import _TANGENT_SLACK, apex_over_base, hyperbolic_distance
+from qcflow.geom import _TANGENT_SLACK, hyperbolic_distance
 from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
 from qcflow.metric import (
     DiscreteMetric,
@@ -213,8 +213,8 @@ def swapped_diagonal(geometry, edge, d, l_ik, l_jk, l_il, l_jl):
     ``k`` and ``l`` laid out on either side of it; raises
     :class:`SurgeryError` for a degenerate or non-convex quad."""
     if geometry == Geometry.EUCLIDEAN:
-        pk = complex(*apex_over_base(d, l_ik, l_jk))
-        pl = np.conj(complex(*apex_over_base(d, l_il, l_jl)))
+        pk = place_third_euclidean(0.0 + 0j, d + 0j, l_ik, l_jk)
+        pl = np.conj(place_third_euclidean(0.0 + 0j, d + 0j, l_il, l_jl))
         if pk.imag <= 0.0 or pl.imag >= 0.0:
             raise SurgeryError(f"degenerate quad at edge {edge}")
         cross = (pk.real * (-pl.imag) + pl.real * pk.imag) / (pk.imag - pl.imag)
@@ -264,21 +264,35 @@ def hyperbolic_segment_real_axis_crossing(k, l):
     return None
 
 
-def _layout(mesh, metric, seed, place):
-    angles = corner_angles(metric, mesh)
-    _check_flat(mesh, angles)
+def _layout(mesh, metric, radius, place):
+    _check_flat(mesh, corner_angles(metric, mesh))
 
     coords = np.full(mesh.n_vertices, np.nan + 0j, dtype=np.complex128)
     placed = np.zeros(mesh.n_vertices, dtype=bool)
     lengths = metric.lengths
 
-    v0, v1, v2 = (int(v) for v in mesh.faces[0])
-    l01 = float(lengths[mesh.edge_of_halfedge[0]])
-    l12 = float(lengths[mesh.edge_of_halfedge[1]])
-    l20 = float(lengths[mesh.edge_of_halfedge[2]])
-    for v, z in zip((v0, v1, v2), seed(l01, l12, l20, angles[0])):
-        coords[v] = z
-        placed[v] = True
+    def place_corner(g, sc):
+        # NumPy scalars, not Python complex: the chord division then
+        # rounds as the array kernel's does, face 0's included
+        va = int(mesh.faces[g, (sc + 1) % 3])
+        vb = int(mesh.faces[g, (sc + 2) % 3])
+        vc = int(mesh.faces[g, sc])
+        la = float(lengths[mesh.edge_of_halfedge[3 * g + sc]])
+        lb = float(lengths[mesh.edge_of_halfedge[3 * g + (sc + 2) % 3]])
+        try:
+            coords[vc] = place(coords[va], coords[vb], la, lb)
+        except LayoutError as exc:
+            raise LayoutError(
+                f"cannot place vertex {vc} of face {g} from vertices "
+                f"{va} and {vb}: no triangle with sides la={la}, "
+                f"lb={lb} fits over them", faces=[g]) from exc
+        placed[vc] = True
+
+    v0, v1 = (int(v) for v in mesh.faces[0, :2])
+    coords[v0] = 0.0
+    coords[v1] = radius(float(lengths[mesh.edge_of_halfedge[0]]))
+    placed[[v0, v1]] = True
+    place_corner(0, 2)
 
     done = np.zeros(mesh.n_faces, dtype=bool)
     done[0] = True
@@ -296,20 +310,7 @@ def _layout(mesh, metric, seed, place):
             if len(free) > 1:
                 continue  # not ready; reached again through another edge
             if len(free) == 1:
-                sc = free[0]
-                va = int(mesh.faces[g, (sc + 1) % 3])
-                vb = int(mesh.faces[g, (sc + 2) % 3])
-                vc = int(mesh.faces[g, sc])
-                la = float(lengths[mesh.edge_of_halfedge[3 * g + sc]])
-                lb = float(lengths[mesh.edge_of_halfedge[3 * g + (sc + 2) % 3]])
-                try:
-                    coords[vc] = place(coords[va], coords[vb], la, lb)
-                except LayoutError as exc:
-                    raise LayoutError(
-                        f"cannot place vertex {vc} of face {g} from vertices "
-                        f"{va} and {vb}: no triangle with sides la={la}, "
-                        f"lb={lb} fits over them", faces=[g]) from exc
-                placed[vc] = True
+                place_corner(g, free[0])
             done[g] = True
             queue.append(g)
 
@@ -321,10 +322,11 @@ def _layout(mesh, metric, seed, place):
 def layout_euclidean(mesh, metric):
     """Isometric plane layout of a flat Euclidean metric on a disk.
 
-    The first face is seeded with vertex 0 at the origin and vertex 1 on the
-    positive real axis; every further vertex is placed breadth-first on the
-    counter-clockwise side of an already-embedded edge. Every embedded edge
-    reproduces its metric length (to roundoff-level drift).
+    The first edge of the first face is seeded from the origin to ``l01``
+    on the positive real axis; every further vertex, that face's third
+    corner first, is placed breadth-first on the counter-clockwise side of
+    an already-embedded edge. Every embedded edge reproduces its metric
+    length (to roundoff-level drift).
     """
     if metric.geometry != Geometry.EUCLIDEAN:
         raise MetricError("layout_euclidean requires a Euclidean metric")
@@ -333,22 +335,18 @@ def layout_euclidean(mesh, metric):
     if bad:
         raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
 
-    def seed(l01, l12, l20, _angles):
-        return (0.0 + 0j,
-                l01 + 0j,
-                place_third_euclidean(0.0 + 0j, l01 + 0j, l20, l12))
-
-    coords = _layout(mesh, metric, seed, place_third_euclidean)
+    coords = _layout(mesh, metric, lambda l01: l01, place_third_euclidean)
     return Parameterization(coords, Geometry.EUCLIDEAN)
 
 
 def layout_hyperbolic(mesh, metric):
     """Poincare-disk layout of a hyperbolically flat metric on a disk.
 
-    Seeds the first face at ``tau(v0) = 0``, ``tau(v1) = tanh(l01 / 2)``,
-    ``tau(v2) = tanh(l02 / 2) e^{i theta_0}`` and propagates breadth-first,
-    placing each vertex at the apex over its entry edge in the Mobius frame
-    of that edge, keeping each face's orientation positive.
+    Seeds the first edge of the first face at ``tau(v0) = 0`` and
+    ``tau(v1) = tanh(l01 / 2)`` and propagates breadth-first, placing each
+    further vertex, that face's third corner first, at the apex over its
+    entry edge in the Mobius frame of that edge, keeping each face's
+    orientation positive.
     """
     if metric.geometry != Geometry.HYPERBOLIC:
         raise MetricError("layout_hyperbolic requires a hyperbolic metric")
@@ -357,12 +355,8 @@ def layout_hyperbolic(mesh, metric):
     if bad:
         raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
 
-    def seed(l01, l12, l20, face_angles):
-        return (0.0 + 0j,
-                np.tanh(0.5 * l01) + 0j,
-                np.tanh(0.5 * l20) * np.exp(1j * face_angles[0]))
-
-    coords = _layout(mesh, metric, seed, place_third_hyperbolic)
+    coords = _layout(mesh, metric, lambda l01: np.tanh(0.5 * l01),
+                     place_third_hyperbolic)
     radius = np.abs(coords)
     if radius.max() >= 1.0:
         raise LayoutError(

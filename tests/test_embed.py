@@ -58,8 +58,9 @@ def test_layout_rejects_cone_point():
     faces = [[0, 1 + i, 1 + (i + 1) % n] for i in range(n)]
     mesh = build_mesh(np.asarray(faces))
     metric = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(mesh.n_edges))
-    with pytest.raises(LayoutError):
+    with pytest.raises(LayoutError, match="^interior vertex 0 ") as exc:
         layout_euclidean(mesh, metric)
+    assert exc.value.faces == list(range(n))
 
 
 def test_layout_rejects_non_disk(tetra):

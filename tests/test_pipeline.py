@@ -19,6 +19,7 @@ from qcflow.beltrami import (
 from qcflow.cli import main as cli_main
 from qcflow.errors import (
     BeltramiError,
+    LayoutError,
     MetricError,
     PresetError,
     SurgeryError,
@@ -177,6 +178,18 @@ def test_flatten_genus2_hyperbolic(genus2):
                       TargetPreset(PresetKind.CLOSED_HYPERBOLIC))
     assert out.param.geometry == Geometry.HYPERBOLIC
     assert np.abs(out.param.coords).max() < 1.0
+
+
+def test_flatten_above_flatness_tolerance_names_faces():
+    # A flow that converges to an eps above the layout's flatness tolerance
+    # leaves an interior vertex curved; the layout names the faces around it.
+    mesh = meshes.grid_mesh(33, 33, bump=0.3)
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
+    with pytest.raises(LayoutError, match="^interior vertex 544 ") as exc:
+        cmd_flatten(mesh, Geometry.EUCLIDEAN, preset, FlowOptions(eps=1e-5))
+    ring = mesh.outgoing_halfedges(544)
+    assert exc.value.faces == sorted(h // 3 for h in ring)
+    assert len(exc.value.faces) == 6
 
 
 def test_flatten_deterministic(grid9, tmp_path):
@@ -742,6 +755,8 @@ def test_cli_outputs_deterministic(tmp_path, grid_obj):
 
 
 def test_cli_flow_flags(tmp_path, grid_obj):
+    # --eps 1e-4 is above the layout's flatness tolerance; the 9x9 grid
+    # starts flat (residual 2.2e-16), so the layout still succeeds.
     out = tmp_path / "o.obj"
     report = tmp_path / "r.json"
     code = cli_main(["flatten", "--input", str(grid_obj), "--preset",

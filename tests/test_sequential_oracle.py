@@ -43,7 +43,6 @@ from qcflow.flow import FlowOptions, edge_swap, run_flow
 from qcflow.geom import (
     _place_euclidean,
     _place_hyperbolic,
-    apex_over_base,
     hyperbolic_distance,
     mobius_from_origin,
     mobius_to_origin,
@@ -299,18 +298,6 @@ def _raises(error, fn, *args):
     except error:
         return True
     return False
-
-
-def test_apex_matches_scalar_base_frame():
-    # the layout seed places the apex over a base edge from 0 to d, where
-    # the scalar code divided Python complex numbers
-    rng = np.random.default_rng(14)
-    d = rng.uniform(0.01, 5.0, 1000)
-    la = rng.uniform(0.2, 2.0, 1000) * d
-    lb = rng.uniform(np.abs(la - d) * 1.001, (la + d) * 0.999)
-    for args in zip(d.tolist(), la.tolist(), lb.tolist()):
-        old = sequential.place_third_euclidean(0.0, args[0] + 0j, *args[1:])
-        assert bits(complex(*apex_over_base(*args))) == bits(old)
 
 
 def _hyperbolic_triangles(frame, rmax=0.7):
