@@ -154,7 +154,7 @@ def layout_hyperbolic(mesh, metric):
     ``tau(v1) = tanh(l01 / 2)`` and places every further vertex, that
     face's third corner included, one breadth-first level at a time, with
     the same placing-face rule as :func:`layout_euclidean`: each vertex is
-    the apex over its entry edge in the Mobius frame of that edge
+    placed by the plane's placement in the Mobius frame of the entry edge
     (:mod:`qcflow.geom`), on the side that keeps the face's orientation
     positive.
     """

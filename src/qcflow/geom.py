@@ -5,11 +5,11 @@ The hyperbolic plane is modelled as the unit disk with metric
 ``d(p, q) = 2 atanh |(p - q) / (1 - conj(q) p)|`` and rigid motions are
 Mobius transformations ``z -> e^{i t} (z - z0) / (1 - conj(z0) z)``.
 
-Both layouts place every vertex after the first edge by one rule: the
-apex over its base edge (:func:`_apex`), in the plane's frame of that edge
-or in the Mobius frame that moves its first end to the origin. The
-placements mark the triangles they cannot place, and the layout names
-their faces.
+Both layouts place every vertex after the first edge by one kernel,
+:func:`_place_euclidean`: the disk runs the plane's placement in the
+Mobius frame of the entry edge, the frame that moves its first end to the
+origin. The placements mark the triangles they cannot place, and the
+layout names their faces.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ import numpy as np
 
 # relative slack accepted when a circle-circle intersection is near-tangent
 _TANGENT_SLACK = 1e-9
-
-
-def hyperbolic_distance(p, q):
-    """Poincare-disk distance, elementwise on arrays."""
-    p = np.asarray(p, dtype=np.complex128)
-    q = np.asarray(q, dtype=np.complex128)
-    ratio = np.abs(p - q) / np.abs(1.0 - np.conj(q) * p)
-    return 2.0 * np.arctanh(ratio)
 
 
 def _complex(re, im):
@@ -45,10 +37,6 @@ def _cmul(a, b):
     """
     return _complex(a.real * b.real - a.imag * b.imag,
                     a.real * b.imag + a.imag * b.real)
-
-
-def _abs(z):
-    return np.hypot(z.real, z.imag)
 
 
 def mobius_to_origin(c, z):
@@ -84,33 +72,26 @@ def poincare_circle_to_euclidean(c, r):
     return center[()], np.sqrt(np.where(0.0 > r2, 0.0, r2))[()]
 
 
-def _apex(d, la, lb):
-    """Apex ``(x, y)``, ``y >= 0``, of the triangle over the base edge from
-    0 to ``d`` on the real axis with sides ``la`` (from 0) and ``lb`` (from
-    ``d``), elementwise on arrays: ``(x, y, bad)``, with ``bad`` marking the
-    elements whose base is degenerate or whose circles do not meet (beyond a
-    relative tangency slack). Call it under ``np.errstate(all="ignore")``."""
-    x = (d * d + la * la - lb * lb) / (2.0 * d)
-    h2 = la * la - x * x
-    bad = (d <= 0.0) | (h2 < -_TANGENT_SLACK * la * la)
-    return x, np.sqrt(np.where(0.0 > h2, 0.0, h2)), bad
-
-
 def _place_euclidean(ax, ay, bx, by, la, lb):
     """Point at distance ``la`` from ``pa = (ax, ay)`` and ``lb`` from
     ``pb = (bx, by)`` on the counter-clockwise side of ``pa -> pb``, on real
-    arrays: ``(x, y, bad)``, ``bad`` marking impossible triangles and
-    degenerate bases. Call it under ``np.errstate(all="ignore")``.
+    arrays: ``(x, y, bad)``, ``bad`` marking the elements whose base is
+    degenerate or whose circles do not meet (beyond a relative tangency
+    slack). Call it under ``np.errstate(all="ignore")``.
 
-    The apex over the base edge in its local frame (:func:`_apex`),
-    which stays well conditioned for near-tangent circles. The unit chord
-    is rounded as NumPy divides a complex by a real,
+    The apex ``(x, y)``, ``y >= 0``, over the base from 0 to
+    ``d = |pb - pa|`` on the real axis, which stays well conditioned for
+    near-tangent circles, turned by the unit chord. The chord is rounded
+    as NumPy divides a complex by a real,
     ``(cx + cy * 0) * (1 / d)``, so every bit, signed zeros included, is
     the complex form's.
     """
     cx, cy = bx - ax, by - ay
     d = np.hypot(cx, cy)
-    x, y, bad = _apex(d, la, lb)
+    x = (d * d + la * la - lb * lb) / (2.0 * d)
+    h2 = la * la - x * x
+    bad = (d <= 0.0) | (h2 < -_TANGENT_SLACK * la * la)
+    y = np.sqrt(np.where(0.0 > h2, 0.0, h2))
     s = 1.0 / d
     ux, uy = (cx + cy * 0.0) * s, (cy - cx * 0.0) * s
     return ax + (x * ux - y * uy), ay + (x * uy + y * ux), bad
@@ -121,17 +102,17 @@ def _place_hyperbolic(ax, ay, bx, by, la, lb):
     hyperbolic distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
     counter-clockwise side of the geodesic ``pa -> pb``, as ``(x, y, bad)``.
 
-    The same construction as in the plane, in the Mobius frame of the base
-    edge: there ``pa`` sits at 0, the geodesic is the ray through
-    ``w = mobius_to_origin(pa, pb)``, the circle about ``pa`` has Euclidean
-    radius ``tanh(la / 2)`` and the circle about ``w`` has its Euclidean
-    centre on that ray, so the apex over the base (inside the disk by
-    construction) is rotated onto the ray and mapped back.
+    The plane's placement in the Mobius frame that moves ``pa`` to 0: there
+    the circle about ``pa`` is the Euclidean circle of radius
+    ``tanh(la / 2)`` about 0 and the circle about ``w``, the image of
+    ``pb``, is a Euclidean circle whose centre lies on the geodesic ray
+    through ``w``, so :func:`_place_euclidean` places the point over that
+    centre (inside the disk by construction) and it is mapped back.
     """
     pa = _complex(ax, ay)
     w = mobius_to_origin(pa, _complex(bx, by))
-    d = _abs(w)
-    centre, radius = poincare_circle_to_euclidean(d, lb)
-    x, y, bad = _apex(centre.real, np.tanh(0.5 * la), radius)
-    z = mobius_from_origin(pa, _cmul(_complex(x, y), w / d))
+    centre, radius = poincare_circle_to_euclidean(w, lb)
+    x, y, bad = _place_euclidean(0.0, 0.0, centre.real, centre.imag,
+                                 np.tanh(0.5 * la), radius)
+    z = mobius_from_origin(pa, _complex(x, y))
     return z.real, z.imag, bad

@@ -60,14 +60,17 @@ class DiscreteMetric:
 
 
 def induced_metric(mesh):
-    """Euclidean metric induced by the mesh's 3D embedding."""
+    """Euclidean metric induced by the mesh's 3D embedding. Raises a
+    :class:`MetricError` naming the faces of its zero-length edges."""
     if mesh.positions is None:
         raise MetricError("mesh has no vertex positions")
     diff = mesh.positions[mesh.edges[:, 0]] - mesh.positions[mesh.edges[:, 1]]
     lengths = np.linalg.norm(diff, axis=1)
     zero = np.nonzero(lengths <= 0.0)[0]
     if zero.size:
-        raise MetricError(f"zero-length edges {zero.tolist()}")
+        h = mesh.edge_halfedges[zero].ravel()
+        raise MetricError(f"zero-length edges {zero.tolist()}",
+                          faces=np.unique(h[h >= 0] // 3).tolist())
     return DiscreteMetric(Geometry.EUCLIDEAN, lengths)
 
 

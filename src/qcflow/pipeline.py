@@ -411,9 +411,10 @@ def cmd_compare(a_mesh, b_mesh, ref_mesh, threshold=None):
 def cmd_check(mesh):
     """Validity report: Euler characteristic, boundary census, and for the
     induced metric its violations (the inadmissible faces that the
-    :class:`MetricError` of :func:`corner_angles` names: a broken triangle
-    inequality or a corner angle of 0 or pi) or, when there are none, its
-    Gauss-Bonnet residual and minimum corner angle."""
+    :class:`MetricError` of :func:`induced_metric` or :func:`corner_angles`
+    names: a zero-length edge, a broken triangle inequality or a corner
+    angle of 0 or pi) or, when there are none, its Gauss-Bonnet residual
+    and minimum corner angle."""
     doc = {
         "vertices": mesh.n_vertices,
         "edges": mesh.n_edges,
@@ -422,8 +423,8 @@ def cmd_check(mesh):
         "boundaries": len(mesh.boundary_loops),
     }
     if mesh.positions is not None:
-        metric = induced_metric(mesh)
         try:
+            metric = induced_metric(mesh)
             angles = corner_angles(metric, mesh)
         except MetricError as exc:
             doc["violations"] = exc.faces

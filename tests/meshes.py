@@ -1,11 +1,11 @@
 """Deterministic mesh builders for the test suite. Structured grids,
 subdivided polyhedra and voxel-boundary surfaces only; randomness always
 comes from seeded generators passed in by the caller. Also the embedded edge
-lengths that layout tests measure."""
+lengths that layout tests measure, and the Poincare-disk distance they are
+measured with in the disk."""
 
 import numpy as np
 
-from qcflow.geom import hyperbolic_distance
 from qcflow.mesh import build_mesh
 from qcflow.metric import (
     DiscreteMetric,
@@ -226,6 +226,14 @@ def random_admissible_metric(mesh, rng, geometry=Geometry.EUCLIDEAN,
             return DiscreteMetric(geometry, metric.lengths)
         amplitude *= 0.5
     return base
+
+
+def hyperbolic_distance(p, q):
+    """Poincare-disk distance, elementwise on arrays."""
+    p = np.asarray(p, dtype=np.complex128)
+    q = np.asarray(q, dtype=np.complex128)
+    ratio = np.abs(p - q) / np.abs(1.0 - np.conj(q) * p)
+    return 2.0 * np.arctanh(ratio)
 
 
 def embedded_edge_lengths(mesh, param):

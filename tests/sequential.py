@@ -17,12 +17,14 @@ scalar placements raise where the array kernels ``_place_euclidean`` and
 ``_place_hyperbolic`` of ``qcflow.geom`` mark a triangle they cannot place.
 
 And it keeps the construction with which the hyperbolic placement used
-to place a vertex in the Poincare disk, before the plane's apex over the
-base edge, taken in the Mobius frame of that edge, replaced it: the two
-Euclidean images of the hyperbolic circles intersected, one of the two
-candidates picked by a side test and an in-disk test, and a law-of-cosines
-fallback for near-tangent circles. There the new code must agree to 1e-12
-on fat triangles and keep both distances to 1e-7 on thin ones.
+to place a vertex in the Poincare disk, before the plane's placement in
+the Mobius frame of the entry edge replaced it: the two Euclidean images
+of the hyperbolic circles intersected, one of the two candidates picked by
+a side test and an in-disk test, and a law-of-cosines fallback for
+near-tangent circles. It intersects the circles in the disk itself, not
+in the frame of the base, so it checks that placement independently:
+there the new code must agree to 1e-12 on fat triangles and keep both
+distances to 1e-7 on thin ones.
 
 And it keeps the Newton loop of ``qcflow.flow.run_flow`` as it was before
 the line search became one ``for`` loop with a single exit: flag-driven
@@ -52,6 +54,7 @@ from operator import itemgetter, methodcaller
 
 import numpy as np
 
+from meshes import hyperbolic_distance
 from qcflow import beltrami
 from qcflow.beltrami import BeltramiField, Parameterization
 from qcflow.embed import _check_disk, _check_flat
@@ -76,7 +79,7 @@ from qcflow.flow import (
     longest_edges,
     newton_step,
 )
-from qcflow.geom import _TANGENT_SLACK, hyperbolic_distance
+from qcflow.geom import _TANGENT_SLACK
 from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
 from qcflow.metric import (
     DiscreteMetric,
@@ -159,23 +162,24 @@ def place_third_hyperbolic(pa, pb, la, lb):
     hyperbolic distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
     counter-clockwise side of the geodesic ``pa -> pb``.
 
-    The plane's construction in the Mobius frame of the base edge: the
+    The plane's placement in the Mobius frame that moves ``pa`` to 0: the
     circle about ``pa`` is the circle of radius ``tanh(la / 2)`` about 0,
-    the circle about ``w``, the image of ``pb``, has its centre on the ray
-    through ``w``; the apex over that base is rotated onto the ray and
-    mapped back.
+    the circle about ``w``, the image of ``pb``, has its Euclidean centre
+    on the geodesic ray through ``w``; :func:`place_third_euclidean` places
+    the point over that centre and it is mapped back. The centre is a NumPy
+    scalar (its scale comes from ``np.tanh``), so the chord divides as in
+    the array kernel; Python's complex division differs in the last bit.
     """
     w = mobius_to_origin(pa, pb)
-    d = abs(w)
-    centre, radius = poincare_circle_to_euclidean(d, lb)
-    apex = place_third_euclidean(0.0, centre.real, np.tanh(0.5 * la), radius)
-    return mobius_from_origin(pa, apex * (w / d))
+    centre, radius = poincare_circle_to_euclidean(w, lb)
+    apex = place_third_euclidean(0.0, centre, np.tanh(0.5 * la), radius)
+    return mobius_from_origin(pa, apex)
 
 
 def place_third_hyperbolic_circles(pa, pb, la, lb):
-    """The construction :func:`place_third_hyperbolic` replaced: intersection
-    of hyperbolic circles (pa, la) and (pb, lb) on the counter-clockwise side
-    of the geodesic ``pa -> pb``.
+    """The construction the Mobius-frame placement replaced, kept as an
+    independent check of it: intersection of hyperbolic circles (pa, la)
+    and (pb, lb) on the counter-clockwise side of the geodesic ``pa -> pb``.
 
     The circles are converted to their Euclidean counterparts and
     intersected; the side is selected in the Mobius frame centred at ``pa``
@@ -344,8 +348,8 @@ def layout_hyperbolic(mesh, metric):
 
     Seeds the first edge of the first face at ``tau(v0) = 0`` and
     ``tau(v1) = tanh(l01 / 2)`` and propagates breadth-first, placing each
-    further vertex, that face's third corner first, at the apex over its
-    entry edge in the Mobius frame of that edge, keeping each face's
+    further vertex, that face's third corner first, by the plane's
+    placement in the Mobius frame of its entry edge, keeping each face's
     orientation positive.
     """
     if metric.geometry != Geometry.HYPERBOLIC:

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import meshes
 from qcflow.errors import LayoutError, MetricError
-from meshes import embedded_edge_lengths
+from meshes import embedded_edge_lengths, hyperbolic_distance
 from qcflow.embed import (
     TorusPeriods,
     layout_euclidean,
@@ -11,11 +13,7 @@ from qcflow.embed import (
     torus_periods,
 )
 from qcflow.flow import run_flow
-from qcflow.geom import (
-    hyperbolic_distance,
-    mobius_from_origin,
-    poincare_circle_to_euclidean,
-)
+from qcflow.geom import mobius_from_origin, poincare_circle_to_euclidean
 from qcflow.mesh import build_mesh, cut_to_disk
 from qcflow.metric import (
     DiscreteMetric,
@@ -88,6 +86,17 @@ def test_layout_geometry_mismatch(grid9):
         layout_hyperbolic(grid9, metric)
     with pytest.raises(MetricError):
         layout_euclidean(grid9, metric.retagged(Geometry.HYPERBOLIC))
+
+
+def test_layout_rejects_inadmissible_metric(grid9):
+    # edge 40 longer than the two other sides of its faces together: the
+    # layout names those faces before it measures any angle
+    lengths = induced_metric(grid9).lengths.copy()
+    lengths[40] = 10.0
+    h = grid9.edge_halfedges[40]
+    with pytest.raises(MetricError, match="^metric inadmissible on faces") as err:
+        layout_euclidean(grid9, DiscreteMetric(Geometry.EUCLIDEAN, lengths))
+    assert err.value.faces == sorted(h[h >= 0] // 3)
 
 
 def test_layout_deterministic(grid9):
@@ -207,6 +216,31 @@ def test_torus_periods_rejects_sphere(tetra):
     lay = layout_euclidean(res.mesh, res.metric)
     with pytest.raises(LayoutError):
         torus_periods(res.mesh, cut, lay)
+
+
+def _translated_copies(*translations):
+    """A stand-in cut and layout for :func:`torus_periods`, which reads only
+    the cut's edge copy pairs: one cut edge per translation, its two copies
+    that translation apart."""
+    z, pairs = [], {}
+    for e, t in enumerate(translations):
+        a, p = len(z), 0.1 * e
+        z += [p, p + 0.05j, p + t, p + 0.05j + t]
+        pairs[e] = ((a, a + 1), (a + 2, a + 3))
+    return SimpleNamespace(edge_copy_pairs=pairs), np.array(z)
+
+
+@pytest.mark.parametrize("translations, message", [
+    ((1.0,), "expected two independent cut loops, found 1 distinct "
+             "translations"),
+    ((1.0, 1j, 5.0 + 3j), "three cut-loop translations are not "
+                          "lattice-consistent"),
+    ((1.0, 2.0), "cut-loop translations are linearly dependent"),
+], ids=["one-loop", "not-lattice", "dependent"])
+def test_torus_periods_rejects_translations(translations, message):
+    cut, z = _translated_copies(*translations)
+    with pytest.raises(LayoutError, match=f"^{message}$"):
+        torus_periods(None, cut, z)
 
 
 def test_torus_periods_type_validates_independence():

@@ -444,6 +444,17 @@ def test_flow_rejects_gauss_bonnet_violation(grid9):
         run_flow(grid9, metric, bad, Geometry.EUCLIDEAN)
 
 
+def test_flow_rejects_inadmissible_initial_metric(grid9):
+    lengths = induced_metric(grid9).lengths.copy()
+    lengths[40] = 10.0
+    h = grid9.edge_halfedges[40]
+    target = rectangle_target(grid9, meshes.grid_corners(9, 9))
+    with pytest.raises(MetricError, match="^initial metric violates") as err:
+        run_flow(grid9, DiscreteMetric(Geometry.EUCLIDEAN, lengths), target,
+                 Geometry.EUCLIDEAN)
+    assert err.value.faces == sorted(h[h >= 0] // 3)
+
+
 def test_flow_nonconvergence_raises(grid9):
     metric = induced_metric(grid9)
     x = grid9.positions[:, 0]

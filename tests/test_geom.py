@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from meshes import hyperbolic_distance
 from qcflow.geom import (
     _place_euclidean,
     _place_hyperbolic,
-    hyperbolic_distance,
     mobius_from_origin,
     mobius_to_origin,
     poincare_circle_to_euclidean,

@@ -44,14 +44,6 @@ def test_unused_import_walk():
     assert unused_imports(source) == [(4, "b")]
 
 
-# Public functions that no package code reads, each with why it stays.
-_UNREAD_KEPT = {
-    # tests/meshes.py measures hyperbolic edge lengths with it, and the
-    # benchmark's input generator, perfbench/gen.py, imports tests/meshes.py
-    ("geom", "hyperbolic_distance"),
-}
-
-
 def unread_functions(sources):
     """(module, name) of every public top-level function in the modules
     ``sources`` (module name -> source) that none of them reads, by name or
@@ -76,7 +68,7 @@ def unread_functions(sources):
 def test_every_public_function_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "qcflow").glob("*.py")}
-    assert sorted(set(unread_functions(sources)) - _UNREAD_KEPT) == []
+    assert unread_functions(sources) == []
 
 
 def test_unread_function_walk():

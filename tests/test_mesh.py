@@ -133,6 +133,20 @@ def test_rejects_repeated_vertex_in_face():
     assert info.value.faces == [1]
 
 
+@pytest.mark.parametrize("faces, extra, message", [
+    (np.array([0, 1, 2]), {}, r"faces must be an \(F, 3\) index array"),
+    (np.zeros((0, 3)), {}, "mesh has no faces"),
+    (np.array([[0, 1, 2], [2, 1, -1]]), {}, "negative vertex id"),
+    (np.array([[0, 1, 2]]), {"positions": np.zeros((3, 2))},
+     r"positions must have shape \(3, 3\)"),
+    (np.array([[0, 1, 2]]), {"uv": np.zeros((3, 2))},
+     r"uv must have shape \(3,\)"),
+], ids=["not-triangles", "no-faces", "negative-id", "positions", "uv"])
+def test_build_mesh_rejects_malformed_arrays(faces, extra, message):
+    with pytest.raises(TopologyError, match=f"^{message}$"):
+        build_mesh(faces, **extra)
+
+
 def test_rejects_bowtie_vertex():
     # two triangle fans sharing only vertex 0
     faces = np.array([[0, 1, 2], [0, 3, 4]])
@@ -157,8 +171,9 @@ def test_induced_metric_equilateral():
 def test_induced_metric_zero_edge():
     mesh = build_mesh(np.array([[0, 1, 2]]),
                       np.array([[0.0, 0, 0], [0, 0, 0], [0, 1, 0]]))
-    with pytest.raises(MetricError):
+    with pytest.raises(MetricError, match="zero-length edges") as err:
         induced_metric(mesh)
+    assert err.value.faces == [0]
 
 
 def test_cut_tetrahedron_to_disk(tetra):

@@ -100,6 +100,11 @@ def test_annulus_preset_rejects_disk(grid9):
         target_curvature(grid9, TargetPreset(PresetKind.ANNULUS))
 
 
+def test_free_disk_preset_rejects_closed_mesh(tetra):
+    with pytest.raises(PresetError, match="^free-disk preset needs a disk"):
+        target_curvature(tetra, TargetPreset(PresetKind.FREE_DISK))
+
+
 def test_closed_presets_validate_topology(tetra, grid9, genus2):
     torus, _ = meshes.torus_grid(6, 6)
     assert not target_curvature(torus, TargetPreset(PresetKind.CLOSED_FLAT)).any()
@@ -540,6 +545,21 @@ def test_zero_angle_faces_are_named():
     assert err.value.faces == faces
 
 
+def test_cli_check_reports_coincident_vertices(tmp_path, capsys):
+    # vertices 2 and 5 (1-based) coincide, so edge 2-5 of face 2 has length
+    # 0: check reports that face as a violation instead of failing
+    path = tmp_path / "coincident.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 1 0 0\n"
+                    "f 1 2 3\nf 1 3 4\nf 2 5 3\n")
+    with pytest.raises(MetricError, match="zero-length edges") as err:
+        induced_metric(load_obj(path))
+    assert err.value.faces == [2]
+    assert cli_main(["check", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["violations"] == [2]
+    assert "min_angle" not in doc
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -673,6 +693,48 @@ def test_cli_corners_only_with_rectangle(tmp_path, grid_obj, capsys):
     assert capsys.readouterr().err == (
         "error: free-disk preset takes no corners\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("corners", ["0,8,x,72", "0,8,80"])
+def test_cli_corners_must_be_four_integers(tmp_path, grid_obj, capsys,
+                                           corners):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["flatten", "--input", str(grid_obj), "--preset",
+                  "rectangle", "--corners", corners,
+                  "--out", str(tmp_path / "x.obj")])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --corners: corners must be four integers i,j,k,l\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("estimate-mu --src plain --dst uv --out out",
+     "both OBJ files must carry per-vertex vt records"),
+    ("compose-mu --mu-f mu --mu-g mu --f-src uv --f-dst other --out out",
+     "f source and image must share connectivity"),
+    ("compose-mu --mu-f mu --mu-g mu --f-src uv --f-dst plain --out out",
+     "f OBJ files must carry per-vertex vt records"),
+    ("compare --a uv --b uv --mesh other",
+     "all three meshes must share connectivity"),
+    ("compare --a plain --b uv --mesh uv",
+     "compared OBJ files must carry vt records"),
+], ids=["estimate-vt", "compose-connectivity", "compose-vt",
+        "compare-connectivity", "compare-vt"])
+def test_cli_analysis_input_checks(tmp_path, grid9, capsys, argv, message):
+    # the grid with vt records (uv) and without (plain), the same vertices
+    # with the faces in reverse order (other), and a zero mu field
+    path = {name: tmp_path / name for name in ("uv", "plain", "other", "mu",
+                                               "out")}
+    save_obj(grid9, path["uv"], uv=grid9.positions[:, 0] + 0j)
+    save_obj(grid9, path["plain"])
+    save_obj(build_mesh(grid9.faces[::-1], grid9.positions), path["other"],
+             uv=grid9.positions[:, 0] + 0j)
+    path["mu"].write_text(
+        field_to_json(BeltramiField(np.zeros(grid9.n_vertices))))
+    code = cli_main([str(path.get(a, a)) for a in argv.split()])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not path["out"].exists()
 
 
 def test_cli_parse_error_exit_code(tmp_path):

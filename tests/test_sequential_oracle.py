@@ -27,6 +27,7 @@ import pytest
 import meshes
 import sequential
 import test_mesh
+from meshes import hyperbolic_distance
 from qcflow import embed
 from qcflow import mesh as mesh_module
 from qcflow.beltrami import auxiliary_metric, field_from_json, field_to_json
@@ -43,7 +44,6 @@ from qcflow.flow import FlowOptions, edge_swap, run_flow
 from qcflow.geom import (
     _place_euclidean,
     _place_hyperbolic,
-    hyperbolic_distance,
     mobius_from_origin,
     mobius_to_origin,
     poincare_circle_to_euclidean,
@@ -341,7 +341,7 @@ def test_place_third_hyperbolic_matches_scalar(frame):
                                          (False, 0.95)],
                          ids=["disk", "base-frame", "disk-0.95"])
 def test_place_third_hyperbolic_matches_circles(frame, rmax):
-    # The apex over the base edge in its Mobius frame lands where the
+    # The plane's placement in the Mobius frame of the base lands where the
     # intersection of the two circles (with its cosine-law fallback) did:
     # to 1e-12 on fat triangles; on thin ones, which are ill-conditioned
     # under both constructions, both keep the two distances to 1e-7.
