@@ -1,13 +1,15 @@
 """Isometric layout of flat and hyperbolic metrics into the plane or the
 Poincare disk, plus flat-torus period extraction from a cut-open layout.
 
-The layout is level-synchronous: it seeds the first edge of face 0, walks
-the dual graph breadth-first from face 0 and places all faces of one level
-in one array batch, face 0 alone in the first. Each vertex after that edge
-is placed once, by the first face in breadth-first order that has it free,
-across that face's entry edge (halfedge 0 for face 0); the result is the
-one a face-by-face breadth-first loop gives, bit for bit, and a layout that
-fails names the face at which that loop fails.
+The layout develops the metric along the breadth-first dual spanning tree
+from face 0: every face is laid out in its own frame over its entry edge,
+all faces at once, and each face's rigid motion into its parent's frame
+(a Mobius transformation in the disk) is composed down to face 0's frame by
+pointer jumping, in ``ceil(log2(depth))`` array rounds. Face 0's first edge
+is the seed; every other vertex is placed by the first face in breadth-first
+order that has it opposite its entry edge. A face's own triangle always
+fits over its entry edge, so an admissible flat metric on a disk always
+lays out, up to the disk's float64 resolution near its boundary.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .beltrami import Parameterization
 from .errors import LayoutError, MetricError
-from .geom import _place_euclidean, _place_hyperbolic
+from .geom import _Disk, _Plane, _complex
 from .mesh import dual_bfs, euler_characteristic
 from .metric import (
     Geometry,
@@ -70,24 +72,22 @@ def _check_flat(mesh, angles):
                 faces=sorted(h // 3 for h in mesh.outgoing_halfedges(v)))
 
 
-def _layout(mesh, metric, radius, place):
-    """Vertex coordinates of a flat disk metric: the first edge of face 0 is
-    seeded, from 0 to ``radius(l01)`` on the positive real axis, then each
-    breadth-first level of the dual graph is placed in one batch, face 0
-    alone in the first. Raises unless the mesh is a disk and the metric
-    admissible and flat.
+def _layout(mesh, metric, space):
+    """Vertex coordinates of a flat disk metric, developed along the
+    breadth-first dual spanning tree from face 0 (:func:`dual_bfs`) in
+    ``space``, :class:`~qcflow.geom._Plane` or :class:`~qcflow.geom._Disk`.
+    Raises unless the mesh is a disk and the metric admissible and flat.
 
-    A face reached across its entry halfedge (from ``va`` to ``vb``; for
-    face 0 its halfedge 0, the seeded edge) has both of those vertices
-    placed, since they belong to the face it was reached from, in an
-    earlier level. Its third corner ``vc`` is placed by the first face in
-    breadth-first order that has it opposite its entry edge, from ``va``,
-    ``vb`` and the lengths of its edges to them.
-
-    A level places its vertices in one call of ``place``, on the real and
-    imaginary parts of the coordinates. The first element it cannot place,
-    the first failed placement in breadth-first order, raises a
-    :class:`LayoutError` naming its face.
+    Every face has its own frame: its entry halfedge (for face 0 its
+    halfedge 0) runs from 0 to ``radius(l)`` on the real axis and its third
+    corner is placed over it, all faces in one call of ``place``. A face's
+    motion into its parent's frame sends that edge onto the twin halfedge
+    there. The motions compose to face 0's frame, the layout's, by pointer
+    jumping: each round composes every face's motion with its ancestor's
+    and doubles the stride, ``ceil(log2(depth))`` rounds in all. Face 0's
+    first edge is the seed, from 0 to ``radius(l01)``; every other vertex is
+    placed by the first face in breadth-first order that has it opposite
+    its entry edge.
     """
     _check_disk(mesh)
     bad = check_triangle_inequality(metric, mesh)
@@ -95,39 +95,47 @@ def _layout(mesh, metric, radius, place):
         raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
     _check_flat(mesh, corner_angles(metric, mesh))
 
-    lengths = metric.lengths
-    edge = mesh.edge_of_halfedge
-    corner = mesh.faces.ravel()
-    coords = np.full(mesh.n_vertices, np.nan + 0j, dtype=np.complex128)
-    coords[corner[:2]] = 0.0, radius(float(lengths[edge[0]]))
-
-    levels = [np.zeros(1, dtype=np.int64), *dual_bfs(mesh)]
-    entry = np.concatenate(levels)
-    opposite = mesh.prev(entry)
-    first = np.unique(corner[opposite], return_index=True)[1]
-    first = np.sort(first[~np.isin(corner[opposite[first]], corner[:2])])
-    entry, opposite = entry[first], opposite[first]
-    vc, va, vb = corner[opposite], corner[entry], corner[mesh.next(entry)]
-    la, lb = lengths[edge[opposite]], lengths[edge[mesh.next(entry)]]
-
-    ends = np.searchsorted(first, np.cumsum([len(lv) for lv in levels]))
-    bounds = np.unique(np.r_[0, ends]).tolist()  # levels that place a vertex
-    x, y = coords.real, coords.imag
-    with np.errstate(all="ignore"):  # a failed placement raises below
-        for at in map(slice, bounds[:-1], bounds[1:]):
-            a, b, c = va[at], vb[at], vc[at]
-            x[c], y[c], bad = place(x[a], y[a], x[b], y[b], la[at], lb[at])
-            if bad.any():
-                i = at.start + int(np.argmax(bad))
-                f = int(entry[i]) // 3
-                raise LayoutError(
-                    f"cannot place vertex {vc[i]} of face {f} from vertices "
-                    f"{va[i]} and {vb[i]}: no triangle with sides "
-                    f"la={float(la[i])}, lb={float(lb[i])} fits over them",
-                    faces=[f])
-
-    if len(vc) + 2 < mesh.n_vertices:
+    entry = dual_bfs(mesh)
+    length = metric.lengths[mesh.edge_of_halfedge]
+    after, before = mesh.next(entry), mesh.prev(entry)
+    # The first face in breadth-first order that has a vertex opposite its
+    # entry edge places it (written in reverse, the last write wins).
+    vertex = mesh.faces.ravel()[before]
+    placer = np.full(mesh.n_vertices, -1)
+    placer[vertex[::-1]] = np.arange(len(entry))[::-1]
+    seed = mesh.faces[0, :2]
+    placer[seed] = -1
+    placed = np.flatnonzero(placer >= 0)
+    if placed.size + 2 < mesh.n_vertices:
         raise LayoutError("mesh is not face-connected")
+
+    base = space.radius(length[entry])
+    zero = np.zeros_like(base)
+    # where each halfedge starts in its face's frame
+    start = np.zeros(3 * mesh.n_faces, dtype=np.complex128)
+    start[after] = base
+    # In the disk, a vertex that runs out of float64 range fails the
+    # unit-disk check.
+    with np.errstate(all="ignore"):
+        x, y, _ = space.place(zero, zero, base, zero, length[before],
+                              length[after])
+        start[before] = _complex(x, y)
+
+        twin = mesh.twin[entry[1:]]
+        p, q = space.motion(start[mesh.next(twin)], start[twin])
+        p, q = np.r_[1.0 + 0j, p], np.r_[0j, q]  # face 0: the identity
+        position = np.empty(mesh.n_faces, dtype=np.intp)
+        position[entry // 3] = np.arange(len(entry))
+        up = np.r_[0, position[twin // 3]]
+        while up.any():
+            p, q = space.compose((p[up], q[up]), (p, q))
+            up = up[up]
+
+        at = placer[placed]
+        z = space.apply((p[at], q[at]), start[before[at]])
+    coords = np.empty(mesh.n_vertices, dtype=np.complex128)
+    coords[seed] = 0.0, base[0]
+    coords[placed] = z
     return coords
 
 
@@ -135,37 +143,39 @@ def layout_euclidean(mesh, metric):
     """Isometric plane layout of a flat Euclidean metric on a disk.
 
     The first edge of the first face is seeded from the origin to ``l01``
-    on the positive real axis; every further vertex, that face's third
-    corner included, is placed, one breadth-first level at a time, on the
-    counter-clockwise side of an already-embedded edge of the first face in
-    level order that has it free. Every embedded edge reproduces its metric
-    length (to roundoff-level drift).
+    on the positive real axis. Every face is laid out in its own frame and
+    moved into the first face's by the rigid motions composed along the
+    breadth-first dual spanning tree, in log-depth array rounds; each
+    further vertex, that face's third corner included, comes from the first
+    face in breadth-first order that has it opposite its entry edge. Every
+    embedded edge reproduces its metric length (to roundoff-level drift).
     """
     if metric.geometry != Geometry.EUCLIDEAN:
         raise MetricError("layout_euclidean requires a Euclidean metric")
-    coords = _layout(mesh, metric, lambda l01: l01, _place_euclidean)
-    return Parameterization(coords, Geometry.EUCLIDEAN)
+    return Parameterization(_layout(mesh, metric, _Plane), Geometry.EUCLIDEAN)
 
 
 def layout_hyperbolic(mesh, metric):
     """Poincare-disk layout of a hyperbolically flat metric on a disk.
 
     Seeds the first edge of the first face at ``tau(v0) = 0`` and
-    ``tau(v1) = tanh(l01 / 2)`` and places every further vertex, that
-    face's third corner included, one breadth-first level at a time, with
-    the same placing-face rule as :func:`layout_euclidean`: each vertex is
-    placed by the plane's placement in the Mobius frame of the entry edge
+    ``tau(v1) = tanh(l01 / 2)`` and develops the faces as
+    :func:`layout_euclidean` does, with Mobius transformations for the
+    motions: each face's third corner is placed in its own frame by the
+    plane's placement in the Mobius frame of the entry edge
     (:mod:`qcflow.geom`), on the side that keeps the face's orientation
-    positive.
+    positive. A vertex that rounds to ``|tau| >= 1`` (or to NaN, past a
+    frame there) raises a :class:`LayoutError` naming the faces around it.
     """
     if metric.geometry != Geometry.HYPERBOLIC:
         raise MetricError("layout_hyperbolic requires a hyperbolic metric")
-    coords = _layout(mesh, metric, lambda l01: np.tanh(0.5 * l01),
-                     _place_hyperbolic)
-    radius = np.abs(coords)
-    if radius.max() >= 1.0:
+    coords = _layout(mesh, metric, _Disk)
+    outside = ~(np.abs(coords) < 1.0)  # NaN too
+    if outside.any():
         raise LayoutError(
-            f"layout escaped the unit disk (max |tau| = {radius.max():.6f})")
+            f"layout escaped the unit disk: {outside.sum()} vertices at "
+            "|tau| >= 1, where float64 runs out of resolution",
+            faces=np.flatnonzero(outside[mesh.faces].any(axis=1)).tolist())
     return Parameterization(coords, Geometry.HYPERBOLIC)
 
 

@@ -43,8 +43,6 @@ surgery swaps on the current metric, then rebases it by ``-u``.
 
 from __future__ import annotations
 
-import importlib
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +54,7 @@ from .errors import (
     SurgeryError,
     TopologyError,
 )
-from .mesh import build_mesh, euler_characteristic
+from .mesh import build_mesh, csgraph, euler_characteristic, sp, spla
 from .metric import (
     DiscreteMetric,
     Geometry,
@@ -78,31 +76,6 @@ _MAX_HALVINGS = 20
 _FORCING_CAP = 1e-3
 # conjugate-gradient iterations before a reused factor counts as stale
 _MAX_CG_ITERATIONS = 20
-
-
-class _SciPy:
-    """A SciPy module imported at its first attribute read. The first read
-    through any of the handles below imports all three modules, so a process
-    that builds no Newton system runs on NumPy alone, and a flow pays the
-    import in its first :func:`assemble_hessian`, not in a solve. Dunder
-    reads (introspection, copying) load nothing."""
-
-    _MODULES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph")
-
-    def __init__(self, name):
-        self._name = name
-
-    def __getattr__(self, attr):
-        if attr.startswith("__"):
-            raise AttributeError(attr)
-        for name in self._MODULES:
-            importlib.import_module(name)
-        return getattr(sys.modules[self._name], attr)
-
-
-sp = _SciPy("scipy.sparse")
-spla = _SciPy("scipy.sparse.linalg")
-csgraph = _SciPy("scipy.sparse.csgraph")
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ The hyperbolic plane is modelled as the unit disk with metric
 ``d(p, q) = 2 atanh |(p - q) / (1 - conj(q) p)|`` and rigid motions are
 Mobius transformations ``z -> e^{i t} (z - z0) / (1 - conj(z0) z)``.
 
-Both layouts place every vertex after the first edge by one kernel,
-:func:`_place_euclidean`: the disk runs the plane's placement in the
-Mobius frame of the entry edge, the frame that moves its first end to the
-origin. The placements mark the triangles they cannot place, and the
-layout names their faces.
+Both layouts place the third corner of every face, in that face's own
+frame, by one kernel, :func:`_place_euclidean`: the disk runs the plane's
+placement in the Mobius frame of the entry edge, the frame that moves its
+first end to the origin. The placements mark the triangles they cannot
+place. :class:`_Plane` and :class:`_Disk` carry each space's part of the
+development: the edge radius, the placement and the rigid motions that
+move a face's frame into its parent's.
 """
 
 from __future__ import annotations
@@ -116,3 +118,85 @@ def _place_hyperbolic(ax, ay, bx, by, la, lb):
                                  np.tanh(0.5 * la), radius)
     z = mobius_from_origin(pa, _complex(x, y))
     return z.real, z.imag, bad
+
+
+class _Plane:
+    """The plane as the layout develops it: an edge of length ``l`` from 0
+    runs to ``l`` on the real axis, a third corner is placed by
+    :func:`_place_euclidean`, and the rigid motion ``z -> p z + q``,
+    ``|p| = 1``, is the pair ``(p, q)`` of complex arrays."""
+
+    place = staticmethod(_place_euclidean)
+
+    @staticmethod
+    def radius(length):
+        return length
+
+    @staticmethod
+    def motion(a, b):
+        """The motion that sends 0 to ``a`` and the positive real axis
+        through ``b``."""
+        c = b - a
+        d = np.hypot(c.real, c.imag)
+        return _complex(c.real / d, c.imag / d), a
+
+    @staticmethod
+    def compose(outer, inner):
+        (p, q), (r, s) = outer, inner
+        return _cmul(p, r), _cmul(p, s) + q
+
+    @staticmethod
+    def apply(motion, z):
+        p, q = motion
+        return _cmul(p, z) + q
+
+
+class _Disk:
+    """The Poincare disk as the layout develops it: an edge of hyperbolic
+    length ``l`` from 0 runs to ``tanh(l / 2)`` on the real axis, a third
+    corner is placed by :func:`_place_hyperbolic`, and the disk
+    automorphism ``z -> (p z + q) / (conj(q) z + conj(p))`` is the pair
+    ``(p, q)``, scaled to ``|p|^2 - |q|^2 = 1``."""
+
+    place = staticmethod(_place_hyperbolic)
+
+    @staticmethod
+    def radius(length):
+        return np.tanh(0.5 * length)
+
+    @staticmethod
+    def motion(a, b):
+        """The automorphism that sends 0 to ``a`` and the positive real axis
+        to the geodesic ray from ``a`` through ``b``: ``mobius_from_origin``
+        of ``a`` after the turn ``u = w / |w|``, ``w`` the image of ``b``
+        in the frame of ``a``. ``p`` is a square root of ``u``, from the
+        half-angle sum on the side where it does not cancel."""
+        # (b - a) / (1 - conj(a) b) times the positive |1 - conj(a) b|^2
+        w = _cmul(b - a, 1.0 - _cmul(a, b.conj()))
+        r = np.hypot(w.real, w.imag)
+        p = np.where(w.real >= 0.0, _complex(r + w.real, w.imag),
+                     _complex(w.imag, r - w.real))
+        q = _cmul(a, p.conj())
+        return _Disk._normalized(p, q)
+
+    @staticmethod
+    def compose(outer, inner):
+        (p, q), (r, s) = outer, inner
+        return _Disk._normalized(_cmul(p, r) + _cmul(q, s.conj()),
+                                 _cmul(p, s) + _cmul(q, r.conj()))
+
+    @staticmethod
+    def apply(motion, z):
+        p, q = motion
+        num = _cmul(p, z) + q
+        den = _cmul(q.conj(), z) + p.conj()
+        z = _cmul(num, den.conj())
+        k = den.real * den.real + den.imag * den.imag
+        return _complex(z.real / k, z.imag / k)
+
+    @staticmethod
+    def _normalized(p, q):
+        n = np.sqrt((p.real * p.real + p.imag * p.imag)
+                    - (q.real * q.real + q.imag * q.imag))
+        return (_complex(p.real / n, p.imag / n),
+                _complex(q.real / n, q.imag / n))

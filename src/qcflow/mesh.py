@@ -13,8 +13,10 @@ corner slot, so halfedge ids carry the cut bookkeeping across the cut.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter, methodcaller
@@ -22,6 +24,32 @@ from operator import itemgetter, methodcaller
 import numpy as np
 
 from .errors import ParseError, TopologyError
+
+
+class _SciPy:
+    """A SciPy module imported at its first attribute read. The first read
+    through any of the handles below imports all three modules, so a process
+    that builds no Newton system, cuts no mesh and lays out none runs on
+    NumPy alone, and a flow pays the import in its first
+    ``assemble_hessian``, not in a solve. Dunder reads (introspection,
+    copying) load nothing."""
+
+    _MODULES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        if attr.startswith("__"):
+            raise AttributeError(attr)
+        for name in self._MODULES:
+            importlib.import_module(name)
+        return getattr(sys.modules[self._name], attr)
+
+
+sp = _SciPy("scipy.sparse")
+spla = _SciPy("scipy.sparse.linalg")
+csgraph = _SciPy("scipy.sparse.csgraph")
 
 
 def _require(cond, exc, message):
@@ -298,36 +326,29 @@ def euler_characteristic(mesh):
 
 
 def dual_bfs(mesh):
-    """Breadth-first search of the dual graph from face 0, one level per
-    step.
+    """Breadth-first spanning tree of the dual graph from face 0.
 
-    Yields, for every level after face 0, the halfedge through which each
-    newly reached face is entered (the face is ``h // 3``). The order is the
-    one a first-in-first-out search finds: the faces of a level in order,
-    each looking across its halfedges ``3f``, ``3f+1``, ``3f+2`` in turn, the
-    first discovery of a face winning.
+    Returns, for every face reached, in the order a first-in-first-out
+    search reaches it, the halfedge through which it is entered: face
+    ``h // 3``, whose parent ``twin[h] // 3`` comes before it. Face 0 comes
+    first, entered across its halfedge 0. The search looks from each face
+    across its halfedges ``3f``, ``3f+1``, ``3f+2`` in turn, the first
+    discovery of a face winning; it is SciPy's ``breadth_first_order`` over
+    the dual graph with each face's neighbours stored in that order.
     """
-    twin = mesh.twin.reshape(-1, 3)
-    # One extra slot, always seen, catches boundary halfedges: -1 // 3 = -1.
-    seen = np.zeros(mesh.n_faces + 1, dtype=bool)
-    seen[[0, -1]] = True
-    # slot[f]: position of the first discovery of face f in its level
-    slot = np.empty(mesh.n_faces + 1, dtype=np.int64)
-    frontier = np.zeros(1, dtype=np.int64)
-    while True:
-        entry = twin[frontier].ravel()
-        face = entry // 3
-        new = ~seen[face]
-        if not new.any():
-            return
-        entry, face = entry[new], face[new]
-        # Written in reverse, the last write to a face is its first position.
-        k = np.arange(face.size)
-        slot[face[::-1]] = k[::-1]
-        first = slot[face] == k
-        frontier = face[first]
-        seen[frontier] = True
-        yield entry[first]
+    n, twin = mesh.n_faces, mesh.twin
+    # A boundary halfedge leads back into its own face, which is seen.
+    face = np.where(twin < 0, np.arange(3 * n), twin) // 3
+    graph = sp.csr_array((np.ones(3 * n), face, np.arange(0, 3 * n + 1, 3)),
+                         shape=(n, n))
+    order, parent = csgraph.breadth_first_order(graph, 0,
+                                                return_predecessors=True)
+    # Of the halfedges of a face whose twins lie in its parent, the parent's
+    # search crosses the one with the smallest twin first. Face 0 has no
+    # parent and is entered across its halfedge 0.
+    twins = np.where(face.reshape(-1, 3) == parent[:, None],
+                     twin.reshape(-1, 3), twin.size)
+    return 3 * order + twins.argmin(axis=1)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +745,12 @@ def cut_graph(mesh):
     graph of cycle rank ``2g`` for a closed surface of genus ``g``.
 
     The complement of the breadth-first dual spanning tree from face 0
-    (:func:`dual_bfs`), pruned to its 2-core by rounds of leaf-edge removal
-    (the 2-core does not depend on their order). No boundary edge is in the
-    tree, so the boundary loops anchor the pruning; they are then dropped.
-    Returns ascending edge ids.
+    (:func:`dual_bfs`, the tree the layout develops along), pruned to its
+    2-core by rounds of leaf-edge removal (the 2-core does not depend on
+    their order). No boundary edge is in the tree, so the boundary loops
+    anchor the pruning; they are then dropped. Returns ascending edge ids.
     """
-    tree = [mesh.edge_of_halfedge[entry] for entry in dual_bfs(mesh)]
-    tree = np.concatenate(tree) if tree else np.zeros(0, dtype=np.int64)
+    tree = mesh.edge_of_halfedge[dual_bfs(mesh)[1:]]
     if tree.size != mesh.n_faces - 1:
         raise TopologyError("cut graph requires a connected mesh")
 

@@ -1,12 +1,20 @@
 """Sequential reference implementations, kept as test oracles.
 
-These are the face-by-face breadth-first layout, the per-vertex cut loops
-and the scalar placement primitives that the array code in ``qcflow.geom``,
-``qcflow.embed`` and ``qcflow.mesh`` replaced, and the line-by-line OBJ
-reader and writer and entry-by-entry mu JSON and CSV code that the bulk
-text I/O in ``qcflow.mesh``, ``qcflow.beltrami`` and ``qcflow.pipeline``
-replaced. The new code must reproduce them bit for bit; see
+These are the scalar twin of the layout's development (the breadth-first
+dual tree searched face by face, every face's frame and motion, and the
+pointer-jumping rounds, each composition written out in the same real
+arithmetic), the per-vertex cut loops and the scalar placement primitives
+that the array code in ``qcflow.geom``, ``qcflow.embed`` and
+``qcflow.mesh`` replaced, and the line-by-line OBJ reader and writer and
+entry-by-entry mu JSON and CSV code that the bulk text I/O in
+``qcflow.mesh``, ``qcflow.beltrami`` and ``qcflow.pipeline`` replaced. The
+new code must reproduce them bit for bit; see
 ``test_sequential_oracle.py``.
+
+It keeps the face-by-face layout that the development replaced, which
+places each vertex from the coordinates of two placed ones, as the
+development's independent reference: the two agree to the flatness of the
+metric times the layout's size.
 
 It also keeps the quad layouts with which ``qcflow.flow.edge_swap`` used to
 decide and measure a flip, before the corner-angle rule replaced them; there
@@ -14,7 +22,9 @@ the new code must take the same decisions and agree to rounding.
 
 The face-by-face layout names the face at which a placement fails, and the
 scalar placements raise where the array kernels ``_place_euclidean`` and
-``_place_hyperbolic`` of ``qcflow.geom`` mark a triangle they cannot place.
+``_place_hyperbolic`` of ``qcflow.geom`` mark a triangle they cannot place;
+the development places every corner in its own face's frame, where an
+admissible triangle always fits.
 
 And it keeps the construction with which the hyperbolic placement used
 to place a vertex in the Poincare disk, before the plane's placement in
@@ -268,7 +278,7 @@ def hyperbolic_segment_real_axis_crossing(k, l):
     return None
 
 
-def _layout(mesh, metric, radius, place):
+def _layout_by_faces(mesh, metric, radius, place):
     _check_flat(mesh, corner_angles(metric, mesh))
 
     coords = np.full(mesh.n_vertices, np.nan + 0j, dtype=np.complex128)
@@ -323,8 +333,181 @@ def _layout(mesh, metric, radius, place):
     return coords
 
 
+def dual_tree(mesh):
+    """Entry halfedges of the breadth-first dual spanning tree from face 0,
+    in first-in-first-out order, face by face: face 0 is entered across its
+    halfedge 0, every other face across the twin of the first halfedge of
+    a face before it that leads into it."""
+    entry = {0: 0}
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for h in range(3 * f, 3 * f + 3):
+            t = int(mesh.twin[h])
+            if t >= 0 and t // 3 not in entry:
+                entry[t // 3] = t
+                queue.append(t // 3)
+    return list(entry.values())
+
+
+# Complex numbers as (real, imaginary) pairs of floats, with the products
+# written out as ``qcflow.geom._cmul`` writes them.
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _conj(a):
+    return a[0], -a[1]
+
+
+class Plane:
+    """Rigid motions ``z -> p z + q`` of the plane, as pairs ``(p, q)``."""
+
+    radius = staticmethod(lambda length: length)
+    place = staticmethod(place_third_euclidean)
+
+    @staticmethod
+    def motion(a, b):
+        c = b[0] - a[0], b[1] - a[1]
+        d = np.hypot(*c)
+        return (c[0] / d, c[1] / d), a
+
+    @staticmethod
+    def compose(outer, inner):
+        (p, q), (r, s) = outer, inner
+        return _mul(p, r), _add(_mul(p, s), q)
+
+    @staticmethod
+    def apply(motion, z):
+        p, q = motion
+        return _add(_mul(p, z), q)
+
+
+class Disk:
+    """Disk automorphisms ``z -> (p z + q) / (conj(q) z + conj(p))``, as
+    pairs ``(p, q)`` with ``|p|^2 - |q|^2 = 1``."""
+
+    radius = staticmethod(lambda length: np.tanh(0.5 * length))
+    place = staticmethod(place_third_hyperbolic)
+
+    @staticmethod
+    def motion(a, b):
+        t = _mul(a, _conj(b))
+        w = _mul((b[0] - a[0], b[1] - a[1]), (1.0 - t[0], 0.0 - t[1]))
+        r = np.hypot(*w)
+        p = (r + w[0], w[1]) if w[0] >= 0.0 else (w[1], r - w[0])
+        return Disk.normalized(p, _mul(a, _conj(p)))
+
+    @staticmethod
+    def compose(outer, inner):
+        (p, q), (r, s) = outer, inner
+        return Disk.normalized(_add(_mul(p, r), _mul(q, _conj(s))),
+                               _add(_mul(p, s), _mul(q, _conj(r))))
+
+    @staticmethod
+    def apply(motion, z):
+        p, q = motion
+        num = _add(_mul(p, z), q)
+        den = _add(_mul(_conj(q), z), _conj(p))
+        w = _mul(num, _conj(den))
+        k = den[0] * den[0] + den[1] * den[1]
+        return w[0] / k, w[1] / k
+
+    @staticmethod
+    def normalized(p, q):
+        n = np.sqrt((p[0] * p[0] + p[1] * p[1]) - (q[0] * q[0] + q[1] * q[1]))
+        return (p[0] / n, p[1] / n), (q[0] / n, q[1] / n)
+
+
+def _develop(mesh, metric, space):
+    """The development along the breadth-first dual spanning tree that
+    ``qcflow.embed._layout`` computes in arrays, face by face and round by
+    round: every face's frame, its motion into its parent's, then rounds of
+    pointer jumping, each composing every face's motion with that of the
+    face it points to and pointing it where that face points, all faces
+    reading the motions of the round before, until every face points at
+    face 0."""
+    _check_flat(mesh, corner_angles(metric, mesh))
+    lengths = metric.lengths[mesh.edge_of_halfedge]
+    entry = dual_tree(mesh)
+    position = {h // 3: i for i, h in enumerate(entry)}
+    start, apex = {}, []
+    for h in entry:
+        after, before = mesh.next(h), mesh.prev(h)
+        base = space.radius(lengths[h])
+        z = space.place(np.complex128(0.0), np.complex128(base),
+                        float(lengths[before]), float(lengths[after]))
+        apex.append((z.real, z.imag))
+        start[h], start[after] = (0.0, 0.0), (base, 0.0)
+        start[before] = apex[-1]
+
+    up, motions = [0], [((1.0, 0.0), (0.0, 0.0))]
+    for h in entry[1:]:
+        t = int(mesh.twin[h])
+        up.append(position[t // 3])
+        motions.append(space.motion(start[mesh.next(t)], start[t]))
+    while any(up):
+        motions = [space.compose(motions[u], m) for u, m in zip(up, motions)]
+        up = [up[u] for u in up]
+
+    coords = np.full(mesh.n_vertices, np.nan + 0j, dtype=np.complex128)
+    v0, v1 = (int(v) for v in mesh.faces[0, :2])
+    coords[v0], coords[v1] = 0.0, space.radius(lengths[0])
+    placed = {v0, v1}
+    for i, h in enumerate(entry):
+        v = int(mesh.faces.flat[mesh.prev(h)])
+        if v not in placed:
+            placed.add(v)
+            coords[v] = complex(*space.apply(motions[i], apex[i]))
+    if len(placed) < mesh.n_vertices:
+        raise LayoutError("mesh is not face-connected")
+    return coords
+
+
+def _checked(mesh, metric, geometry, name):
+    if metric.geometry != geometry:
+        raise MetricError(f"layout_{geometry.value} requires a {name} metric")
+    _check_disk(mesh)
+    bad = check_triangle_inequality(metric, mesh)
+    if bad:
+        raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
+
+
+def _in_disk(mesh, coords):
+    outside = ~(np.abs(coords) < 1.0)
+    if outside.any():
+        raise LayoutError(
+            f"layout escaped the unit disk: {outside.sum()} vertices at "
+            "|tau| >= 1, where float64 runs out of resolution",
+            faces=np.flatnonzero(outside[mesh.faces].any(axis=1)).tolist())
+    return Parameterization(coords, Geometry.HYPERBOLIC)
+
+
 def layout_euclidean(mesh, metric):
-    """Isometric plane layout of a flat Euclidean metric on a disk.
+    """Isometric plane layout of a flat Euclidean metric on a disk, by the
+    scalar twin of the array development (:func:`_develop`)."""
+    _checked(mesh, metric, Geometry.EUCLIDEAN, "Euclidean")
+    return Parameterization(_develop(mesh, metric, Plane), Geometry.EUCLIDEAN)
+
+
+def layout_hyperbolic(mesh, metric):
+    """Poincare-disk layout of a hyperbolically flat metric on a disk, by
+    the scalar twin of the array development (:func:`_develop`)."""
+    _checked(mesh, metric, Geometry.HYPERBOLIC, "hyperbolic")
+    with np.errstate(all="ignore"):
+        coords = _develop(mesh, metric, Disk)
+    return _in_disk(mesh, coords)
+
+
+def layout_euclidean_by_faces(mesh, metric):
+    """Isometric plane layout of a flat Euclidean metric on a disk, face by
+    face: the layout the development replaced, kept as its independent
+    reference.
 
     The first edge of the first face is seeded from the origin to ``l01``
     on the positive real axis; every further vertex, that face's third
@@ -332,19 +515,15 @@ def layout_euclidean(mesh, metric):
     an already-embedded edge. Every embedded edge reproduces its metric
     length (to roundoff-level drift).
     """
-    if metric.geometry != Geometry.EUCLIDEAN:
-        raise MetricError("layout_euclidean requires a Euclidean metric")
-    _check_disk(mesh)
-    bad = check_triangle_inequality(metric, mesh)
-    if bad:
-        raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
-
-    coords = _layout(mesh, metric, lambda l01: l01, place_third_euclidean)
+    _checked(mesh, metric, Geometry.EUCLIDEAN, "Euclidean")
+    coords = _layout_by_faces(mesh, metric, lambda l01: l01,
+                              place_third_euclidean)
     return Parameterization(coords, Geometry.EUCLIDEAN)
 
 
-def layout_hyperbolic(mesh, metric):
-    """Poincare-disk layout of a hyperbolically flat metric on a disk.
+def layout_hyperbolic_by_faces(mesh, metric):
+    """Poincare-disk layout of a hyperbolically flat metric on a disk, face
+    by face, the independent reference of the development.
 
     Seeds the first edge of the first face at ``tau(v0) = 0`` and
     ``tau(v1) = tanh(l01 / 2)`` and propagates breadth-first, placing each
@@ -352,20 +531,10 @@ def layout_hyperbolic(mesh, metric):
     placement in the Mobius frame of its entry edge, keeping each face's
     orientation positive.
     """
-    if metric.geometry != Geometry.HYPERBOLIC:
-        raise MetricError("layout_hyperbolic requires a hyperbolic metric")
-    _check_disk(mesh)
-    bad = check_triangle_inequality(metric, mesh)
-    if bad:
-        raise MetricError(f"metric inadmissible on faces {bad[:16]}", faces=bad)
-
-    coords = _layout(mesh, metric, lambda l01: np.tanh(0.5 * l01),
-                     place_third_hyperbolic)
-    radius = np.abs(coords)
-    if radius.max() >= 1.0:
-        raise LayoutError(
-            f"layout escaped the unit disk (max |tau| = {radius.max():.6f})")
-    return Parameterization(coords, Geometry.HYPERBOLIC)
+    _checked(mesh, metric, Geometry.HYPERBOLIC, "hyperbolic")
+    coords = _layout_by_faces(mesh, metric, lambda l01: np.tanh(0.5 * l01),
+                              place_third_hyperbolic)
+    return _in_disk(mesh, coords)
 
 
 def is_connected(mesh):

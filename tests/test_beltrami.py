@@ -43,6 +43,13 @@ def test_field_rejects_nan():
         BeltramiField(np.array([0.1, np.nan], dtype=complex))
 
 
+def test_field_rejects_2d_mu():
+    with pytest.raises(BeltramiError) as err:
+        BeltramiField(np.zeros((3, 1), dtype=complex))
+    assert err.type is BeltramiError
+    assert str(err.value) == "mu must be a 1-d per-vertex array"
+
+
 def test_parameterization_hyperbolic_bounds():
     with pytest.raises(ValueError):
         Parameterization(np.array([0.5, 1.2 + 0j]), Geometry.HYPERBOLIC)
@@ -97,6 +104,17 @@ def test_auxiliary_metric_rejects_hyperbolic(grid9):
     mu = BeltramiField(np.zeros(grid9.n_vertices, dtype=complex))
     with pytest.raises(BeltramiError):
         auxiliary_metric(metric, z.coords[grid9.faces], mu, grid9)
+
+
+def test_auxiliary_metric_rejects_misshaped_corners(grid9):
+    # per-vertex coordinates where one per face corner is due
+    z = grid_param(grid9)
+    mu = BeltramiField(np.zeros(grid9.n_vertices, dtype=complex))
+    with pytest.raises(BeltramiError) as err:
+        auxiliary_metric(induced_metric(grid9), z.coords, mu, grid9)
+    assert err.type is BeltramiError
+    assert str(err.value) == ("corners must assign one value per face corner, "
+                              "mu one per vertex")
 
 
 def test_estimate_identity(grid9):

@@ -294,6 +294,26 @@ def test_genus2_layout_orientation_and_disk(genus2):
     assert area2.min() > 0.0
 
 
+def test_hyperbolic_strip_escapes_the_unit_disk():
+    # Strips of equilateral faces with hyperbolic sides 2 have no interior
+    # vertex, so they are admissible and flat; their far end runs towards
+    # the boundary, which float64 Poincare coordinates resolve only to
+    # about 1e-16. Twenty columns still fit; at thirty the far vertices
+    # round to |tau| = 1 (or to NaN past a frame there), and the layout
+    # names the faces around them.
+    def strip(n):
+        mesh = meshes.grid_mesh(n, 2)
+        return mesh, DiscreteMetric(Geometry.HYPERBOLIC,
+                                    np.full(mesh.n_edges, 2.0))
+
+    assert np.abs(layout_hyperbolic(*strip(20)).coords).max() < 1.0
+    with pytest.raises(LayoutError, match=(
+            r"^layout escaped the unit disk: 8 vertices at \|tau\| >= 1, "
+            "where float64 runs out of resolution$")) as exc:
+        layout_hyperbolic(*strip(30))
+    assert exc.value.faces == [48, *range(50, 58)]
+
+
 def test_torus_periods_json_contract(torus16):
     mesh, metric = torus16
     res = run_flow(mesh, metric, np.zeros(mesh.n_vertices), Geometry.EUCLIDEAN)

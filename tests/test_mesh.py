@@ -1,4 +1,5 @@
 from collections import deque
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -176,6 +177,13 @@ def test_induced_metric_zero_edge():
     assert err.value.faces == [0]
 
 
+def test_induced_metric_requires_positions():
+    with pytest.raises(MetricError) as err:
+        induced_metric(build_mesh(np.array([[0, 1, 2]])))
+    assert err.type is MetricError
+    assert str(err.value) == "mesh has no vertex positions"
+
+
 def test_cut_tetrahedron_to_disk(tetra):
     disk, cut = cut_to_disk(tetra)
     assert euler_characteristic(disk) == 1
@@ -290,12 +298,26 @@ def _fifo_levels(mesh):
     lambda: meshes.embedded_torus(24, 16),
     lambda: meshes.genus2_mesh(),
     lambda: cut_to_disk(meshes.embedded_torus(24, 16))[0],
-], ids=["grid", "annulus", "torus", "genus2", "torus-disk"])
+    lambda: meshes.grid_mesh(33, 33),
+    lambda: meshes.grid_mesh(129, 129),
+    lambda: cut_to_disk(meshes.embedded_torus(96, 64))[0],
+], ids=["grid", "annulus", "torus", "genus2", "torus-disk", "grid33",
+        "grid129", "torus-6k-disk"])
 def test_dual_bfs_levels_are_a_fifo_search(builder):
+    # The tree's order is the FIFO search's, and the depths its parents
+    # give group it into that search's levels; the last three are the
+    # meshes of the benchmark's layouts.
     mesh = builder()
-    levels = [level.tolist() for level in dual_bfs(mesh)]
-    assert levels == _fifo_levels(mesh)
-    assert sum(map(len, levels)) == mesh.n_faces - 1
+    entry = dual_bfs(mesh)
+    levels = _fifo_levels(mesh)
+    assert entry.tolist() == [0, *chain.from_iterable(levels)]
+    depth = {0: 0}
+    by_depth = [[] for _ in levels]
+    for h in entry[1:].tolist():
+        depth[h // 3] = d = depth[int(mesh.twin[h]) // 3] + 1
+        by_depth[d - 1].append(h)
+    assert by_depth == levels
+    assert len(entry) == mesh.n_faces
 
 
 def test_slice_requires_interior_edge(grid9):

@@ -190,6 +190,13 @@ def test_metric_rejects_nonpositive():
         DiscreteMetric(Geometry.EUCLIDEAN, np.array([1.0, np.inf, 1.0]))
 
 
+def test_metric_rejects_2d_lengths():
+    with pytest.raises(MetricError) as err:
+        DiscreteMetric(Geometry.EUCLIDEAN, np.ones((3, 1)))
+    assert err.type is MetricError
+    assert str(err.value) == "lengths must be a 1-d array over edge ids"
+
+
 @st.composite
 def triangle_lengths(draw):
     a = draw(st.floats(0.1, 3.0))

@@ -1,8 +1,10 @@
 """The array-built layout, cut and placement code and the bulk text I/O
 against the sequential loops they replaced (``sequential.py``): the
 arithmetic is unchanged, so every result must be equal bit for bit (the
-OBJ writer's bytes included), and every error message equal (a layout
-that fails names the face the face-by-face loop fails at). The
+OBJ writer's bytes included), and every error message equal. The layout's
+development is held against its scalar twin bit for bit, also on curved
+metrics where the face-by-face layout fails, and against the face-by-face
+layout to a stated share of the layout's size. The
 corner-angle edge flip is held against the quad layouts it replaced: same
 decisions, diagonals equal to rounding. The hyperbolic placement is held
 against the circle intersection it replaced: equal to 1e-12 on fat
@@ -135,43 +137,70 @@ def _layouts(metric):
     return layout_euclidean, sequential.layout_euclidean
 
 
-@pytest.mark.parametrize("build", [
-    lambda: (meshes.grid_mesh(9, 9), induced_metric(meshes.grid_mesh(9, 9))),
-    lambda: _rectangle_flow(33, 0.3),
-    lambda: _rectangle_flow(129, 0.3),
-    _annulus_disk,
-    _torus_disk,
-    _genus2_disk,
-    _genus2_block_disk,
-], ids=["grid9", "grid33-bump", "grid129-bump", "annulus-slit", "torus-disk",
-        "genus2-disk", "genus2-block4-disk"])
-def test_layout_matches_sequential(build):
-    mesh, metric = build()
+def _by_faces(metric):
+    if metric.geometry == Geometry.HYPERBOLIC:
+        return sequential.layout_hyperbolic_by_faces
+    return sequential.layout_euclidean_by_faces
+
+
+_LAYOUT_CASES = {
+    "grid9": lambda: (meshes.grid_mesh(9, 9),
+                      induced_metric(meshes.grid_mesh(9, 9))),
+    "grid33-bump": lambda: _rectangle_flow(33, 0.3),
+    "grid129-bump": lambda: _rectangle_flow(129, 0.3),
+    "annulus-slit": _annulus_disk,
+    "torus-disk": _torus_disk,
+    "genus2-disk": _genus2_disk,
+    "genus2-block4-disk": _genus2_block_disk,
+}
+
+
+@functools.cache
+def _layout_case(name):
+    return _LAYOUT_CASES[name]()
+
+
+@pytest.mark.parametrize("name", _LAYOUT_CASES)
+def test_layout_matches_sequential(name):
+    mesh, metric = _layout_case(name)
     new, old = _layouts(metric)
     assert bits(new(mesh, metric).coords) == bits(old(mesh, metric).coords)
+
+
+# The development and the face-by-face layout place a vertex along
+# different paths of faces, so they differ where the metric is flat only to
+# the flow's tolerance: at most 2.7e-10 of the diagonal of the layout's
+# bounding box, on grid33-bump (flow residual 1.5e-10), and below 2.3e-13
+# on the others.
+_BY_FACES_TOL = 1e-9
+
+
+@pytest.mark.parametrize("name", _LAYOUT_CASES)
+def test_layout_matches_face_by_face(name):
+    mesh, metric = _layout_case(name)
+    z = _layouts(metric)[0](mesh, metric).coords
+    ref = _by_faces(metric)(mesh, metric).coords
+    diagonal = np.hypot(np.ptp(ref.real), np.ptp(ref.imag))
+    assert np.abs(z - ref).max() <= _BY_FACES_TOL * diagonal
 
 
 @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
 @pytest.mark.parametrize("seed", range(3))
 def test_layout_failure_matches_sequential(monkeypatch, geometry, seed):
-    # With the flatness check off, a curved metric drives some placement
-    # off its circles: the level loop raises at the face at which the
-    # face-by-face loop fails, naming the vertex, the two it is placed
-    # from and the sides la and lb.
+    # With the flatness check off, a curved metric drives some face-by-face
+    # placement off its circles, and that layout fails. The development
+    # places every corner in its own face's frame, where an admissible
+    # triangle always fits, so it lays these metrics out, bit for bit as
+    # its scalar twin does.
     for module in (embed, sequential):
         monkeypatch.setattr(module, "_check_flat", lambda mesh, angles: None)
     mesh = meshes.grid_mesh(9, 9)
     metric = meshes.random_admissible_metric(
         mesh, np.random.default_rng(seed), geometry, amplitude=0.8)
+    with pytest.raises(LayoutError, match="^cannot place vertex "):
+        _by_faces(metric)(mesh, metric)
     new, old = _layouts(metric)
-    with pytest.raises(LayoutError) as want:
-        old(mesh, metric)
-    assert str(want.value.__cause__).startswith("circle intersection failed")
-    with pytest.raises(LayoutError) as got:
-        new(mesh, metric)
-    assert len(want.value.faces) == 1
-    assert got.value.faces == want.value.faces
-    assert str(got.value) == str(want.value)
+    assert bits(new(mesh, metric).coords) == bits(old(mesh, metric).coords)
 
 
 def _same_cut(new, old):
