@@ -18,6 +18,11 @@ the uniform factor that gives the metric about that area
 lowers the residual, else at ``u = 0``. ``FlowReport.residuals[0]`` is the
 residual at the start.
 
+One assembly path: a Newton step fills only the values of the Hessian's
+CSR pattern, which each mesh object builds once
+(:attr:`~qcflow.mesh.HalfedgeMesh.adjacency_pattern`); a swap returns a new
+mesh object, and so a new pattern.
+
 One solve path: the Hessian is the Hessian of a convex energy (Springborn,
 Schroeder & Pinkall 2008), so the pinned or whole system is symmetric
 positive definite. :func:`run_flow` factors it once per mesh by sparse LU
@@ -181,23 +186,18 @@ def assemble_hessian(mesh, metric, angles=None):
     """Sparse curvature Jacobian ``H = dK/du`` (CSR, symmetric) at
     ``metric``.
 
-    Off-diagonal entries exist only on edges; each face contributes one
-    value per unordered corner pair, so symmetry is exact by construction.
+    Only ``data`` is new, on the mesh's ``adjacency_pattern``: halfedge
+    values summed onto edges, each filling both of its entries (so symmetry
+    is exact), and corner values summed onto vertices.
     """
     D = angle_derivatives(metric, mesh, angles=angles)
-    f = mesh.faces
-    rows = [f[:, 0], f[:, 1], f[:, 0], f[:, 2], f[:, 1], f[:, 2],
-            f[:, 0], f[:, 1], f[:, 2]]
-    cols = [f[:, 1], f[:, 0], f[:, 2], f[:, 0], f[:, 2], f[:, 1],
-            f[:, 0], f[:, 1], f[:, 2]]
-    w01, w02, w12 = -D[:, 0, 1], -D[:, 0, 2], -D[:, 1, 2]
-    vals = [w01, w01, w02, w02, w12, w12,
-            -D[:, 0, 0], -D[:, 1, 1], -D[:, 2, 2]]
+    indptr, indices, slot = mesh.adjacency_pattern
     n = mesh.n_vertices
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return H.tocsr()
+    # halfedge 3f + s runs from corner s to corner s + 1 of face f
+    off, diag = -D[:, (0, 1, 0), (1, 2, 2)], -D[:, (0, 1, 2), (0, 1, 2)]
+    values = np.r_[np.bincount(mesh.edge_of_halfedge, off.ravel()),
+                   np.bincount(mesh.faces.ravel(), diag.ravel())]
+    return sp.csr_matrix((values[slot], indices, indptr), shape=(n, n))
 
 
 @dataclass
@@ -224,8 +224,9 @@ def newton_step(H, residual, geometry, factor=None):
 
     Euclidean systems are singular with kernel spanned by the constant
     vector: the right-hand side is projected onto the zero-mean subspace,
-    vertex 0 is pinned and the solution is re-centred to zero mean.
-    Hyperbolic systems are positive definite and solved whole.
+    vertex 0 is pinned (the system is the copy ``H[1:, 1:]``) and the
+    solution is re-centred to zero mean. Hyperbolic systems are positive
+    definite and solved whole, on ``H`` itself.
 
     With no factor, or one without an LU of the system's size, the system
     is factored by ``splu`` and solved directly. With the LU of an earlier
@@ -248,7 +249,7 @@ def newton_step(H, residual, geometry, factor=None):
     if euclidean:
         b -= b.mean()
     free = slice(1, None) if euclidean else slice(None)
-    A = H[free, free]
+    A = H[free, free] if euclidean else H  # H[:, :] would copy H
     if factor is None:
         factor = NewtonFactor()
     x = np.zeros(H.shape[0])

@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter, methodcaller
 
@@ -130,6 +131,25 @@ class HalfedgeMesh:
     @staticmethod
     def prev(h):
         return h - h % 3 + (h % 3 + 2) % 3
+
+    @cached_property
+    def adjacency_pattern(self):
+        """Read-only CSR pattern ``(indptr, indices, slot)`` of the vertex
+        adjacency plus the diagonal, in SciPy's index dtype, built once per
+        mesh object; ``slot`` maps each stored entry to its edge ``e`` or,
+        on the diagonal of vertex ``v``, to ``E + v``."""
+        n, ne = self.n_vertices, self.n_edges
+        a, b = self.edges.T
+        rows, cols = np.r_[a, b, :n], np.r_[b, a, :n]
+        order = np.argsort(rows * n + cols, kind="stable")  # distinct keys
+        dtype = np.int32 if rows.size < 2**31 else np.int64
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+        # entries E..2E-1 are the edges again, reversed, and 2E.. the diagonal
+        pattern = (indptr.astype(dtype), cols[order].astype(dtype),
+                   np.where(order < ne, order, order - ne))
+        for array in pattern:
+            array.flags.writeable = False
+        return pattern
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.n_vertices, dtype=bool)

@@ -36,6 +36,10 @@ in the frame of the base, so it checks that placement independently:
 there the new code must agree to 1e-12 on fat triangles and keep both
 distances to 1e-7 on thin ones.
 
+And it keeps the Hessian as a dense sum of per-face blocks, the assembly
+that ``qcflow.flow.assemble_hessian`` does by edges and vertices on a
+pattern built once per mesh: the two agree to rounding.
+
 And it keeps the Newton loop of ``qcflow.flow.run_flow`` as it was before
 the line search became one ``for`` loop with a single exit: flag-driven
 backtracking, a report built at each of its three exits. The flat loop must
@@ -85,6 +89,7 @@ from qcflow.flow import (
     FlowResult,
     NewtonFactor,
     _gauss_bonnet_scale,
+    angle_derivatives,
     assemble_hessian,
     longest_edges,
     newton_step,
@@ -869,6 +874,20 @@ def csv_text(rows):
 
 # ---------------------------------------------------------------------------
 # The Newton loop
+
+
+def dense_hessian(mesh, metric):
+    """The curvature Jacobian ``dK/du`` as a dense array, summed face by
+    face: the 3x3 block ``-D[f]`` of each face's corner-angle derivatives
+    (:func:`qcflow.flow.angle_derivatives`) is added at its corners' rows
+    and columns in a plain loop."""
+    D = angle_derivatives(metric, mesh)
+    H = np.zeros((mesh.n_vertices, mesh.n_vertices))
+    for f, corners in enumerate(mesh.faces.tolist()):
+        for a, row in enumerate(corners):
+            for b, col in enumerate(corners):
+                H[row, col] -= D[f, a, b]
+    return H
 
 
 def run_flow(mesh, metric, target, geometry, options=FlowOptions()):

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import meshes
 import qcflow.flow as flow_module
 import qcflow.metric as metric_module
+import sequential
 from qcflow.errors import (
     FlowError,
     MetricError,
@@ -163,6 +164,32 @@ def test_hyperbolic_hessian_positive_definite_small():
             assert eig.min() > 0.0
 
 
+def test_hessian_fills_one_pattern_per_mesh(grid9):
+    # H stores 2E + V entries on int32 index arrays that every assembly on
+    # the mesh shares and none may rewrite; the mesh a swap returns is a new
+    # object with a pattern of its own
+    metric = induced_metric(grid9)
+    H = assemble_hessian(grid9, metric)
+    again = assemble_hessian(grid9, deform_metric(
+        grid9, metric, np.linspace(-0.1, 0.1, grid9.n_vertices)))
+    assert H.nnz == 2 * grid9.n_edges + grid9.n_vertices
+    assert H.indices.dtype == H.indptr.dtype == np.int32
+    assert np.shares_memory(H.indices, again.indices)
+    assert np.shares_memory(H.indptr, again.indptr)
+    assert not H.indices.flags.writeable
+    swapped, swapped_metric = edge_swap(grid9, metric, 14)
+    S = assemble_hessian(swapped, swapped_metric)
+    assert not np.shares_memory(S.indices, H.indices)
+    assert not np.array_equal(S.indices, H.indices)
+    a, b = swapped.edges.T
+    v = np.arange(swapped.n_vertices)
+    entries = sp.csr_matrix((np.ones(S.nnz), (np.r_[a, b, v], np.r_[b, a, v])))
+    assert np.array_equal(S.indptr, entries.indptr)
+    assert np.array_equal(S.indices, entries.indices)
+    want = sequential.dense_hessian(swapped, swapped_metric)
+    assert np.abs(S.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # newton_step
 
@@ -247,6 +274,19 @@ def test_newton_step_exactly_singular_raises():
     H = sp.csr_matrix(_path_laplacian())
     with pytest.raises(SolverError, match="exactly singular"):
         newton_step(H, np.arange(6.0), Geometry.HYPERBOLIC)
+
+
+def test_newton_step_non_finite_solution_raises(grid9):
+    # an infinite residual entry factors cleanly and solves to inf or NaN
+    # (a NaN in H itself stops SuperLU first, as "exactly singular")
+    rng = np.random.default_rng(47)
+    metric = meshes.random_admissible_metric(grid9, rng, Geometry.HYPERBOLIC)
+    b = rng.normal(size=grid9.n_vertices)
+    b[40] = np.inf
+    with pytest.raises(SolverError) as info:
+        newton_step(assemble_hessian(grid9, metric), b, Geometry.HYPERBOLIC)
+    assert type(info.value) is SolverError
+    assert str(info.value) == "singular Newton system: non-finite solution"
 
 
 def test_newton_step_hyperbolic_matches_dense(grid9):

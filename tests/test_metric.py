@@ -174,6 +174,16 @@ def test_deform_overflow():
         deform_metric(TRIANGLE, g, np.full(3, 400.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_deform_rejects_non_finite_factor(bad):
+    g = tri_metric(Geometry.EUCLIDEAN, 1, 1, 1)
+    with pytest.raises(MetricError) as info:
+        deform_metric(TRIANGLE, g, np.array([0.0, bad, 0.0]))
+    assert type(info.value) is MetricError
+    assert str(info.value) == "conformal factor contains non-finite values"
+    assert info.value.faces == []
+
+
 def test_triangle_inequality_check():
     ok = tri_metric(Geometry.EUCLIDEAN, 1, 1, 1)
     assert check_triangle_inequality(ok, TRIANGLE) == []
