@@ -242,11 +242,15 @@ def newton_step(H, residual, geometry, factor=None):
     system on a disconnected mesh (one constant per component spans the
     kernel, and rounding may hide the extra zero pivots; checked whenever
     the step would factor, before a zero residual returns), or a
-    degenerate metric.
+    degenerate metric. It also raises when the solution is not finite and,
+    before projecting it, on a Euclidean residual that is not finite.
     """
     b = np.asarray(residual, dtype=np.float64).copy()
     euclidean = geometry == Geometry.EUCLIDEAN
     if euclidean:
+        if not np.isfinite(b).all():
+            raise SolverError("Newton residual is not finite: it has no "
+                              "zero-mean projection")
         b -= b.mean()
     free = slice(1, None) if euclidean else slice(None)
     A = H[free, free] if euclidean else H  # H[:, :] would copy H
@@ -530,13 +534,18 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
     ``sum(Kbar) = 2 pi chi`` (to 1e-9); hyperbolic targets are not
     pre-checked since the area term is flow-dependent.
 
-    Returns a :class:`FlowResult`; raises :class:`FlowError` on an infeasible
-    target, a failed line search, an inadmissible metric after surgery, or a
-    non-converged budget, with the partial report attached.
+    Returns a :class:`FlowResult`; raises :class:`FlowError` on a target
+    that is not finite (naming its first 16 such vertices) or infeasible,
+    and, with the partial report attached, on a failed line search, an
+    inadmissible metric after surgery, or a non-converged budget.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (mesh.n_vertices,):
         raise ValueError("target must assign one curvature per vertex")
+    bad = np.flatnonzero(~np.isfinite(target))
+    if bad.size:
+        raise FlowError(f"target curvature is not finite at vertices "
+                        f"{bad[:16].tolist()}")
     metric = metric.retagged(geometry)
     violations = check_triangle_inequality(metric, mesh)
     if violations:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import io
 import os
 import re
 import sys
@@ -234,20 +235,24 @@ def build_mesh(faces, positions=None, uv=None):
     origin = faces.ravel()
     dest = faces[:, [1, 2, 0]].ravel()
 
-    # Twins: sort the oriented edges by key and look up each reversed key.
-    key = origin * nv + dest
+    # Twins: sort the halfedges by undirected edge. Unless an oriented edge
+    # repeats, every edge has one halfedge or two opposite ones, which the
+    # sort puts side by side.
+    key = np.minimum(origin, dest) * nv + np.maximum(origin, dest)
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    repeat = _first_repeat(order, sorted_key)
-    if repeat is not None:
-        h1, h2 = repeat
+    key = key[order]
+    paired = key[1:] == key[:-1]
+    h1, h2 = order[:-1][paired], order[1:][paired]
+    if (paired[1:] & paired[:-1]).any() or (origin[h1] == origin[h2]).any():
+        key = origin * nv + dest
+        order = np.argsort(key, kind="stable")
+        h1, h2 = _first_repeat(order, key[order])
         raise TopologyError(
             f"oriented edge ({origin[h2]}, {dest[h2]}) shared by faces "
             f"{h1 // 3} and {h2 // 3}: non-manifold or inconsistently "
             "oriented", faces=[h1 // 3, h2 // 3])
-    reverse = dest * nv + origin
-    slot = np.minimum(np.searchsorted(sorted_key, reverse), nh - 1)
-    twin = np.where(sorted_key[slot] == reverse, order[slot], -1)
+    twin = np.full(nh, -1)
+    twin[h1], twin[h2] = h2, h1
 
     # Edges in order of their smaller halfedge, oriented like it.
     first = np.nonzero((twin < 0) | (np.arange(nh) < twin))[0]
@@ -382,24 +387,38 @@ def load_obj(path):
     record types are skipped. Texture coordinates, when present on every face
     corner, are stored on the mesh as a per-vertex complex array.
 
-    Each record kind is gathered from the whole text by one regular
-    expression. When every row has one shape (``v x y z``, ``vt u v``,
-    ``f a b c``, ``f a/t b/t c/t`` or ``f a/t/n b/t/n c/t/n``, ASCII, one
-    whitespace byte apart), all numbers of the kind are converted by one
-    ``np.loadtxt``, NumPy's C tokenizer and converter. Otherwise, or when
-    it refuses a token, the kind is converted row by row with Python's
+    One NumPy pass over the file's bytes finds every line start and each
+    line's key. When the file is ASCII with LF line ends and its ``v``,
+    ``vt`` and ``f`` records each form one block of consecutive lines that
+    start with the key and one space, as :func:`save_obj` and NumPy's
+    ``savetxt`` write them, each block is read whole (:func:`_blocks`). Any
+    other file is read by rows: each record kind is gathered from the whole
+    text by one regular expression. Either way a kind whose rows all have
+    one shape (``v x y z``, ``vt u v``, ``f a b c``, ``f a/t b/t c/t`` or
+    ``f a/t/n b/t/n c/t/n``, one whitespace byte apart) has all its numbers
+    converted by one ``np.loadtxt``, NumPy's C tokenizer and converter. A
+    block of another shape, or a token that reader refuses, sends the file
+    to the rows, where such a kind is converted row by row with Python's
     ``float`` and ``int``, each face corner by ``str.partition``. A
     malformed record sends the reader line by line through the text to name
     the first bad line. Vertex and texture indices must be positive; an
     empty texture field (``v/``, ``v//n``) means no texture.
     """
-    text = _read_text(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        verts, uvs = _coordinates(text)
-        faces, tex = _face_ids(_F.findall(text))
+        records = _blocks(data)
     except ValueError:
-        lineno, message = _first_bad_line(text)
-        raise ParseError(f"{path}:{lineno}: {message}") from None
+        records = None  # a bad index: the rows route names its line
+    if records is None:
+        text = _read_text(path, data)
+        del data  # the rows route needs only the text
+        try:
+            records = (*_coordinates(text), *_face_ids(_F.findall(text)))
+        except ValueError:
+            lineno, message = _first_bad_line(text)
+            raise ParseError(f"{path}:{lineno}: {message}") from None
+    verts, uvs, faces, tex = records
 
     if not len(verts):
         raise ParseError(f"{path}: no vertices")
@@ -415,10 +434,11 @@ def load_obj(path):
     return build_mesh(faces.reshape(-1, 3), positions=verts, uv=uv)
 
 
-def _read_text(path):
-    """The file's text after a newline, so that every record, the first one
-    too, follows a newline (see :func:`_record`)."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _read_text(path, data):
+    """The file bytes ``data`` read as text mode reads the file (UTF-8, CRLF
+    and CR line ends read as LF), after a newline, so that every record, the
+    first one too, follows a newline (see :func:`_record`)."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
             return "\n" + fh.read()
         except UnicodeDecodeError as exc:
@@ -446,30 +466,100 @@ _DIGITS = b"0123456789"
 # Skeletons of the ``f`` rows read in bulk, by the number of slashes in a
 # row: ``a b c``, ``a/t b/t c/t`` and ``a/t/n b/t/n c/t/n``.
 _FACE_SHAPES = {0: b"  ", 3: b"/ / /", 6: b"// // //"}
+# Bytes that end a key at the start of a line: whitespace or the line end.
+_ENDS_KEY = np.zeros(256, dtype=bool)
+_ENDS_KEY[list(_SPACES)] = True
+_BLANK = _ENDS_KEY.copy()
+_BLANK[ord("\n")] = False
 
 
-def _all_rows_are(joined, n, shape, drop):
-    """Whether ``joined``, ``n`` rows joined by newlines, is ASCII and every
-    row reads ``shape`` once the ``drop`` bytes are removed and each other
+def _blocks(data):
+    """Vertex positions, texture coordinates and per-corner vertex and
+    texture ids of the OBJ file bytes ``data``, read one block per record
+    kind: the kind's lines from its first to its last. None when the file
+    is not ASCII with LF line ends, a line starts with whitespace, a ``v``,
+    ``vt`` or ``f`` line does not start with its key and one space, or a
+    block does not read in bulk (:func:`_float_table`,
+    :func:`_face_table`), as when other lines lie inside it. A file this
+    reads gives the regular-expression route the same rows, each a block
+    line less its key and space, so the two convert the same tokens."""
+    if not data.isascii() or b"\r" in data:
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"  # a final empty line reads as no record either way
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.r_[0, ends[:-1] + 1]
+    # The first three bytes of every line. Each is looked at only after the
+    # key letters before it, so a short line's newline ends its key before
+    # a byte past it is read.
+    c0, c1, c2 = (buf.take(starts + i, mode="clip") for i in range(3))
+    if _BLANK[c0].any():
+        return None
+    one_letter = _ENDS_KEY[c1]
+    blocks = []
+    for lines, after_key in (((c0 == ord("v")) & one_letter, c1),
+                             ((c0 == ord("v")) & (c1 == ord("t"))
+                              & _ENDS_KEY[c2], c2),
+                             ((c0 == ord("f")) & one_letter, c1)):
+        rows = np.flatnonzero(lines)
+        if (after_key[rows] != ord(" ")).any():
+            return None
+        # From the kind's first line to its last: the skeleton check of
+        # _all_rows_are fails on any other line in between. Each block is
+        # copied out of the file only while it is converted.
+        span = slice(starts[rows[0]], ends[rows[-1]]) if rows.size \
+            else slice(0, 0)
+        blocks.append((span, rows.size))
+
+    (v, n_v), (vt, n_vt), (f, n_f) = blocks
+    verts = _float_table(data[v], n_v, 3, b"v")
+    uvs = _float_table(data[vt], n_vt, 2, b"vt")
+    if verts is None or uvs is None:
+        return None
+    ids = _face_table(data[f], n_f, b"f")
+    if ids is None:
+        return None
+    return (verts, uvs.view(np.complex128).ravel(), *ids)
+
+
+def _all_rows_are(block, n, shape, drop, key=b""):
+    """Whether ``block``, ``n`` rows joined by newlines, has every row read
+    ``shape`` (after ``key`` and one whitespace byte, when a key is given)
+    once the ``drop`` bytes and the key's bytes are removed and each other
     whitespace byte is read as a space."""
-    return joined.isascii() and (
-        joined.encode().translate(_ONE_SPACE, drop)
-        == b"\n".join([shape] * n))
+    skeleton = b" " + shape if key else shape
+    return (block.translate(_ONE_SPACE, drop + key)
+            == ((skeleton + b"\n") * n)[:-1])
 
 
-def _table(rows, dtype, width):
-    """``rows`` as a (len(rows), width) array read by NumPy's C text reader,
-    or None when it reads another shape or refuses a token. On the tokens it
-    takes it agrees with Python's ``float`` and ``int`` bit for bit; it
-    refuses some they take (``1_0``, non-ASCII digits, integers past int64),
-    which the caller then converts row by row."""
-    if not rows:
+def _table(lines, n, dtype, width, key=b""):
+    """The ``width`` fields after ``key`` (if any) of each of the ``n``
+    ``lines``, a list of rows or an ASCII file object, as an ``(n, width)``
+    array read by NumPy's C text reader, or None when it reads another
+    shape or refuses a token. On the tokens it takes it agrees with
+    Python's ``float`` and ``int`` bit for bit; it refuses some they take
+    (``1_0``, non-ASCII digits, integers past int64), which the caller then
+    converts row by row. It splits on the ASCII whitespace ``str.split``
+    splits on, so rows of one skeleton (:func:`_all_rows_are`) that it
+    reads have the fields ``str.split`` gives."""
+    if not n:
         return np.empty((0, width), dtype)
+    usecols = range(1, width + 1) if key else None
     try:
-        values = np.loadtxt(rows, dtype, comments=None, ndmin=2)
+        values = np.loadtxt(lines, dtype, comments=None, ndmin=2,
+                            usecols=usecols)
     except ValueError:
         return None
-    return values if values.shape == (len(rows), width) else None
+    return values if values.shape == (n, width) else None
+
+
+def _float_table(block, n, count, key):
+    """:func:`_table` of ``n`` rows of ``count`` floats, one whitespace
+    byte apart; None for rows of another shape."""
+    if not _all_rows_are(block, n, b" " * (count - 1), _NOT_SPACE, key):
+        return None
+    return _table(io.BytesIO(block), n, np.float64, count, key)
 
 
 def _coordinates(text):
@@ -486,9 +576,10 @@ def _floats(rows, count, short, bad):
     """The first ``count`` fields of every row as a (rows, count) array.
     Rows of exactly ``count`` fields, one whitespace byte apart, are read
     all at once; otherwise row by row."""
-    if _all_rows_are("\n".join(rows), len(rows), b" " * (count - 1),
-                     _NOT_SPACE):
-        values = _table(rows, np.float64, count)
+    joined = "\n".join(rows)
+    if joined.isascii() and _all_rows_are(
+            joined.encode(), len(rows), b" " * (count - 1), _NOT_SPACE):
+        values = _table(rows, len(rows), np.float64, count)
         if values is not None:
             return values
     return _float_rows(rows, count, short, bad)
@@ -509,25 +600,34 @@ def _float_rows(rows, count, short, bad):
 
 def _face_ids(rows):
     """0-based vertex and texture ids (-1 when absent) of the corners of
-    the ``f`` rows. Rows that are all ``a b c``, all ``a/t b/t c/t`` or all
-    ``a/t/n b/t/n c/t/n`` (ASCII digits, one whitespace byte apart) are read
-    all at once with ``/`` read as a space; otherwise corner by corner."""
+    the ``f`` rows: read all at once by :func:`_face_table` when they are
+    ASCII, otherwise corner by corner."""
     joined = "\n".join(rows)
-    shape = _FACE_SHAPES.get(rows[0].count("/") if rows else 0)
-    if shape is not None and _all_rows_are(joined, len(rows), shape,
-                                           _DIGITS):
-        lines = joined.replace("/", " ").split("\n") if b"/" in shape \
-            else rows
-        ids = _table(lines, np.int64, len(shape) + 1)
+    if joined.isascii():
+        ids = _face_table(joined.encode(), len(rows))
         if ids is not None:
-            # One row per corner: the vertex id, then any texture and
-            # normal ids.
-            ids = ids.reshape(-1, (len(shape) + 1) // 3)
-            if ids.shape[1] == 1:
-                return _one_based(ids[:, 0], "face"), np.full(len(ids), -1)
-            return (_one_based(ids[:, 0], "face"),
-                    _one_based(ids[:, 1], "texture"))
+            return ids
     return _corners(_face_refs(rows))
+
+
+def _face_table(block, n, key=b""):
+    """0-based vertex and texture ids (-1 when absent) of the corners of
+    the ``n`` ``f`` rows joined in ``block`` (each after ``key``, when one
+    is given) when they are all ``a b c``, all ``a/t b/t c/t`` or all
+    ``a/t/n b/t/n c/t/n`` (ASCII digits, one whitespace byte apart), as the
+    first row's slashes say; None otherwise. ``/`` reads as a space."""
+    shape = _FACE_SHAPES.get(block.partition(b"\n")[0].count(b"/"))
+    if shape is None or not _all_rows_are(block, n, shape, _DIGITS, key):
+        return None
+    ids = _table(io.BytesIO(block.replace(b"/", b" ")), n, np.int64,
+                 len(shape) + 1, key)
+    if ids is None:
+        return None
+    # One row per corner: the vertex id, then any texture and normal ids.
+    ids = ids.reshape(-1, (len(shape) + 1) // 3)
+    if ids.shape[1] == 1:
+        return _one_based(ids[:, 0], "face"), np.full(len(ids), -1)
+    return _one_based(ids[:, 0], "face"), _one_based(ids[:, 1], "texture")
 
 
 def _face_refs(rows):

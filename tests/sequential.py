@@ -54,6 +54,12 @@ that measures the whole auxiliary metric and checks every face after every
 swap. The stable-id swaps, renumbered once per loop, must give the same
 meshes, lengths and swap counts bit for bit, or the same error.
 
+And it keeps the OBJ reader as it was before files of one block per
+record kind were read from a table of line starts: each kind gathered from
+the whole text by one regular expression, and the twin lookup of
+``build_mesh`` before its sort by undirected edge. The reader must give the
+same arrays bit for bit, or the same error, and the sort the same twins.
+
 And it keeps ``qcflow.beltrami.auxiliary_metric`` as it was when it read a
 per-vertex ``z`` one edge at a time, and the push-scale-average step with
 which ``qcmap`` used to build the auxiliary metric of a cut chart. On a
@@ -62,6 +68,7 @@ for bit; on a cut chart it must agree with the copy average to rounding.
 """
 
 import json
+import re
 from collections import deque
 from itertools import chain, groupby
 from operator import itemgetter, methodcaller
@@ -837,6 +844,236 @@ def _corners(refs):
 
 def _ints(strings):
     return np.fromiter(map(int, strings), np.int64, len(strings))
+
+
+def regex_load_obj(path):
+    """The regular-expression OBJ reader, verbatim but for the ``_rx``
+    prefix of its names: load an ASCII OBJ file into a
+    :class:`HalfedgeMesh`.
+
+    Only ``v``, ``vt`` and triangular ``f`` records are interpreted; other
+    record types are skipped. Texture coordinates, when present on every face
+    corner, are stored on the mesh as a per-vertex complex array.
+
+    Each record kind is gathered from the whole text by one regular
+    expression. When every row has one shape (``v x y z``, ``vt u v``,
+    ``f a b c``, ``f a/t b/t c/t`` or ``f a/t/n b/t/n c/t/n``, ASCII, one
+    whitespace byte apart), all numbers of the kind are converted by one
+    ``np.loadtxt``, NumPy's C tokenizer and converter. Otherwise, or when
+    it refuses a token, the kind is converted row by row with Python's
+    ``float`` and ``int``, each face corner by ``str.partition``. A
+    malformed record sends the reader line by line through the text to name
+    the first bad line. Vertex and texture indices must be positive; an
+    empty texture field (``v/``, ``v//n``) means no texture.
+    """
+    text = _rx_read_text(path)
+    try:
+        verts, uvs = _rx_coordinates(text)
+        faces, tex = _rx_face_ids(_RX_F.findall(text))
+    except ValueError:
+        lineno, message = _rx_first_bad_line(text)
+        raise ParseError(f"{path}:{lineno}: {message}") from None
+
+    if not len(verts):
+        raise ParseError(f"{path}: no vertices")
+    if not len(faces):
+        raise ParseError(f"{path}: no faces")
+    if faces.max() >= len(verts):
+        raise ParseError(f"{path}: face references vertex {faces.max() + 1} "
+                         f"but only {len(verts)} vertices are defined")
+
+    uv = None
+    if len(uvs) and (tex >= 0).all():
+        uv = _vertex_uv(path, faces, tex, uvs, len(verts))
+    return build_mesh(faces.reshape(-1, 3), positions=verts, uv=uv)
+
+
+def _rx_read_text(path):
+    """The file's text after a newline, so that every record, the first one
+    too, follows a newline (see :func:`_rx_record`)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return "\n" + fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") \
+                from None
+
+
+def _rx_record(key):
+    """Pattern whose group 1 is the rest of each line that has ``key`` as
+    its first token. ``[^\\S\\n]`` is the whitespace ``str.split`` splits on,
+    less the newline. Matching from the newline before the line lets the
+    scan skip from line to line."""
+    return re.compile(rf"\n[^\S\n]*{key}(?:[^\S\n]+(.*)|$)", re.M)
+
+
+_RX_V, _RX_VT, _RX_F = _rx_record("v"), _rx_record("vt"), _rx_record("f")
+# The ASCII whitespace str.split splits on. In a row's skeleton each byte of
+# it but the newline, which ends the row, reads as a space.
+_RX_SPACES = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"
+_RX_ONE_SPACE = bytes.maketrans(_RX_SPACES.replace(b"\n", b""),
+                             b" " * (len(_RX_SPACES) - 1))
+# ASCII bytes that str.split does not split on, and the digits.
+_RX_NOT_SPACE = bytes(set(range(128)) - set(_RX_SPACES))
+_RX_DIGITS = b"0123456789"
+# Skeletons of the ``f`` rows read in bulk, by the number of slashes in a
+# row: ``a b c``, ``a/t b/t c/t`` and ``a/t/n b/t/n c/t/n``.
+_RX_FACE_SHAPES = {0: b"  ", 3: b"/ / /", 6: b"// // //"}
+
+
+def _rx_all_rows_are(joined, n, shape, drop):
+    """Whether ``joined``, ``n`` rows joined by newlines, is ASCII and every
+    row reads ``shape`` once the ``drop`` bytes are removed and each other
+    whitespace byte is read as a space."""
+    return joined.isascii() and (
+        joined.encode().translate(_RX_ONE_SPACE, drop)
+        == b"\n".join([shape] * n))
+
+
+def _rx_table(rows, dtype, width):
+    """``rows`` as a (len(rows), width) array read by NumPy's C text reader,
+    or None when it reads another shape or refuses a token. On the tokens it
+    takes it agrees with Python's ``float`` and ``int`` bit for bit; it
+    refuses some they take (``1_0``, non-ASCII digits, integers past int64),
+    which the caller then converts row by row."""
+    if not rows:
+        return np.empty((0, width), dtype)
+    try:
+        values = np.loadtxt(rows, dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rows), width) else None
+
+
+def _rx_coordinates(text):
+    """Vertex positions and texture coordinates of the records in ``text``.
+    Raises ValueError with the fault on a malformed record."""
+    verts = _rx_floats(_RX_V.findall(text), 3, "vertex needs 3 coordinates",
+                    "bad vertex coordinate")
+    uvs = _rx_floats(_RX_VT.findall(text), 2, "vt needs 2 coordinates",
+                  "bad texture coordinate").view(np.complex128).ravel()
+    return verts, uvs
+
+
+def _rx_floats(rows, count, short, bad):
+    """The first ``count`` fields of every row as a (rows, count) array.
+    Rows of exactly ``count`` fields, one whitespace byte apart, are read
+    all at once; otherwise row by row."""
+    if _rx_all_rows_are("\n".join(rows), len(rows), b" " * (count - 1),
+                     _RX_NOT_SPACE):
+        values = _rx_table(rows, np.float64, count)
+        if values is not None:
+            return values
+    return _rx_float_rows(rows, count, short, bad)
+
+
+def _rx_float_rows(rows, count, short, bad):
+    """:func:`_rx_floats` row by row, by ``str.split`` and Python's ``float``."""
+    rows = list(map(str.split, rows))
+    if rows and min(map(len, rows)) < count:
+        raise ValueError(short)
+    fields = list(chain.from_iterable(map(itemgetter(slice(count)), rows)))
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        raise ValueError(bad) from None
+    return values.reshape(-1, count)
+
+
+def _rx_face_ids(rows):
+    """0-based vertex and texture ids (-1 when absent) of the corners of
+    the ``f`` rows. Rows that are all ``a b c``, all ``a/t b/t c/t`` or all
+    ``a/t/n b/t/n c/t/n`` (ASCII digits, one whitespace byte apart) are read
+    all at once with ``/`` read as a space; otherwise corner by corner."""
+    joined = "\n".join(rows)
+    shape = _RX_FACE_SHAPES.get(rows[0].count("/") if rows else 0)
+    if shape is not None and _rx_all_rows_are(joined, len(rows), shape,
+                                           _RX_DIGITS):
+        lines = joined.replace("/", " ").split("\n") if b"/" in shape \
+            else rows
+        ids = _rx_table(lines, np.int64, len(shape) + 1)
+        if ids is not None:
+            # One row per corner: the vertex id, then any texture and
+            # normal ids.
+            ids = ids.reshape(-1, (len(shape) + 1) // 3)
+            if ids.shape[1] == 1:
+                return _rx_one_based(ids[:, 0], "face"), np.full(len(ids), -1)
+            return (_rx_one_based(ids[:, 0], "face"),
+                    _rx_one_based(ids[:, 1], "texture"))
+    return _rx_corners(_rx_face_refs(rows))
+
+
+def _rx_face_refs(rows):
+    """The three corner references of every ``f`` row, flattened."""
+    refs = list(map(str.split, rows))
+    if refs and set(map(len, refs)) != {3}:
+        raise ValueError("only triangular faces are supported")
+    return list(chain.from_iterable(refs))
+
+
+def _rx_corners(refs):
+    """0-based vertex and texture ids (-1 when absent) of the face corner
+    references ``v``, ``v/t``, ``v//n`` or ``v/t/n``."""
+    tails = None
+    try:
+        if "/" in "".join(refs):
+            parts = list(map(methodcaller("partition", "/"), refs))
+            tails = list(map(itemgetter(2), parts))
+            if "/" in "".join(tails):
+                tails = [t.partition("/")[0] for t in tails]
+            refs = list(map(itemgetter(0), parts))
+            ti = _rx_ints([t or "1" for t in tails])
+        vi = _rx_ints(refs)
+    except (ValueError, OverflowError):
+        raise ValueError("bad face index") from None
+    vi = _rx_one_based(vi, "face")
+    if tails is None:
+        return vi, np.full(len(vi), -1)
+    # An empty texture field (``v/``, ``v//n``) is no texture.
+    given = np.fromiter(map(bool, tails), bool, len(tails))
+    return vi, np.where(given, _rx_one_based(ti, "texture"), -1)
+
+
+def _rx_one_based(ids, kind):
+    """The 1-based OBJ ``ids`` less one; raises ValueError when one is
+    below 1 (OBJ's relative negative ids are not supported)."""
+    if (ids < 1).any():
+        raise ValueError(f"{kind} index must be >= 1")
+    return ids - 1
+
+
+def _rx_ints(strings):
+    return np.fromiter(map(int, strings), np.int64, len(strings))
+
+
+def _rx_first_bad_line(text):
+    """(lineno, fault) of the first line of ``text`` (after its leading
+    newline) that fails to convert. Face corners are converted one at a
+    time, so a line with several faults reports the first."""
+    for lineno, line in enumerate(text.split("\n")[1:], start=1):
+        line = "\n" + line
+        try:
+            _rx_coordinates(line)
+            for ref in _rx_face_refs(_RX_F.findall(line)):
+                _rx_corners([ref])
+        except ValueError as exc:
+            return lineno, str(exc)
+
+
+def searchsorted_twins(faces):
+    """Twin of every halfedge of ``faces`` (-1 on the boundary) as
+    ``build_mesh`` paired them before its sort by undirected edge: the
+    oriented edge keys sorted once and each reversed key looked up by
+    ``searchsorted``."""
+    faces = np.asarray(faces, dtype=np.int64)
+    nv = int(faces.max()) + 1
+    origin, dest = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    key = origin * nv + dest
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    reverse = dest * nv + origin
+    slot = np.minimum(np.searchsorted(sorted_key, reverse), key.size - 1)
+    return np.where(sorted_key[slot] == reverse, order[slot], -1)
 
 
 def field_to_json(mu):

@@ -289,6 +289,22 @@ def test_newton_step_non_finite_solution_raises(grid9):
     assert str(info.value) == "singular Newton system: non-finite solution"
 
 
+def test_newton_step_non_finite_euclidean_residual_raises(grid9):
+    # b - mean(b) of an infinite entry is NaN, and NumPy warns "invalid
+    # value encountered in subtract" on the way; the step refuses first
+    H = assemble_hessian(grid9, induced_metric(grid9))
+    for value in (np.inf, -np.inf, np.nan):
+        b = np.zeros(grid9.n_vertices)
+        b[40] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError) as info:
+                newton_step(H, b, Geometry.EUCLIDEAN)
+        assert type(info.value) is SolverError
+        assert str(info.value) == ("Newton residual is not finite: it has "
+                                   "no zero-mean projection")
+
+
 def test_newton_step_hyperbolic_matches_dense(grid9):
     rng = np.random.default_rng(43)
     metric = meshes.random_admissible_metric(grid9, rng, Geometry.HYPERBOLIC)
@@ -415,6 +431,24 @@ def rectangle_target(mesh, corners):
     for c in corners:
         K[c] = np.pi / 2
     return K
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_flow_rejects_non_finite_target(grid9, geometry):
+    # a NaN target would pass the Euclidean Gauss-Bonnet check (NaN > 1e-9
+    # is false) and end as "did not converge (residual nan)" after 0 steps
+    metric = induced_metric(grid9).retagged(geometry)
+    target = rectangle_target(grid9, meshes.grid_corners(9, 9))
+    target[40], target[7] = np.nan, -np.inf
+    with pytest.raises(FlowError) as info:
+        run_flow(grid9, metric, target, geometry)
+    assert type(info.value) is FlowError
+    assert str(info.value) == ("target curvature is not finite at vertices "
+                               "[7, 40]")
+    assert info.value.report is None
+    target[20:40] = np.nan  # only the first 16 are named
+    with pytest.raises(FlowError, match=r"vertices \[7, 20, 21, .*, 34\]$"):
+        run_flow(grid9, metric, target, geometry)
 
 
 def test_flow_already_converged(grid9):
@@ -829,6 +863,32 @@ def test_edge_swap_hyperbolic_nonconvex_rejected():
     metric = DiscreteMetric(Geometry.HYPERBOLIC, lengths)
     with pytest.raises(SurgeryError, match="^non-convex quad at edge "):
         edge_swap(mesh, metric, mesh.edge_id(0, 2))
+
+
+@pytest.mark.parametrize("geometry, near, far, message", [
+    (Geometry.EUCLIDEAN, 2**-33, 2**-32, "degenerate new diagonal at edge 0"),
+    (Geometry.HYPERBOLIC, 2**-33, 2**-32, "degenerate new diagonal at edge 0"),
+    (Geometry.EUCLIDEAN, 2**-27, 2**-26,
+     "swap of edge 0 produced an invalid face 1"),
+    (Geometry.HYPERBOLIC, 2**-29, 2**-26,
+     "swap of edge 0 produced an invalid face 1"),
+])
+def test_edge_swap_sliver_quad_rejected(geometry, near, far, message):
+    # k = 2 and l = 3 lie within rounding of the diagonal from i = 0 to
+    # j = 1, one on each side: both corners at i round to 0 or a few ulps
+    # while those at j stay well below pi/2, so the quad passes as convex
+    # and the new diagonal k-l computes as 0, or as longer than the sum of
+    # its two sides at j
+    mesh = build_mesh(np.array([[0, 1, 2], [1, 0, 3]]))
+    lengths = np.empty(mesh.n_edges)
+    for (a, b), x in (((0, 1), 1.0), ((0, 2), 1.0 - near),
+                      ((0, 3), 1.0 - near), ((1, 2), far), ((1, 3), far)):
+        lengths[mesh.edge_id(a, b)] = x
+    assert mesh.edge_id(0, 1) == 0
+    with pytest.raises(SurgeryError) as info:
+        edge_swap(mesh, DiscreteMetric(geometry, lengths), 0)
+    assert type(info.value) is SurgeryError
+    assert str(info.value) == message
 
 
 def _lengths_by_pair(mesh, metric):

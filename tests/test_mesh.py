@@ -6,7 +6,12 @@ import pytest
 
 import meshes
 import sequential
-from qcflow.errors import MetricError, ParseError, TopologyError
+from qcflow.errors import (
+    MetricError,
+    ParseError,
+    SurgeryError,
+    TopologyError,
+)
 from qcflow.mesh import (
     build_mesh,
     cut_graph,
@@ -17,6 +22,7 @@ from qcflow.mesh import (
     save_obj,
     slice_along_edges,
 )
+from qcflow.flow import edge_swap
 from qcflow.metric import induced_metric
 
 
@@ -126,6 +132,57 @@ def test_rejects_nonmanifold_edge():
     with pytest.raises(TopologyError) as info:
         build_mesh(faces)
     assert info.value.faces == [0, 2]
+
+
+# Edges of three or more faces, or two faces in one orientation. The first
+# case puts opposite halfedges side by side in the sort by undirected edge
+# (0 -> 1, 1 -> 0, 0 -> 1): its repeat is the third face, not a neighbour.
+@pytest.mark.parametrize("faces, edge, pair", [
+    ([[0, 1, 2], [1, 0, 3], [0, 1, 4]], (0, 1), [0, 2]),
+    ([[0, 1, 2], [0, 1, 3]], (0, 1), [0, 1]),
+    ([[0, 1, 2], [1, 0, 3], [0, 1, 4], [1, 0, 5]], (0, 1), [0, 2]),
+    ([[0, 1, 2], [2, 1, 3], [1, 2, 4], [3, 4, 0]], (1, 2), [0, 2]),
+    ([[0, 1, 2], [1, 0, 3], [3, 2, 1], [2, 3, 0], [0, 1, 4]], (0, 1),
+     [0, 4]),
+], ids=["three-faces", "same-orientation", "four-faces", "flipped-face",
+        "closed-plus-one"])
+def test_nonmanifold_edge_names_first_repeat(faces, edge, pair):
+    with pytest.raises(TopologyError) as info:
+        build_mesh(np.array(faces))
+    assert str(info.value) == (
+        f"oriented edge {edge} shared by faces {pair[0]} and {pair[1]}: "
+        "non-manifold or inconsistently oriented")
+    assert info.value.faces == pair
+
+
+@pytest.mark.parametrize("make", [
+    meshes.tetrahedron, meshes.subdivided_sphere,
+    lambda: meshes.torus_grid(8, 6)[0], meshes.embedded_torus,
+    meshes.voxel_torus, meshes.genus2_mesh, meshes.annulus_mesh,
+    meshes.sliver_mesh, lambda: meshes.grid_mesh(9, 7),
+], ids=["tetra", "sphere", "torus-grid", "embedded-torus", "voxel-torus",
+        "genus2", "annulus", "sliver", "grid"])
+def test_twins_match_searchsorted_pairing(make):
+    mesh = make()
+    assert np.array_equal(mesh.twin, sequential.searchsorted_twins(mesh.faces))
+
+
+def test_twins_of_swapped_mesh_match_searchsorted_pairing(grid9):
+    # edge_swap patches the pairing by hand; a fresh build pairs its faces
+    # the same way, and so did the reversed-key lookup
+    rng = np.random.default_rng(61)
+    mesh, metric = grid9, induced_metric(grid9)
+    swaps = 0
+    for e in rng.permutation(np.nonzero(grid9.edge_halfedges[:, 1] >= 0)[0]):
+        try:
+            mesh, metric = edge_swap(mesh, metric, int(e))
+        except SurgeryError:  # the grid's axis edges have flat quads
+            continue
+        swaps += 1
+    assert swaps > 20
+    twins = sequential.searchsorted_twins(mesh.faces)
+    assert np.array_equal(mesh.twin, twins)
+    assert np.array_equal(build_mesh(mesh.faces).twin, twins)
 
 
 def test_rejects_repeated_vertex_in_face():

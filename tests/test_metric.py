@@ -98,6 +98,20 @@ def test_face_area_equilateral():
     assert face_areas(g, TRIANGLE) == pytest.approx(np.sqrt(3) / 4)
 
 
+def test_face_area_rejects_broken_triangle():
+    # Heron's product is negative only when a side exceeds the sum of the
+    # other two; a flat triangle (3 = 1 + 2) has area 0
+    square = meshes.grid_mesh(2, 2)
+    lengths = np.full(square.n_edges, 1.0)
+    lengths[square.edge_of_halfedge[3:6]] = (1.0, 1.0, 3.0)
+    with pytest.raises(MetricError) as info:
+        face_areas(DiscreteMetric(Geometry.EUCLIDEAN, lengths), square)
+    assert type(info.value) is MetricError
+    assert str(info.value) == "triangle inequality violated on faces [1]"
+    assert info.value.faces == [1]
+    assert face_areas(tri_metric(Geometry.EUCLIDEAN, 3, 1, 2), TRIANGLE) == 0
+
+
 def test_face_area_hyperbolic_equilateral():
     g = tri_metric(Geometry.HYPERBOLIC, 1, 1, 1)
     assert face_areas(g, TRIANGLE) == pytest.approx(HYP_EQUILATERAL_AREA,

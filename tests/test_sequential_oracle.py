@@ -9,6 +9,9 @@ corner-angle edge flip is held against the quad layouts it replaced: same
 decisions, diagonals equal to rounding. The hyperbolic placement is held
 against the circle intersection it replaced: equal to 1e-12 on fat
 triangles, both distances to 1e-7 on thin.
+The block-by-block OBJ reader is held against the regular-expression reader
+it replaced on generated texts of every layout: same arrays bit for bit, or
+the same error.
 The Hessian assembled by edges and vertices is held against the dense
 face-by-face sum to 1e-12 of its largest entry, on canonical meshes and on
 one straight from ``edge_swap``.
@@ -28,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import meshes
 import sequential
@@ -629,6 +634,136 @@ def test_obj_reader_perturbations_match_sequential(tmp_path, seed):
     for _ in range(50):
         path.write_bytes(_perturbed_obj(rng).encode())
         _same_load(path)
+
+
+# Corner forms of the generated faces: those read in bulk, then the others.
+_BULK_FORMS = ["{v}", "{v}/{t}", "{v}/{t}/1"]
+_CORNER_FORMS = _BULK_FORMS + ["{v}//1", "{v}/"]
+_PLAIN_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map("%.17g".__mod__),
+    st.floats(allow_nan=False, allow_infinity=False).map("%.9g".__mod__),
+    st.integers(-9, 9).map(str))
+_NUMBERS = st.one_of(_PLAIN_NUMBERS, st.sampled_from(_FLOATS))
+
+
+@st.composite
+def _obj_texts(draw):
+    """OBJ texts over a fan of triangles: the kinds in blocks, in any block
+    order, or interleaved; skipped records, blank and non-ASCII comment
+    lines, faults and near-bulk records between them; in half the texts
+    leading blanks, tabs and other separators; LF, CRLF or CR line ends;
+    corners ``a``, ``a/t``, ``a//n``, ``a/t/n`` or ``a/``, one form or a
+    mix; ``vt`` records for some vertices only; many number spellings."""
+    n = draw(st.integers(3, 6))
+    canonical = draw(st.booleans())
+    numbers = _PLAIN_NUMBERS if canonical else _NUMBERS
+
+    def sep():
+        return " " if canonical else draw(st.sampled_from(_SEPARATORS))
+
+    def record(key, fields):
+        lead = "" if canonical or draw(st.integers(0, 9)) else sep()
+        return lead + key + "".join(sep() + f for f in fields)
+
+    vs = [record("v", [draw(numbers) for _ in range(3)]) for _ in range(n)]
+    n_vt = draw(st.integers(0, n + 1))
+    vts = [record("vt", [draw(numbers) for _ in range(2)])
+           for _ in range(n_vt)]
+    form = draw(st.sampled_from(_BULK_FORMS * 2 + _CORNER_FORMS[3:]
+                                + ["mixed"]))
+    fs = []
+    for i in range(2, n):
+        corners = []
+        for v in (1, i, i + 1):
+            f = draw(st.sampled_from(_CORNER_FORMS)) if form == "mixed" \
+                else form
+            corners.append(f.format(v=v, t=(v - 1) % max(n_vt, 1) + 1))
+        fs.append(record("f", corners))
+    # Canonical texts keep to LF ends and skipped records, so that most of
+    # them read as blocks; the others take every fault and line end.
+    extras = st.sampled_from(["# comment", "vn 0 0 1", "o part", ""])
+    ends = st.just("\n")
+    if not canonical:
+        extras = st.sampled_from(_JUNK + ["# caf\u00e9 \u2014 \u00fcber"]
+                                 + _FAULTS + _NEAR_BULK)
+        ends = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.integers(0, 3)):
+        lines = []
+        for block in draw(st.permutations([vs, vts, fs])):
+            lines += draw(st.lists(extras, max_size=1)) + block
+        lines += draw(st.lists(extras, max_size=1))
+    else:
+        lines = draw(st.permutations(vs + vts + fs))
+    for _ in range(draw(st.integers(0, 1 if canonical else 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(extras))
+    end = draw(ends)
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _same_as_regex_reader(path):
+    """The load of ``path``, checked against the regular-expression reader
+    bit for bit, error messages included."""
+    new = test_mesh.load_outcome(load_obj, path)
+    assert new == test_mesh.load_outcome(sequential.regex_load_obj, path)
+    return new
+
+
+@given(text=_obj_texts())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_obj_reader_matches_regex_reader(tmp_path, text):
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode())
+    _same_as_regex_reader(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\nf 1 2 \xff3\r\n",
+    b"v 0 0 0\nv 1 0 0\nv 0 1 0\n# caf\xc3\xa9\nf 1 2 3\n\xe2\x82",
+    b"\xef\xbb\xbfv 0 0 0\rv 1 0 0\rv 0 1 0\rf 1 2 3",
+], ids=["crlf-bad-byte", "truncated-at-end", "bom-cr"])
+def test_obj_reader_decodes_like_text_mode(tmp_path, data):
+    # the rows route decodes the bytes it has read as text mode reads the
+    # file: the same newlines, byte offset of a bad byte, and BOM
+    path = tmp_path / "m.obj"
+    path.write_bytes(data)
+    _same_as_regex_reader(path)
+
+
+def _gen_obj(path, pos, faces, uv):
+    """An OBJ as ``perfbench/gen.py`` writes it: every float by
+    ``np.savetxt`` with 17 significant digits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, pos, fmt="v %.17g %.17g %.17g")
+        np.savetxt(fh, np.column_stack([uv.real, uv.imag]),
+                   fmt="vt %.17g %.17g")
+        np.savetxt(fh, np.repeat(faces + 1, 2, axis=1),
+                   fmt="f %d/%d %d/%d %d/%d")
+
+
+def test_obj_reader_reads_canonical_files_as_blocks(tmp_path, monkeypatch):
+    # The files save_obj and the benchmark write, and a plain ``f a b c``
+    # file, must never reach the regular-expression route
+    class NoScan:
+        def findall(self, text):
+            raise AssertionError("scanned by regular expression")
+    for name in ("_V", "_VT", "_F"):
+        monkeypatch.setattr(mesh_module, name, NoScan())
+    mesh = meshes.grid_mesh(17, 9, bump=0.3)
+    uv = _uv(mesh, 71)
+    save_obj(mesh, tmp_path / "save.obj", uv=uv)
+    _gen_obj(tmp_path / "gen.obj", mesh.positions, mesh.faces, uv)
+    (tmp_path / "plain.obj").write_text(
+        "# plain\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 3 2 4")
+    for name in ("save.obj", "gen.obj", "plain.obj"):
+        new = _same_as_regex_reader(tmp_path / name)
+        assert isinstance(new[0], bytes), new
+    # a tab after a key sends the file to the rows
+    path = tmp_path / "tab.obj"
+    path.write_text((tmp_path / "plain.obj").read_text().replace("v 1 1",
+                                                                 "v\t1 1"))
+    with pytest.raises(AssertionError, match="regular expression"):
+        load_obj(path)
 
 
 def _uv(mesh, seed):
