@@ -387,38 +387,38 @@ def load_obj(path):
     record types are skipped. Texture coordinates, when present on every face
     corner, are stored on the mesh as a per-vertex complex array.
 
-    One NumPy pass over the file's bytes finds every line start and each
-    line's key. When the file is ASCII with LF line ends and its ``v``,
-    ``vt`` and ``f`` records each form one block of consecutive lines that
-    start with the key and one space, as :func:`save_obj` and NumPy's
-    ``savetxt`` write them, each block is read whole (:func:`_blocks`). Any
-    other file is read by rows: each record kind is gathered from the whole
-    text by one regular expression. Either way a kind whose rows all have
-    one shape (``v x y z``, ``vt u v``, ``f a b c``, ``f a/t b/t c/t`` or
+    Every file is read the same way. One NumPy pass over its bytes finds
+    every line start and each line's key (:func:`_records`), and each of
+    ``v``, ``vt`` and ``f`` takes its lines from that table: one slice when
+    they are consecutive, as :func:`save_obj` and NumPy's ``savetxt`` write
+    them, a join otherwise. A kind whose rows all have one shape
+    (``v x y z``, ``vt u v``, ``f a b c``, ``f a/t b/t c/t`` or
     ``f a/t/n b/t/n c/t/n``, one whitespace byte apart) has all its numbers
-    converted by one ``np.loadtxt``, NumPy's C tokenizer and converter. A
-    block of another shape, or a token that reader refuses, sends the file
-    to the rows, where such a kind is converted row by row with Python's
-    ``float`` and ``int``, each face corner by ``str.partition``. A
-    malformed record sends the reader line by line through the text to name
-    the first bad line. Vertex and texture indices must be positive; an
-    empty texture field (``v/``, ``v//n``) means no texture.
+    converted by one ``np.loadtxt``, NumPy's C tokenizer and converter. Any
+    other kind, or one with a token that reader refuses, is converted row
+    by row with Python's ``float`` and ``int``, each face corner by
+    ``str.partition``. A malformed record sends the reader line by line
+    through the file to name the first bad line. Vertex and texture indices
+    must be positive; an empty texture field (``v/``, ``v//n``) means no
+    texture.
+
+    A file that is not ASCII or holds a carriage return is first decoded as
+    text mode reads it; if the text is not ASCII, each whitespace character
+    but the newline then reads as a space, so the table splits lines and
+    fields where ``str.split`` does.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        records = _blocks(data)
-    except ValueError:
-        records = None  # a bad index: the rows route names its line
-    if records is None:
+    if not data.isascii() or b"\r" in data:
         text = _read_text(path, data)
-        del data  # the rows route needs only the text
-        try:
-            records = (*_coordinates(text), *_face_ids(_F.findall(text)))
-        except ValueError:
-            lineno, message = _first_bad_line(text)
-            raise ParseError(f"{path}:{lineno}: {message}") from None
-    verts, uvs, faces, tex = records
+        if not text.isascii():
+            text = re.sub(r"[^\S\n ]", " ", text)
+        data = text.encode()
+    try:
+        verts, uvs, faces, tex = _records(data)
+    except ValueError:
+        lineno, message = _first_bad_line(data.decode())
+        raise ParseError(f"{path}:{lineno}: {message}") from None
 
     if not len(verts):
         raise ParseError(f"{path}: no vertices")
@@ -435,31 +435,21 @@ def load_obj(path):
 
 
 def _read_text(path, data):
-    """The file bytes ``data`` read as text mode reads the file (UTF-8, CRLF
-    and CR line ends read as LF), after a newline, so that every record, the
-    first one too, follows a newline (see :func:`_record`)."""
+    """The file bytes ``data`` read as text mode reads the file: UTF-8, CRLF
+    and CR line ends read as LF."""
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
-            return "\n" + fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") \
                 from None
 
 
-def _record(key):
-    """Pattern whose group 1 is the rest of each line that has ``key`` as
-    its first token. ``[^\\S\\n]`` is the whitespace ``str.split`` splits on,
-    less the newline. Matching from the newline before the line lets the
-    scan skip from line to line."""
-    return re.compile(rf"\n[^\S\n]*{key}(?:[^\S\n]+(.*)|$)", re.M)
-
-
-_V, _VT, _F = _record("v"), _record("vt"), _record("f")
 # The ASCII whitespace str.split splits on. In a row's skeleton each byte of
 # it but the newline, which ends the row, reads as a space.
 _SPACES = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"
-_ONE_SPACE = bytes.maketrans(_SPACES.replace(b"\n", b""),
-                             b" " * (len(_SPACES) - 1))
+_BLANKS = _SPACES.replace(b"\n", b"")
+_ONE_SPACE = bytes.maketrans(_BLANKS, b" " * len(_BLANKS))
 # ASCII bytes that str.split does not split on, and the digits.
 _NOT_SPACE = bytes(set(range(128)) - set(_SPACES))
 _DIGITS = b"0123456789"
@@ -471,126 +461,115 @@ _ENDS_KEY = np.zeros(256, dtype=bool)
 _ENDS_KEY[list(_SPACES)] = True
 _BLANK = _ENDS_KEY.copy()
 _BLANK[ord("\n")] = False
+# Per coordinate kind: the fields read, the fault of a row with fewer and
+# the fault of a field that is not a number.
+_COORDINATES = {
+    "v": (3, "vertex needs 3 coordinates", "bad vertex coordinate"),
+    "vt": (2, "vt needs 2 coordinates", "bad texture coordinate"),
+}
 
 
-def _blocks(data):
+def _records(data):
     """Vertex positions, texture coordinates and per-corner vertex and
-    texture ids of the OBJ file bytes ``data``, read one block per record
-    kind: the kind's lines from its first to its last. None when the file
-    is not ASCII with LF line ends, a line starts with whitespace, a ``v``,
-    ``vt`` or ``f`` line does not start with its key and one space, or a
-    block does not read in bulk (:func:`_float_table`,
-    :func:`_face_table`), as when other lines lie inside it. A file this
-    reads gives the regular-expression route the same rows, each a block
-    line less its key and space, so the two convert the same tokens."""
-    if not data.isascii() or b"\r" in data:
-        return None
+    texture ids of the OBJ bytes ``data``: ASCII, or UTF-8 whose whitespace
+    is ASCII, with LF line ends. A line's key is its first bytes up to
+    whitespace or the line end; lines are stripped of leading blanks first
+    when some line has one. Raises ValueError on a malformed record."""
     if not data.endswith(b"\n"):
-        data += b"\n"  # a final empty line reads as no record either way
+        data += b"\n"  # a final empty line reads as no record
+    starts, ends, (c0, c1, c2) = _line_table(data)
+    if _BLANK[c0].any():
+        data = b"\n".join([line.lstrip(_BLANKS)
+                           for line in data.split(b"\n")])
+        starts, ends, (c0, c1, c2) = _line_table(data)
+    one_letter = _ENDS_KEY[c1]
+    v, vt, f = (np.flatnonzero(lines) for lines in (
+        (c0 == ord("v")) & one_letter,
+        (c0 == ord("v")) & (c1 == ord("t")) & _ENDS_KEY[c2],
+        (c0 == ord("f")) & one_letter))
+    # Each kind's lines are copied out of the file only while converted.
+    verts = _floats(_lines(data, starts, ends, v), v.size, "v")
+    uvs = _floats(_lines(data, starts, ends, vt), vt.size, "vt")
+    faces, tex = _face_ids(_lines(data, starts, ends, f), f.size)
+    return verts, uvs.view(np.complex128).ravel(), faces, tex
+
+
+def _line_table(data):
+    """Start and end (newline) offsets of every line of ``data``, which ends
+    with a newline, and the first three bytes of every line. Each of those
+    is looked at only after the key letters before it, so a short line's
+    newline ends its key before a byte past it is read."""
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.r_[0, ends[:-1] + 1]
-    # The first three bytes of every line. Each is looked at only after the
-    # key letters before it, so a short line's newline ends its key before
-    # a byte past it is read.
-    c0, c1, c2 = (buf.take(starts + i, mode="clip") for i in range(3))
-    if _BLANK[c0].any():
-        return None
-    one_letter = _ENDS_KEY[c1]
-    blocks = []
-    for lines, after_key in (((c0 == ord("v")) & one_letter, c1),
-                             ((c0 == ord("v")) & (c1 == ord("t"))
-                              & _ENDS_KEY[c2], c2),
-                             ((c0 == ord("f")) & one_letter, c1)):
-        rows = np.flatnonzero(lines)
-        if (after_key[rows] != ord(" ")).any():
-            return None
-        # From the kind's first line to its last: the skeleton check of
-        # _all_rows_are fails on any other line in between. Each block is
-        # copied out of the file only while it is converted.
-        span = slice(starts[rows[0]], ends[rows[-1]]) if rows.size \
-            else slice(0, 0)
-        blocks.append((span, rows.size))
-
-    (v, n_v), (vt, n_vt), (f, n_f) = blocks
-    verts = _float_table(data[v], n_v, 3, b"v")
-    uvs = _float_table(data[vt], n_vt, 2, b"vt")
-    if verts is None or uvs is None:
-        return None
-    ids = _face_table(data[f], n_f, b"f")
-    if ids is None:
-        return None
-    return (verts, uvs.view(np.complex128).ravel(), *ids)
+    return starts, ends, [buf.take(starts + i, mode="clip") for i in range(3)]
 
 
-def _all_rows_are(block, n, shape, drop, key=b""):
+def _lines(data, starts, ends, rows):
+    """Lines ``rows`` of ``data`` joined by newlines: one slice when they
+    are consecutive, otherwise :func:`_join_lines`."""
+    if not rows.size:
+        return b""
+    if rows[-1] - rows[0] == rows.size - 1:
+        return data[starts[rows[0]]:ends[rows[-1]]]
+    return _join_lines(data, starts[rows], ends[rows])
+
+
+def _join_lines(data, starts, ends):
+    """The lines of ``data`` from ``starts`` to ``ends``, joined by
+    newlines."""
+    return b"\n".join(map(data.__getitem__,
+                          map(slice, starts.tolist(), ends.tolist())))
+
+
+def _all_rows_are(block, n, shape, drop):
     """Whether ``block``, ``n`` rows joined by newlines, has every row read
-    ``shape`` (after ``key`` and one whitespace byte, when a key is given)
-    once the ``drop`` bytes and the key's bytes are removed and each other
-    whitespace byte is read as a space."""
-    skeleton = b" " + shape if key else shape
-    return (block.translate(_ONE_SPACE, drop + key)
-            == ((skeleton + b"\n") * n)[:-1])
+    one whitespace byte and ``shape`` once the ``drop`` bytes, the key's
+    among them, are removed and each other whitespace byte is read as a
+    space."""
+    return (block.translate(_ONE_SPACE, drop)
+            == ((b" " + shape + b"\n") * n)[:-1])
 
 
-def _table(lines, n, dtype, width, key=b""):
-    """The ``width`` fields after ``key`` (if any) of each of the ``n``
-    ``lines``, a list of rows or an ASCII file object, as an ``(n, width)``
-    array read by NumPy's C text reader, or None when it reads another
-    shape or refuses a token. On the tokens it takes it agrees with
-    Python's ``float`` and ``int`` bit for bit; it refuses some they take
-    (``1_0``, non-ASCII digits, integers past int64), which the caller then
-    converts row by row. It splits on the ASCII whitespace ``str.split``
-    splits on, so rows of one skeleton (:func:`_all_rows_are`) that it
-    reads have the fields ``str.split`` gives."""
+def _table(block, n, dtype, width):
+    """The ``width`` fields after the key of each of the ``n`` rows of
+    ``block`` as an ``(n, width)`` array read by NumPy's C text reader, or
+    None when it reads another shape or refuses a token. On the tokens it
+    takes it agrees with Python's ``float`` and ``int`` bit for bit; it
+    refuses some they take (``1_0``, integers past int64), which the caller
+    then converts row by row. It splits on the ASCII whitespace
+    ``str.split`` splits on, so rows of one skeleton (:func:`_all_rows_are`)
+    that it reads have the fields ``str.split`` gives."""
     if not n:
         return np.empty((0, width), dtype)
-    usecols = range(1, width + 1) if key else None
     try:
-        values = np.loadtxt(lines, dtype, comments=None, ndmin=2,
-                            usecols=usecols)
+        values = np.loadtxt(io.BytesIO(block), dtype, comments=None, ndmin=2,
+                            usecols=range(1, width + 1))
     except ValueError:
         return None
     return values if values.shape == (n, width) else None
 
 
-def _float_table(block, n, count, key):
-    """:func:`_table` of ``n`` rows of ``count`` floats, one whitespace
-    byte apart; None for rows of another shape."""
-    if not _all_rows_are(block, n, b" " * (count - 1), _NOT_SPACE, key):
-        return None
-    return _table(io.BytesIO(block), n, np.float64, count, key)
-
-
-def _coordinates(text):
-    """Vertex positions and texture coordinates of the records in ``text``.
-    Raises ValueError with the fault on a malformed record."""
-    verts = _floats(_V.findall(text), 3, "vertex needs 3 coordinates",
-                    "bad vertex coordinate")
-    uvs = _floats(_VT.findall(text), 2, "vt needs 2 coordinates",
-                  "bad texture coordinate").view(np.complex128).ravel()
-    return verts, uvs
-
-
-def _floats(rows, count, short, bad):
-    """The first ``count`` fields of every row as a (rows, count) array.
-    Rows of exactly ``count`` fields, one whitespace byte apart, are read
-    all at once; otherwise row by row."""
-    joined = "\n".join(rows)
-    if joined.isascii() and _all_rows_are(
-            joined.encode(), len(rows), b" " * (count - 1), _NOT_SPACE):
-        values = _table(rows, len(rows), np.float64, count)
+def _floats(block, n, key):
+    """The coordinates of the ``n`` ``key`` rows joined in ``block`` as an
+    ``(n, count)`` array: read in bulk when every row holds ``count``
+    numbers one whitespace byte apart, otherwise row by row."""
+    count, short, bad = _COORDINATES[key]
+    if _all_rows_are(block, n, b" " * (count - 1), _NOT_SPACE):
+        values = _table(block, n, np.float64, count)
         if values is not None:
             return values
-    return _float_rows(rows, count, short, bad)
+    return _float_rows(block.decode().split("\n"), count, short, bad)
 
 
-def _float_rows(rows, count, short, bad):
-    """:func:`_floats` row by row, by ``str.split`` and Python's ``float``."""
-    rows = list(map(str.split, rows))
-    if rows and min(map(len, rows)) < count:
+def _float_rows(lines, count, short, bad):
+    """:func:`_floats` row by row, by ``str.split`` and Python's ``float``:
+    the ``count`` fields after the key of every line."""
+    rows = list(map(str.split, lines))
+    if rows and min(map(len, rows)) <= count:
         raise ValueError(short)
-    fields = list(chain.from_iterable(map(itemgetter(slice(count)), rows)))
+    fields = list(chain.from_iterable(map(itemgetter(slice(1, count + 1)),
+                                          rows)))
     try:
         values = np.fromiter(map(float, fields), np.float64, len(fields))
     except ValueError:
@@ -598,44 +577,32 @@ def _float_rows(rows, count, short, bad):
     return values.reshape(-1, count)
 
 
-def _face_ids(rows):
+def _face_ids(block, n):
     """0-based vertex and texture ids (-1 when absent) of the corners of
-    the ``f`` rows: read all at once by :func:`_face_table` when they are
-    ASCII, otherwise corner by corner."""
-    joined = "\n".join(rows)
-    if joined.isascii():
-        ids = _face_table(joined.encode(), len(rows))
-        if ids is not None:
-            return ids
-    return _corners(_face_refs(rows))
-
-
-def _face_table(block, n, key=b""):
-    """0-based vertex and texture ids (-1 when absent) of the corners of
-    the ``n`` ``f`` rows joined in ``block`` (each after ``key``, when one
-    is given) when they are all ``a b c``, all ``a/t b/t c/t`` or all
-    ``a/t/n b/t/n c/t/n`` (ASCII digits, one whitespace byte apart), as the
-    first row's slashes say; None otherwise. ``/`` reads as a space."""
+    the ``n`` ``f`` rows joined in ``block``: read in bulk when they are all
+    ``a b c``, all ``a/t b/t c/t`` or all ``a/t/n b/t/n c/t/n`` (ASCII
+    digits, one whitespace byte apart), as the first row's slashes say, with
+    ``/`` read as a space; otherwise corner by corner."""
     shape = _FACE_SHAPES.get(block.partition(b"\n")[0].count(b"/"))
-    if shape is None or not _all_rows_are(block, n, shape, _DIGITS, key):
-        return None
-    ids = _table(io.BytesIO(block.replace(b"/", b" ")), n, np.int64,
-                 len(shape) + 1, key)
-    if ids is None:
-        return None
-    # One row per corner: the vertex id, then any texture and normal ids.
-    ids = ids.reshape(-1, (len(shape) + 1) // 3)
-    if ids.shape[1] == 1:
-        return _one_based(ids[:, 0], "face"), np.full(len(ids), -1)
-    return _one_based(ids[:, 0], "face"), _one_based(ids[:, 1], "texture")
+    if shape is not None and _all_rows_are(block, n, shape, b"f" + _DIGITS):
+        ids = _table(block.replace(b"/", b" "), n, np.int64, len(shape) + 1)
+        if ids is not None:
+            # One row per corner: the vertex id, then any texture and normal
+            # ids.
+            ids = ids.reshape(-1, (len(shape) + 1) // 3)
+            if ids.shape[1] == 1:
+                return _one_based(ids[:, 0], "face"), np.full(len(ids), -1)
+            return (_one_based(ids[:, 0], "face"),
+                    _one_based(ids[:, 1], "texture"))
+    return _corners(_face_refs(block.decode().split("\n")))
 
 
-def _face_refs(rows):
-    """The three corner references of every ``f`` row, flattened."""
-    refs = list(map(str.split, rows))
-    if refs and set(map(len, refs)) != {3}:
+def _face_refs(lines):
+    """The three corner references of every ``f`` line, flattened."""
+    refs = list(map(str.split, lines))
+    if refs and set(map(len, refs)) != {4}:
         raise ValueError("only triangular faces are supported")
-    return list(chain.from_iterable(refs))
+    return list(chain.from_iterable(map(itemgetter(slice(1, 4)), refs)))
 
 
 def _corners(refs):
@@ -674,15 +641,17 @@ def _ints(strings):
 
 
 def _first_bad_line(text):
-    """(lineno, fault) of the first line of ``text`` (after its leading
-    newline) that fails to convert. Face corners are converted one at a
-    time, so a line with several faults reports the first."""
-    for lineno, line in enumerate(text.split("\n")[1:], start=1):
-        line = "\n" + line
+    """(lineno, fault) of the first line of ``text`` that fails to convert.
+    Face corners are converted one at a time, so a line with several faults
+    reports the first."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        key = line.split(maxsplit=1)[:1]
         try:
-            _coordinates(line)
-            for ref in _face_refs(_F.findall(line)):
-                _corners([ref])
+            if key == ["f"]:
+                for ref in _face_refs([line]):
+                    _corners([ref])
+            elif key and key[0] in _COORDINATES:
+                _float_rows([line], *_COORDINATES[key[0]])
         except ValueError as exc:
             return lineno, str(exc)
 

@@ -54,9 +54,9 @@ that measures the whole auxiliary metric and checks every face after every
 swap. The stable-id swaps, renumbered once per loop, must give the same
 meshes, lengths and swap counts bit for bit, or the same error.
 
-And it keeps the OBJ reader as it was before files of one block per
-record kind were read from a table of line starts: each kind gathered from
-the whole text by one regular expression, and the twin lookup of
+And it keeps the OBJ reader as it was before every file was read from a
+table of line starts: each kind gathered from the whole text by one
+regular expression, and the twin lookup of
 ``build_mesh`` before its sort by undirected edge. The reader must give the
 same arrays bit for bit, or the same error, and the sort the same twins.
 

@@ -15,6 +15,7 @@ from qcflow.beltrami import (
     map_distance,
 )
 from qcflow.errors import BeltramiError
+from qcflow.mesh import build_mesh
 from qcflow.metric import Geometry, induced_metric
 
 
@@ -173,6 +174,20 @@ def test_estimate_rejects_degenerate_source(grid9):
         estimate_beltrami(z, z, grid9)
 
 
+def test_estimate_rejects_cancelling_vertex_tau():
+    # An 8-face fan whose rim image winds twice around the centre: every
+    # face keeps its orientation, but the face phases of tau cancel at the
+    # centre vertex.
+    k = np.arange(8)
+    fan = build_mesh(np.column_stack([np.zeros(8, int), k + 1,
+                                      (k + 1) % 8 + 1]))
+    src = np.r_[0, np.exp(2j * np.pi * k / 8)]
+    dst = np.r_[0, np.exp(4j * np.pi * k / 8)]
+    with pytest.raises(BeltramiError,
+                       match=r"vertex tau is ambiguous \(cancelling phases\)"):
+        estimate_beltrami(src, dst, fan)
+
+
 def test_compose_identity_f():
     mu_g = BeltramiField(np.full(5, 0.2 - 0.1j))
     zero = BeltramiField(np.zeros(5, dtype=complex))
@@ -194,6 +209,14 @@ def test_compose_rejects_bad_tau():
     mu = BeltramiField(np.full(3, 0.1 + 0j))
     with pytest.raises(BeltramiError):
         compose_beltrami(mu, mu, np.full(3, 0.5 + 0j))
+
+
+def test_compose_rejects_result_that_rounds_to_unit():
+    # Both inputs are sub-unit, but (x + x) / (1 + x x) rounds to 1.
+    x = 1 - 2**-53
+    with pytest.raises(BeltramiError,
+                       match="composed coefficient is not sub-unit"):
+        compose_beltrami([x], [x], [1])
 
 
 def test_compose_moduli_bound():

@@ -9,8 +9,8 @@ corner-angle edge flip is held against the quad layouts it replaced: same
 decisions, diagonals equal to rounding. The hyperbolic placement is held
 against the circle intersection it replaced: equal to 1e-12 on fat
 triangles, both distances to 1e-7 on thin.
-The block-by-block OBJ reader is held against the regular-expression reader
-it replaced on generated texts of every layout: same arrays bit for bit, or
+The line-table OBJ reader is held against the regular-expression reader it
+replaced on generated texts of every layout: same arrays bit for bit, or
 the same error.
 The Hessian assembled by edges and vertices is held against the dense
 face-by-face sum to 1e-12 of its largest entry, on canonical meshes and on
@@ -526,13 +526,17 @@ def test_obj_reader_matches_sequential_at_scale(analyze_objs, name):
 
 def test_obj_reader_reads_benchmark_shapes_in_bulk(analyze_objs, tmp_path,
                                                    monkeypatch):
-    # Every kind of these files has one of the shapes NumPy's text reader
-    # converts; none may fall back to the row-by-row converters.
+    # Every kind of these files, and of src.obj with CRLF line ends, has one
+    # of the shapes NumPy's text reader converts; none may fall back to the
+    # row-by-row converters.
     def row_by_row(*args):
         raise AssertionError("converted row by row")
     monkeypatch.setattr(mesh_module, "_float_rows", row_by_row)
     monkeypatch.setattr(mesh_module, "_corners", row_by_row)
-    for path in analyze_objs.values():
+    crlf = tmp_path / "src_crlf.obj"
+    crlf.write_bytes(analyze_objs["src.obj"].read_bytes().replace(b"\n",
+                                                                  b"\r\n"))
+    for path in [*analyze_objs.values(), crlf]:
         load_obj(path)
     # a vertex weight is off the bulk shapes
     path = tmp_path / "weight.obj"
@@ -743,26 +747,27 @@ def _gen_obj(path, pos, faces, uv):
 
 def test_obj_reader_reads_canonical_files_as_blocks(tmp_path, monkeypatch):
     # The files save_obj and the benchmark write, and a plain ``f a b c``
-    # file, must never reach the regular-expression route
-    class NoScan:
-        def findall(self, text):
-            raise AssertionError("scanned by regular expression")
-    for name in ("_V", "_VT", "_F"):
-        monkeypatch.setattr(mesh_module, name, NoScan())
+    # file, are read one slice and one np.loadtxt per record kind: none may
+    # join scattered lines or convert row by row
+    def off_block(*args):
+        raise AssertionError("read off the blocks")
+    for name in ("_float_rows", "_corners", "_join_lines"):
+        monkeypatch.setattr(mesh_module, name, off_block)
     mesh = meshes.grid_mesh(17, 9, bump=0.3)
     uv = _uv(mesh, 71)
     save_obj(mesh, tmp_path / "save.obj", uv=uv)
     _gen_obj(tmp_path / "gen.obj", mesh.positions, mesh.faces, uv)
-    (tmp_path / "plain.obj").write_text(
-        "# plain\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 3 2 4")
-    for name in ("save.obj", "gen.obj", "plain.obj"):
+    plain = "# plain\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 3 2 4"
+    (tmp_path / "plain.obj").write_text(plain)
+    # a tab after a key is read in bulk too
+    (tmp_path / "tab.obj").write_text(plain.replace("v 1 1", "v\t1 1"))
+    for name in ("save.obj", "gen.obj", "plain.obj", "tab.obj"):
         new = _same_as_regex_reader(tmp_path / name)
         assert isinstance(new[0], bytes), new
-    # a tab after a key sends the file to the rows
-    path = tmp_path / "tab.obj"
-    path.write_text((tmp_path / "plain.obj").read_text().replace("v 1 1",
-                                                                 "v\t1 1"))
-    with pytest.raises(AssertionError, match="regular expression"):
+    # a vertex after the faces scatters the v lines, which are joined
+    path = tmp_path / "scattered.obj"
+    path.write_text(plain + "\nv 2 2 0")
+    with pytest.raises(AssertionError, match="off the blocks"):
         load_obj(path)
 
 
