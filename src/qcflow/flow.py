@@ -25,15 +25,20 @@ mesh object, and so a new pattern.
 
 One solve path: the Hessian is the Hessian of a convex energy (Springborn,
 Schroeder & Pinkall 2008), so the pinned or whole system is symmetric
-positive definite. :func:`run_flow` factors it once per mesh by sparse LU
-and solves later steps by conjugate gradients preconditioned by that LU,
-to the inexact-Newton forcing tolerance ``min(1e-3, max|Kbar - K|)``
-relative to the right-hand side, which keeps the quadratic rate (Dembo,
-Eisenstat & Steihaug 1982). The LU travels in a :class:`NewtonFactor`
-record. A factor that misses the tolerance within ``_MAX_CG_ITERATIONS``
-iterations is refreshed in place, releasing the stale LU before its
-successor is built, and edge-swap surgery drops it, since a swap changes
-the sparsity pattern.
+positive definite. :func:`run_flow` factors it once per mesh by sparse LU,
+with SuperLU's settings for a symmetric system (symmetric ordering,
+diagonal pivots, narrow panels), and solves later steps by conjugate
+gradients preconditioned by that LU, to the inexact-Newton forcing
+tolerance ``min(1e-3, max|Kbar - K|)`` relative to the right-hand side,
+which keeps the quadratic rate (Dembo, Eisenstat & Steihaug 1982). The
+tolerance is floored at ``0.5 eps / |Kbar - K|_2``, the safeguard against
+oversolving (Kelley 1995, section 6.3; Eisenstat & Walker 1996): CG stops
+once the linear residual is below ``eps / 2``, which the stopping test
+cannot tell from zero. The LU travels in a :class:`NewtonFactor` record. A
+factor that misses the tolerance within ``_MAX_CG_ITERATIONS`` iterations
+is refreshed in place, releasing the stale LU before its successor is
+built, and edge-swap surgery drops it, since a swap changes the sparsity
+pattern.
 
 Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
 pre-flow surgery of :mod:`qcflow.pipeline`; it flips by corner angles, with
@@ -77,8 +82,13 @@ from .metric import (
 _SURGERY_AFTER_HALVINGS = 5
 # step halvings per Newton iteration before the line search gives up
 _MAX_HALVINGS = 20
-# cap of the inexact-Newton forcing term min(cap, max|b|) of a reused factor
+# cap of the inexact-Newton forcing term of a reused factor
 _FORCING_CAP = 1e-3
+# SuperLU settings for a symmetric positive definite system: the symmetric
+# ordering, diagonal pivots (so perm_r == perm_c) and panels narrower than
+# the default 20, which suit the small supernodes of a mesh Hessian
+_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     panel_size=6, options=dict(SymmetricMode=True))
 # conjugate-gradient iterations before a reused factor counts as stale
 _MAX_CG_ITERATIONS = 20
 
@@ -216,7 +226,7 @@ class NewtonFactor:
     cg_iterations: int = 0
 
 
-def newton_step(H, residual, geometry, factor=None):
+def newton_step(H, residual, geometry, factor=None, eps=0.0):
     """Solve ``H du = residual`` (= Kbar - K) for the Newton direction.
     Returns ``(du, factor)``: the direction and the :class:`NewtonFactor`
     to hand to the next step on the same mesh (``factor`` itself when one
@@ -229,12 +239,17 @@ def newton_step(H, residual, geometry, factor=None):
     definite and solved whole, on ``H`` itself.
 
     With no factor, or one without an LU of the system's size, the system
-    is factored by ``splu`` and solved directly. With the LU of an earlier
-    Hessian on the same mesh it is solved by conjugate gradients (valid
-    because the pinned or whole system is symmetric positive definite)
-    started at the LU solution and preconditioned by the LU, to the
-    inexact-Newton forcing tolerance ``|r| <= min(1e-3, max|b|) |b|``,
-    which keeps the quadratic rate. An LU that does not reach it within
+    is factored by ``splu`` and solved directly; the system is symmetric
+    positive definite, so SuperLU keeps to the diagonal of its symmetric
+    ``MMD_AT_PLUS_A`` ordering (``SymmetricMode``, ``diag_pivot_thresh=0``)
+    and builds panels of 6 columns instead of its default 20. With the LU
+    of an earlier Hessian on the same mesh it is solved by conjugate
+    gradients started at the LU solution and preconditioned by the LU, to
+    the inexact-Newton forcing tolerance
+    ``|r| <= min(1e-3, max(max|b|, 0.5 eps / |b|)) |b|``, which keeps the
+    quadratic rate; the floor stops once ``|r| <= eps / 2``, below what
+    the flow's stopping test ``max|b| < eps`` can see, and ``eps = 0``
+    (the default) drops it. An LU that does not reach the tolerance within
     ``_MAX_CG_ITERATIONS`` iterations is stale: it is released and the
     system factored afresh into the same record.
 
@@ -262,9 +277,14 @@ def newton_step(H, residual, geometry, factor=None):
         def count(xk):
             factor.cg_iterations += 1
 
+        # the forcing term, floored so that the step is not solved past
+        # what the flow's stopping test can see
+        b_norm = float(np.linalg.norm(b[free]))
+        floor = 0.5 * eps / b_norm if b_norm else 0.0
         y, info = spla.cg(
             A, b[free], x0=factor.lu.solve(b[free]),
-            rtol=min(_FORCING_CAP, float(np.abs(b).max())), atol=0.0,
+            rtol=min(_FORCING_CAP, max(float(np.abs(b).max()), floor)),
+            atol=0.0,
             maxiter=_MAX_CG_ITERATIONS,
             M=spla.LinearOperator(A.shape, matvec=factor.lu.solve,
                                   dtype=np.float64),
@@ -284,7 +304,7 @@ def newton_step(H, residual, geometry, factor=None):
         try:
             # A is exactly symmetric, so its transpose, a CSC view of the
             # same arrays, is the CSC form of A
-            factor.lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A")
+            factor.lu = spla.splu(A.T, **_SPLU_OPTIONS)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"singular Newton system: {exc}") from exc
         factor.factorizations += 1
@@ -571,7 +591,8 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
 
     while res >= options.eps and iterations < options.max_iterations:
         H = assemble_hessian(mesh, current, angles=angles)
-        du, factor = newton_step(H, target - K, geometry, factor)
+        du, factor = newton_step(H, target - K, geometry, factor,
+                                 options.eps)
         surgery_tried = saw_admissible = False
         for halv in range(_MAX_HALVINGS + 1):
             u_try = u + 0.5 ** halv * du

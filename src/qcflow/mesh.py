@@ -403,17 +403,17 @@ def load_obj(path):
     texture.
 
     A file that is not ASCII or holds a carriage return is first decoded as
-    text mode reads it; if the text is not ASCII, each whitespace character
-    but the newline then reads as a space, so the table splits lines and
-    fields where ``str.split`` does.
+    text mode reads it; on each line that is not ASCII, each whitespace
+    character but the newline then reads as a space, so the table splits
+    lines and fields where ``str.split`` does.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii() or b"\r" in data:
         text = _read_text(path, data)
-        if not text.isascii():
-            text = re.sub(r"[^\S\n ]", " ", text)
         data = text.encode()
+        if not text.isascii():
+            data = _wide_spaces_read_as_spaces(data)
     try:
         verts, uvs, faces, tex = _records(data)
     except ValueError:
@@ -432,6 +432,27 @@ def load_obj(path):
     if len(uvs) and (tex >= 0).all():
         uv = _vertex_uv(path, faces, tex, uvs, len(verts))
     return build_mesh(faces.reshape(-1, 3), positions=verts, uv=uv)
+
+
+def _wide_spaces_read_as_spaces(data):
+    """The UTF-8 text ``data`` with each whitespace character but the
+    newline read as a space on the lines that hold a byte >= 0x80, found by
+    one NumPy mask; the table reads the ASCII whitespace of the other lines
+    itself."""
+    codes = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    lines = np.unique(np.searchsorted(ends, np.flatnonzero(codes >= 0x80)))
+    starts = np.r_[0, ends + 1][lines].tolist()
+    stops = np.r_[ends, len(data)][lines].tolist()
+    # one substitution over the wide lines, newline-joined and split back
+    wide = re.sub(r"[^\S\n ]", " ", b"\n".join(
+        [data[a:z] for a, z in zip(starts, stops)]).decode())
+    parts, prev = [], 0
+    for a, z, line in zip(starts, stops, wide.encode().split(b"\n")):
+        parts += [data[prev:a], line]
+        prev = z
+    parts.append(data[prev:])
+    return b"".join(parts)
 
 
 def _read_text(path, data):

@@ -1181,7 +1181,8 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
 
     while res >= options.eps and iterations < options.max_iterations:
         H = assemble_hessian(mesh, current, angles=angles)
-        du, factor = newton_step(H, target - K, geometry, factor)
+        du, factor = newton_step(H, target - K, geometry, factor,
+                                 options.eps)
 
         accepted = False
         surgery_progress = False

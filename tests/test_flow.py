@@ -342,6 +342,75 @@ def test_newton_step_reuses_factor_nearby(grid9, geometry):
     assert np.abs(du - dense).max() < rtol * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("geometry", [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC])
+def test_newton_step_factors_with_diagonal_pivots(grid9, genus2, geometry):
+    # the SPD settings pivot on the diagonal of the symmetric ordering, and
+    # the direct solve of the pinned grid system or the whole genus-2
+    # hyperbolic system matches a dense least-squares solve
+    mesh = grid9 if geometry == Geometry.EUCLIDEAN else genus2
+    H = assemble_hessian(mesh, induced_metric(mesh).retagged(geometry))
+    b = np.random.default_rng(61).normal(size=mesh.n_vertices)
+    _, factor = newton_step(H, b, geometry)
+    lu = factor.lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    free = slice(1, None) if geometry == Geometry.EUCLIDEAN else slice(None)
+    A = H[free, free].toarray()
+    dense = np.linalg.lstsq(A, b[free], rcond=None)[0]
+    assert (np.linalg.norm(lu.solve(b[free]) - dense)
+            <= 1e-10 * np.linalg.norm(dense))
+
+
+def _near_converged_step(grid33):
+    # the perturbed 33x33 flatten after Newton steps on the factor of its
+    # first Hessian, once the residual is below 1e-6: (H, b, factor)
+    metric = induced_metric(grid33)
+    x, y = grid33.positions[:, 0], grid33.positions[:, 1]
+    u0 = 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    base = deform_metric(grid33, metric, u0 - u0.mean())
+    target = rectangle_target(grid33, meshes.grid_corners(33, 33))
+    u, factor = np.zeros(grid33.n_vertices), None
+    while True:
+        current = deform_metric(grid33, base, u)
+        angles = corner_angles(current, grid33)
+        b = target - vertex_curvature(angles, grid33)
+        H = assemble_hessian(grid33, current, angles=angles)
+        if np.abs(b).max() < 1e-6:
+            return H, b, factor
+        du, factor = newton_step(H, b, Geometry.EUCLIDEAN, factor)
+        u = u + du
+
+
+def test_newton_step_does_not_solve_past_eps(grid33):
+    # near convergence the forcing term max|b| asks for far more accuracy
+    # than the stopping test max|b| < eps can see; the floor 0.5 eps / |b|
+    # stops CG once the linear residual is below 0.5 eps
+    H, b, factor = _near_converged_step(grid33)
+    b_free = (b - b.mean())[1:]
+    rtol_old = min(flow_module._FORCING_CAP, np.abs(b - b.mean()).max())
+    iterations = {}
+    for eps in (0.0, 1e-8):
+        reused = flow_module.NewtonFactor(lu=factor.lu)
+        du, _ = newton_step(H, b, Geometry.EUCLIDEAN, reused, eps)
+        assert reused.factorizations == 0
+        iterations[eps] = reused.cg_iterations
+        assert (np.linalg.norm(H[1:] @ du - b_free)
+                <= max(rtol_old * np.linalg.norm(b_free), 0.5 * eps))
+    assert iterations[1e-8] < iterations[0.0]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8])
+def test_newton_step_zero_residual_with_factor(grid9, eps):
+    # a zero residual has no floor 0.5 eps / |b| to divide out: the reused
+    # factor returns zeros without a RuntimeWarning (an error under pytest)
+    H = assemble_hessian(grid9, induced_metric(grid9))
+    b = np.random.default_rng(67).normal(size=grid9.n_vertices)
+    _, factor = newton_step(H, b, Geometry.EUCLIDEAN)
+    du, same = newton_step(H, np.zeros(grid9.n_vertices), Geometry.EUCLIDEAN,
+                           factor, eps)
+    assert same is factor and factor.factorizations == 1
+    assert not du.any()
+
+
 def test_newton_step_replaces_stale_factor(grid9):
     # a factor of an unrelated system of the same size (a random Laplacian,
     # pinned like the grid's) fails the CG budget and is replaced; the

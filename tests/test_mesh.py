@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import meshes
+import qcflow.mesh as mesh_module
 import sequential
 from qcflow.errors import (
     MetricError,
@@ -389,6 +390,21 @@ def test_cut_rejects_disconnected_mesh():
     with pytest.raises(TopologyError,
                        match="^cut_to_disk requires a connected mesh$"):
         cut_to_disk(two)
+
+
+def test_cut_to_disk_rejects_a_cut_that_leaves_no_disk(monkeypatch):
+    # a cut graph of one non-contractible loop of the torus opens it into
+    # an annulus, which the check after slicing refuses
+    mesh = meshes.embedded_torus()
+    ring = {frozenset((i, (i + 1) % 12)) for i in range(12)}
+    loop = np.array([e for e, (a, b) in enumerate(mesh.edges.tolist())
+                     if frozenset((a, b)) in ring])
+    assert loop.size == 12
+    monkeypatch.setattr(mesh_module, "cut_graph", lambda mesh: loop)
+    with pytest.raises(TopologyError,
+                       match=r"^internal error: cut mesh is not a disk "
+                             r"\(chi=0, boundaries=2\)$"):
+        cut_to_disk(mesh)
 
 
 def test_slice_rejects_isolated_cut_edge(grid9):

@@ -734,6 +734,24 @@ def test_obj_reader_decodes_like_text_mode(tmp_path, data):
     _same_as_regex_reader(path)
 
 
+@pytest.mark.parametrize("text", [
+    "v 0\xa00 0\nv 1\t0 0\nv\u30000 1 0\nv 1 1 0\nvt 0 0\nvt\xa01 0\n"
+    "vt 0\u30001\nf 1/1\xa02/2 3/3\nf\u30002 4 3\n",
+    "v\t0 0 0\r\nv 1\u30000\xa00\r\nv 0 1 0\r\nv 1 1 0\r\nvt 0 0\r\n"
+    "vt 1\t0\r\nvt 0 1\r\nf 1/1 2/2\t3/3\r\nf\xa02/2 4/1 3/3",
+    "# café\nv 0 0 0\nv 1\t0 0\nvt 0 0\nv 0 1\x0b0\nf 1 2 3\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n# über é",
+], ids=["nbsp-ideographic", "crlf-wide-last-line", "comment-only",
+        "comment-at-end"])
+def test_obj_reader_reads_wide_spaces_as_spaces(tmp_path, text):
+    # only the lines with a non-ASCII byte pass through the Unicode
+    # whitespace substitution; the reader still matches the regex reader,
+    # which substituted over the whole text
+    path = tmp_path / "m.obj"
+    path.write_bytes(text.encode())
+    assert not isinstance(_same_as_regex_reader(path)[0], type)
+
+
 def _gen_obj(path, pos, faces, uv):
     """An OBJ as ``perfbench/gen.py`` writes it: every float by
     ``np.savetxt`` with 17 significant digits."""
@@ -974,24 +992,24 @@ _INADMISSIBLE = "deformed metric inadmissible at every step length"
 # (build, options, error message or None, iterations, swaps, halvings,
 # factorizations, cg_iterations), one row per exit of the loop
 _FLOW_EXITS = {
-    "converged": (_perturbed_rectangle, {}, None, 4, 0, 0, 1, 7),
+    "converged": (_perturbed_rectangle, {}, None, 4, 0, 0, 1, 6),
     "budget": (_perturbed_rectangle, {"max_iterations": 1},
                "flow did not converge within 1 iterations (residual "
                "2.217e-01)", 1, 0, 0, 1, 0),
     "surgery": (_stretched_cone, {"max_iterations": 120}, None,
-                12, 2, 19, 2, 105),
+                12, 2, 19, 2, 104),
     "line-search": (_stretched_cone,
                     {"max_iterations": 120, "surgery": False},
                     "line search failed to reduce the curvature residual",
-                    14, 0, 99, 2, 148),
+                    13, 0, 85, 2, 144),
     "surgery-budget": (_stretched_cone, {"max_iterations": 3},
                        "flow did not converge within 3 iterations (residual "
                        "1.932e+00)", 3, 0, 5, 1, 14),
-    "inadmissible": (_moved_corner, {}, _INADMISSIBLE, 12, 0, 129, 2, 108),
+    "inadmissible": (_moved_corner, {}, _INADMISSIBLE, 12, 0, 129, 2, 110),
     "inadmissible-no-surgery": (
         _moved_corner, {"surgery": False},
-        _INADMISSIBLE + " and surgery is disabled", 12, 0, 129, 2, 108),
-    "hyperbolic": (_genus2_hyperbolic, {}, None, 6, 0, 1, 1, 25),
+        _INADMISSIBLE + " and surgery is disabled", 12, 0, 129, 2, 110),
+    "hyperbolic": (_genus2_hyperbolic, {}, None, 6, 0, 1, 1, 21),
 }
 
 
