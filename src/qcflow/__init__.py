@@ -44,6 +44,7 @@ from .flow import (
     newton_step,
     run_flow,
 )
+from .geom import mobius_from_origin, poincare_circle_to_euclidean
 from .mesh import (
     CutGraph,
     HalfedgeMesh,

@@ -2,14 +2,16 @@
 Poincare disk, plus flat-torus period extraction from a cut-open layout.
 
 The layout develops the metric along the breadth-first dual spanning tree
-from face 0: every face is laid out in its own frame over its entry edge,
-all faces at once, and each face's rigid motion into its parent's frame
-(a Mobius transformation in the disk) is composed down to face 0's frame by
-pointer jumping, in ``ceil(log2(depth))`` array rounds. Face 0's first edge
-is the seed; every other vertex is placed by the first face in breadth-first
-order that has it opposite its entry edge. A face's own triangle always
-fits over its entry edge, so an admissible flat metric on a disk always
-lays out, up to the disk's float64 resolution near its boundary.
+from face 0: every face is laid out in its own frame, its entry edge from
+the origin along the positive real axis and its third corner on the ray at
+its corner angle there, all faces at once, and each face's rigid motion
+into its parent's frame (a Mobius transformation in the disk) is composed
+down to face 0's frame by pointer jumping, in ``ceil(log2(depth))`` array
+rounds. Face 0's first edge is the seed; every other vertex is placed by
+the first face in breadth-first order that has it opposite its entry edge.
+A face's own triangle always fits in its frame, so an admissible flat
+metric on a disk always lays out, up to the disk's float64 resolution near
+its boundary.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .metric import (
     Geometry,
     check_triangle_inequality,
     corner_angles,
+    cosine_law,
     vertex_curvature,
 )
 
@@ -80,8 +83,13 @@ def _layout(mesh, metric, space):
 
     Every face has its own frame: its entry halfedge (for face 0 its
     halfedge 0) runs from 0 to ``radius(l)`` on the real axis and its third
-    corner is placed over it, all faces in one call of ``place``. A face's
-    motion into its parent's frame sends that edge onto the twin halfedge
+    corner is ``radius(l_prev) e^{i theta}``, ``l_prev`` the length of the
+    halfedge before the entry and ``theta`` the face's corner angle at 0,
+    ``cos theta`` by the cosine law as :func:`corner_angles` has it and
+    ``sin theta`` its root ``sqrt((1 - cos)(1 + cos))``. In the disk a
+    geodesic from 0 is a ray and hyperbolic distance ``l`` from 0 is
+    modulus ``tanh(l / 2)``, so the rule is the plane's. A face's motion
+    into its parent's frame sends the entry edge onto the twin halfedge
     there. The motions compose to face 0's frame, the layout's, by pointer
     jumping: each round composes every face's motion with its ancestor's
     and doubles the stride, ``ceil(log2(depth))`` rounds in all. Face 0's
@@ -110,17 +118,18 @@ def _layout(mesh, metric, space):
         raise LayoutError("mesh is not face-connected")
 
     base = space.radius(length[entry])
-    zero = np.zeros_like(base)
-    # where each halfedge starts in its face's frame
+    # where each halfedge starts in its face's frame; corner_angles has
+    # admitted every corner, so |cos| < 1
     start = np.zeros(3 * mesh.n_faces, dtype=np.complex128)
     start[after] = base
+    apex = space.radius(length[before])
+    cos = cosine_law(metric.geometry, length[after], length[before],
+                     length[entry])
+    start[before] = _complex(apex * cos,
+                             apex * np.sqrt((1.0 - cos) * (1.0 + cos)))
     # In the disk, a vertex that runs out of float64 range fails the
     # unit-disk check.
     with np.errstate(all="ignore"):
-        x, y, _ = space.place(zero, zero, base, zero, length[before],
-                              length[after])
-        start[before] = _complex(x, y)
-
         twin = mesh.twin[entry[1:]]
         p, q = space.motion(start[mesh.next(twin)], start[twin])
         p, q = np.r_[1.0 + 0j, p], np.r_[0j, q]  # face 0: the identity
@@ -161,10 +170,9 @@ def layout_hyperbolic(mesh, metric):
     Seeds the first edge of the first face at ``tau(v0) = 0`` and
     ``tau(v1) = tanh(l01 / 2)`` and develops the faces as
     :func:`layout_euclidean` does, with Mobius transformations for the
-    motions: each face's third corner is placed in its own frame by the
-    plane's placement in the Mobius frame of the entry edge
-    (:mod:`qcflow.geom`), on the side that keeps the face's orientation
-    positive. A vertex that rounds to ``|tau| >= 1`` (or to NaN, past a
+    motions: in its own frame a face's third corner lies on the ray at its
+    corner angle, at modulus ``tanh(l / 2)`` for its distance ``l`` from
+    the origin. A vertex that rounds to ``|tau| >= 1`` (or to NaN, past a
     frame there) raises a :class:`LayoutError` naming the faces around it.
     """
     if metric.geometry != Geometry.HYPERBOLIC:

@@ -5,21 +5,20 @@ The hyperbolic plane is modelled as the unit disk with metric
 ``d(p, q) = 2 atanh |(p - q) / (1 - conj(q) p)|`` and rigid motions are
 Mobius transformations ``z -> e^{i t} (z - z0) / (1 - conj(z0) z)``.
 
-Both layouts place the third corner of every face, in that face's own
-frame, by one kernel, :func:`_place_euclidean`: the disk runs the plane's
-placement in the Mobius frame of the entry edge, the frame that moves its
-first end to the origin. The placements mark the triangles they cannot
-place. :class:`_Plane` and :class:`_Disk` carry each space's part of the
-development: the edge radius, the placement and the rigid motions that
-move a face's frame into its parent's.
+A geodesic from the origin is a Euclidean ray and the point at
+hyperbolic distance ``l`` from it has modulus ``tanh(l / 2)``, so a layout
+can place a face's third corner in the face's own frame, where the entry
+edge starts at 0, from its distance and corner angle alone, in both
+spaces. :class:`_Plane` and :class:`_Disk` carry each space's part of the
+development: the edge radius and the rigid motions that move a face's
+frame into its parent's. :func:`mobius_from_origin` and
+:func:`poincare_circle_to_euclidean` are the disk's conversions for
+callers of the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# relative slack accepted when a circle-circle intersection is near-tangent
-_TANGENT_SLACK = 1e-9
 
 
 def _complex(re, im):
@@ -41,16 +40,9 @@ def _cmul(a, b):
                     a.real * b.imag + a.imag * b.real)
 
 
-def mobius_to_origin(c, z):
-    """The disk automorphism sending ``c`` to 0, applied to ``z``;
-    elementwise on arrays."""
-    c = np.asarray(c, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
-    return ((z - c) / (1.0 - _cmul(c.conj(), z)))[()]
-
-
 def mobius_from_origin(c, w):
-    """Inverse of :func:`mobius_to_origin`."""
+    """The disk automorphism ``w -> (w + c) / (1 + conj(c) w)``, which
+    sends 0 to ``c``, applied to ``w``; elementwise on arrays."""
     c = np.asarray(c, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
     return ((w + c) / (1.0 + _cmul(c.conj(), w)))[()]
@@ -74,59 +66,10 @@ def poincare_circle_to_euclidean(c, r):
     return center[()], np.sqrt(np.where(0.0 > r2, 0.0, r2))[()]
 
 
-def _place_euclidean(ax, ay, bx, by, la, lb):
-    """Point at distance ``la`` from ``pa = (ax, ay)`` and ``lb`` from
-    ``pb = (bx, by)`` on the counter-clockwise side of ``pa -> pb``, on real
-    arrays: ``(x, y, bad)``, ``bad`` marking the elements whose base is
-    degenerate or whose circles do not meet (beyond a relative tangency
-    slack). Call it under ``np.errstate(all="ignore")``.
-
-    The apex ``(x, y)``, ``y >= 0``, over the base from 0 to
-    ``d = |pb - pa|`` on the real axis, which stays well conditioned for
-    near-tangent circles, turned by the unit chord. The chord is rounded
-    as NumPy divides a complex by a real,
-    ``(cx + cy * 0) * (1 / d)``, so every bit, signed zeros included, is
-    the complex form's.
-    """
-    cx, cy = bx - ax, by - ay
-    d = np.hypot(cx, cy)
-    x = (d * d + la * la - lb * lb) / (2.0 * d)
-    h2 = la * la - x * x
-    bad = (d <= 0.0) | (h2 < -_TANGENT_SLACK * la * la)
-    y = np.sqrt(np.where(0.0 > h2, 0.0, h2))
-    s = 1.0 / d
-    ux, uy = (cx + cy * 0.0) * s, (cy - cx * 0.0) * s
-    return ax + (x * ux - y * uy), ay + (x * uy + y * ux), bad
-
-
-def _place_hyperbolic(ax, ay, bx, by, la, lb):
-    """Hyperbolic analogue of :func:`_place_euclidean`: the point at
-    hyperbolic distance ``la`` from ``pa`` and ``lb`` from ``pb`` on the
-    counter-clockwise side of the geodesic ``pa -> pb``, as ``(x, y, bad)``.
-
-    The plane's placement in the Mobius frame that moves ``pa`` to 0: there
-    the circle about ``pa`` is the Euclidean circle of radius
-    ``tanh(la / 2)`` about 0 and the circle about ``w``, the image of
-    ``pb``, is a Euclidean circle whose centre lies on the geodesic ray
-    through ``w``, so :func:`_place_euclidean` places the point over that
-    centre (inside the disk by construction) and it is mapped back.
-    """
-    pa = _complex(ax, ay)
-    w = mobius_to_origin(pa, _complex(bx, by))
-    centre, radius = poincare_circle_to_euclidean(w, lb)
-    x, y, bad = _place_euclidean(0.0, 0.0, centre.real, centre.imag,
-                                 np.tanh(0.5 * la), radius)
-    z = mobius_from_origin(pa, _complex(x, y))
-    return z.real, z.imag, bad
-
-
 class _Plane:
     """The plane as the layout develops it: an edge of length ``l`` from 0
-    runs to ``l`` on the real axis, a third corner is placed by
-    :func:`_place_euclidean`, and the rigid motion ``z -> p z + q``,
+    runs to ``l`` on the real axis, and the rigid motion ``z -> p z + q``,
     ``|p| = 1``, is the pair ``(p, q)`` of complex arrays."""
-
-    place = staticmethod(_place_euclidean)
 
     @staticmethod
     def radius(length):
@@ -153,12 +96,9 @@ class _Plane:
 
 class _Disk:
     """The Poincare disk as the layout develops it: an edge of hyperbolic
-    length ``l`` from 0 runs to ``tanh(l / 2)`` on the real axis, a third
-    corner is placed by :func:`_place_hyperbolic`, and the disk
-    automorphism ``z -> (p z + q) / (conj(q) z + conj(p))`` is the pair
+    length ``l`` from 0 runs to ``tanh(l / 2)`` on the real axis, and the
+    disk automorphism ``z -> (p z + q) / (conj(q) z + conj(p))`` is the pair
     ``(p, q)``, scaled to ``|p|^2 - |q|^2 = 1``."""
-
-    place = staticmethod(_place_hyperbolic)
 
     @staticmethod
     def radius(length):

@@ -20,21 +20,21 @@ It also keeps the quad layouts with which ``qcflow.flow.edge_swap`` used to
 decide and measure a flip, before the corner-angle rule replaced them; there
 the new code must take the same decisions and agree to rounding.
 
-The face-by-face layout names the face at which a placement fails, and the
-scalar placements raise where the array kernels ``_place_euclidean`` and
-``_place_hyperbolic`` of ``qcflow.geom`` mark a triangle they cannot place;
-the development places every corner in its own face's frame, where an
-admissible triangle always fits.
+The face-by-face layout names the face at which a placement fails: its
+scalar placements intersect two circles about placed vertices and raise
+where they do not meet. The development places every corner in its own
+face's frame, on the ray at its corner angle, where an admissible triangle
+always fits; in that frame the scalar placements are the independent check
+of the corner-angle rule.
 
-And it keeps the construction with which the hyperbolic placement used
-to place a vertex in the Poincare disk, before the plane's placement in
-the Mobius frame of the entry edge replaced it: the two Euclidean images
-of the hyperbolic circles intersected, one of the two candidates picked by
-a side test and an in-disk test, and a law-of-cosines fallback for
-near-tangent circles. It intersects the circles in the disk itself, not
-in the frame of the base, so it checks that placement independently:
-there the new code must agree to 1e-12 on fat triangles and keep both
-distances to 1e-7 on thin ones.
+And it keeps the construction with which the hyperbolic placement used to
+place a vertex in the Poincare disk before the Mobius-frame placement
+replaced it: the two Euclidean images of the hyperbolic circles
+intersected, one of the two candidates picked by a side test and an
+in-disk test, and a law-of-cosines fallback for near-tangent circles. It
+intersects the circles in the disk itself, not in the frame of the base,
+so it checks the corner-angle apex, moved onto a base anywhere in the
+disk, independently.
 
 And it keeps the Hessian as a dense sum of per-face blocks, the assembly
 that ``qcflow.flow.assemble_hessian`` does by edges and vertices on a
@@ -101,7 +101,6 @@ from qcflow.flow import (
     longest_edges,
     newton_step,
 )
-from qcflow.geom import _TANGENT_SLACK
 from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
 from qcflow.metric import (
     DiscreteMetric,
@@ -114,6 +113,9 @@ from qcflow.metric import (
     vertex_curvature,
 )
 from qcflow.pipeline import _PRE_SURGERY_ROUNDS
+
+# relative slack accepted when a circle-circle intersection is near-tangent
+_TANGENT_SLACK = 1e-9
 
 
 def mobius_to_origin(c, z):
@@ -200,8 +202,9 @@ def place_third_hyperbolic(pa, pb, la, lb):
 
 def place_third_hyperbolic_circles(pa, pb, la, lb):
     """The construction the Mobius-frame placement replaced, kept as an
-    independent check of it: intersection of hyperbolic circles (pa, la)
-    and (pb, lb) on the counter-clockwise side of the geodesic ``pa -> pb``.
+    independent check of the layout's apex: intersection of hyperbolic
+    circles (pa, la) and (pb, lb) on the counter-clockwise side of the
+    geodesic ``pa -> pb``.
 
     The circles are converted to their Euclidean counterparts and
     intersected; the side is selected in the Mobius frame centred at ``pa``
@@ -381,7 +384,6 @@ class Plane:
     """Rigid motions ``z -> p z + q`` of the plane, as pairs ``(p, q)``."""
 
     radius = staticmethod(lambda length: length)
-    place = staticmethod(place_third_euclidean)
 
     @staticmethod
     def motion(a, b):
@@ -405,7 +407,6 @@ class Disk:
     pairs ``(p, q)`` with ``|p|^2 - |q|^2 = 1``."""
 
     radius = staticmethod(lambda length: np.tanh(0.5 * length))
-    place = staticmethod(place_third_hyperbolic)
 
     @staticmethod
     def motion(a, b):
@@ -443,7 +444,10 @@ def _develop(mesh, metric, space):
     pointer jumping, each composing every face's motion with that of the
     face it points to and pointing it where that face points, all faces
     reading the motions of the round before, until every face points at
-    face 0."""
+    face 0. A face's third corner lies on the ray at the corner angle of
+    its entry edge's first end, at the radius of the edge before the entry
+    edge, with the angle's cosine from the cosine law on NumPy scalars, as
+    the array code has it."""
     _check_flat(mesh, corner_angles(metric, mesh))
     lengths = metric.lengths[mesh.edge_of_halfedge]
     entry = dual_tree(mesh)
@@ -452,9 +456,10 @@ def _develop(mesh, metric, space):
     for h in entry:
         after, before = mesh.next(h), mesh.prev(h)
         base = space.radius(lengths[h])
-        z = space.place(np.complex128(0.0), np.complex128(base),
-                        float(lengths[before]), float(lengths[after]))
-        apex.append((z.real, z.imag))
+        r = space.radius(lengths[before])
+        c = cosine_law(metric.geometry, lengths[after], lengths[before],
+                       lengths[h])
+        apex.append((r * c, r * np.sqrt((1.0 - c) * (1.0 + c))))
         start[h], start[after] = (0.0, 0.0), (base, 0.0)
         start[before] = apex[-1]
 

@@ -1,38 +1,47 @@
 import numpy as np
 import pytest
 
+import sequential
 from meshes import hyperbolic_distance
+from qcflow.embed import layout_euclidean, layout_hyperbolic
+from qcflow.errors import MetricError
 from qcflow.geom import (
-    _place_euclidean,
-    _place_hyperbolic,
+    _Disk,
+    _Plane,
     mobius_from_origin,
-    mobius_to_origin,
     poincare_circle_to_euclidean,
 )
+from qcflow.mesh import build_mesh
+from qcflow.metric import DiscreteMetric, Geometry
+
+_TRIANGLE = build_mesh(np.array([[0, 1, 2]]))
 
 
-def place(kernel, pa, pb, la, lb):
-    """The layout's placement ``kernel`` on complex points (or Python
-    scalars): the placed points and the mask of those it cannot place."""
-    pa, pb = (np.asarray(p, dtype=np.complex128) for p in (pa, pb))
-    la, lb = (np.asarray(v, dtype=np.float64) for v in (la, lb))
-    with np.errstate(all="ignore"):
-        x, y, bad = kernel(pa.real, pa.imag, pb.real, pb.imag, la, lb)
-    z = np.asarray(x).astype(np.complex128)
-    z.imag = y
-    return z[()], np.asarray(bad)[()]
+def place(geometry, pa, pb, la, lb):
+    """The third corner of the triangle over the base ``pa -> pb`` with
+    sides ``la`` at ``pa`` and ``lb`` at ``pb``, as the layout places it:
+    the apex of the one-face layout, which sits in the face's own frame
+    (its first edge from 0 along the positive real axis), moved by the
+    layout's rigid motion that sends 0 to ``pa`` and that axis through
+    ``pb``. Raises as the layout does on an inadmissible triangle."""
+    if geometry == Geometry.EUCLIDEAN:
+        space, layout, d = _Plane, layout_euclidean, abs(pb - pa)
+    else:
+        space, layout = _Disk, layout_hyperbolic
+        d = float(hyperbolic_distance(pa, pb))
+    lengths = np.empty(3)
+    lengths[_TRIANGLE.edge_of_halfedge] = d, lb, la
+    apex = layout(_TRIANGLE, DiscreteMetric(geometry, lengths)).coords[2]
+    pa, pb = (np.array([p], dtype=np.complex128) for p in (pa, pb))
+    return complex(space.apply(space.motion(pa, pb), np.array([apex]))[0])
 
 
 def place_third_euclidean(pa, pb, la, lb):
-    z, bad = place(_place_euclidean, pa, pb, la, lb)
-    assert not bad
-    return z
+    return place(Geometry.EUCLIDEAN, pa, pb, la, lb)
 
 
 def place_third_hyperbolic(pa, pb, la, lb):
-    z, bad = place(_place_hyperbolic, pa, pb, la, lb)
-    assert not bad
-    return z
+    return place(Geometry.HYPERBOLIC, pa, pb, la, lb)
 
 
 def random_disk_point(rng, rmax=0.85):
@@ -65,14 +74,14 @@ def test_mobius_round_trip():
     for _ in range(100):
         c = random_disk_point(rng)
         z = random_disk_point(rng)
-        w = mobius_to_origin(c, z)
+        w = sequential.mobius_to_origin(c, z)
         assert abs(w) < 1.0
         assert abs(mobius_from_origin(c, w) - z) < 1e-14
         # Mobius maps are hyperbolic isometries
-        z2 = random_disk_point(rng)
-        d1 = float(hyperbolic_distance(z, z2))
-        d2 = float(hyperbolic_distance(mobius_to_origin(c, z),
-                                       mobius_to_origin(c, z2)))
+        w2 = random_disk_point(rng)
+        d1 = float(hyperbolic_distance(w, w2))
+        d2 = float(hyperbolic_distance(mobius_from_origin(c, w),
+                                       mobius_from_origin(c, w2)))
         assert d1 == pytest.approx(d2, abs=1e-11)
 
 
@@ -94,7 +103,10 @@ def test_place_third_euclidean_invariants():
 
 
 def test_place_third_euclidean_rejects_impossible():
-    assert place(_place_euclidean, 0.0, 1.0 + 0j, 0.2, 0.2)[1]
+    # the circles do not meet: the layout refuses the face
+    with pytest.raises(MetricError) as info:
+        place_third_euclidean(0.0, 1.0 + 0j, 0.2, 0.2)
+    assert info.value.faces == [0]
 
 
 def test_place_third_hyperbolic_invariants():
@@ -115,16 +127,19 @@ def test_place_third_hyperbolic_invariants():
             assert float(hyperbolic_distance(pb, p)) == pytest.approx(
                 lb, rel=1e-9)
             # counter-clockwise in the frame where pa sits at the origin
-            w = mobius_to_origin(pa, p)
-            ref = mobius_to_origin(pa, pb)
+            w = sequential.mobius_to_origin(pa, p)
+            ref = sequential.mobius_to_origin(pa, pb)
             assert (w * np.conj(ref)).imag > 0.0
 
 
 def test_place_third_hyperbolic_rejects_impossible():
     # the circles do not meet
-    assert place(_place_hyperbolic, 0.0, 0.5 + 0j, 0.2, 0.2)[1]
+    with pytest.raises(MetricError) as info:
+        place_third_hyperbolic(0.0, 0.5 + 0j, 0.2, 0.2)
+    assert info.value.faces == [0]
     # degenerate base
-    assert place(_place_hyperbolic, 0.3 + 0.1j, 0.3 + 0.1j, 0.2, 0.2)[1]
+    with pytest.raises(MetricError, match="non-positive"):
+        place_third_hyperbolic(0.3 + 0.1j, 0.3 + 0.1j, 0.2, 0.2)
 
 
 def test_place_third_hyperbolic_fallback_agrees():

@@ -1,8 +1,10 @@
 """Every imported name is used: a walk over the syntax trees of the package,
 the tests and the benchmark harness, in place of a linter. ``from
 __future__`` imports and the package's re-exports in ``qcflow/__init__.py``
-are exempt. Every public function of the package is read by the package or
-re-exported, so no public wrapper is kept for the tests alone."""
+are exempt. Every public function and every module-level name (constants,
+private ones included) of the package is read by the package or
+re-exported, so no public wrapper or constant is kept for the tests
+alone."""
 
 import ast
 from pathlib import Path
@@ -44,17 +46,25 @@ def test_unused_import_walk():
     assert unused_imports(source) == [(4, "b")]
 
 
-def unread_functions(sources):
-    """(module, name) of every public top-level function in the modules
-    ``sources`` (module name -> source) that none of them reads, by name or
-    as an attribute, and that ``__init__`` does not re-export."""
+def unread_names(sources):
+    """(module, name) of every public top-level function and every name a
+    module-level assignment binds in the modules ``sources`` (module name
+    -> source) that none of them reads, by name or as an attribute, and
+    that ``__init__`` does not re-export."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef))
-                    and not node.name.startswith("_")]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("_"):
+                    defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined += [(module, n.id) for t in targets
+                            for n in ast.walk(t)
+                            if isinstance(n, ast.Name)
+                            and isinstance(n.ctx, ast.Store)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -68,17 +78,21 @@ def unread_functions(sources):
 def test_every_public_function_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "qcflow").glob("*.py")}
-    assert unread_functions(sources) == []
+    assert unread_names(sources) == []
 
 
 def test_unread_function_walk():
     sources = {
         "__init__": "from .a import f\n",
-        "a": "def f():\n    pass\ndef g():\n    pass\n"
+        "a": "_SLACK = 1e-9\n_LIMIT: int = 3\nX, _Y = 1, 2\n_T = {}\n"
+             "_T['key'] = 0\n"
+             "def f():\n    pass\ndef g():\n    return _Y\n"
              "def _h():\n    pass\ndef k():\n    return g()\n",
-        "b": "import a\ndef m():\n    return a.k\ndef n():\n    pass\n",
+        "b": "import a\ndef m():\n    return a.k, a._LIMIT\n"
+             "def n():\n    pass\n",
     }
-    assert unread_functions(sources) == [("b", "m"), ("b", "n")]
+    assert unread_names(sources) == [("a", "_SLACK"), ("a", "X"),
+                                     ("b", "m"), ("b", "n")]
 
 
 def import_time_modules(source):

@@ -6,9 +6,14 @@ development is held against its scalar twin bit for bit, also on curved
 metrics where the face-by-face layout fails, and against the face-by-face
 layout to a stated share of the layout's size. The
 corner-angle edge flip is held against the quad layouts it replaced: same
-decisions, diagonals equal to rounding. The hyperbolic placement is held
-against the circle intersection it replaced: equal to 1e-12 on fat
-triangles, both distances to 1e-7 on thin.
+decisions, diagonals equal to rounding. The layout's apex, placed by its
+corner angle and moved onto its base by the layout's motion, is held
+against the scalar circle intersections, in the face's own frame and over
+bases anywhere in the plane or the disk, to a stated share of its distance
+from the base's first end, and against the circle intersection in the disk
+itself: equal to 1e-12 on fat triangles, both distances to 1e-7 on thin.
+The layout refuses exactly the triangles the scalar placements cannot
+place.
 The line-table OBJ reader is held against the regular-expression reader it
 replaced on generated texts of every layout: same arrays bit for bit, or
 the same error.
@@ -37,7 +42,6 @@ from hypothesis import strategies as st
 import meshes
 import sequential
 import test_mesh
-from meshes import hyperbolic_distance
 from qcflow import embed
 from qcflow import mesh as mesh_module
 from qcflow.beltrami import auxiliary_metric, field_from_json, field_to_json
@@ -46,16 +50,16 @@ from qcflow.errors import (
     BeltramiError,
     FlowError,
     LayoutError,
+    MetricError,
     ParseError,
     QcflowError,
     SurgeryError,
 )
 from qcflow.flow import FlowOptions, assemble_hessian, edge_swap, run_flow
 from qcflow.geom import (
-    _place_euclidean,
-    _place_hyperbolic,
+    _Disk,
+    _Plane,
     mobius_from_origin,
-    mobius_to_origin,
     poincare_circle_to_euclidean,
 )
 from qcflow.mesh import (
@@ -80,7 +84,6 @@ from qcflow.pipeline import (
     cmd_flatten,
     csv_text,
 )
-from test_geom import place
 
 _MESH_FIELDS = ("faces", "twin", "edges", "edge_of_halfedge",
                 "edge_halfedges", "vertex_halfedge", "boundary_loops",
@@ -290,8 +293,6 @@ def test_geom_primitives_match_scalar():
     c = _random_disk_points(rng, 500, 0.9)
     z = _random_disk_points(rng, 500, 0.9)
     r = rng.uniform(1e-3, 4.0, 500)
-    assert bits(mobius_to_origin(c, z)) == bits(
-        [sequential.mobius_to_origin(a, b) for a, b in zip(c, z)])
     assert bits(mobius_from_origin(c, z)) == bits(
         [sequential.mobius_from_origin(a, b) for a, b in zip(c, z)])
     center, radius = poincare_circle_to_euclidean(c, r)
@@ -300,33 +301,92 @@ def test_geom_primitives_match_scalar():
     assert radius.tobytes() == np.array([o[1] for o in old]).tobytes()
 
 
-def test_place_third_euclidean_matches_scalar():
-    rng = np.random.default_rng(12)
-    pa = rng.normal(size=1000) + 1j * rng.normal(size=1000)
-    pb = pa + rng.normal(size=1000) + 1j * rng.normal(size=1000)
-    d = np.abs(pb - pa)
-    la = rng.uniform(0.2, 2.0, 1000) * d
-    lb = rng.uniform(np.abs(la - d) * 1.001, (la + d) * 0.999)
-    old = [sequential.place_third_euclidean(*args)
-           for args in zip(pa, pb, la.tolist(), lb.tolist())]
-    z, bad = place(_place_euclidean, pa, pb, la, lb)
-    assert bits(z) == bits(old) and not bad.any()
-    _check_bad_where_scalar_raises(_place_euclidean,
-                                   sequential.place_third_euclidean,
-                                   pa, pb, la, lb, d)
+_TRIANGLE = build_mesh(np.array([[0, 1, 2]]))
 
 
-def _check_bad_where_scalar_raises(kernel, scalar, pa, pb, la, lb, d):
-    # impossible triangles at 3 and 7 and a degenerate base at 11: ``bad``
-    # is set exactly where the scalar code raises
+def _space(geometry):
+    """The layout's space and the scalar placement over a base."""
+    if geometry == Geometry.EUCLIDEAN:
+        return _Plane, sequential.place_third_euclidean
+    return _Disk, sequential.place_third_hyperbolic
+
+
+def _distance(geometry, pa, pb):
+    if geometry == Geometry.EUCLIDEAN:
+        return np.abs(pb - pa)
+    return meshes.hyperbolic_distance(pa, pb)
+
+
+def _layout_apex(geometry, pa, pb, la, lb):
+    """The third corner of each triangle over the base ``pa -> pb`` with
+    sides ``la`` at ``pa`` and ``lb`` at ``pb``, as the layout places it:
+    the apex of the one-face layout, in the face's own frame (its first
+    edge from 0 along the positive real axis), moved by the layout's rigid
+    motion that sends 0 to ``pa`` and that axis through ``pb``."""
+    space = _space(geometry)[0]
+    d = _distance(geometry, pa, pb)
+    apex = np.empty(len(d), dtype=np.complex128)
+    for i in range(len(d)):
+        lengths = np.empty(3)
+        lengths[_TRIANGLE.edge_of_halfedge] = d[i], lb[i], la[i]
+        metric = DiscreteMetric(geometry, lengths)
+        apex[i] = _layouts(metric)[0](_TRIANGLE, metric).coords[2]
+    return space.apply(space.motion(pa, pb), apex)
+
+
+def _admissible_triangles(geometry, rng, n, disk=False):
+    """``(pa, pb, la, lb, fat)`` for the triangles among ``n`` random ones
+    whose corners ``corner_angles`` admits (every corner cosine strictly
+    inside (-1, 1)): a third fat, a third near-slivers with ``lb`` just
+    above ``|la - d|`` and a third with ``lb`` just below ``la + d``, at
+    relative gaps from 1e-10 to 1e-6. ``fat`` marks the fat ones. The base
+    runs from 0 along the positive real axis, or with ``disk`` between two
+    random points of the disk of radius 0.7."""
+    if disk:
+        pa = _random_disk_points(rng, n, 0.7)
+        pb = _random_disk_points(rng, n, 0.7)
+        d = _distance(geometry, pa, pb)
+    else:
+        d = rng.uniform(0.05, 3.0, n)
+        pa = np.zeros(n, dtype=np.complex128)
+        pb = _space(geometry)[0].radius(d) + 0j
+    la = rng.uniform(0.2, 1.5, n) * d
+    lb = rng.uniform(np.abs(la - d) * 1.05, (la + d) * 0.95)
+    kind = np.arange(n) % 3
+    gap = 10.0 ** rng.uniform(-10.0, -6.0, n)
+    lb = np.where(kind == 1, np.abs(la - d) * (1.0 + gap), lb)
+    lb = np.where(kind == 2, (la + d) * (1.0 - gap), lb)
+    cos = [cosine_law(geometry, a, b, c)
+           for a, b, c in ((d, la, lb), (la, lb, d), (lb, d, la))]
+    keep = (np.abs(cos) < 1.0).all(axis=0) & (d > 1e-3)
+    return pa[keep], pb[keep], la[keep], lb[keep], kind[keep] == 0
+
+
+def _placement_error(geometry, pa, pb, la, lb):
+    """``|apex - scalar|`` over ``radius(la)``, the apex's distance from
+    ``pa`` in the frame of the base."""
+    space, scalar = _space(geometry)
+    old = np.array([scalar(*args) for args in
+                    zip(pa, pb, la.tolist(), lb.tolist())])
+    return (np.abs(_layout_apex(geometry, pa, pb, la, lb) - old)
+            / space.radius(la))
+
+
+def _check_raises_where_scalar_raises(geometry, pa, pb, la, lb):
+    # impossible triangles at 3 and 7 and a degenerate base at 11: the
+    # layout refuses exactly the triangles the scalar placement cannot place
+    d = _distance(geometry, pa, pb)
     pb, lb = pb.copy(), lb.copy()
     lb[[3, 7]] = la[[3, 7]] + d[[3, 7]] * 1.5
     pb[11] = pa[11]
+    scalar = _space(geometry)[1]
     raised = [_raises(LayoutError, scalar, *args)
               for args in zip(pa, pb, la.tolist(), lb.tolist())]
-    bad = place(kernel, pa, pb, la, lb)[1]
-    assert np.flatnonzero(bad).tolist() == np.flatnonzero(raised).tolist() \
-        == [3, 7, 11]
+    refused = [_raises(MetricError, _layout_apex, geometry, pa[i:i + 1],
+                       pb[i:i + 1], la[i:i + 1], lb[i:i + 1])
+               for i in range(len(pa))]
+    assert np.flatnonzero(refused).tolist() == [3, 7, 11]
+    assert np.flatnonzero(raised).tolist() == [3, 7, 11]
 
 
 def _raises(error, fn, *args):
@@ -337,19 +397,62 @@ def _raises(error, fn, *args):
     return False
 
 
+def test_place_third_euclidean_matches_scalar():
+    # The layout puts a face's third corner at la e^{i theta} in the face's
+    # own frame, where the entry edge runs from 0 to d; the scalar
+    # placement intersects the circles about both ends of that edge.
+    # Measured on these triangles, relative to la: at most 9.5e-16 on the
+    # fat ones and 4.5e-10 on the slivers, whose apex is ill-conditioned
+    # under both rules; 3.6e-15 on the fat triangles over random bases.
+    geometry = Geometry.EUCLIDEAN
+    pa, pb, la, lb, fat = _admissible_triangles(
+        geometry, np.random.default_rng(31), 600)
+    error = _placement_error(geometry, pa, pb, la, lb)
+    assert error[fat].max() <= 1e-14
+    assert error[~fat].max() <= 1e-9
+    # bases anywhere in the plane, moved there by the layout's motion
+    rng = np.random.default_rng(12)
+    pa = rng.normal(size=300) + 1j * rng.normal(size=300)
+    pb = pa + rng.normal(size=300) + 1j * rng.normal(size=300)
+    d = np.abs(pb - pa)
+    la = rng.uniform(0.2, 2.0, 300) * d
+    lb = rng.uniform(np.abs(la - d) * 1.001, (la + d) * 0.999)
+    assert _placement_error(geometry, pa, pb, la, lb).max() <= 1e-14
+    _check_raises_where_scalar_raises(geometry, pa[:20], pb[:20], la[:20],
+                                      lb[:20])
+
+
+@pytest.mark.parametrize("disk", [True, False], ids=["disk", "base-frame"])
+def test_place_third_hyperbolic_matches_scalar(disk):
+    # As in the plane, with the apex at tanh(la / 2) e^{i theta} in the
+    # face's frame and the scalar placement in the Mobius frame of the
+    # base. Measured, relative to tanh(la / 2): at most 5.1e-13 on the fat
+    # ones and 8.5e-8 on the slivers with the base in the frame, 2.5e-14
+    # and 1.0e-9 with the base anywhere in the disk of radius 0.7; the
+    # bounds are about twice the largest.
+    geometry = Geometry.HYPERBOLIC
+    pa, pb, la, lb, fat = _admissible_triangles(
+        geometry, np.random.default_rng(31 + disk), 600, disk)
+    error = _placement_error(geometry, pa, pb, la, lb)
+    assert error[fat].max() <= 1e-12
+    assert error[~fat].max() <= 2e-7
+    _check_raises_where_scalar_raises(geometry, pa[:20], pb[:20], la[:20],
+                                      lb[:20])
+
+
 def _hyperbolic_triangles(frame, rmax=0.7):
-    """``(pa, pb, la, lb, thin)``: 1000 admissible triangles over random
+    """``(pa, pb, la, lb, thin)``: 600 admissible triangles over random
     bases, in the disk or with ``pa`` at 0 and ``pb`` on the positive real
     axis; a fifth of them thin, ``lb`` within 1e-7 of ``|la - d|``."""
     rng = np.random.default_rng(13 + frame)
-    n = 1000
+    n = 600
     if frame:  # pa at 0, pb on the positive real axis
         pa = np.zeros(n, dtype=np.complex128)
         pb = rng.uniform(0.05, 0.9, n) + 0j
     else:
         pa = _random_disk_points(rng, n, rmax)
         pb = _random_disk_points(rng, n, rmax)
-    d = hyperbolic_distance(pa, pb)
+    d = meshes.hyperbolic_distance(pa, pb)
     la = rng.uniform(0.2, 1.5, n) * d
     lb = rng.uniform(np.abs(la - d) * 1.05, (la + d) * 0.95)
     thin = rng.uniform(0.0, 1.0, n) < 0.2
@@ -357,40 +460,25 @@ def _hyperbolic_triangles(frame, rmax=0.7):
     return pa, pb, la, lb, thin
 
 
-@pytest.mark.parametrize("frame", [False, True], ids=["disk", "base-frame"])
-def test_place_third_hyperbolic_matches_scalar(frame):
-    pa, pb, la, lb, _ = _hyperbolic_triangles(frame)
-    old = [sequential.place_third_hyperbolic(*args)
-           for args in zip(pa, pb, la.tolist(), lb.tolist())]
-    z, bad = place(_place_hyperbolic, pa, pb, la, lb)
-    assert bits(z) == bits(old) and not bad.any()
-    # Python scalars
-    scalars = list(zip(pa[:50].tolist(), pb[:50].tolist(), la[:50].tolist(),
-                       lb[:50].tolist()))
-    assert bits([place(_place_hyperbolic, *args)[0] for args in scalars]) == \
-        bits([sequential.place_third_hyperbolic(*args) for args in scalars])
-    _check_bad_where_scalar_raises(_place_hyperbolic,
-                                   sequential.place_third_hyperbolic,
-                                   pa, pb, la, lb, hyperbolic_distance(pa, pb))
-
-
 @pytest.mark.parametrize("frame, rmax", [(False, 0.7), (True, 0.7),
                                          (False, 0.95)],
                          ids=["disk", "base-frame", "disk-0.95"])
 def test_place_third_hyperbolic_matches_circles(frame, rmax):
-    # The plane's placement in the Mobius frame of the base lands where the
-    # intersection of the two circles (with its cosine-law fallback) did:
-    # to 1e-12 on fat triangles; on thin ones, which are ill-conditioned
-    # under both constructions, both keep the two distances to 1e-7.
+    # The corner-angle apex, moved onto the base by the layout's motion,
+    # lands where the intersection of the two circles in the disk (with its
+    # cosine-law fallback) does: to 1e-12 on fat triangles (measured at
+    # most 2.0e-13, at rmax 0.95); on thin ones, which are ill-conditioned
+    # under both constructions, both keep the two distances to 1e-7
+    # (measured 3.0e-10).
     pa, pb, la, lb, thin = _hyperbolic_triangles(frame, rmax)
-    new = place(_place_hyperbolic, pa, pb, la, lb)[0]
+    new = _layout_apex(Geometry.HYPERBOLIC, pa, pb, la, lb)
     old = np.array([sequential.place_third_hyperbolic_circles(*args)
                     for args in zip(pa, pb, la.tolist(), lb.tolist())])
     assert np.abs(new - old)[~thin].max() <= 1e-12
     for p in (new[thin], old[thin]):
-        np.testing.assert_allclose(hyperbolic_distance(pa[thin], p),
+        np.testing.assert_allclose(meshes.hyperbolic_distance(pa[thin], p),
                                    la[thin], rtol=1e-7)
-        np.testing.assert_allclose(hyperbolic_distance(pb[thin], p),
+        np.testing.assert_allclose(meshes.hyperbolic_distance(pb[thin], p),
                                    lb[thin], rtol=1e-7)
 
 
