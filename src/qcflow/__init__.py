@@ -53,6 +53,7 @@ from .mesh import (
     cut_to_disk,
     euler_characteristic,
     load_obj,
+    load_objs,
     save_obj,
     slice_along_edges,
 )

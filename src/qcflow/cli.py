@@ -15,7 +15,7 @@ from . import __version__
 from .beltrami import field_from_json, field_to_json
 from .errors import ParseError, QcflowError
 from .flow import FlowOptions
-from .mesh import load_obj, save_obj
+from .mesh import load_obj, load_objs, save_obj
 from .metric import Geometry
 from .pipeline import (
     PresetKind,
@@ -129,8 +129,7 @@ def _run(args):
         return 0
 
     if args.command == "estimate-mu":
-        src = load_obj(args.src)
-        dst = load_obj(args.dst)
+        src, dst = load_objs(args.src, args.dst)
         est, rows = cmd_estimate_mu(src, dst)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(field_to_json(est.vertex_mu) + "\n")
@@ -141,8 +140,7 @@ def _run(args):
         return 0
 
     if args.command == "compose-mu":
-        f_src = load_obj(args.f_src)
-        f_dst = load_obj(args.f_dst)
+        f_src, f_dst = load_objs(args.f_src, args.f_dst)
         with open(args.mu_f, "r", encoding="utf-8") as fh:
             mu_f = field_from_json(fh.read(), n_vertices=f_src.n_vertices)
         with open(args.mu_g, "r", encoding="utf-8") as fh:
@@ -153,9 +151,7 @@ def _run(args):
         return 0
 
     if args.command == "compare":
-        a = load_obj(args.a)
-        b = load_obj(args.b)
-        ref = load_obj(args.mesh)
+        a, b, ref = load_objs(args.a, args.b, args.mesh)
         dist, worst, ok = cmd_compare(a, b, ref, threshold=args.threshold)
         print(f"distance {dist:.9g}")
         print(f"max_deviation {worst:.9g}")

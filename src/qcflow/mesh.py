@@ -381,7 +381,15 @@ def dual_bfs(mesh):
 
 
 def load_obj(path):
-    """Load an ASCII OBJ file into a :class:`HalfedgeMesh`.
+    """Load an ASCII OBJ file into a :class:`HalfedgeMesh`: the one mesh of
+    :func:`load_objs` ``(path)``. A block this file shares with another OBJ
+    file is read once only when both go through one :func:`load_objs`
+    call."""
+    return load_objs(path)[0]
+
+
+def load_objs(*paths):
+    """Load ASCII OBJ files into one :class:`HalfedgeMesh` each, in order.
 
     Only ``v``, ``vt`` and triangular ``f`` records are interpreted; other
     record types are skipped. Texture coordinates, when present on every face
@@ -402,24 +410,34 @@ def load_obj(path):
     must be positive; an empty texture field (``v/``, ``v//n``) means no
     texture.
 
+    A block is read once per call: when a file's ``v``, ``vt`` or ``f``
+    lines are, byte for byte, those of a block of the same kind that an
+    earlier file of the call converted, that file gets a copy of those
+    arrays. The two or three OBJ files of one mesh that an analysis command
+    reads share their ``v`` blocks, and a uv pair its ``f`` block. Nothing
+    is kept between calls, and every check, the halfedge build among them,
+    is still made per file, so each mesh is the one ``load_obj`` reads from
+    its path and no two meshes share memory.
+
     A file that is not ASCII or holds a carriage return is first decoded as
     text mode reads it; on each line that is not ASCII, each whitespace
     character but the newline then reads as a space, so the table splits
     lines and fields where ``str.split`` does.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii() or b"\r" in data:
-        text = _read_text(path, data)
-        data = text.encode()
-        if not text.isascii():
-            data = _wide_spaces_read_as_spaces(data)
-    try:
-        verts, uvs, faces, tex = _records(data)
-    except ValueError:
-        lineno, message = _first_bad_line(data.decode())
-        raise ParseError(f"{path}:{lineno}: {message}") from None
+    # (kind, block bytes) -> its arrays, for this call only; one file has
+    # no other to share a block with
+    blocks = {} if len(paths) > 1 else None
+    meshes = []
+    for i, path in enumerate(paths, start=1):
+        records = _read(path, blocks)
+        if i == len(paths):
+            blocks = None  # no later file can use them: free before the build
+        meshes.append(_mesh(path, *records))
+    return meshes
 
+
+def _mesh(path, verts, uvs, faces, tex):
+    """The mesh of the OBJ file ``path`` from its :func:`_records`."""
     if not len(verts):
         raise ParseError(f"{path}: no vertices")
     if not len(faces):
@@ -432,6 +450,23 @@ def load_obj(path):
     if len(uvs) and (tex >= 0).all():
         uv = _vertex_uv(path, faces, tex, uvs, len(verts))
     return build_mesh(faces.reshape(-1, 3), positions=verts, uv=uv)
+
+
+def _read(path, blocks):
+    """:func:`_records` of the OBJ file ``path``, whose bytes are let go
+    before the mesh is built."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii() or b"\r" in data:
+        text = _read_text(path, data)
+        data = text.encode()
+        if not text.isascii():
+            data = _wide_spaces_read_as_spaces(data)
+    try:
+        return _records(data, blocks)
+    except ValueError:
+        lineno, message = _first_bad_line(data.decode())
+        raise ParseError(f"{path}:{lineno}: {message}") from None
 
 
 def _wide_spaces_read_as_spaces(data):
@@ -490,12 +525,14 @@ _COORDINATES = {
 }
 
 
-def _records(data):
+def _records(data, blocks):
     """Vertex positions, texture coordinates and per-corner vertex and
     texture ids of the OBJ bytes ``data``: ASCII, or UTF-8 whose whitespace
     is ASCII, with LF line ends. A line's key is its first bytes up to
     whitespace or the line end; lines are stripped of leading blanks first
-    when some line has one. Raises ValueError on a malformed record."""
+    when some line has one. Each kind's block goes through the memo
+    ``blocks`` (:func:`_converted`). Raises ValueError on a malformed
+    record."""
     if not data.endswith(b"\n"):
         data += b"\n"  # a final empty line reads as no record
     starts, ends, (c0, c1, c2) = _line_table(data)
@@ -508,11 +545,25 @@ def _records(data):
         (c0 == ord("v")) & one_letter,
         (c0 == ord("v")) & (c1 == ord("t")) & _ENDS_KEY[c2],
         (c0 == ord("f")) & one_letter))
-    # Each kind's lines are copied out of the file only while converted.
-    verts = _floats(_lines(data, starts, ends, v), v.size, "v")
-    uvs = _floats(_lines(data, starts, ends, vt), vt.size, "vt")
-    faces, tex = _face_ids(_lines(data, starts, ends, f), f.size)
+    # Each kind's lines are copied out of the file only while converted,
+    # or while the memo keeps them for a later file.
+    (verts,) = _converted(blocks, "v", _lines(data, starts, ends, v), v.size)
+    (uvs,) = _converted(blocks, "vt", _lines(data, starts, ends, vt), vt.size)
+    faces, tex = _converted(blocks, "f", _lines(data, starts, ends, f), f.size)
     return verts, uvs.view(np.complex128).ravel(), faces, tex
+
+
+def _converted(blocks, kind, block, n):
+    """The arrays of the ``n`` ``kind`` rows joined in ``block``: converted
+    and kept in the memo ``blocks``, when there is one, the first time these
+    bytes come as this kind, a copy of the kept arrays after that."""
+    key = (kind, block)
+    if blocks is not None and key in blocks:
+        return tuple(map(np.copy, blocks[key]))
+    arrays = _face_ids(block, n) if kind == "f" else (_floats(block, n, kind),)
+    if blocks is not None:
+        blocks[key] = arrays
+    return arrays
 
 
 def _line_table(data):

@@ -61,16 +61,21 @@ class DiscreteMetric:
 
 def induced_metric(mesh):
     """Euclidean metric induced by the mesh's 3D embedding. Raises a
-    :class:`MetricError` naming the faces of its zero-length edges."""
+    :class:`MetricError` naming the faces of its non-finite edges (a vertex
+    position that is not finite, or a length past the float range) or, when
+    there are none, of its zero-length edges."""
     if mesh.positions is None:
         raise MetricError("mesh has no vertex positions")
-    diff = mesh.positions[mesh.edges[:, 0]] - mesh.positions[mesh.edges[:, 1]]
-    lengths = np.linalg.norm(diff, axis=1)
-    zero = np.nonzero(lengths <= 0.0)[0]
-    if zero.size:
-        h = mesh.edge_halfedges[zero].ravel()
-        raise MetricError(f"zero-length edges {zero.tolist()}",
-                          faces=np.unique(h[h >= 0] // 3).tolist())
+    with np.errstate(invalid="ignore", over="ignore"):
+        lengths = np.linalg.norm(mesh.positions[mesh.edges[:, 0]]
+                                 - mesh.positions[mesh.edges[:, 1]], axis=1)
+    for what, bad in (("non-finite", ~np.isfinite(lengths)),
+                      ("zero-length", lengths <= 0.0)):
+        edges = np.flatnonzero(bad)
+        if edges.size:
+            h = mesh.edge_halfedges[edges].ravel()
+            raise MetricError(f"{what} edges {edges.tolist()}",
+                              faces=np.unique(h[h >= 0] // 3).tolist())
     return DiscreteMetric(Geometry.EUCLIDEAN, lengths)
 
 
@@ -103,8 +108,10 @@ def cosine_law(geometry, a, b, c):
     inequality fails."""
     if geometry == Geometry.EUCLIDEAN:
         return (b * b + c * c - a * a) / (2.0 * b * c)
-    return ((np.cosh(b) * np.cosh(c) - np.cosh(a))
-            / (np.sinh(b) * np.sinh(c)))
+    # cosh b cosh c - cosh a with cosh x = 1 + 2 sinh^2(x / 2): the ones
+    # cancel exactly, where on small faces the cosh products lose them.
+    a2, b2, c2 = (np.square(np.sinh(0.5 * x)) for x in (a, b, c))
+    return 2.0 * (b2 + c2 - a2 + 2.0 * b2 * c2) / (np.sinh(b) * np.sinh(c))
 
 
 def opposite_side(geometry, b, c, angle):

@@ -366,12 +366,25 @@ def cmd_estimate_mu(src_mesh, dst_mesh):
         raise BeltramiError("source and target must share connectivity")
     if src_mesh.uv is None or dst_mesh.uv is None:
         raise BeltramiError("both OBJ files must carry per-vertex vt records")
-    est = estimate_beltrami(src_mesh.uv, dst_mesh.uv, src_mesh)
+    est = estimate_beltrami(_finite_uv(src_mesh, "source"),
+                            _finite_uv(dst_mesh, "target"), src_mesh)
     mu = est.vertex_mu.values
     mod = np.abs(mu)
     rows = np.column_stack([mu.real, mu.imag, np.angle(mu), mod,
                             (1.0 + mod) / (1.0 - mod)])
     return est, rows
+
+
+def _finite_uv(mesh, role):
+    """The per-vertex uv of ``mesh``, read from the ``role`` OBJ file;
+    raises :class:`BeltramiError` naming the first 16 vertices where it is
+    not finite."""
+    bad = np.flatnonzero(~np.isfinite(mesh.uv))
+    if bad.size:
+        raise BeltramiError(
+            f"{role} OBJ file has non-finite uv at vertices "
+            f"{bad[:16].tolist()}" + ("..." if bad.size > 16 else ""))
+    return mesh.uv
 
 
 def csv_text(rows):
@@ -389,7 +402,8 @@ def cmd_compose(mu_f, mu_g, f_src_mesh, f_dst_mesh):
         raise BeltramiError("f source and image must share connectivity")
     if f_src_mesh.uv is None or f_dst_mesh.uv is None:
         raise BeltramiError("f OBJ files must carry per-vertex vt records")
-    est = estimate_beltrami(f_src_mesh.uv, f_dst_mesh.uv, f_src_mesh)
+    est = estimate_beltrami(_finite_uv(f_src_mesh, "f source"),
+                            _finite_uv(f_dst_mesh, "f image"), f_src_mesh)
     return compose_beltrami(mu_f, mu_g, est.vertex_tau)
 
 
@@ -401,9 +415,11 @@ def cmd_compare(a_mesh, b_mesh, ref_mesh, threshold=None):
         raise BeltramiError("all three meshes must share connectivity")
     if a_mesh.uv is None or b_mesh.uv is None:
         raise BeltramiError("compared OBJ files must carry vt records")
+    a = _finite_uv(a_mesh, "first compared")
+    b = _finite_uv(b_mesh, "second compared")
     metric = induced_metric(ref_mesh)
-    dist = map_distance(a_mesh.uv, b_mesh.uv, ref_mesh, metric)
-    worst = float(np.abs(a_mesh.uv - b_mesh.uv).max())
+    dist = map_distance(a, b, ref_mesh, metric)
+    worst = float(np.abs(a - b).max())
     ok = threshold is None or dist < threshold
     return dist, worst, ok
 

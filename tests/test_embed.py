@@ -300,8 +300,8 @@ def test_hyperbolic_strip_escapes_the_unit_disk():
     # the boundary, which float64 Poincare coordinates resolve only to
     # about 1e-16. Twenty columns still fit; at thirty the far vertices
     # round to |tau| = 1 (or to NaN past a frame there), and the layout
-    # names the faces around them: the last four columns' vertices 26-29
-    # and 56-59, in the faces of the last four quads.
+    # names the faces around them: vertices 25-29, 56 and 57, in face 48
+    # and the faces of the last four quads.
     def strip(n):
         mesh = meshes.grid_mesh(n, 2)
         return mesh, DiscreteMetric(Geometry.HYPERBOLIC,
@@ -309,10 +309,10 @@ def test_hyperbolic_strip_escapes_the_unit_disk():
 
     assert np.abs(layout_hyperbolic(*strip(20)).coords).max() < 1.0
     with pytest.raises(LayoutError, match=(
-            r"^layout escaped the unit disk: 8 vertices at \|tau\| >= 1, "
+            r"^layout escaped the unit disk: 7 vertices at \|tau\| >= 1, "
             "where float64 runs out of resolution$")) as exc:
         layout_hyperbolic(*strip(30))
-    assert exc.value.faces == list(range(50, 58))
+    assert exc.value.faces == [48, *range(50, 58)]
 
 
 def test_torus_periods_json_contract(torus16):

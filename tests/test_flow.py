@@ -936,16 +936,16 @@ def test_edge_swap_hyperbolic_nonconvex_rejected():
 
 @pytest.mark.parametrize("geometry, near, far, message", [
     (Geometry.EUCLIDEAN, 2**-33, 2**-32, "degenerate new diagonal at edge 0"),
-    (Geometry.HYPERBOLIC, 2**-33, 2**-32, "degenerate new diagonal at edge 0"),
+    (Geometry.HYPERBOLIC, 2**-34, 2**-33, "degenerate new diagonal at edge 0"),
     (Geometry.EUCLIDEAN, 2**-27, 2**-26,
      "swap of edge 0 produced an invalid face 1"),
-    (Geometry.HYPERBOLIC, 2**-29, 2**-26,
+    (Geometry.HYPERBOLIC, 2**-34, 2**-24,
      "swap of edge 0 produced an invalid face 1"),
 ])
 def test_edge_swap_sliver_quad_rejected(geometry, near, far, message):
     # k = 2 and l = 3 lie within rounding of the diagonal from i = 0 to
     # j = 1, one on each side: both corners at i round to 0 or a few ulps
-    # while those at j stay well below pi/2, so the quad passes as convex
+    # while those at j stay below pi/2, so the quad passes as convex
     # and the new diagonal k-l computes as 0, or as longer than the sum of
     # its two sides at j
     mesh = build_mesh(np.array([[0, 1, 2], [1, 0, 3]]))

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 from itertools import chain
 
@@ -20,6 +21,7 @@ from qcflow.mesh import (
     dual_bfs,
     euler_characteristic,
     load_obj,
+    load_objs,
     save_obj,
     slice_along_edges,
 )
@@ -681,3 +683,87 @@ def test_obj_writer_float_format(tmp_path):
     save_obj(mesh, textured, uv=uv)
     want += "".join(f"vt {w.real:.9g} {w.imag:.9g}\n" for w in uv)
     assert textured.read_text() == want + "f 1/1 2/2 3/3\n"
+
+
+def _uv_pair(tmp_path):
+    """Paths of a 5 x 4 grid saved with two uvs (shared ``v`` and ``f``
+    blocks, different ``vt``) and without uv (``f`` as ``a b c``)."""
+    grid = meshes.grid_mesh(5, 4, bump=0.2)
+    z = grid.positions[:, 0] + 1j * grid.positions[:, 1]
+    paths = [tmp_path / name for name in ("src.obj", "dst.obj", "plain.obj")]
+    save_obj(grid, paths[0], uv=z)
+    save_obj(grid, paths[1], uv=z + 0.3 * np.conj(z))
+    save_obj(grid, paths[2])
+    return paths
+
+
+def _outcomes(paths):
+    """:func:`load_outcome` of every path, read by one ``load_objs``."""
+    try:
+        loaded = load_objs(*paths)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [load_outcome(lambda _, mesh=mesh: mesh, path)
+            for mesh, path in zip(loaded, paths)]
+
+
+def test_load_objs_reads_each_shared_block_once(tmp_path, monkeypatch):
+    paths = _uv_pair(tmp_path)
+    paths.append(paths[1])  # the same file twice shares every block
+    calls = []
+    for name in ("_floats", "_face_ids"):
+        convert = getattr(mesh_module, name)
+        monkeypatch.setattr(mesh_module, name,
+                            lambda block, n, *key, _f=convert:
+                            calls.append(block) or _f(block, n, *key))
+    outcomes = _outcomes(paths)
+    # one v block, the vt blocks of the two uvs and the empty one of the
+    # file without, and the f blocks with and without uv
+    assert len(calls) == 6
+    assert outcomes == [load_outcome(load_obj, path) for path in paths]
+    assert outcomes[0][2] != outcomes[1][2] and outcomes[2][2] is None
+    calls.clear()
+    load_objs(paths[0], paths[1])
+    assert len(calls) == 4  # the memo of the call before is gone
+
+
+def test_load_objs_names_the_first_path_of_a_bad_shared_block(tmp_path):
+    # one v block, bad on line 2, shared by both files
+    text = _TRI.replace("v 1 0 0", "v 1 x 0") + "f 1 2 3\n"
+    paths = [tmp_path / "a.obj", tmp_path / "b.obj"]
+    for path in paths:
+        path.write_text(text)
+    assert _outcomes(paths) == (ParseError, f"{paths[0]}:2: bad vertex "
+                                "coordinate")
+    assert _outcomes(paths[::-1])[1].startswith(f"{paths[1]}:2: ")
+
+
+def test_load_objs_names_the_path_of_a_fault_in_a_later_file(tmp_path):
+    good, bad = tmp_path / "good.obj", tmp_path / "bad.obj"
+    good.write_text(_UV3 + "f 1/1 2/2 3/3\n")
+    bad.write_text(_UV3 + "vt 0.5 0.5\nf 1/1 2/2 3/3\nf 1/4 3/3 2/2\n")
+    assert _outcomes([good, bad]) == load_outcome(load_obj, bad)
+    assert load_outcome(load_obj, bad)[1].startswith(f"{bad}: vertex 1 ")
+    bad.write_text(_UV3 + "f 1/1 2/2 3/x\n")
+    assert _outcomes([good, bad]) == (ParseError, f"{bad}:7: bad face index")
+
+
+def test_load_objs_converts_a_block_that_differs_by_one_byte(tmp_path):
+    a, b = tmp_path / "a.obj", tmp_path / "b.obj"
+    a.write_text(_TRI + "f 1 2 3\n")
+    b.write_text(_TRI.replace("v 0 1 0", "v 0 1 1") + "f 1 2 3\n")
+    first, second = load_objs(a, b)
+    assert first.positions[2, 2] == 0.0 and second.positions[2, 2] == 1.0
+    assert _outcomes([a, b]) == [load_outcome(load_obj, p) for p in (a, b)]
+
+
+def test_load_objs_meshes_share_no_memory(tmp_path):
+    paths = _uv_pair(tmp_path)
+    loaded = load_objs(*paths, paths[0]) + load_objs(paths[0], paths[1])
+    arrays = [value for mesh in loaded for value in (
+        getattr(mesh, f.name) for f in dataclasses.fields(mesh))
+        if isinstance(value, np.ndarray)]
+    assert len(arrays) == 7 * 6 + 5  # five of the six meshes have uv
+    for i, x in enumerate(arrays):
+        for y in arrays[:i]:
+            assert not np.shares_memory(x, y)

@@ -11,6 +11,7 @@ from qcflow.metric import (
     Geometry,
     check_triangle_inequality,
     corner_angles,
+    cosine_law,
     deform_metric,
     face_areas,
     gauss_bonnet_residual,
@@ -281,3 +282,41 @@ def test_gauss_bonnet_on_cut_genus2_hyperbolic(genus2):
     metric = DiscreteMetric(Geometry.HYPERBOLIC,
                             cut.push_edge(res.metric.lengths))
     assert abs(gauss_bonnet_residual(metric, disk)) < 1e-9
+
+
+def test_hyperbolic_cosine_law_on_slivers_matches_mpmath():
+    # Slivers with one side a relative 1e-10 to 1e-6 longer than the
+    # difference of the other two, whose angles are close to 0 and pi: the
+    # cosh form of the numerator loses the ones that cancel and was off by
+    # 1.2e-8 rad here. What is left is the rounding of the cosine, which
+    # arccos scales by 1 / sin(angle): measured 1.3e-9.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    d = rng.uniform(0.05, 3.0, 400)
+    la = rng.uniform(0.2, 1.5, 400) * d
+    lb = np.abs(la - d) * (1.0 + 10.0 ** rng.uniform(-10.0, -6.0, 400))
+    L = np.column_stack([d, la, lb])
+    got = np.arccos(cosine_law(Geometry.HYPERBOLIC, L, np.roll(L, -1, axis=1),
+                               np.roll(L, -2, axis=1)))
+    ch, sh = mpmath.cosh, mpmath.sinh
+    with mpmath.workdps(50):
+        worst = max(
+            abs(mpmath.acos((ch(b) * ch(c) - ch(a)) / (sh(b) * sh(c)))
+                - angle)
+            for row, angles in zip(L.tolist(), got.tolist())
+            for s, angle in enumerate(angles)
+            for a, b, c in [[mpmath.mpf(row[(s + k) % 3]) for k in range(3)]])
+    assert worst < 3e-9
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "1e200"])
+def test_induced_metric_names_faces_of_non_finite_edges(x):
+    # vertex 4 (0-based) is in face 2 only; a length past the float range
+    # is as non-finite as a NaN or infinite position
+    pos = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                    [float(x), 0, 0]])
+    mesh = build_mesh(np.array([[0, 1, 2], [0, 2, 3], [1, 4, 2]]), pos)
+    with np.errstate(all="raise"), pytest.raises(
+            MetricError, match=r"^non-finite edges \[\d+, \d+\]$") as err:
+        induced_metric(mesh)
+    assert err.value.faces == [2]

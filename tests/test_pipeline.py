@@ -506,6 +506,17 @@ def test_cmd_compare(tmp_path, grid9):
     assert dist > 0.0 and not ok
 
 
+def test_non_finite_uv_names_the_first_16_vertices(grid9):
+    good = build_mesh(grid9.faces, grid9.positions,
+                      uv=grid9.positions[:, 0] + 0j)
+    bad = build_mesh(grid9.faces, grid9.positions,
+                     uv=np.full(grid9.n_vertices, complex(np.inf, 0.0)))
+    with pytest.raises(BeltramiError) as err:
+        cmd_estimate_mu(bad, good)
+    assert str(err.value) == ("source OBJ file has non-finite uv at vertices "
+                              f"{list(range(16))}...")
+
+
 def test_cmd_check(tetra, grid9):
     doc = cmd_check(tetra)
     assert doc["chi"] == 2
@@ -558,6 +569,30 @@ def test_cli_check_reports_coincident_vertices(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["violations"] == [2]
     assert "min_angle" not in doc
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_check_names_the_faces_of_a_non_finite_vertex(tmp_path, capsys, x):
+    # vertex 5 (1-based) is not finite, so its two edges, both in face 2,
+    # have no length: check lists that face and drops the Gauss-Bonnet
+    # residual, and flatten and qcmap name it, with no RuntimeWarning
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv {x} 0 0\n"
+                    "f 1 2 3\nf 1 3 4\nf 2 5 3\n")
+    mesh = load_obj(path)
+    free = TargetPreset(PresetKind.FREE_DISK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["check", "--input", str(path)]) == 0
+        for run in (lambda: cmd_flatten(mesh, Geometry.EUCLIDEAN, free),
+                    lambda: cmd_qcmap(mesh, np.zeros(5), Geometry.EUCLIDEAN,
+                                      free)):
+            with pytest.raises(MetricError, match=r"^non-finite edges") as err:
+                run()
+            assert err.value.faces == [2]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["violations"] == [2]
+    assert "gauss_bonnet_residual" not in doc and "min_angle" not in doc
 
 
 # ---------------------------------------------------------------------------
@@ -718,20 +753,33 @@ def test_cli_corners_must_be_four_integers(tmp_path, grid_obj, capsys,
      "all three meshes must share connectivity"),
     ("compare --a plain --b uv --mesh uv",
      "compared OBJ files must carry vt records"),
+    ("estimate-mu --src uv --dst inf --out out",
+     "target OBJ file has non-finite uv at vertices [3, 40]"),
+    ("compose-mu --mu-f mu --mu-g mu --f-src inf --f-dst uv --out out",
+     "f source OBJ file has non-finite uv at vertices [3, 40]"),
+    ("compare --a uv --b inf --mesh plain",
+     "second compared OBJ file has non-finite uv at vertices [3, 40]"),
 ], ids=["estimate-vt", "compose-connectivity", "compose-vt",
-        "compare-connectivity", "compare-vt"])
+        "compare-connectivity", "compare-vt", "estimate-finite",
+        "compose-finite", "compare-finite"])
 def test_cli_analysis_input_checks(tmp_path, grid9, capsys, argv, message):
     # the grid with vt records (uv) and without (plain), the same vertices
-    # with the faces in reverse order (other), and a zero mu field
-    path = {name: tmp_path / name for name in ("uv", "plain", "other", "mu",
-                                               "out")}
+    # with the faces in reverse order (other), the grid with u infinite at
+    # vertex 3 and v at vertex 40 (inf), and a zero mu field
+    path = {name: tmp_path / name for name in ("uv", "plain", "other", "inf",
+                                               "mu", "out")}
     save_obj(grid9, path["uv"], uv=grid9.positions[:, 0] + 0j)
+    bad = grid9.positions[:, 0] + 0j
+    bad[3], bad[40] = np.inf, complex(0.5, -np.inf)
+    save_obj(grid9, path["inf"], uv=bad)
     save_obj(grid9, path["plain"])
     save_obj(build_mesh(grid9.faces[::-1], grid9.positions), path["other"],
              uv=grid9.positions[:, 0] + 0j)
     path["mu"].write_text(
         field_to_json(BeltramiField(np.zeros(grid9.n_vertices))))
-    code = cli_main([str(path.get(a, a)) for a in argv.split()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main([str(path.get(a, a)) for a in argv.split()])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not path["out"].exists()
