@@ -20,7 +20,7 @@ residual at the start.
 
 One assembly path: a Newton step fills only the values of the Hessian's
 CSR pattern, which each mesh object builds once
-(:attr:`~qcflow.mesh.HalfedgeMesh.adjacency_pattern`); a swap returns a new
+(:attr:`~qcflow.mesh.HalfedgeMesh.adjacency_pattern`); surgery builds a new
 mesh object, and so a new pattern.
 
 One solve path: the Hessian is the Hessian of a convex energy (Springborn,
@@ -41,19 +41,19 @@ built, and edge-swap surgery drops it, since a swap changes the sparsity
 pattern.
 
 Edge-swap surgery has one primitive, :func:`edge_swap`, shared with the
-pre-flow surgery of :mod:`qcflow.pipeline`; it flips by corner angles, with
-one rule for both background geometries. A swap keeps every edge id: it
-rewrites the two faces of the quad and patches at most ten entries of a
-copy of each halfedge array, and the flipped edge keeps its id and takes
-the new diagonal's length. A surgery loop renumbers once, after its last
-swap (:func:`renumber`, which rebuilds the mesh from its faces).
-:func:`longest_edges` picks the edges both surgery loops try. In-flow
-surgery swaps on the current metric, then rebases it by ``-u``.
+pre-flow surgery of :mod:`qcflow.pipeline`: it flips an edge in place on
+three arrays, the faces, the twin pairing and one length per halfedge, by
+corner angles, with one rule for both background geometries. A surgery
+loop flips on copies of its mesh's arrays and ends with one
+:func:`~qcflow.mesh.build_mesh` of the flipped faces, whose edges read
+their lengths at their smaller halfedges. :func:`longest_edges` picks the
+edges both surgery loops try. In-flow surgery swaps on the current
+metric, then rebases it by ``-u``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,14 @@ from .errors import (
     SurgeryError,
     TopologyError,
 )
-from .mesh import build_mesh, csgraph, euler_characteristic, sp, spla
+from .mesh import (
+    HalfedgeMesh,
+    build_mesh,
+    csgraph,
+    euler_characteristic,
+    sp,
+    spla,
+)
 from .metric import (
     DiscreteMetric,
     Geometry,
@@ -321,150 +328,124 @@ def newton_step(H, residual, geometry, factor=None, eps=0.0):
 # Edge-swap surgery
 
 
-def edge_swap(mesh, metric, edge):
-    """Replace the diagonal of the two faces meeting at ``edge`` with the
-    opposite diagonal of their quad.
+def edge_swap(faces, twin, lengths, geometry, h, carried=()):
+    """Flip, in place, the edge of halfedge ``h`` to the other diagonal of
+    its quad, and return the new diagonal's two halfedges, smaller first.
 
-    With ``edge = (i, j)`` between the faces ``(i, j, k)`` and ``(j, i, l)``,
-    the quad is convex when the corner-angle sums ``theta_i`` and ``theta_j``
-    at both ends of the diagonal are below pi, in either background
-    geometry; the new diagonal is the side opposite ``theta_i`` between
-    ``l_ik`` and ``l_il``. Raises :class:`SurgeryError` when the edge is on
-    the boundary, the swap would duplicate an existing edge, the quad is
-    non-convex, or a new face would violate the triangle inequality, and
+    The mesh is three arrays: ``faces`` (F, 3), ``twin`` (3F,) and
+    ``lengths`` (3F,), the length in ``geometry`` of each halfedge's edge.
+    Halfedge ``3f + s`` runs from corner ``s`` of face ``f`` to corner
+    ``s + 1``. The flip starts from the edge's smaller halfedge ``(i, j)``
+    in face ``f1 = (i, j, k)``, whose twin lies in ``f2 = (j, i, l)``; it
+    rewrites the rows ``f1 = (i, l, k)`` and ``f2 = (j, k, l)``, their six
+    twin slots and the twin slots outside the quad that point into it.
+    Every slot of the two faces takes the values of the old slot that
+    leaves the same vertex, in ``lengths`` and in each array of
+    ``carried``, which are indexed by halfedge too (the chart corners of
+    the pre-flow surgery, say); then the two slots of the new diagonal
+    take its length in ``lengths``. A carried array of lengths keeps old
+    values there until its caller measures the new diagonal.
+
+    The quad is convex when the corner-angle sums ``theta_i`` and
+    ``theta_j`` at both ends of the diagonal are below pi, in either
+    background geometry; the new diagonal is the side opposite ``theta_i``
+    between ``l_ik`` and ``l_il``. Raises :class:`SurgeryError` when the
+    edge is on the boundary, ``k`` and ``l`` are already joined (some face
+    holds both), the quad is non-convex, the new diagonal is degenerate or
+    a new face would violate the triangle inequality, and
     :class:`~qcflow.errors.TopologyError` when ``k == l`` (a new face would
-    repeat a vertex id).
-
-    Returns the updated mesh and metric; the inputs are not modified. Edge
-    ids are stable: the new diagonal keeps the id and takes the length of
-    ``edge``, every other edge keeps its id and length, and the faces keep
-    theirs. Only the two faces of the quad are rewritten, on copies of the
-    input arrays, so the result is not canonically numbered (see
-    :class:`~qcflow.mesh.HalfedgeMesh`); :func:`renumber` restores that.
+    repeat a vertex id), in that order. A refused flip writes nothing.
     """
-    h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
-    if h2 < 0:
-        raise SurgeryError(f"edge {edge} is on the boundary")
-    i, j = int(mesh.origin(h1)), int(mesh.dest(h1))
-    k = int(mesh.dest(mesh.next(h1)))
-    l = int(mesh.dest(mesh.next(h2)))
-    if mesh.edge_id(k, l) >= 0:
-        raise SurgeryError(f"swap of edge {edge} would duplicate edge "
+    corner, nxt, prv = faces.ravel(), HalfedgeMesh.next, HalfedgeMesh.prev
+    h1, h2 = sorted((int(h), int(twin[h])))
+    if h1 < 0:
+        raise SurgeryError(f"edge ({corner[h2]}, {corner[nxt(h2)]}) is on "
+                           "the boundary")
+    n1, p1, n2, p2 = nxt(h1), prv(h1), nxt(h2), prv(h2)
+    i, j, k, l = corner[[h1, n1, p1, p2]].tolist()
+    # Two distinct vertices are joined exactly when some face holds both. No
+    # face holds a vertex twice, so k == l never counts as joined.
+    if (((faces == k) | (faces == l)).sum(axis=1) == 2).any():
+        raise SurgeryError(f"swap of edge ({i}, {j}) would duplicate edge "
                            f"({k}, {l})")
 
-    e = mesh.edge_of_halfedge
-    g = metric.geometry
-    d, l_ik, l_jk, l_il, l_jl = metric.lengths[
-        [edge, e[mesh.prev(h1)], e[mesh.next(h1)], e[mesh.next(h2)],
-         e[mesh.prev(h2)]]]
+    d, l_ik, l_jk, l_il, l_jl = lengths[[h1, p1, n1, n2, p2]]
     # The corner angles at i, then at j, in both faces; a face that breaks
     # the triangle inequality gives NaN, which fails the convexity test.
     with np.errstate(invalid="ignore"):
-        angles = np.arccos(cosine_law(g, np.array([l_jk, l_jl, l_ik, l_il]),
-                                      d, np.array([l_ik, l_il, l_jk, l_jl])))
+        angles = np.arccos(cosine_law(geometry,
+                                      np.array([l_jk, l_jl, l_ik, l_il]), d,
+                                      np.array([l_ik, l_il, l_jk, l_jl])))
         theta_i, theta_j = angles[:2].sum(), angles[2:].sum()
-        new_len = float(opposite_side(g, l_ik, l_il, theta_i))
+        new_len = float(opposite_side(geometry, l_ik, l_il, theta_i))
     if not (theta_i < np.pi and theta_j < np.pi):
-        raise SurgeryError(f"non-convex quad at edge {edge}")
+        raise SurgeryError(f"non-convex quad at edge ({i}, {j})")
     if not np.isfinite(new_len) or new_len <= 0.0:
-        raise SurgeryError(f"degenerate new diagonal at edge {edge}")
+        raise SurgeryError(f"degenerate new diagonal at edge ({i}, {j})")
     f1, f2 = h1 // 3, h2 // 3
     sides = np.array([[l_il, new_len, l_ik], [l_jk, new_len, l_jl]])
     for f, bad in zip((f1, f2), _violates(sides)):
         if bad:
             raise SurgeryError(
-                f"swap of edge {edge} produced an invalid face {f}")
+                f"swap of edge ({i}, {j}) produced an invalid face {f}")
     if k == l:
-        quad = sorted((f1, f2))
-        raise TopologyError(f"repeated vertex id in faces {quad}", faces=quad)
+        raise TopologyError(f"repeated vertex id in faces {[f1, f2]}",
+                            faces=[f1, f2])
 
-    # Face ``f1 = (i, l, k)`` takes its outer sides from the old halfedges
-    # ``next(h2)`` and ``prev(h1)``, and face ``f2 = (j, k, l)`` from
-    # ``next(h1)`` and ``prev(h2)``; the new diagonal pairs the two middle
-    # slots. With four distinct vertices no outer halfedge is the twin of
-    # another, so every outer twin lies outside the quad.
-    faces = mesh.faces.copy()
+    # With four distinct vertices no outer halfedge is the twin of another,
+    # so every outer twin lies outside the quad.
+    b1, b2 = 3 * f1, 3 * f2
     faces[f1] = (i, l, k)
     faces[f2] = (j, k, l)
-    b1, b2 = 3 * f1, 3 * f2
-    slots = np.array([b1, b1 + 2, b2, b2 + 2])
-    old = np.array([mesh.next(h2), mesh.prev(h1), mesh.next(h1),
-                    mesh.prev(h2)])
-    twin = mesh.twin.copy()
-    outer = mesh.twin[old]
-    twin[slots] = outer
-    twin[b1 + 1], twin[b2 + 1] = b2 + 1, b1 + 1
-    twin[outer[outer >= 0]] = slots[outer >= 0]
-
-    # The five edges of the quad list their halfedges smaller first and
-    # take the orientation of the smaller one, as build_mesh orders them.
-    edge_of_halfedge = e.copy()
-    edge_of_halfedge[slots] = e[old]
-    edge_of_halfedge[[b1 + 1, b2 + 1]] = edge
-    moved = np.append(e[old], edge)
-    hs = np.append(slots, b1 + 1)
-    first = np.where((twin[hs] < 0) | (hs < twin[hs]), hs, twin[hs])
-    edge_halfedges = mesh.edge_halfedges.copy()
-    edge_halfedges[moved] = np.column_stack([first, twin[first]])
-    corner = faces.ravel()
-    edges = mesh.edges.copy()
-    edges[moved] = np.column_stack([corner[first],
-                                    corner[mesh.next(first)]])
-
-    # A vertex whose outgoing halfedge moved follows it to its new slot; i
-    # and j lose the old diagonal and take their side of the new faces.
-    # Only interior halfedges leave, so a boundary vertex keeps its
-    # outgoing boundary halfedge.
-    to_slot = dict(zip(old.tolist() + [h1, h2], slots.tolist() + [b1, b2]))
-    vertex_halfedge = mesh.vertex_halfedge.copy()
-    for v in (i, j, k, l):
-        h = int(vertex_halfedge[v])
-        vertex_halfedge[v] = to_slot.get(h, h)
-
-    lengths = metric.lengths.copy()
-    lengths[edge] = new_len
-    new_mesh = replace(mesh, faces=faces, twin=twin, edges=edges,
-                       edge_of_halfedge=edge_of_halfedge,
-                       edge_halfedges=edge_halfedges,
-                       vertex_halfedge=vertex_halfedge)
-    return new_mesh, DiscreteMetric(g, lengths)
+    outside = np.array([b1, b1 + 2, b2, b2 + 2])
+    outer = twin[[n2, p1, n1, p2]]
+    twin[outside] = outer
+    twin[[b1 + 1, b2 + 1]] = b2 + 1, b1 + 1
+    twin[outer[outer >= 0]] = outside[outer >= 0]
+    # the new slots leave i, l, k and j, k, l; so do these old ones
+    slots = [b1, b1 + 1, b1 + 2, b2, b2 + 1, b2 + 2]
+    leaving = [n2, p2, p1, n1, p1, p2]
+    for values in (lengths, *carried):
+        values[slots] = values[leaving]
+    lengths[[b1 + 1, b2 + 1]] = new_len
+    return b1 + 1, b2 + 1
 
 
-def renumber(mesh, lengths):
-    """Canonical numbering of a mesh that :func:`edge_swap` left with stable
-    edge ids: the mesh :func:`~qcflow.mesh.build_mesh` builds from its
-    faces, and ``lengths`` (indexed by the old edge ids) carried to the new
-    ids through each edge's smaller halfedge."""
-    new = build_mesh(mesh.faces, mesh.positions)
-    return new, lengths[mesh.edge_of_halfedge[new.edge_halfedges[:, 0]]]
-
-
-def longest_edges(mesh, metric, faces):
-    """Ids of the longest edge of each listed face, without repeats, in face
-    order."""
+def longest_edges(twin, lengths, faces):
+    """The smaller halfedge of the longest edge of each listed face, without
+    repeats, in face order; ``lengths`` has one length per halfedge."""
     faces = np.asarray(faces, dtype=np.int64)
-    e_local = mesh.edge_of_halfedge.reshape(-1, 3)[faces]
-    pick = np.argmax(metric.lengths[e_local], axis=1)
-    longest = e_local[np.arange(len(e_local)), pick]
-    _, first = np.unique(longest, return_index=True)
-    return longest[np.sort(first)]
+    h = 3 * faces + np.argmax(lengths.reshape(-1, 3)[faces], axis=1)
+    h = np.where((twin[h] >= 0) & (twin[h] < h), twin[h], h)
+    _, first = np.unique(h, return_index=True)
+    return h[np.sort(first)]
 
 
-def _swap_edges(mesh, current, edges):
-    """In-flow surgery: swap each listed edge in turn on the deformed metric
-    ``current``, skipping the ones that cannot be swapped, then renumber
-    once. Returns the mesh, its swapped metric and the number of swaps."""
+def _swap_edges(mesh, current, halfedges):
+    """In-flow surgery: flip each listed edge in turn on the deformed metric
+    ``current``, skipping the ones that cannot be flipped, then build the
+    mesh once. An edge is named by its vertex pair and found when its turn
+    comes, since the flips before it move halfedges. Returns the mesh, its
+    flipped metric and the number of flips."""
+    faces, twin = mesh.faces.copy(), mesh.twin.copy()
+    lengths = current.lengths[mesh.edge_of_halfedge]
+    corner = faces.ravel()
+    succ = HalfedgeMesh.next(np.arange(mesh.n_halfedges))
     done = 0
-    # Swaps keep edge ids, so every listed id names its edge until swapped.
-    for e in edges.tolist():
+    for a, b in zip(corner[halfedges].tolist(),
+                    corner[succ[halfedges]].tolist()):
+        dest = corner[succ]
+        h = np.flatnonzero((corner == a) & (dest == b)
+                           | (corner == b) & (dest == a))[0]
         try:
-            mesh, current = edge_swap(mesh, current, e)
+            edge_swap(faces, twin, lengths, current.geometry, int(h))
         except SurgeryError:
             continue
         done += 1
     if done:
-        mesh, lengths = renumber(mesh, current.lengths)
-        current = DiscreteMetric(current.geometry, lengths)
+        mesh = build_mesh(faces, mesh.positions)
+        current = DiscreteMetric(current.geometry,
+                                 lengths[mesh.edge_halfedges[:, 0]])
     return mesh, current, done
 
 
@@ -606,7 +587,9 @@ def run_flow(mesh, metric, target, geometry, options=FlowOptions()):
                         and halv >= _SURGERY_AFTER_HALVINGS):
                     surgery_tried = True
                     mesh, swapped, n_done = _swap_edges(
-                        mesh, current, longest_edges(mesh, trial, exc.faces))
+                        mesh, current, longest_edges(
+                            mesh.twin, trial.lengths[mesh.edge_of_halfedge],
+                            exc.faces))
                     if n_done:
                         # Connectivity changed: rebase so that u deforms the
                         # new base to the swapped metric, recompute the state

@@ -87,13 +87,6 @@ class HalfedgeMesh:
         One outgoing halfedge per vertex: the smallest for interior
         vertices; for boundary vertices the unique outgoing boundary
         halfedge, so that counter-clockwise rotation sweeps the whole fan.
-
-    Numbering: :func:`build_mesh` numbers edges canonically, as described
-    above. The meshes :func:`qcflow.flow.edge_swap` returns keep the edge
-    ids of their input instead, so there edge ids need not ascend with the
-    smaller halfedge and an interior vertex's ``vertex_halfedge`` is any
-    outgoing halfedge. Every other property above still holds, and
-    :func:`qcflow.flow.renumber` restores the canonical numbering.
     """
 
     faces: np.ndarray
@@ -118,12 +111,6 @@ class HalfedgeMesh:
     @property
     def n_halfedges(self):
         return 3 * self.faces.shape[0]
-
-    def origin(self, h):
-        return self.faces[h // 3, h % 3]
-
-    def dest(self, h):
-        return self.faces[h // 3, (h % 3 + 1) % 3]
 
     @staticmethod
     def next(h):
@@ -171,16 +158,6 @@ class HalfedgeMesh:
             ring.append(h)
             h = int(self.twin[self.prev(h)])
         return ring
-
-    def edge_id(self, a, b):
-        """Edge id of the (a, b) edge, or -1 if absent."""
-        for h in self.outgoing_halfedges(a):
-            if self.dest(h) == b:
-                return int(self.edge_of_halfedge[h])
-        for h in self.outgoing_halfedges(b):
-            if self.dest(h) == a:
-                return int(self.edge_of_halfedge[h])
-        return -1
 
 
 def build_mesh(faces, positions=None, uv=None):

@@ -119,8 +119,12 @@ def opposite_side(geometry, b, c, angle):
     the inverse of :func:`cosine_law`."""
     if geometry == Geometry.EUCLIDEAN:
         return np.sqrt(b * b + c * c - 2.0 * b * c * np.cos(angle))
-    return np.arccosh(np.cosh(b) * np.cosh(c)
-                      - np.sinh(b) * np.sinh(c) * np.cos(angle))
+    # cosh a = cosh(b - c) + 2 sinh b sinh c sin^2(angle / 2), with cosh x =
+    # 1 + 2 sinh^2(x / 2): the ones cancel exactly, where on small faces the
+    # cosh products lose them.
+    return 2.0 * np.arcsinh(np.sqrt(
+        np.square(np.sinh(0.5 * (b - c)))
+        + np.sinh(b) * np.sinh(c) * np.square(np.sin(0.5 * angle))))
 
 
 def corner_angles(metric, mesh):

@@ -4,6 +4,9 @@ estimation/composition/comparison, and a mesh validity report.
 
 All pipelines are deterministic: identical inputs produce bit-identical
 outputs.
+
+The pre-flow surgery of ``qcmap`` flips edges in place with the in-flow
+surgery's :func:`~qcflow.flow.edge_swap` and builds the mesh once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from .beltrami import (
     map_distance,
 )
 from .errors import BeltramiError, MetricError, PresetError, SurgeryError
-from .flow import FlowOptions, edge_swap, longest_edges, renumber, run_flow
+from . import flow
+from .flow import FlowOptions, edge_swap, longest_edges, run_flow
 from .mesh import (
     _format_rows,
     cut_graph,
@@ -229,82 +233,72 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
                          periods=periods, cut=cut, report=report)
 
 
-def _chart_swap(mesh, metric, corners, edge):
-    """:func:`edge_swap` carrying the chart ``corners`` along: the two
-    rewritten faces take each vertex's coordinate from the old quad. A seam
-    edge, whose two faces give one of its ends different coordinates, is
-    refused; flattened, ``corners`` is indexed by halfedge, as halfedge
-    ``3f+s`` starts at corner ``s`` of face ``f``."""
-    h0, h1 = mesh.edge_halfedges[edge].tolist()
-    z = corners.ravel()
-    if h1 >= 0 and (z[h0] != z[mesh.next(h1)] or z[mesh.next(h0)] != z[h1]):
-        raise SurgeryError(f"edge {edge} is on a seam of the chart")
-    new_mesh, metric = edge_swap(mesh, metric, edge)
-    quad = [h0 // 3, h1 // 3]
-    at = dict(zip(mesh.faces[quad].ravel().tolist(),
-                  corners[quad].ravel().tolist()))
-    corners = corners.copy()
-    corners[quad] = [[at[v] for v in face]
-                     for face in new_mesh.faces[quad].tolist()]
-    return new_mesh, metric, corners
-
-
 def _aux_metric_with_surgery(mesh, base_metric, corners, mu, surgery=True):
     """Auxiliary metric on a possibly re-triangulated mesh.
 
     While the scaled lengths break a triangle inequality, the first longest
     edge of a violating face that can be swapped (under the base metric,
     where the quad is admissible) and is not on a seam of the chart
-    ``corners`` is swapped, up to ``_PRE_SURGERY_ROUNDS`` times, or never
-    when ``surgery`` is false. A swap rewrites only the two faces of its
-    quad and changes only the new diagonal's length, so it clears at most
-    two violations: the loop stops once more faces violate than twice the
-    swaps left, which never stops a run that would succeed within the cap.
-    Swaps keep edge and face ids, so after each one only the new diagonal's
+    ``corners`` (its two faces give one of its ends different coordinates)
+    is swapped, up to ``_PRE_SURGERY_ROUNDS`` times, or never when
+    ``surgery`` is false. A swap rewrites only the two faces of its quad
+    and changes only the new diagonal's length, so it clears at most two
+    violations: the loop stops once more faces violate than twice the swaps
+    left, which never stops a run that would succeed within the cap.
+
+    The loop flips on copies of the mesh's arrays (:func:`edge_swap`), and
+    the flips carry the chart corners and the auxiliary lengths, both
+    indexed by halfedge, so after each flip only the new diagonal's
     auxiliary length is measured and only its two faces are checked again.
-    After the loop a swapped mesh is renumbered once and its auxiliary
-    metric measured in full, which also names a zero-``dz`` diagonal by its
-    canonical edge id; renumbering keeps face ids, so the loop's own
-    violation list stands. Returns the mesh, its auxiliary metric and the
-    number of swaps made; the :class:`BeltramiError` raised otherwise names
-    those violating faces.
+    After the loop a flipped mesh is built once and its auxiliary metric
+    measured in full, which also names a zero-``dz`` diagonal by its edge
+    id; flips keep face ids, so the loop's own violation list stands.
+    Returns the mesh, its auxiliary metric and the number of swaps made;
+    the :class:`BeltramiError` raised otherwise names those violating
+    faces.
     """
     if not isinstance(mu, BeltramiField):
         mu = BeltramiField(mu)
     aux = auxiliary_metric(base_metric, corners, mu, mesh)
     violations = check_triangle_inequality(aux, mesh)
-    lengths = aux.lengths.copy()
+    faces, twin = mesh.faces.copy(), mesh.twin.copy()
+    corner, z = faces.ravel(), corners.flatten()
+    base = base_metric.lengths[mesh.edge_of_halfedge]
+    lengths = aux.lengths[mesh.edge_of_halfedge]
     bad = np.zeros(mesh.n_faces, dtype=bool)
     bad[violations] = True
     swaps, rounds = 0, _PRE_SURGERY_ROUNDS if surgery else 0
     while 0 < len(violations) <= 2 * (rounds - swaps):
-        for e in longest_edges(mesh, DiscreteMetric(Geometry.EUCLIDEAN,
-                                                    lengths), violations):
+        for h in longest_edges(twin, lengths, violations).tolist():
+            t = twin[h]
+            if t >= 0 and (z[h] != z[mesh.next(t)]
+                           or z[mesh.next(h)] != z[t]):
+                continue  # a seam of the chart
             try:
-                mesh, base_metric, corners = _chart_swap(
-                    mesh, base_metric, corners, e)
+                diagonal = np.array(edge_swap(faces, twin, base,
+                                              Geometry.EUCLIDEAN, h,
+                                              (lengths, z)))
             except SurgeryError:
                 continue
             break
         else:
             break
         swaps += 1
-        halfedges = mesh.edge_halfedges[e]
-        z = corners.ravel()
-        dz = z[mesh.next(halfedges)] - z[halfedges]
-        if not dz.all():  # the full measure names it by its canonical id
+        dz = z[mesh.next(diagonal)] - z[diagonal]
+        if not dz.all():  # the full measure names it by its edge id
             break
-        a, b = mesh.edges[e]
+        a, b = corner[diagonal[0]], corner[mesh.next(diagonal[0])]
         scale = _scale(dz, 0.5 * (mu.values[a] + mu.values[b]))
-        lengths[e] = base_metric.lengths[e] * scale.mean()
-        quad = halfedges // 3
-        bad[quad] = _violates(
-            lengths[mesh.edge_of_halfedge.reshape(-1, 3)[quad]])
+        lengths[diagonal] = base[diagonal[0]] * scale.mean()
+        quad = diagonal // 3
+        bad[quad] = _violates(lengths.reshape(-1, 3)[quad])
         violations = np.nonzero(bad)[0].tolist()
     if swaps:
-        mesh, base_lengths = renumber(mesh, base_metric.lengths)
-        aux = auxiliary_metric(DiscreteMetric(Geometry.EUCLIDEAN,
-                                              base_lengths), corners, mu, mesh)
+        # through qcflow.flow, where the in-flow surgery looks it up too
+        mesh = flow.build_mesh(faces, mesh.positions)
+        base_metric = DiscreteMetric(Geometry.EUCLIDEAN,
+                                     base[mesh.edge_halfedges[:, 0]])
+        aux = auxiliary_metric(base_metric, z.reshape(-1, 3), mu, mesh)
     if violations:
         raise BeltramiError(
             "auxiliary metric is inadmissible "

@@ -1,11 +1,14 @@
 """Deterministic mesh builders for the test suite. Structured grids,
 subdivided polyhedra and voxel-boundary surfaces only; randomness always
 comes from seeded generators passed in by the caller. Also the embedded edge
-lengths that layout tests measure, and the Poincare-disk distance they are
-measured with in the disk."""
+lengths that layout tests measure, the Poincare-disk distance they are
+measured with in the disk, the ends and the edge id of a halfedge mesh's
+halfedges and vertex pairs, and the flips of ``qcflow.flow.edge_swap``
+named by vertex pair and built into a mesh."""
 
 import numpy as np
 
+from qcflow.flow import edge_swap
 from qcflow.mesh import build_mesh
 from qcflow.metric import (
     DiscreteMetric,
@@ -244,3 +247,37 @@ def embedded_edge_lengths(mesh, param):
     if param.geometry == Geometry.HYPERBOLIC:
         return hyperbolic_distance(za, zb)
     return np.abs(za - zb)
+
+
+def origin(mesh, h):
+    """First end of the halfedges ``h``, corner ``h % 3`` of face
+    ``h // 3``."""
+    return mesh.faces.ravel()[h]
+
+
+def dest(mesh, h):
+    """Second end of the halfedges ``h``."""
+    return mesh.faces.ravel()[mesh.next(h)]
+
+
+def edge_id(mesh, a, b):
+    """Edge id of the (a, b) edge, or -1 if absent."""
+    hit = np.flatnonzero((np.sort(mesh.edges, axis=1) == sorted((a, b)))
+                         .all(axis=1))
+    return int(hit[0]) if hit.size else -1
+
+
+def flipped(mesh, metric, pairs):
+    """``mesh`` and ``metric`` after :func:`~qcflow.flow.edge_swap` flips of
+    the edges named by the vertex pairs ``pairs``, in turn on the mesh's
+    arrays, built into a mesh; raises what a flip raises."""
+    faces, twin = mesh.faces.copy(), mesh.twin.copy()
+    lengths = metric.lengths[mesh.edge_of_halfedge]
+    for a, b in pairs:
+        ends = np.sort(np.column_stack([faces.ravel(),
+                                        faces[:, [1, 2, 0]].ravel()]))
+        h = np.flatnonzero((ends == sorted((a, b))).all(axis=1))[0]
+        edge_swap(faces, twin, lengths, metric.geometry, int(h))
+    new = build_mesh(faces, mesh.positions)
+    return new, DiscreteMetric(metric.geometry,
+                               lengths[new.edge_halfedges[:, 0]])

@@ -46,13 +46,14 @@ backtracking, a report built at each of its three exits. The flat loop must
 give the same report field by field, the same result mesh and metric bit
 for bit, or the same ``FlowError`` message and report.
 
-And it keeps the edge swap as it was before swaps kept their edge ids:
-``edge_swap`` that rebuilds a canonically numbered mesh from the patched
-twin pairing after every swap and carries the lengths to the new ids, the
-in-flow loop that names its edges by vertex pair, and the pre-flow loop
-that measures the whole auxiliary metric and checks every face after every
-swap. The stable-id swaps, renumbered once per loop, must give the same
-meshes, lengths and swap counts bit for bit, or the same error.
+And it keeps the edge swap as it was before flips were made in place on
+halfedge arrays: ``edge_swap`` that rebuilds a canonically numbered mesh
+from the patched twin pairing after every swap and carries the lengths to
+the new ids, the longest-edge pick by edge id, the in-flow loop that names
+its edges by vertex pair, and the pre-flow loop that measures the whole
+auxiliary metric and checks every face after every swap. The in-place
+flips, built into a mesh once per loop, must give the same meshes, lengths
+and swap counts bit for bit, or the same error.
 
 And it keeps the OBJ reader as it was before every file was read from a
 table of line starts: each kind gathered from the whole text by one
@@ -75,7 +76,7 @@ from operator import itemgetter, methodcaller
 
 import numpy as np
 
-from meshes import hyperbolic_distance
+from meshes import dest, edge_id, hyperbolic_distance, origin
 from qcflow import beltrami
 from qcflow.beltrami import BeltramiField, Parameterization
 from qcflow.embed import _check_disk, _check_flat
@@ -98,7 +99,6 @@ from qcflow.flow import (
     _gauss_bonnet_scale,
     angle_derivatives,
     assemble_hessian,
-    longest_edges,
     newton_step,
 )
 from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
@@ -1326,10 +1326,10 @@ def edge_swap(mesh, metric, edge):
     h1, h2 = (int(x) for x in mesh.edge_halfedges[edge])
     if h2 < 0:
         raise SurgeryError(f"edge {edge} is on the boundary")
-    i, j = int(mesh.origin(h1)), int(mesh.dest(h1))
-    k = int(mesh.dest(mesh.next(h1)))
-    l = int(mesh.dest(mesh.next(h2)))
-    if mesh.edge_id(k, l) >= 0:
+    i, j = int(origin(mesh, h1)), int(dest(mesh, h1))
+    k = int(dest(mesh, mesh.next(h1)))
+    l = int(dest(mesh, mesh.next(h2)))
+    if edge_id(mesh, k, l) >= 0:
         raise SurgeryError(f"swap of edge {edge} would duplicate edge "
                            f"({k}, {l})")
 
@@ -1372,13 +1372,24 @@ def edge_swap(mesh, metric, edge):
     return new_mesh, DiscreteMetric(g, new_lengths)
 
 
+def longest_edges(mesh, metric, faces):
+    """Ids of the longest edge of each listed face, without repeats, in face
+    order."""
+    faces = np.asarray(faces, dtype=np.int64)
+    e_local = mesh.edge_of_halfedge.reshape(-1, 3)[faces]
+    pick = np.argmax(metric.lengths[e_local], axis=1)
+    longest = e_local[np.arange(len(e_local)), pick]
+    _, first = np.unique(longest, return_index=True)
+    return longest[np.sort(first)]
+
+
 def _swap_edges(mesh, current, edges):
     """In-flow surgery: swap each listed edge, named by its vertex pair
     because ids change with every rebuild."""
     done = 0
     for a, b in mesh.edges[edges]:
         try:
-            mesh, current = edge_swap(mesh, current, mesh.edge_id(a, b))
+            mesh, current = edge_swap(mesh, current, edge_id(mesh, a, b))
         except SurgeryError:
             continue
         done += 1

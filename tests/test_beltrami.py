@@ -72,10 +72,10 @@ def test_auxiliary_metric_real_stretch():
     mu = BeltramiField(np.full(mesh.n_vertices, 0.5 + 0j))
     out = auxiliary_metric(metric, z.coords[mesh.faces], mu, mesh)
     # horizontal edges (real dz) scale by |1 + 0.5| = 1.5
-    e = mesh.edge_id(0, 1)
+    e = meshes.edge_id(mesh, 0, 1)
     assert out.lengths[e] == pytest.approx(1.5 * metric.lengths[e])
     # vertical edges (imaginary dz): dz + mu conj(dz) = i - 0.5 i -> 0.5x
-    e = mesh.edge_id(0, 2)
+    e = meshes.edge_id(mesh, 0, 2)
     assert out.lengths[e] == pytest.approx(0.5 * metric.lengths[e])
 
 

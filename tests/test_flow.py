@@ -24,7 +24,6 @@ from qcflow.flow import (
     edge_swap,
     longest_edges,
     newton_step,
-    renumber,
     run_flow,
 )
 from qcflow.mesh import build_mesh, euler_characteristic
@@ -102,7 +101,7 @@ def _cotangent_weights_from_positions(mesh):
             u = pos[p] - pos[apex]
             v = pos[q] - pos[apex]
             cot = float(u @ v) / np.linalg.norm(np.cross(u, v))
-            weights[mesh.edge_id(p, q)] += cot
+            weights[meshes.edge_id(mesh, p, q)] += cot
     return weights
 
 
@@ -166,8 +165,8 @@ def test_hyperbolic_hessian_positive_definite_small():
 
 def test_hessian_fills_one_pattern_per_mesh(grid9):
     # H stores 2E + V entries on int32 index arrays that every assembly on
-    # the mesh shares and none may rewrite; the mesh a swap returns is a new
-    # object with a pattern of its own
+    # the mesh shares and none may rewrite; the mesh built after a swap is a
+    # new object with a pattern of its own
     metric = induced_metric(grid9)
     H = assemble_hessian(grid9, metric)
     again = assemble_hessian(grid9, deform_metric(
@@ -177,7 +176,8 @@ def test_hessian_fills_one_pattern_per_mesh(grid9):
     assert np.shares_memory(H.indices, again.indices)
     assert np.shares_memory(H.indptr, again.indptr)
     assert not H.indices.flags.writeable
-    swapped, swapped_metric = edge_swap(grid9, metric, 14)
+    swapped, swapped_metric = meshes.flipped(grid9, metric,
+                                             [grid9.edges[14]])
     S = assemble_hessian(swapped, swapped_metric)
     assert not np.shares_memory(S.indices, H.indices)
     assert not np.array_equal(S.indices, H.indices)
@@ -858,56 +858,68 @@ def square_two_triangles(w=1.0, h=1.0):
     return build_mesh(faces, pos)
 
 
+def _refused(mesh, metric, pair):
+    """The error of the flip of the edge ``pair`` on the mesh's arrays, which
+    the refusal leaves as they were."""
+    h = int(mesh.edge_halfedges[meshes.edge_id(mesh, *pair), 0])
+    faces, twin = mesh.faces.copy(), mesh.twin.copy()
+    lengths = metric.lengths[mesh.edge_of_halfedge]
+    corners = np.arange(mesh.n_halfedges) + 0.5j
+    arrays = (faces, twin, lengths, corners)
+    before = [x.copy() for x in arrays]
+    with pytest.raises((SurgeryError, TopologyError)) as info:
+        edge_swap(faces, twin, lengths, metric.geometry, h, (corners,))
+    for x, y in zip(arrays, before):
+        assert x.tobytes() == y.tobytes()
+    return info.value
+
+
 def test_edge_swap_unit_square():
     mesh = square_two_triangles()
-    metric = induced_metric(mesh)
-    diag = mesh.edge_id(0, 2)
-    new_mesh, new_metric = edge_swap(mesh, metric, diag)
-    e = new_mesh.edge_id(1, 3)
+    new_mesh, new_metric = meshes.flipped(mesh, induced_metric(mesh), [(0, 2)])
+    e = meshes.edge_id(new_mesh, 1, 3)
     assert e >= 0
     assert new_metric.lengths[e] == pytest.approx(np.sqrt(2.0))
-    assert new_mesh.edge_id(0, 2) == -1
+    assert meshes.edge_id(new_mesh, 0, 2) == -1
 
 
 def test_edge_swap_2x1_quad():
     # quad (0,0),(2,0),(2,1),(0,1) with diagonal (0,0)-(2,1):
     # the opposite diagonal (2,0)-(0,1) has length sqrt(5)
     mesh = square_two_triangles(w=2.0, h=1.0)
-    metric = induced_metric(mesh)
-    new_mesh, new_metric = edge_swap(mesh, metric, mesh.edge_id(0, 2))
-    e = new_mesh.edge_id(1, 3)
+    new_mesh, new_metric = meshes.flipped(mesh, induced_metric(mesh), [(0, 2)])
+    e = meshes.edge_id(new_mesh, 1, 3)
     assert new_metric.lengths[e] == pytest.approx(np.sqrt(5.0))
 
 
 def test_edge_swap_hyperbolic_symmetric():
     mesh = square_two_triangles()
     lengths = np.full(mesh.n_edges, 0.8)
-    diag = mesh.edge_id(0, 2)
-    lengths[diag] = 1.1
+    lengths[meshes.edge_id(mesh, 0, 2)] = 1.1
     metric = DiscreteMetric(Geometry.HYPERBOLIC, lengths)
-    new_mesh, new_metric = edge_swap(mesh, metric, diag)
-    e = new_mesh.edge_id(1, 3)
     # symmetric rhombus: the two diagonals of a hyperbolic rhombus satisfy
     # cosh d1/2... validated against a direct construction instead: both new
     # faces are admissible and the swap is involutive up to the quad symmetry
-    back_mesh, back_metric = edge_swap(new_mesh, new_metric, e)
-    d2 = back_mesh.edge_id(0, 2)
+    back_mesh, back_metric = meshes.flipped(mesh, metric, [(0, 2), (1, 3)])
+    d2 = meshes.edge_id(back_mesh, 0, 2)
     assert back_metric.lengths[d2] == pytest.approx(1.1, rel=1e-9)
 
 
 def test_edge_swap_boundary_rejected(grid9):
-    metric = induced_metric(grid9)
-    boundary_edge = int(np.nonzero(grid9.edge_halfedges[:, 1] < 0)[0][0])
-    with pytest.raises(SurgeryError):
-        edge_swap(grid9, metric, boundary_edge)
+    boundary_edge = grid9.edges[grid9.edge_halfedges[:, 1] < 0][0]
+    exc = _refused(grid9, induced_metric(grid9), boundary_edge)
+    a, b = boundary_edge
+    assert type(exc) is SurgeryError
+    assert str(exc) == f"edge ({a}, {b}) is on the boundary"
 
 
 def test_edge_swap_duplicate_rejected(tetra):
     metric = induced_metric(tetra)
     # any swap on a tetrahedron would duplicate the opposite edge
-    for e in range(tetra.n_edges):
-        with pytest.raises(SurgeryError):
-            edge_swap(tetra, metric, e)
+    for pair in tetra.edges:
+        exc = _refused(tetra, metric, pair)
+        assert type(exc) is SurgeryError
+        assert " would duplicate edge " in str(exc)
 
 
 def test_edge_swap_nonconvex_rejected():
@@ -916,9 +928,8 @@ def test_edge_swap_nonconvex_rejected():
     pos = np.array([[0.0, 0, 0], [1, 0, 0], [0.3, 0.25, 0], [0, 1, 0]])
     faces = np.array([[0, 2, 3], [2, 0, 1]])
     mesh = build_mesh(faces, pos)
-    metric = induced_metric(mesh)
-    with pytest.raises(SurgeryError):
-        edge_swap(mesh, metric, mesh.edge_id(0, 2))
+    exc = _refused(mesh, induced_metric(mesh), (0, 2))
+    assert type(exc) is SurgeryError
 
 
 def test_edge_swap_hyperbolic_nonconvex_rejected():
@@ -928,19 +939,22 @@ def test_edge_swap_hyperbolic_nonconvex_rejected():
     lengths = np.empty(mesh.n_edges)
     for (a, b), x in (((0, 2), 1.0), ((0, 3), 0.2), ((0, 1), 0.2),
                       ((2, 3), 1.15), ((1, 2), 1.15)):
-        lengths[mesh.edge_id(a, b)] = x
+        lengths[meshes.edge_id(mesh, a, b)] = x
     metric = DiscreteMetric(Geometry.HYPERBOLIC, lengths)
-    with pytest.raises(SurgeryError, match="^non-convex quad at edge "):
-        edge_swap(mesh, metric, mesh.edge_id(0, 2))
+    exc = _refused(mesh, metric, (0, 2))
+    assert type(exc) is SurgeryError
+    assert str(exc) == "non-convex quad at edge (0, 2)"
 
 
 @pytest.mark.parametrize("geometry, near, far, message", [
-    (Geometry.EUCLIDEAN, 2**-33, 2**-32, "degenerate new diagonal at edge 0"),
-    (Geometry.HYPERBOLIC, 2**-34, 2**-33, "degenerate new diagonal at edge 0"),
+    (Geometry.EUCLIDEAN, 2**-33, 2**-32,
+     "degenerate new diagonal at edge (0, 1)"),
+    (Geometry.HYPERBOLIC, 2**-34, 2**-33,
+     "degenerate new diagonal at edge (0, 1)"),
     (Geometry.EUCLIDEAN, 2**-27, 2**-26,
-     "swap of edge 0 produced an invalid face 1"),
+     "swap of edge (0, 1) produced an invalid face 1"),
     (Geometry.HYPERBOLIC, 2**-34, 2**-24,
-     "swap of edge 0 produced an invalid face 1"),
+     "swap of edge (0, 1) produced an invalid face 1"),
 ])
 def test_edge_swap_sliver_quad_rejected(geometry, near, far, message):
     # k = 2 and l = 3 lie within rounding of the diagonal from i = 0 to
@@ -952,12 +966,10 @@ def test_edge_swap_sliver_quad_rejected(geometry, near, far, message):
     lengths = np.empty(mesh.n_edges)
     for (a, b), x in (((0, 1), 1.0), ((0, 2), 1.0 - near),
                       ((0, 3), 1.0 - near), ((1, 2), far), ((1, 3), far)):
-        lengths[mesh.edge_id(a, b)] = x
-    assert mesh.edge_id(0, 1) == 0
-    with pytest.raises(SurgeryError) as info:
-        edge_swap(mesh, DiscreteMetric(geometry, lengths), 0)
-    assert type(info.value) is SurgeryError
-    assert str(info.value) == message
+        lengths[meshes.edge_id(mesh, a, b)] = x
+    exc = _refused(mesh, DiscreteMetric(geometry, lengths), (0, 1))
+    assert type(exc) is SurgeryError
+    assert str(exc) == message
 
 
 def _lengths_by_pair(mesh, metric):
@@ -985,14 +997,15 @@ def test_edge_swap_carries_lengths_by_vertex_pair(mesh, geometry, slot):
 
     for mesh, metric, e, h1, h2 in candidates(mesh):
         try:
-            new_mesh, new_metric = edge_swap(mesh, metric, e)
+            new_mesh, new_metric = meshes.flipped(mesh, metric,
+                                                  [mesh.edges[e]])
         except SurgeryError:
             continue
         break
     else:
         pytest.fail(f"no swappable edge with its first halfedge in slot {slot}")
-    k = int(mesh.dest(mesh.next(h1)))
-    l = int(mesh.dest(mesh.next(h2)))
+    k = int(meshes.dest(mesh, mesh.next(h1)))
+    l = int(meshes.dest(mesh, mesh.next(h2)))
     old = _lengths_by_pair(mesh, metric)
     new = _lengths_by_pair(new_mesh, new_metric)
     assert set(old) - set(new) == {frozenset(map(int, mesh.edges[e]))}
@@ -1001,10 +1014,6 @@ def test_edge_swap_carries_lengths_by_vertex_pair(mesh, geometry, slot):
     for pair, x in new.items():
         if pair != frozenset((k, l)):
             assert x == old[pair]
-
-
-_MESH_FIELDS = ("faces", "twin", "edges", "edge_of_halfedge",
-                "edge_halfedges", "vertex_halfedge")
 
 
 _CHAIN_MESHES = pytest.mark.parametrize("make, geometry", [
@@ -1016,38 +1025,35 @@ _CHAIN_MESHES = pytest.mark.parametrize("make, geometry", [
 ], ids=["grid", "torus", "annulus", "genus2", "sphere"])
 
 
-def _random_swaps(mesh, metric, seed=11, tries=120):
-    """Chain of swaps of random edge ids, each on the previous result:
-    yields the mesh before the swap, the swapped edge and the result."""
-    rng = np.random.default_rng(seed)
-    for e in rng.integers(0, mesh.n_edges, tries).tolist():
-        try:
-            new_mesh, metric = edge_swap(mesh, metric, e)
-        except SurgeryError:
-            continue
-        yield mesh, e, new_mesh, metric
-        mesh = new_mesh
-
-
 @_CHAIN_MESHES
 def test_edge_swap_chain_matches_fresh_build(make, geometry):
-    # each swap patches the twin pairing instead of searching for it; the
-    # renumbered mesh must equal a from-scratch build of its faces in every
-    # field, also after many swaps and for quads with a boundary side
+    # each flip patches the twin pairing instead of searching for it; after
+    # every flip of a chain of flips of random halfedges the pairing must be
+    # the one a from-scratch build of the faces finds, the boundary must
+    # stay as it was, both halfedges of an edge must carry its length, and
+    # the corners must follow their vertices, also for quads with a
+    # boundary side
     mesh = make()
-    metric = induced_metric(mesh).retagged(geometry)
+    faces, twin = mesh.faces.copy(), mesh.twin.copy()
+    lengths = induced_metric(mesh).lengths[mesh.edge_of_halfedge]
+    corners = mesh.faces.ravel() + 0.5j
+    rng = np.random.default_rng(11)
     swaps = boundary_quads = 0
-    for mesh, e, new_mesh, metric in _random_swaps(mesh, metric):
-        renumbered, _ = renumber(new_mesh, metric.lengths)
-        fresh = build_mesh(new_mesh.faces, positions=mesh.positions)
-        for name in _MESH_FIELDS:
-            np.testing.assert_array_equal(getattr(renumbered, name),
-                                          getattr(fresh, name), err_msg=name)
-        assert renumbered.boundary_loops == fresh.boundary_loops
-        assert renumbered.n_vertices == fresh.n_vertices
-        h1, h2 = mesh.edge_halfedges[e]
-        sides = [mesh.next(h1), mesh.prev(h1), mesh.next(h2), mesh.prev(h2)]
-        boundary_quads += bool((mesh.twin[sides] < 0).any())
+    for h in rng.integers(0, mesh.n_halfedges, 120).tolist():
+        t = twin[h]
+        sides = [mesh.next(h), mesh.prev(h), mesh.next(t), mesh.prev(t)]
+        boundary_quad = bool((twin[sides] < 0).any())
+        try:
+            edge_swap(faces, twin, lengths, geometry, h, (corners,))
+        except SurgeryError:
+            continue
+        fresh = build_mesh(faces, positions=mesh.positions)
+        np.testing.assert_array_equal(twin, fresh.twin)
+        assert fresh.boundary_loops == mesh.boundary_loops
+        inner = twin >= 0
+        assert np.array_equal(lengths[twin[inner]], lengths[inner])
+        assert np.array_equal(corners.real, faces.ravel())
+        boundary_quads += boundary_quad
         swaps += 1
     assert swaps >= 20
     assert (boundary_quads > 0) == bool(mesh.boundary_loops)
@@ -1055,61 +1061,73 @@ def test_edge_swap_chain_matches_fresh_build(make, geometry):
 
 @_CHAIN_MESHES
 def test_edge_swap_keeps_halfedge_invariants(make, geometry):
-    # the stable-id mesh a swap returns, before any renumbering, is a valid
-    # halfedge mesh: every property HalfedgeMesh promises but the canonical
-    # numbering holds after every swap of a chain
+    # the arrays a flip leaves, before any rebuild, are a valid halfedge
+    # mesh: every property build_mesh would rely on holds after every flip
+    # of a chain of flips of random halfedges
     start = make()
-    metric = induced_metric(start).retagged(geometry)
+    faces, twin = start.faces.copy(), start.twin.copy()
+    lengths = induced_metric(start).lengths[start.edge_of_halfedge]
     h = np.arange(start.n_halfedges)
+    nxt = start.next(h)
+
+    def pairs(mask):
+        return set(zip(faces.ravel()[h[mask]].tolist(),
+                       faces.ravel()[nxt[mask]].tolist()))
+
+    boundary = pairs(start.twin < 0)
+    chi = euler_characteristic(start)
+    rng = np.random.default_rng(11)
     swaps = 0
-    for _, e, mesh, metric in _random_swaps(start, metric):
-        inner = h[mesh.twin >= 0]
-        # twin is an involution between opposite halfedges
-        assert np.array_equal(mesh.twin[mesh.twin[inner]], inner)
-        assert np.array_equal(mesh.origin(mesh.twin[inner]), mesh.dest(inner))
-        # edge_of_halfedge and edge_halfedges agree, smaller halfedge first
-        first, second = mesh.edge_halfedges.T
-        ids = np.arange(mesh.n_edges)
-        assert np.array_equal(mesh.edge_of_halfedge[first], ids)
-        assert np.array_equal(mesh.twin[first], second)
-        paired = second >= 0
-        assert np.all(first[paired] < second[paired])
-        assert np.array_equal(mesh.edge_of_halfedge[second[paired]],
-                              ids[paired])
-        assert np.array_equal(np.bincount(mesh.edge_of_halfedge),
-                              1 + paired)
-        # each edge is oriented like its smaller halfedge, and the swapped
-        # edge joins the new diagonal's ends
-        assert np.array_equal(mesh.edges[:, 0], mesh.origin(first))
-        assert np.array_equal(mesh.edges[:, 1], mesh.dest(first))
-        assert mesh.edge_id(*mesh.edges[e]) == e
-        # every vertex_halfedge is outgoing, the boundary one if any
-        v = np.arange(mesh.n_vertices)
-        assert np.array_equal(mesh.origin(mesh.vertex_halfedge), v)
-        boundary = h[mesh.twin < 0]
-        assert np.array_equal(mesh.vertex_halfedge[mesh.origin(boundary)],
-                              boundary)
-        assert mesh.boundary_loops == start.boundary_loops
+    for g in rng.integers(0, start.n_halfedges, 120).tolist():
+        i, j = faces.ravel()[[g, start.next(g)]].tolist()
+        try:
+            d1, d2 = edge_swap(faces, twin, lengths, geometry, g)
+        except SurgeryError:
+            continue
+        corner = faces.ravel()
+        inner = h[twin >= 0]
+        # twin is an involution between opposite halfedges of equal length
+        assert np.array_equal(twin[twin[inner]], inner)
+        assert np.array_equal(corner[twin[inner]], corner[nxt[inner]])
+        assert np.array_equal(corner[nxt[twin[inner]]], corner[inner])
+        assert np.array_equal(lengths[twin[inner]], lengths[inner])
+        # no face repeats a vertex, no directed edge appears twice, and the
+        # boundary halfedges join the same vertex pairs as before
+        assert (faces[:, 0] != faces[:, 1]).all()
+        assert (faces[:, 1] != faces[:, 2]).all()
+        assert (faces[:, 2] != faces[:, 0]).all()
+        assert len(pairs(h >= 0)) == start.n_halfedges
+        assert pairs(twin < 0) == boundary
+        # the diagonal the flip returns is an edge, smaller halfedge first,
+        # that does not join the old diagonal's ends
+        assert d1 < d2 and twin[d1] == d2
+        assert {corner[d1], corner[d2]}.isdisjoint({i, j})
+        assert lengths[d1] == lengths[d2] > 0
+        # the flip keeps every vertex and the Euler characteristic
+        edges = {frozenset(p) for p in pairs(h >= 0)}
+        assert np.array_equal(np.unique(faces), np.arange(start.n_vertices))
+        assert start.n_vertices - len(edges) + len(faces) == chi
         swaps += 1
     assert swaps >= 20
 
 
 def test_edge_swap_pillow_refused_by_face_check():
     # both faces of the closed two-face pillow have the same apex, so the
-    # new faces repeat a vertex; the face check runs before the patched
-    # pairing is used
+    # new faces repeat a vertex; the face check runs before the pairing is
+    # patched
     pillow = build_mesh(np.array([[0, 1, 2], [1, 0, 2]]))
     metric = DiscreteMetric(Geometry.EUCLIDEAN, np.ones(pillow.n_edges))
-    with pytest.raises(TopologyError) as info:
-        edge_swap(pillow, metric, 0)
-    assert str(info.value) == "repeated vertex id in faces [0, 1]"
-    assert info.value.faces == [0, 1]
+    exc = _refused(pillow, metric, (0, 1))
+    assert type(exc) is TopologyError
+    assert str(exc) == "repeated vertex id in faces [0, 1]"
+    assert exc.faces == [0, 1]
 
 
 @pytest.mark.parametrize("equal_sides", [False, True])
 def test_longest_edges_matches_face_loop(equal_sides):
-    # reference: first longest edge of each face, first occurrence kept;
-    # faces 12 and 13 share their longest edge, and equal sides tie
+    # reference: first longest edge of each face, first occurrence kept, as
+    # its smaller halfedge; faces 12 and 13 share their longest edge, and
+    # equal sides tie
     mesh = meshes.grid_mesh(5, 4)
     metric = induced_metric(mesh)
     if equal_sides:
@@ -1121,7 +1139,9 @@ def test_longest_edges_matches_face_loop(equal_sides):
         e = int(e_local[np.argmax(metric.lengths[e_local])])
         if e not in expected:
             expected.append(e)
-    assert longest_edges(mesh, metric, faces).tolist() == expected
+    lengths = metric.lengths[mesh.edge_of_halfedge]
+    assert longest_edges(mesh.twin, lengths, faces).tolist() == \
+        mesh.edge_halfedges[expected, 0].tolist()
 
 
 def test_flow_runtime_at_scan_scale():

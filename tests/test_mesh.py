@@ -174,18 +174,21 @@ def test_twins_of_swapped_mesh_match_searchsorted_pairing(grid9):
     # edge_swap patches the pairing by hand; a fresh build pairs its faces
     # the same way, and so did the reversed-key lookup
     rng = np.random.default_rng(61)
-    mesh, metric = grid9, induced_metric(grid9)
+    faces, twin = grid9.faces.copy(), grid9.twin.copy()
+    metric = induced_metric(grid9)
+    lengths = metric.lengths[grid9.edge_of_halfedge]
     swaps = 0
-    for e in rng.permutation(np.nonzero(grid9.edge_halfedges[:, 1] >= 0)[0]):
+    for h in rng.permutation(grid9.n_halfedges).tolist():
         try:
-            mesh, metric = edge_swap(mesh, metric, int(e))
+            edge_swap(faces, twin, lengths, metric.geometry, h)
         except SurgeryError:  # the grid's axis edges have flat quads
             continue
         swaps += 1
     assert swaps > 20
+    mesh = build_mesh(faces)
     twins = sequential.searchsorted_twins(mesh.faces)
+    assert np.array_equal(twin, twins)
     assert np.array_equal(mesh.twin, twins)
-    assert np.array_equal(build_mesh(mesh.faces).twin, twins)
 
 
 def test_rejects_repeated_vertex_in_face():
@@ -444,11 +447,10 @@ def test_rejects_pinched_vertex():
 
 
 def _swapped_grid():
-    from qcflow.flow import edge_swap, renumber
     mesh = meshes.grid_mesh(6, 5, bump=0.2)
-    interior = int(np.nonzero(mesh.edge_halfedges[:, 1] >= 0)[0][7])
-    swapped, metric = edge_swap(mesh, induced_metric(mesh), interior)
-    return renumber(swapped, metric.lengths)[0]
+    interior = np.nonzero(mesh.edge_halfedges[:, 1] >= 0)[0][7]
+    return meshes.flipped(mesh, induced_metric(mesh),
+                          [mesh.edges[interior]])[0]
 
 
 @pytest.mark.parametrize("builder", [
@@ -467,8 +469,8 @@ def test_numbering_invariants(builder):
     first, second = mesh.edge_halfedges[:, 0], mesh.edge_halfedges[:, 1]
     # edge ids ascend with their smaller halfedge, oriented like it
     assert np.all(np.diff(first) > 0)
-    assert np.array_equal(mesh.edges[:, 0], mesh.origin(first))
-    assert np.array_equal(mesh.edges[:, 1], mesh.dest(first))
+    assert np.array_equal(mesh.edges[:, 0], meshes.origin(mesh, first))
+    assert np.array_equal(mesh.edges[:, 1], meshes.dest(mesh, first))
     inner = second >= 0
     assert np.all(first[inner] < second[inner])
     assert np.array_equal(mesh.twin[first], second)
@@ -478,7 +480,7 @@ def test_numbering_invariants(builder):
                           np.nonzero(inner)[0])
     # vertex_halfedge: the outgoing boundary halfedge, else the smallest
     # outgoing halfedge
-    origin = mesh.origin(h)
+    origin = meshes.origin(mesh, h)
     for v in range(mesh.n_vertices):
         out = h[origin == v]
         boundary_out = out[mesh.twin[out] < 0]
@@ -488,7 +490,7 @@ def test_numbering_invariants(builder):
     # follow the boundary halfedges
     starts = [loop[0] for loop in mesh.boundary_loops]
     assert starts == sorted(starts)
-    boundary = {(int(mesh.origin(b)), int(mesh.dest(b)))
+    boundary = {(int(meshes.origin(mesh, b)), int(meshes.dest(mesh, b)))
                 for b in h[mesh.twin < 0]}
     walked = set()
     for loop in mesh.boundary_loops:

@@ -30,7 +30,6 @@ from qcflow.metric import Geometry, check_triangle_inequality, induced_metric
 from qcflow.pipeline import (
     PresetKind,
     TargetPreset,
-    _chart_swap,
     _loop_length,
     cmd_check,
     cmd_compare,
@@ -91,7 +90,7 @@ def test_loop_length_matches_the_edge_id_walk(n, hole):
     for loop in fr.mesh.boundary_loops:
         walk = 0.0
         for a, b in zip(loop, loop[1:] + loop[:1]):
-            walk += float(fr.metric.lengths[fr.mesh.edge_id(a, b)])
+            walk += float(fr.metric.lengths[meshes.edge_id(fr.mesh, a, b)])
         assert _loop_length(fr.mesh, fr.metric, loop) == walk
 
 
@@ -392,12 +391,13 @@ def test_qcmap_annulus_swaps_leave_the_seam_alone(annulus, monkeypatch):
     # the pre-flow surgery swaps only off the slit; this field still fails
     base = cmd_flatten(annulus, Geometry.EUCLIDEAN,
                        TargetPreset(PresetKind.ANNULUS))
-    slit = {tuple(annulus.edges[e]) for e in base.cut.cut_edges}
+    slit = {frozenset(annulus.edges[e].tolist()) for e in base.cut.cut_edges}
     tried, made = [], []
 
-    def recording_swap(mesh, metric, edge):
-        tried.append(tuple(mesh.edges[edge]))
-        out = flow.edge_swap(mesh, metric, edge)
+    def recording_swap(faces, twin, lengths, geometry, h, carried=()):
+        tried.append(frozenset(
+            faces.ravel()[[h, annulus.next(h)]].tolist()))
+        out = flow.edge_swap(faces, twin, lengths, geometry, h, carried)
         made.append(tried[-1])
         return out
 
@@ -411,14 +411,30 @@ def test_qcmap_annulus_swaps_leave_the_seam_alone(annulus, monkeypatch):
 
 
 def test_chart_swap_refuses_seam_edges(annulus, monkeypatch):
-    # each slit edge's two faces give its ends different cut-chart corners
+    # each slit edge's two faces give its ends different cut-chart corners,
+    # so the pre-flow surgery passes over it even as the longest edge of
+    # every violating face, from either halfedge, and flips nothing
     base = cmd_flatten(annulus, Geometry.EUCLIDEAN,
                        TargetPreset(PresetKind.ANNULUS))
-    corners = base.param.coords[base.mesh.faces]
-    monkeypatch.setattr(pipeline, "edge_swap", None)
-    for e in base.cut.cut_edges:
-        with pytest.raises(SurgeryError, match="on a seam of the chart"):
-            _chart_swap(annulus, induced_metric(annulus), corners, e)
+    seam = annulus.edge_halfedges[sorted(base.cut.cut_edges)].ravel()
+    assert (seam >= 0).all()
+    asked = []
+
+    def seam_edges(twin, lengths, faces):
+        asked.append(list(faces))
+        return seam
+
+    def no_swap(*args):
+        raise AssertionError(f"seam halfedge {args[4]} was flipped")
+
+    monkeypatch.setattr(pipeline, "longest_edges", seam_edges)
+    monkeypatch.setattr(pipeline, "edge_swap", no_swap)
+    mu = np.full(annulus.n_vertices, 0.7 * np.exp(0.25j * np.pi))
+    with pytest.raises(BeltramiError, match="^auxiliary metric is "
+                       "inadmissible even after edge-swap surgery") as info:
+        cmd_qcmap(annulus, mu, Geometry.EUCLIDEAN,
+                  TargetPreset(PresetKind.ANNULUS))
+    assert asked == [info.value.faces]
 
 
 def test_chart_swap_carries_corners(grid9):
@@ -427,14 +443,18 @@ def test_chart_swap_carries_corners(grid9):
     z = cmd_flatten(grid9, Geometry.EUCLIDEAN, RECT9).param.coords
     metric = induced_metric(grid9)
     swapped = 0
-    for e in range(grid9.n_edges):
+    for h in range(grid9.n_halfedges):
+        faces, twin = grid9.faces.copy(), grid9.twin.copy()
+        lengths = metric.lengths[grid9.edge_of_halfedge]
+        corners = z[grid9.faces].ravel()
         try:
-            mesh, _, corners = _chart_swap(grid9, metric, z[grid9.faces], e)
+            flow.edge_swap(faces, twin, lengths, metric.geometry, h,
+                           (corners,))
         except SurgeryError:
             continue
         swapped += 1
-        assert np.array_equal(corners, z[mesh.faces])
-    assert swapped > 50
+        assert np.array_equal(corners, z[faces].ravel())
+    assert swapped > 100
 
 
 # ---------------------------------------------------------------------------
@@ -909,9 +929,9 @@ def test_qcmap_pre_flow_surgery_failure_names_faces(monkeypatch):
     preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(33, 33))
     tried = []
 
-    def recording_swap(mesh, metric, edge):
-        tried.append(edge)
-        return flow.edge_swap(mesh, metric, edge)
+    def recording_swap(*args):
+        tried.append(args)
+        return flow.edge_swap(*args)
 
     monkeypatch.setattr(pipeline, "edge_swap", recording_swap)
     with pytest.raises(BeltramiError,
@@ -951,7 +971,7 @@ def test_qcmap_no_surgery_makes_no_pre_flow_swap(monkeypatch):
     options = FlowOptions(surgery=False)
     tried = []
     monkeypatch.setattr(pipeline, "edge_swap",
-                        lambda mesh, metric, edge: tried.append(edge))
+                        lambda *args: tried.append(args))
     with pytest.raises(BeltramiError) as info:
         cmd_qcmap(mesh, mu, Geometry.EUCLIDEAN, preset, options)
     assert tried == []

@@ -18,16 +18,16 @@ The line-table OBJ reader is held against the regular-expression reader it
 replaced on generated texts of every layout: same arrays bit for bit, or
 the same error.
 The Hessian assembled by edges and vertices is held against the dense
-face-by-face sum to 1e-12 of its largest entry, on canonical meshes and on
-one straight from ``edge_swap``.
+face-by-face sum to 1e-12 of its largest entry, also on a grid that
+``edge_swap`` flipped.
 The flat Newton loop of ``run_flow`` is held against the flag-driven loop it
 replaced, on every exit: same report, same result bit for bit, or the same
-error. The pre-flow surgery loop, whose swaps keep their edge ids, is held
-against the loop that rebuilt the mesh and measured the whole auxiliary
-metric after every swap: same mesh, lengths and swap count bit for bit, or
-the same error. The per-halfedge auxiliary metric is held against the
-per-vertex formula it replaced (bit for bit) and against the cut-chart copy
-average (to rounding)."""
+error. The pre-flow surgery loop, which flips in place on halfedge arrays
+and builds the mesh once, is held against the loop that rebuilt the mesh
+and measured the whole auxiliary metric after every swap: same mesh,
+lengths and swap count bit for bit, or the same error. The per-halfedge
+auxiliary metric is held against the per-vertex formula it replaced (bit
+for bit) and against the cut-chart copy average (to rounding)."""
 
 import functools
 import importlib.util
@@ -487,7 +487,7 @@ def test_place_third_hyperbolic_matches_circles(frame, rmax):
 
 
 _QUAD = build_mesh(np.array([[0, 1, 2], [1, 0, 3]]))
-_DIAG = _QUAD.edge_id(0, 1)
+_DIAG = meshes.edge_id(_QUAD, 0, 1)
 
 
 def _quad_roles():
@@ -495,8 +495,9 @@ def _quad_roles():
     the diagonal is ``(i, j)``, between the faces ``(i, j, k)`` and
     ``(j, i, l)``."""
     h1, h2 = (int(h) for h in _QUAD.edge_halfedges[_DIAG])
-    return (int(_QUAD.origin(h1)), int(_QUAD.dest(h1)),
-            int(_QUAD.dest(_QUAD.next(h1))), int(_QUAD.dest(_QUAD.next(h2))))
+    return (int(meshes.origin(_QUAD, h1)), int(meshes.dest(_QUAD, h1)),
+            int(meshes.dest(_QUAD, _QUAD.next(h1))),
+            int(meshes.dest(_QUAD, _QUAD.next(h2))))
 
 
 def _random_quad_sides(rng, geometry, n):
@@ -532,22 +533,22 @@ def test_edge_flip_matches_quad_layout(geometry):
         lengths = np.empty(_QUAD.n_edges)
         for pair, x in (((i, j), d), ((i, k), l_ik), ((j, k), l_jk),
                         ((i, l), l_il), ((j, l), l_jl)):
-            lengths[_QUAD.edge_id(*pair)] = x
+            lengths[meshes.edge_id(_QUAD, *pair)] = x
         try:
             old = sequential.swapped_diagonal(geometry, _DIAG, d, l_ik, l_jk,
                                               l_il, l_jl)
         except SurgeryError:
             old = None
         try:
-            mesh, metric = edge_swap(_QUAD, DiscreteMetric(geometry, lengths),
-                                     _DIAG)
+            mesh, metric = meshes.flipped(
+                _QUAD, DiscreteMetric(geometry, lengths), [(i, j)])
         except SurgeryError as exc:
             assert old is None, (d, l_ik, l_jk, l_il, l_jl)
-            assert str(exc) == f"non-convex quad at edge {_DIAG}"
+            assert str(exc) == f"non-convex quad at edge ({i}, {j})"
             rejections += 1
             continue
         assert old is not None, (d, l_ik, l_jk, l_il, l_jl)
-        new = metric.lengths[mesh.edge_id(k, l)]
+        new = metric.lengths[meshes.edge_id(mesh, k, l)]
         assert abs(new - old) <= 1e-12 * old
         flips += 1
     assert flips > 300 and rejections > 300
@@ -1001,18 +1002,20 @@ def test_mu_json_round_trip_matches_sequential(analyze_inputs):
 
 
 def _swapped_grid():
-    # a mesh straight from edge_swap, before renumber: its edge ids do not
-    # ascend with their smaller halfedges as build_mesh numbers them
+    # a grid whose every seventh edge the kernel flipped, where it could
     mesh = meshes.grid_mesh(9, 9)
+    faces, twin = mesh.faces.copy(), mesh.twin.copy()
     metric = induced_metric(mesh)
-    for e in range(0, mesh.n_edges, 7):
+    lengths = metric.lengths[mesh.edge_of_halfedge]
+    flips = 0
+    for h in mesh.edge_halfedges[::7, 0].tolist():
         try:
-            mesh, metric = edge_swap(mesh, metric, e)
+            edge_swap(faces, twin, lengths, metric.geometry, h)
         except SurgeryError:
             continue
-    assert np.any(np.diff(mesh.edge_halfedges[:, 0]) < 0)
-    assert not np.array_equal(mesh.edges, build_mesh(mesh.faces).edges)
-    return mesh
+        flips += 1
+    assert flips > 10
+    return build_mesh(faces, mesh.positions)
 
 
 _HESSIAN_MESHES = {
@@ -1267,7 +1270,7 @@ def test_pre_flow_surgery_matches_sequential(case):
                                     corners, mu)
     assert got == want
     if case == "zero-dz":
-        # the diagonal is named by its canonical id, not its stable one (0)
+        # the diagonal is named by its id in the mesh built after the loop
         assert want == (BeltramiError, "zero dz on edges [1]", [])
     if want is None:
         (new_mesh, aux, swaps), (ref_mesh, ref_aux, ref_swaps) = result, expect
