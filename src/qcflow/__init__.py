@@ -46,7 +46,6 @@ from .flow import (
 )
 from .geom import mobius_from_origin, poincare_circle_to_euclidean
 from .mesh import (
-    CutGraph,
     HalfedgeMesh,
     build_mesh,
     cut_graph,

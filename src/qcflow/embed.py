@@ -187,29 +187,39 @@ def layout_hyperbolic(mesh, metric):
     return Parameterization(coords, Geometry.HYPERBOLIC)
 
 
-def torus_periods(mesh, cut, layout):
-    """Deck translations of a flattened genus-1 surface cut along two loops.
+def torus_periods(mesh, disk, layout):
+    """Deck translations of a flattened genus-1 ``mesh``, read off the
+    ``layout`` of the ``disk`` it was cut open into along two loops.
 
-    Every cut edge has two copies in the cut-open layout; their images must
-    differ by a single constant translation per loop (checked against
-    ``_PERIOD_TOL`` times the layout diameter). The two shortest independent
-    translations are returned as the lattice basis.
+    A cut edge's halfedges ``h0 < h1``, interior in ``mesh`` and boundary in
+    ``disk``, give its two copies ``c[h0] -> c[next h0]`` and
+    ``c[next h1] -> c[h1]``, ``c = disk.faces.ravel()``. Their images must
+    differ by one translation (to ``_PERIOD_TOL`` times the layout
+    diameter), or a :class:`LayoutError` names the edge's two faces. The two
+    shortest independent translations are returned as the lattice basis.
     """
     z = np.asarray(getattr(layout, "coords", layout), dtype=np.complex128)
     finite = z[np.isfinite(z)]
     scale = float(np.abs(finite - finite.mean()).max()) * 2.0 or 1.0
+    h0, h1 = mesh.edge_halfedges.T
+    cut = np.flatnonzero((h1 >= 0) & (disk.twin[h0] < 0))
+    h0, h1, c = h0[cut], h1[cut], disk.faces.ravel()
+    t1 = z[c[disk.next(h1)]] - z[c[h0]]
+    t2 = z[c[h1]] - z[c[disk.next(h0)]]
+    off = np.flatnonzero(np.abs(t1 - t2) > _PERIOD_TOL * scale)
+    if off.size:
+        i = off[0]
+        raise LayoutError(
+            f"cut edge {cut[i]}: copies differ by a non-constant translation "
+            f"({t1[i]:.6g} vs {t2[i]:.6g})",
+            faces=[int(h0[i] // 3), int(h1[i] // 3)])
+    return _lattice_basis(0.5 * (t1 + t2), scale)
+
+
+def _lattice_basis(translations, scale):
+    """Shortest basis of the lattice that the per-cut-edge ``translations``
+    of two cut loops span, in a layout of diameter ``scale``."""
     eps, near = _PERIOD_TOL * scale, 10.0 * _PERIOD_TOL * scale
-
-    translations = []
-    for oe, ((a1, b1), (a2, b2)) in sorted(cut.edge_copy_pairs.items()):
-        t1 = z[a2] - z[a1]
-        t2 = z[b2] - z[b1]
-        if abs(t1 - t2) > eps:
-            raise LayoutError(
-                f"cut edge {oe}: copies differ by a non-constant translation "
-                f"({t1:.6g} vs {t2:.6g})")
-        translations.append(0.5 * (t1 + t2))
-
     clusters = []  # [sum, count]
     for t in translations:
         if abs(t) <= eps:

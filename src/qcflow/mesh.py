@@ -7,7 +7,8 @@ of the face. ``next`` and ``prev`` are therefore index arithmetic and only the
 twin pairing is stored.
 
 Every cut follows one rule, :func:`cut_graph`. Slicing keeps every face and
-corner slot, so halfedge ids carry the cut bookkeeping across the cut.
+corner slot, so halfedge ``h`` is the same slot in a mesh and in its cut, and
+the two meshes are the whole record of the cut.
 """
 
 from __future__ import annotations
@@ -712,12 +713,16 @@ def _vertex_uv(path, vi, ti, uvs, nv):
     out_of_range = np.nonzero(ti >= len(uvs))[0]
     end = out_of_range[0] if out_of_range.size else len(ti)
     # Corners before the first bad id, grouped by vertex in file order; a
-    # clash is a value that differs from a set (non-NaN) value before it.
+    # clash is a value that differs from a set (non-NaN) value before it, a
+    # NaN v matching a NaN v.
     order = np.argsort(vi[:end], kind="stable")
     v = vi[order]
     val = uvs[ti[order]]
     same = v[1:] == v[:-1]
     clash = same & ~np.isnan(val[:-1].real) & (val[:-1] != val[1:])
+    k = np.flatnonzero(clash)
+    clash[k] = ((val[k].real != val[k + 1].real)
+                | ~(np.isnan(val[k].imag) & np.isnan(val[k + 1].imag)))
     if clash.any():
         corner = order[1:][clash].min()
         raise ParseError(
@@ -785,28 +790,6 @@ def _format_rows(line_format, rows):
 # Cutting
 
 
-@dataclass(frozen=True)
-class CutGraph:
-    """Record of a slicing operation.
-
-    ``cut_edges`` are edge ids of the *original* mesh. ``new_to_orig_vertex``
-    and ``new_to_orig_edge`` map ids of the cut-open mesh back to the
-    original; ``edge_copy_pairs`` lists, for every cut edge in ascending
-    order, its two copies as new-vertex endpoint pairs aligned with the
-    original edge orientation, the copy along its smaller halfedge first.
-    """
-
-    cut_edges: tuple
-    new_to_orig_vertex: np.ndarray
-    new_to_orig_edge: np.ndarray
-    edge_copy_pairs: dict
-
-    def push_edge(self, values):
-        """Transfer per-original-edge data (e.g. lengths) onto the cut mesh."""
-        values = np.asarray(values)
-        return values[self.new_to_orig_edge]
-
-
 def slice_along_edges(mesh, edge_ids):
     """Cut the mesh open along a set of interior edges.
 
@@ -815,7 +798,7 @@ def slice_along_edges(mesh, edge_ids):
     edges. New vertices are numbered by original vertex, then by sector in
     counter-clockwise order from the vertex's first outgoing halfedge (for an
     interior vertex, the sector that starts at its first cut edge comes
-    first). Returns the cut-open mesh and the :class:`CutGraph` bookkeeping.
+    first). Returns the cut-open mesh, which keeps every corner slot.
     """
     edge_ids = np.asarray(edge_ids, dtype=np.int64).reshape(-1)
     on_boundary = mesh.edge_halfedges[edge_ids, 1] < 0
@@ -843,7 +826,6 @@ def slice_along_edges(mesh, edge_ids):
                          + boundary, 1)
     sector = np.where(boundary[origin], met, (met - 1) % sectors[origin])
     corner_vertex = (np.cumsum(sectors) - sectors)[origin] + sector
-    new_to_orig = np.repeat(np.arange(mesh.n_vertices), sectors)
 
     # Isolated interior cut edges would give duplicate oriented edges in the
     # cut mesh; detect early for a clear message.
@@ -856,25 +838,9 @@ def slice_along_edges(mesh, edge_ids):
             f"cut edge {int(cut_ids[np.argmax(isolated)])} is isolated: "
             "slicing it would not open the mesh")
 
-    positions = None
-    if mesh.positions is not None:
-        positions = mesh.positions[new_to_orig]
-    new_mesh = build_mesh(corner_vertex.reshape(-1, 3), positions=positions)
-
-    # Slicing keeps every face and corner slot, so halfedge ids carry over: a
-    # new edge maps to the edge under its smaller halfedge, and a cut edge's
-    # halfedges h0 < h1 give its two copies, h1's reversed to match h0.
-    h0, h1 = mesh.edge_halfedges[cut_ids].T
-    ends = corner_vertex[np.column_stack(
-        [h0, mesh.next(h0), mesh.next(h1), h1])].reshape(-1, 2, 2).tolist()
-    graph = CutGraph(
-        cut_edges=tuple(cut_ids.tolist()),
-        new_to_orig_vertex=new_to_orig,
-        new_to_orig_edge=mesh.edge_of_halfedge[new_mesh.edge_halfedges[:, 0]],
-        edge_copy_pairs={e: tuple(map(tuple, pair))
-                         for e, pair in zip(cut_ids.tolist(), ends)},
-    )
-    return new_mesh, graph
+    positions = (None if mesh.positions is None
+                 else np.repeat(mesh.positions, sectors, axis=0))
+    return build_mesh(corner_vertex.reshape(-1, 3), positions=positions)
 
 
 def cut_graph(mesh):
@@ -920,10 +886,10 @@ def cut_to_disk(mesh):
         # Sphere: open a two-edge slit inside face 0.
         cut_ids = np.sort(mesh.edge_of_halfedge[:2])
 
-    disk, graph = slice_along_edges(mesh, cut_ids)
+    disk = slice_along_edges(mesh, cut_ids)
     if euler_characteristic(disk) != 1 or len(disk.boundary_loops) != 1:
         raise TopologyError(
             "internal error: cut mesh is not a disk "
             f"(chi={euler_characteristic(disk)}, "
             f"boundaries={len(disk.boundary_loops)})")
-    return disk, graph
+    return disk

@@ -160,15 +160,14 @@ def normalize_rectangle(param, mesh, corners):
 @dataclass
 class FlattenResult:
     """Everything a pipeline run produces. ``mesh`` is the laid-out mesh
-    (cut open for closed inputs, re-triangulated if surgery fired);
-    ``param`` indexes its vertices."""
+    (re-triangulated if surgery fired, cut open from ``flow.mesh`` for the
+    annulus and closed inputs); ``param`` indexes its vertices."""
 
     mesh: object
     param: Parameterization
     flow: object
     module: float | None = None
     periods: object = None
-    cut: object = None
     report: dict = field(default_factory=dict)
 
 
@@ -191,8 +190,8 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
     kind = preset.kind
 
     # Annulus and closed surfaces are cut open and the flat metric pushed
-    # onto the cut mesh; disks are laid out as they are.
-    disk, cut, flat = fr.mesh, None, fr.metric
+    # onto the cut mesh by halfedge; disks are laid out as they are.
+    disk, flat = fr.mesh, fr.metric
     module = periods = None
     extra = {}
     if kind == PresetKind.ANNULUS:
@@ -200,13 +199,14 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
                       for lp in fr.mesh.boundary_loops)
         module = lens[0] / lens[1]
         slit = cut_graph(fr.mesh)
-        disk, cut = slice_along_edges(fr.mesh, slit)
+        disk = slice_along_edges(fr.mesh, slit)
         extra = {"slit_edges": len(slit),
                  "boundary_convention": "uniform 2pi/n outer, -2pi/n inner"}
     elif kind in (PresetKind.CLOSED_FLAT, PresetKind.CLOSED_HYPERBOLIC):
-        disk, cut = cut_to_disk(fr.mesh)
-    if cut is not None:
-        flat = DiscreteMetric(geometry, cut.push_edge(fr.metric.lengths))
+        disk = cut_to_disk(fr.mesh)
+    if disk is not fr.mesh:
+        flat = DiscreteMetric(geometry, fr.metric.lengths[
+            fr.mesh.edge_of_halfedge[disk.edge_halfedges[:, 0]]])
 
     if geometry == Geometry.HYPERBOLIC:
         param = layout_hyperbolic(disk, flat)
@@ -220,7 +220,7 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
         scale = np.abs(z - center).max()
         param = Parameterization((z - center) / scale, param.geometry)
     elif kind == PresetKind.CLOSED_FLAT:
-        periods = torus_periods(disk, cut, param)
+        periods = torus_periods(fr.mesh, disk, param)
 
     report = {"geometry": geometry.value, "preset": kind.value,
               "flow": fr.report.to_json_dict()}
@@ -230,7 +230,7 @@ def cmd_flatten(mesh, geometry, preset, options=FlowOptions(), metric=None):
         report["periods"] = periods.to_json_dict()
     report.update(extra)
     return FlattenResult(mesh=disk, param=param, flow=fr, module=module,
-                         periods=periods, cut=cut, report=report)
+                         periods=periods, report=report)
 
 
 def _aux_metric_with_surgery(mesh, base_metric, corners, mu, surgery=True):
@@ -331,11 +331,10 @@ def cmd_qcmap(mesh, mu, geometry, preset, options=FlowOptions(), metric=None):
     # swap of the conformal flatten rewrote: there they belong to other
     # vertices. Where mu is zero on such a face's vertices, its scales are
     # exactly 1 and its corners never enter.
-    chart = mesh if base.cut is None else base.mesh
-    corners = base.param.coords[chart.faces]
-    if base.cut is not None:
-        moved = np.nonzero((base.cut.new_to_orig_vertex[base.mesh.faces]
-                            != mesh.faces).any(axis=1))[0]
+    cut = base.mesh is not base.flow.mesh
+    corners = base.param.coords[(base.mesh if cut else mesh).faces]
+    if cut:
+        moved = np.nonzero((base.flow.mesh.faces != mesh.faces).any(axis=1))[0]
         moved = moved[(mu.values[mesh.faces[moved]] != 0).any(axis=1)]
         if moved.size:
             raise BeltramiError(

@@ -3,8 +3,11 @@ subdivided polyhedra and voxel-boundary surfaces only; randomness always
 comes from seeded generators passed in by the caller. Also the embedded edge
 lengths that layout tests measure, the Poincare-disk distance they are
 measured with in the disk, the ends and the edge id of a halfedge mesh's
-halfedges and vertex pairs, and the flips of ``qcflow.flow.edge_swap``
-named by vertex pair and built into a mesh."""
+halfedges and vertex pairs, the flips of ``qcflow.flow.edge_swap``
+named by vertex pair and built into a mesh, and the record of a cut read
+off the uncut and the cut mesh."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -281,3 +284,32 @@ def flipped(mesh, metric, pairs):
     new = build_mesh(faces, mesh.positions)
     return new, DiscreteMetric(metric.geometry,
                                lengths[new.edge_halfedges[:, 0]])
+
+
+def cut_record(mesh, disk):
+    """What slicing ``mesh`` open into ``disk`` did, read by halfedge slot
+    (slicing keeps every face and corner slot): ``cut_edges``, the ascending
+    ids of the edges whose halfedges are interior in ``mesh`` and boundary
+    in ``disk``; ``new_to_orig_vertex`` and ``new_to_orig_edge``, the
+    ``mesh`` vertex and edge under each ``disk`` vertex and edge; and
+    ``edge_copy_pairs``, each cut edge's two copies as ``disk`` vertex
+    pairs oriented like it, the copy along its smaller halfedge first."""
+    c = disk.faces.ravel()
+    new_to_orig_vertex = np.empty(disk.n_vertices, dtype=np.int64)
+    new_to_orig_vertex[c] = mesh.faces.ravel()
+    h0, h1 = mesh.edge_halfedges.T
+    cut = np.flatnonzero((h1 >= 0) & (disk.twin[h0] < 0))
+    h0, h1 = h0[cut], h1[cut]
+    ends = c[np.column_stack([h0, disk.next(h0), disk.next(h1), h1])]
+    return SimpleNamespace(
+        cut_edges=tuple(cut.tolist()),
+        new_to_orig_vertex=new_to_orig_vertex,
+        new_to_orig_edge=mesh.edge_of_halfedge[disk.edge_halfedges[:, 0]],
+        edge_copy_pairs={e: tuple(map(tuple, pair)) for e, pair in
+                         zip(cut.tolist(), ends.reshape(-1, 2, 2).tolist())})
+
+
+def push_edge(mesh, disk, values):
+    """Per-edge ``values`` of ``mesh`` carried onto the edges of its cut
+    ``disk``."""
+    return np.asarray(values)[mesh.edge_of_halfedge[disk.edge_halfedges[:, 0]]]

@@ -3,7 +3,9 @@
 These are the scalar twin of the layout's development (the breadth-first
 dual tree searched face by face, every face's frame and motion, and the
 pointer-jumping rounds, each composition written out in the same real
-arithmetic), the per-vertex cut loops and the scalar placement primitives
+arithmetic), the per-vertex cut loops with the ``CutGraph`` record they
+built (the package now reads a cut off the uncut and the cut mesh by
+halfedge slot), the scalar placement primitives
 that the array code in ``qcflow.geom``, ``qcflow.embed`` and
 ``qcflow.mesh`` replaced, and the line-by-line OBJ reader and writer and
 entry-by-entry mu JSON and CSV code that the bulk text I/O in
@@ -71,12 +73,13 @@ for bit; on a cut chart it must agree with the copy average to rounding.
 import json
 import re
 from collections import deque
+from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter, methodcaller
 
 import numpy as np
 
-from meshes import dest, edge_id, hyperbolic_distance, origin
+from meshes import cut_record, dest, edge_id, hyperbolic_distance, origin
 from qcflow import beltrami
 from qcflow.beltrami import BeltramiField, Parameterization
 from qcflow.embed import _check_disk, _check_flat
@@ -101,7 +104,7 @@ from qcflow.flow import (
     assemble_hessian,
     newton_step,
 )
-from qcflow.mesh import CutGraph, _vertex_uv, build_mesh, euler_characteristic
+from qcflow.mesh import _vertex_uv, build_mesh, euler_characteristic
 from qcflow.metric import (
     DiscreteMetric,
     Geometry,
@@ -566,6 +569,23 @@ def is_connected(mesh):
                 seen[t // 3] = True
                 queue.append(t // 3)
     return bool(seen.all())
+
+
+@dataclass(frozen=True)
+class CutGraph:
+    """Record of a slicing operation.
+
+    ``cut_edges`` are edge ids of the *original* mesh. ``new_to_orig_vertex``
+    and ``new_to_orig_edge`` map ids of the cut-open mesh back to the
+    original; ``edge_copy_pairs`` lists, for every cut edge in ascending
+    order, its two copies as new-vertex endpoint pairs aligned with the
+    original edge orientation, the copy along its smaller halfedge first.
+    """
+
+    cut_edges: tuple
+    new_to_orig_vertex: np.ndarray
+    new_to_orig_edge: np.ndarray
+    edge_copy_pairs: dict
 
 
 def slice_along_edges(mesh, edge_ids):
@@ -1302,10 +1322,10 @@ def cut_auxiliary_metric(metric, base, mu, mesh):
     cut): the metric and ``mu`` pushed onto the cut mesh, scaled there,
     divided back by the base length, and the copies of each cut edge
     averaged."""
-    cut = base.cut
+    cut = cut_record(base.flow.mesh, base.mesh)
     mu_cut = BeltramiField(np.asarray(mu)[cut.new_to_orig_vertex])
     metric_cut = DiscreteMetric(Geometry.EUCLIDEAN,
-                                cut.push_edge(metric.lengths))
+                                metric.lengths[cut.new_to_orig_edge])
     aux_cut = auxiliary_metric(metric_cut, base.param, mu_cut, base.mesh)
     scale_cut = aux_cut.lengths / metric_cut.lengths
     num = np.zeros(mesh.n_edges)

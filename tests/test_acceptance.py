@@ -331,23 +331,24 @@ def test_criterion_08_layout_isometry():
     ann = meshes.annulus_mesh(9, 3)
     out = cmd_flatten(ann, Geometry.EUCLIDEAN, TargetPreset(PresetKind.ANNULUS),
                       _TIGHT)
-    cut_metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                                out.cut.push_edge(out.flow.metric.lengths))
+    cut_metric = DiscreteMetric(Geometry.EUCLIDEAN, meshes.push_edge(
+        out.flow.mesh, out.mesh, out.flow.metric.lengths))
     check(out.mesh, cut_metric, out.param)
     # flat torus
     tmesh, tmetric = meshes.torus_grid(16, 16)
     tres = run_flow(tmesh, tmetric, np.zeros(tmesh.n_vertices),
                     Geometry.EUCLIDEAN)
-    disk, cut = cut_to_disk(tres.mesh)
+    disk = cut_to_disk(tres.mesh)
     dmetric = DiscreteMetric(Geometry.EUCLIDEAN,
-                             cut.push_edge(tres.metric.lengths))
+                             meshes.push_edge(tres.mesh, disk,
+                                              tres.metric.lengths))
     check(disk, dmetric, layout_euclidean(disk, dmetric))
     # genus-2 hyperbolic
     g2 = meshes.genus2_mesh()
     out = cmd_flatten(g2, Geometry.HYPERBOLIC,
                       TargetPreset(PresetKind.CLOSED_HYPERBOLIC), _TIGHT)
-    cut_metric = DiscreteMetric(Geometry.HYPERBOLIC,
-                                out.cut.push_edge(out.flow.metric.lengths))
+    cut_metric = DiscreteMetric(Geometry.HYPERBOLIC, meshes.push_edge(
+        out.flow.mesh, out.mesh, out.flow.metric.lengths))
     check(out.mesh, cut_metric, out.param)
 
     ok = worst < 1e-7
@@ -390,10 +391,12 @@ def test_criterion_10_torus_periods():
         mesh, metric = meshes.torus_grid(nx, ny, w=w, h=h)
         res = run_flow(mesh, metric, np.zeros(mesh.n_vertices),
                        Geometry.EUCLIDEAN)
-        disk, cut = cut_to_disk(res.mesh)
+        disk = cut_to_disk(res.mesh)
         dmetric = DiscreteMetric(Geometry.EUCLIDEAN,
-                                 cut.push_edge(res.metric.lengths))
-        return torus_periods(disk, cut, layout_euclidean(disk, dmetric))
+                                 meshes.push_edge(res.mesh, disk,
+                                                  res.metric.lengths))
+        return torus_periods(res.mesh, disk,
+                             layout_euclidean(disk, dmetric))
 
     sq = periods_of(16, 16, 1.0, 1.0)
     rt = periods_of(32, 16, 2.0, 1.0)

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -8,6 +6,7 @@ from qcflow.errors import LayoutError, MetricError
 from meshes import embedded_edge_lengths, hyperbolic_distance
 from qcflow.embed import (
     TorusPeriods,
+    _lattice_basis,
     layout_euclidean,
     layout_hyperbolic,
     torus_periods,
@@ -180,11 +179,11 @@ def test_poincare_circle_against_mobius_transport():
 def test_torus_periods_square(torus16):
     mesh, metric = torus16
     res = run_flow(mesh, metric, np.zeros(mesh.n_vertices), Geometry.EUCLIDEAN)
-    disk, cut = cut_to_disk(res.mesh)
+    disk = cut_to_disk(res.mesh)
     lay = layout_euclidean(
-        disk, DiscreteMetric(Geometry.EUCLIDEAN,
-                             cut.push_edge(res.metric.lengths)))
-    periods = torus_periods(disk, cut, lay)
+        disk, DiscreteMetric(Geometry.EUCLIDEAN, meshes.push_edge(
+            res.mesh, disk, res.metric.lengths)))
+    periods = torus_periods(res.mesh, disk, lay)
     assert abs(periods.za) == pytest.approx(1.0, abs=1e-6)
     assert abs(periods.zb) == pytest.approx(1.0, abs=1e-6)
     cosine = abs((np.conj(periods.za) * periods.zb).real)
@@ -194,11 +193,11 @@ def test_torus_periods_square(torus16):
 def test_torus_periods_2to1():
     mesh, metric = meshes.torus_grid(32, 16, w=2.0, h=1.0)
     res = run_flow(mesh, metric, np.zeros(mesh.n_vertices), Geometry.EUCLIDEAN)
-    disk, cut = cut_to_disk(res.mesh)
+    disk = cut_to_disk(res.mesh)
     lay = layout_euclidean(
-        disk, DiscreteMetric(Geometry.EUCLIDEAN,
-                             cut.push_edge(res.metric.lengths)))
-    periods = torus_periods(disk, cut, lay)
+        disk, DiscreteMetric(Geometry.EUCLIDEAN, meshes.push_edge(
+            res.mesh, disk, res.metric.lengths)))
+    periods = torus_periods(res.mesh, disk, lay)
     moduli = sorted([abs(periods.za), abs(periods.zb)])
     assert moduli[1] / moduli[0] == pytest.approx(2.0, abs=1e-6)
 
@@ -206,28 +205,16 @@ def test_torus_periods_2to1():
 def test_torus_periods_rejects_sphere(tetra):
     # a sphere's cut graph is a slit, not two loops: after flattening the cut
     # disk, every slit translation is ~0 and period extraction must fail
-    disk, cut = cut_to_disk(tetra)
-    metric = DiscreteMetric(Geometry.EUCLIDEAN,
-                            cut.push_edge(induced_metric(tetra).lengths))
+    disk = cut_to_disk(tetra)
+    metric = DiscreteMetric(Geometry.EUCLIDEAN, meshes.push_edge(
+        tetra, disk, induced_metric(tetra).lengths))
     target = np.zeros(disk.n_vertices)
     loop = disk.boundary_loops[0]
     target[list(loop)] = 2 * np.pi / len(loop)
     res = run_flow(disk, metric, target, Geometry.EUCLIDEAN)
     lay = layout_euclidean(res.mesh, res.metric)
     with pytest.raises(LayoutError):
-        torus_periods(res.mesh, cut, lay)
-
-
-def _translated_copies(*translations):
-    """A stand-in cut and layout for :func:`torus_periods`, which reads only
-    the cut's edge copy pairs: one cut edge per translation, its two copies
-    that translation apart."""
-    z, pairs = [], {}
-    for e, t in enumerate(translations):
-        a, p = len(z), 0.1 * e
-        z += [p, p + 0.05j, p + t, p + 0.05j + t]
-        pairs[e] = ((a, a + 1), (a + 2, a + 3))
-    return SimpleNamespace(edge_copy_pairs=pairs), np.array(z)
+        torus_periods(tetra, disk, lay)
 
 
 @pytest.mark.parametrize("translations, message", [
@@ -238,9 +225,29 @@ def _translated_copies(*translations):
     ((1.0, 2.0), "cut-loop translations are linearly dependent"),
 ], ids=["one-loop", "not-lattice", "dependent"])
 def test_torus_periods_rejects_translations(translations, message):
-    cut, z = _translated_copies(*translations)
+    # the per-cut-edge translations, one per edge, of a layout of diameter 1
     with pytest.raises(LayoutError, match=f"^{message}$"):
-        torus_periods(None, cut, z)
+        _lattice_basis(np.array(translations, dtype=np.complex128), 1.0)
+
+
+def test_torus_periods_names_the_faces_of_a_broken_seam(torus16):
+    # the first cut edge's first copy moved at one end: no single
+    # translation maps it onto the other copy, and the error names the two
+    # faces of that edge
+    mesh, metric = torus16
+    res = run_flow(mesh, metric, np.zeros(mesh.n_vertices), Geometry.EUCLIDEAN)
+    disk = cut_to_disk(res.mesh)
+    z = layout_euclidean(
+        disk, DiscreteMetric(Geometry.EUCLIDEAN, meshes.push_edge(
+            res.mesh, disk, res.metric.lengths))).coords
+    e, ((v, _), _) = next(iter(
+        meshes.cut_record(res.mesh, disk).edge_copy_pairs.items()))
+    z[v] += 0.01
+    with pytest.raises(LayoutError, match=f"^cut edge {e}: copies differ by "
+                       "a non-constant translation ") as exc:
+        torus_periods(res.mesh, disk, z)
+    assert exc.value.faces == (res.mesh.edge_halfedges[e] // 3).tolist()
+    assert v in disk.faces[exc.value.faces]
 
 
 def test_torus_periods_type_validates_independence():
@@ -251,9 +258,10 @@ def test_torus_periods_type_validates_independence():
 def test_genus2_hyperbolic_layout_isometry(genus2):
     res = run_flow(genus2, induced_metric(genus2),
                    np.zeros(genus2.n_vertices), Geometry.HYPERBOLIC)
-    disk, cut = cut_to_disk(res.mesh)
+    disk = cut_to_disk(res.mesh)
     metric = DiscreteMetric(Geometry.HYPERBOLIC,
-                            cut.push_edge(res.metric.lengths))
+                            meshes.push_edge(res.mesh, disk,
+                                             res.metric.lengths))
     param = layout_hyperbolic(disk, metric)
     lengths = embedded_edge_lengths(disk, param)
     rel = np.abs(lengths - metric.lengths) / metric.lengths
@@ -283,9 +291,10 @@ def test_layout_isometry_under_conformal_refit(grid9):
 def test_genus2_layout_orientation_and_disk(genus2):
     res = run_flow(genus2, induced_metric(genus2),
                    np.zeros(genus2.n_vertices), Geometry.HYPERBOLIC)
-    disk, cut = cut_to_disk(res.mesh)
+    disk = cut_to_disk(res.mesh)
     metric = DiscreteMetric(Geometry.HYPERBOLIC,
-                            cut.push_edge(res.metric.lengths))
+                            meshes.push_edge(res.mesh, disk,
+                                             res.metric.lengths))
     z = layout_hyperbolic(disk, metric).coords
     tri = z[disk.faces]
     # orientation of the vertex triple (the geodesic and chord triangles
@@ -318,10 +327,10 @@ def test_hyperbolic_strip_escapes_the_unit_disk():
 def test_torus_periods_json_contract(torus16):
     mesh, metric = torus16
     res = run_flow(mesh, metric, np.zeros(mesh.n_vertices), Geometry.EUCLIDEAN)
-    disk, cut = cut_to_disk(res.mesh)
+    disk = cut_to_disk(res.mesh)
     lay = layout_euclidean(
-        disk, DiscreteMetric(Geometry.EUCLIDEAN,
-                             cut.push_edge(res.metric.lengths)))
-    doc = torus_periods(disk, cut, lay).to_json_dict()
+        disk, DiscreteMetric(Geometry.EUCLIDEAN, meshes.push_edge(
+            res.mesh, disk, res.metric.lengths)))
+    doc = torus_periods(res.mesh, disk, lay).to_json_dict()
     assert set(doc) == {"za", "zb"}
     assert len(doc["za"]) == 2 and len(doc["zb"]) == 2

@@ -248,7 +248,7 @@ def test_induced_metric_requires_positions():
 
 
 def test_cut_tetrahedron_to_disk(tetra):
-    disk, cut = cut_to_disk(tetra)
+    disk = cut_to_disk(tetra)
     assert euler_characteristic(disk) == 1
     assert len(disk.boundary_loops) == 1
     assert disk.n_faces == tetra.n_faces
@@ -256,7 +256,8 @@ def test_cut_tetrahedron_to_disk(tetra):
 
 def test_cut_torus_to_disk(torus16):
     mesh, _ = torus16
-    disk, cut = cut_to_disk(mesh)
+    disk = cut_to_disk(mesh)
+    cut = meshes.cut_record(mesh, disk)
     assert euler_characteristic(disk) == 1
     assert len(disk.boundary_loops) == 1
     # The pruned cut graph deformation-retracts the torus: chi = -1, so it is
@@ -294,7 +295,7 @@ CLOSED_BUILDERS = [
 @pytest.mark.parametrize("builder", CLOSED_BUILDERS)
 def test_cut_to_disk_property(builder):
     mesh = builder()
-    disk, _ = cut_to_disk(mesh)
+    disk = cut_to_disk(mesh)
     assert euler_characteristic(disk) == 1
     assert len(disk.boundary_loops) == 1
 
@@ -326,7 +327,7 @@ def test_cut_graph_of_an_annulus_is_one_path_between_its_loops(n, hole):
         [[False, True], [True, False]]
     inner = set(on_path.tolist()) - set(tips.tolist())
     assert not inner & (loops[0] | loops[1])
-    disk, _ = slice_along_edges(mesh, path)
+    disk = slice_along_edges(mesh, path)
     assert euler_characteristic(disk) == 1
     assert len(disk.boundary_loops) == 1
 
@@ -360,10 +361,10 @@ def _fifo_levels(mesh):
     lambda: meshes.annulus_mesh(17, 5),
     lambda: meshes.embedded_torus(24, 16),
     lambda: meshes.genus2_mesh(),
-    lambda: cut_to_disk(meshes.embedded_torus(24, 16))[0],
+    lambda: cut_to_disk(meshes.embedded_torus(24, 16)),
     lambda: meshes.grid_mesh(33, 33),
     lambda: meshes.grid_mesh(129, 129),
-    lambda: cut_to_disk(meshes.embedded_torus(96, 64))[0],
+    lambda: cut_to_disk(meshes.embedded_torus(96, 64)),
 ], ids=["grid", "annulus", "torus", "genus2", "torus-disk", "grid33",
         "grid129", "torus-6k-disk"])
 def test_dual_bfs_levels_are_a_fifo_search(builder):
@@ -424,7 +425,7 @@ def test_slice_rejects_isolated_cut_edge(grid9):
 
 def test_slice_edge_copies(torus16):
     mesh, _ = torus16
-    disk, cut = cut_to_disk(mesh)
+    cut = meshes.cut_record(mesh, cut_to_disk(mesh))
     for oe, (c1, c2) in cut.edge_copy_pairs.items():
         a, b = mesh.edges[oe]
         assert cut.new_to_orig_vertex[c1[0]] == a

@@ -279,9 +279,10 @@ def test_gauss_bonnet_on_cut_genus2_hyperbolic(genus2):
     res = run_flow(genus2, induced_metric(genus2),
                    np.zeros(genus2.n_vertices), Geometry.HYPERBOLIC,
                    FlowOptions(eps=1e-3))
-    disk, cut = cut_to_disk(res.mesh)
+    disk = cut_to_disk(res.mesh)
     metric = DiscreteMetric(Geometry.HYPERBOLIC,
-                            cut.push_edge(res.metric.lengths))
+                            meshes.push_edge(res.mesh, disk,
+                                             res.metric.lengths))
     assert abs(gauss_bonnet_residual(metric, disk)) < 1e-9
 
 

@@ -161,7 +161,8 @@ def test_flatten_annulus(annulus):
     assert 0.0 < out.module < 1.0
     # layout is isometric for the cut-open flat metric
     lengths = meshes.embedded_edge_lengths(out.mesh, out.param)
-    metric_lengths = out.cut.push_edge(out.flow.metric.lengths)
+    metric_lengths = meshes.push_edge(out.flow.mesh, out.mesh,
+                                      out.flow.metric.lengths)
     assert (np.abs(lengths - metric_lengths) / metric_lengths).max() < 1e-7
     assert out.report["module"] == out.module
 
@@ -386,12 +387,33 @@ def test_qcmap_zero_mu_equals_flatten_closed(tmp_path, mesh, kind, geometry):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_qcmap_reads_a_swapped_disk_flatten_on_the_input_faces():
+    # the conformal flatten of this jittered grid swaps edges and rewrites
+    # faces 84 and 85; a disk is not cut, so every vertex keeps its id and
+    # qcmap reads the chart on the input faces (on the rewritten faces the
+    # module would read 0.667600563212915, after 2 in-flow swaps)
+    grid = meshes.grid_mesh(12, 12)
+    jitter = np.random.default_rng(18).normal(scale=0.35 / 11, size=(144, 3))
+    mesh = build_mesh(grid.faces, grid.positions + jitter * [1, 1, 3])
+    preset = TargetPreset(PresetKind.RECTANGLE, meshes.grid_corners(12, 12))
+    base = cmd_flatten(mesh, Geometry.EUCLIDEAN, preset)
+    assert base.mesh is base.flow.mesh
+    assert np.flatnonzero((base.mesh.faces != mesh.faces).any(axis=1)) \
+        .tolist() == [84, 85]
+    qc = cmd_qcmap(mesh, np.full(144, 0.3 * np.exp(0.25j * np.pi)),
+                   Geometry.EUCLIDEAN, preset)
+    assert qc.module == pytest.approx(0.666814613514725, abs=1e-12)
+    assert qc.report["pre_flow_swaps"] == 29
+    assert qc.report["flow"]["swaps"] == 3
+
+
 def test_qcmap_annulus_swaps_leave_the_seam_alone(annulus, monkeypatch):
     # the cut chart gives the two faces of a slit edge different corners, so
     # the pre-flow surgery swaps only off the slit; this field still fails
     base = cmd_flatten(annulus, Geometry.EUCLIDEAN,
                        TargetPreset(PresetKind.ANNULUS))
-    slit = {frozenset(annulus.edges[e].tolist()) for e in base.cut.cut_edges}
+    slit = {frozenset(annulus.edges[e].tolist())
+            for e in meshes.cut_record(base.flow.mesh, base.mesh).cut_edges}
     tried, made = [], []
 
     def recording_swap(faces, twin, lengths, geometry, h, carried=()):
@@ -416,7 +438,8 @@ def test_chart_swap_refuses_seam_edges(annulus, monkeypatch):
     # every violating face, from either halfedge, and flips nothing
     base = cmd_flatten(annulus, Geometry.EUCLIDEAN,
                        TargetPreset(PresetKind.ANNULUS))
-    seam = annulus.edge_halfedges[sorted(base.cut.cut_edges)].ravel()
+    cut = meshes.cut_record(base.flow.mesh, base.mesh).cut_edges
+    seam = annulus.edge_halfedges[sorted(cut)].ravel()
     assert (seam >= 0).all()
     asked = []
 
@@ -803,6 +826,23 @@ def test_cli_analysis_input_checks(tmp_path, grid9, capsys, argv, message):
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not path["out"].exists()
+
+
+@pytest.mark.parametrize("faces", ["f 1/1 2/2 3/3\nf 2/2 4/4 3/3\n",
+                                   "f 1/1 2/2 4/4\nf 1/1 4/4 3/3\n"],
+                         ids=["two-corners", "one-corner"])
+def test_cli_shared_nan_vt_reaches_the_finite_check(tmp_path, capsys, faces):
+    # vertex 3 takes `vt 1 nan` in two corners or in one: a NaN matches a
+    # NaN, so both load, and the analysis commands refuse the non-finite uv
+    path = tmp_path / "nan.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
+                    "vt 0 0\nvt 1 0\nvt 1 nan\nvt 1 1\n" + faces)
+    assert cli_main(["check", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["estimate-mu", "--src", str(path), "--dst", str(path),
+                     "--out", str(tmp_path / "mu.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: source OBJ file has non-finite uv at vertices [2]\n")
 
 
 def test_cli_parse_error_exit_code(tmp_path):

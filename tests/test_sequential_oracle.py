@@ -105,15 +105,17 @@ def _rectangle_flow(n, bump):
 def _closed_disk(mesh, metric, geometry):
     res = run_flow(mesh, metric.retagged(geometry),
                    np.zeros(mesh.n_vertices), geometry)
-    disk, cut = cut_to_disk(res.mesh)
-    return disk, DiscreteMetric(geometry, cut.push_edge(res.metric.lengths))
+    disk = cut_to_disk(res.mesh)
+    return disk, DiscreteMetric(
+        geometry, meshes.push_edge(res.mesh, disk, res.metric.lengths))
 
 
 def _annulus_disk():
     out = cmd_flatten(meshes.annulus_mesh(9, 3), Geometry.EUCLIDEAN,
                       TargetPreset(PresetKind.ANNULUS))
     return out.mesh, DiscreteMetric(
-        Geometry.EUCLIDEAN, out.cut.push_edge(out.flow.metric.lengths))
+        Geometry.EUCLIDEAN,
+        meshes.push_edge(out.flow.mesh, out.mesh, out.flow.metric.lengths))
 
 
 def _torus_disk():
@@ -214,8 +216,10 @@ def test_layout_failure_matches_sequential(monkeypatch, geometry, seed):
     assert bits(new(mesh, metric).coords) == bits(old(mesh, metric).coords)
 
 
-def _same_cut(new, old):
-    (disk_a, cut_a), (disk_b, cut_b) = new, old
+def _same_cut(mesh, disk_a, old):
+    # the cut record of the sequential slice against the one the cut mesh
+    # gives by halfedge slot
+    cut_a, (disk_b, cut_b) = meshes.cut_record(mesh, disk_a), old
     assert np.array_equal(disk_a.faces, disk_b.faces)
     assert cut_a.cut_edges == cut_b.cut_edges
     assert np.array_equal(cut_a.new_to_orig_vertex, cut_b.new_to_orig_vertex)
@@ -232,13 +236,13 @@ def _same_cut(new, old):
 ], ids=["tetrahedron", "torus16", "embedded-torus", "genus2"])
 def test_cut_to_disk_matches_sequential(build):
     mesh = build()
-    _same_cut(cut_to_disk(mesh), sequential.cut_to_disk(mesh))
+    _same_cut(mesh, cut_to_disk(mesh), sequential.cut_to_disk(mesh))
 
 
 def test_annulus_slit_matches_sequential():
     mesh = meshes.annulus_mesh(9, 3)
     slit = cut_graph(mesh)
-    _same_cut(slice_along_edges(mesh, slit),
+    _same_cut(mesh, slice_along_edges(mesh, slit),
               sequential.slice_along_edges(mesh, slit))
 
 
@@ -280,7 +284,7 @@ def test_slice_random_edge_sets_match_sequential(seed):
     if isinstance(old[0], type):
         assert new == old
     else:
-        _same_cut(new, old)
+        _same_cut(mesh, new, old)
 
 
 def _random_disk_points(rng, n, rmax):
@@ -1204,7 +1208,7 @@ def _chart(mesh, kind, corners=()):
     ``mu = 0`` layout at every face corner, on the cut mesh for a cut
     layout."""
     base = cmd_flatten(mesh, Geometry.EUCLIDEAN, TargetPreset(kind, corners))
-    chart = mesh if base.cut is None else base.mesh
+    chart = mesh if base.mesh is base.flow.mesh else base.mesh
     return base.param.coords[chart.faces]
 
 
